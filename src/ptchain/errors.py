@@ -29,7 +29,13 @@ class SpectralSingularityError(NumericalFailure):
 
 
 class MissedRoots(NumericalFailure):
-    """The argument-principle audit counted more roots than Newton found."""
+    """Two independent routes disagree on a set of roots.
+
+    Raised when a grid-located pole has no partner among the eigenvalues of
+    the outgoing-wave pencil, when a threshold-ladder value parks no root at
+    ``k = pi/2``, or when the closed-form growing-state count differs from
+    the first-quadrant pole count.
+    """
 
 
 class NonConvergence(NumericalFailure):

@@ -1,10 +1,17 @@
 """S-matrix poles in the complex wavenumber strip.
 
 Poles are the zeros of the common scattering denominator ``M22(k)``. This
-module locates them numerically (grid scan + damped Newton, audited by the
-argument principle), evaluates the closed-form threshold ladder at which they
-cross the real axis, classifies them physically, and tracks their motion as
-the gain/loss strength varies.
+module locates them numerically (grid scan + damped Newton, audited against
+the eigenvalues of the outgoing-wave pencil), evaluates the closed-form
+threshold ladder at which they cross the real axis, classifies them
+physically, and tracks their motion as the gain/loss strength varies.
+
+The audit rests on the outgoing-wave (Siegert) boundary conditions
+``psi_{-1} = z psi_0`` and ``psi_{2N} = z psi_{2N-1}`` with ``z = e^{ik}``,
+which close the scattering region into the quadratic eigenproblem
+``z^2 (I - P) + z H_c + I = 0`` (``H_c`` the 2N x 2N chain block, ``P`` the
+projector on its two end sites). Its finite eigenvalues are the poles, all of
+them at once (Tisseur & Meerbergen, SIAM Rev. 43, 235 (2001)).
 
 Conventions: the physical strip is ``Re k in (-pi, pi]``; a thin margin
 around the singular verticals ``Re k in {-pi, 0, pi}`` (where ``cot k``
@@ -20,6 +27,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from .errors import (
     BranchLost,
@@ -28,7 +36,7 @@ from .errors import (
     OutOfRange,
     SingularBasis,
 )
-from .model import ChainSpec, ComplexWavenumber, dispersion_energy
+from .model import ChainSpec, ComplexWavenumber, dispersion_energy, onsite_profile
 from .scattering import chebyshev_tu
 
 __all__ = [
@@ -58,6 +66,9 @@ RESIDUAL_TOL = 1e-10
 DEDUP_TOL = 1e-8
 #: Exclusion margin around the singular verticals Re k in {-pi, 0, pi}.
 EDGE_MARGIN = 1e-4
+#: A grid root and a polished pencil root closer than this (in k) are one pole;
+#: also the pad around the region within which pencil eigenvalues are polished.
+PENCIL_TOL = 1e-6
 
 
 class PoleClass(enum.Enum):
@@ -223,77 +234,6 @@ def _newton(spec: ChainSpec, seed: complex, max_iter: int = 60) -> complex | Non
 
 
 # ---------------------------------------------------------------------------
-# argument-principle audit
-# ---------------------------------------------------------------------------
-
-def _winding_number(spec: ChainSpec, region: SearchRegion, max_depth: int = 44) -> int:
-    """Winding number of the residual along the region boundary.
-
-    The boundary is walked counterclockwise; each segment is bisected until
-    the phase step is below pi/2, which guarantees the correct branch of the
-    argument increment. Raises :class:`MissedRoots` if refinement cannot
-    stabilize (e.g. a zero sits on the boundary).
-    """
-    corners = [
-        complex(region.re_min, region.im_min),
-        complex(region.re_max, region.im_min),
-        complex(region.re_max, region.im_max),
-        complex(region.re_min, region.im_max),
-    ]
-    total = 0.0
-    for a, b in zip(corners, corners[1:] + corners[:1]):
-        # initial sampling proportional to segment length
-        n0 = max(8, int(16 * abs(b - a)))
-        ts = [i / n0 for i in range(n0 + 1)]
-        vals = [_residual_scalar(spec, a + (b - a) * t) for t in ts]
-        stack = list(zip(ts[:-1], ts[1:], vals[:-1], vals[1:], [0] * n0))
-        while stack:
-            t0, t1, f0, f1, depth = stack.pop()
-            if f0 == 0 or f1 == 0:
-                raise MissedRoots("winding audit: zero on the region boundary")
-            dphi = cmath.phase(f1 / f0)
-            if abs(dphi) < 0.5 * math.pi:
-                total += dphi
-                continue
-            if depth >= max_depth:
-                raise MissedRoots(
-                    f"winding audit failed to stabilize on segment [{a}, {b}]"
-                )
-            tm = 0.5 * (t0 + t1)
-            fm = _residual_scalar(spec, a + (b - a) * tm)
-            stack.append((t0, tm, f0, fm, depth + 1))
-            stack.append((tm, t1, fm, f1, depth + 1))
-    w = total / (2 * math.pi)
-    wi = round(w)
-    if abs(w - wi) > 1e-3:
-        raise MissedRoots(f"winding audit returned a non-integer count {w!r}")
-    return int(wi)
-
-
-def _audit_slabs(region: SearchRegion) -> list[SearchRegion]:
-    """Split a region into slabs avoiding the singular verticals.
-
-    Bands of half-width :data:`EDGE_MARGIN` around ``Re k in {-pi, 0, pi}``
-    are removed; the scattering denominator has its only non-zero
-    singularities (simple poles from ``cot k``) at ``k = 0, ±pi``, which
-    would corrupt the argument-principle count.
-    """
-    cuts: list[float] = [region.re_min, region.re_max]
-    for s in (-math.pi, 0.0, math.pi):
-        for edge in (s - EDGE_MARGIN, s + EDGE_MARGIN):
-            if region.re_min < edge < region.re_max:
-                cuts.append(edge)
-    cuts = sorted(set(cuts))
-    slabs = []
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        center = 0.5 * (lo + hi)
-        if any(abs(center - s) <= EDGE_MARGIN for s in (-math.pi, 0.0, math.pi)):
-            continue  # the excluded thin band itself
-        slabs.append(SearchRegion(lo, hi, region.im_min, region.im_max))
-    return slabs
-
-
-# ---------------------------------------------------------------------------
 # the finder
 # ---------------------------------------------------------------------------
 
@@ -355,20 +295,79 @@ def _collect_roots(
     return roots
 
 
+def _pencil_wavenumbers(spec: ChainSpec) -> np.ndarray:
+    """Wavenumbers of the finite eigenvalues of the outgoing-wave pencil.
+
+    With ``w = 1/z`` the problem ``z^2 (I - P) + z H_c + I = 0`` becomes the
+    monic ``w^2 I + w H_c + (I - P) = 0``, whose 4N x 4N companion matrix is
+    an ordinary eigenproblem. ``I - P`` has rank 2N - 2, so at least two
+    eigenvalues ``w`` vanish (``z`` infinite); they are dropped. The finite
+    count is therefore at most 4N - 2, and fewer at exceptional points (none
+    at N = 1, gamma = 1).
+    """
+    n = spec.n_sites
+    h_c = np.diag([p.value for p in onsite_profile(spec)]) - np.eye(n, k=1) - np.eye(n, k=-1)
+    open_ends = np.eye(n)
+    open_ends[0, 0] = open_ends[-1, -1] = 0.0
+    companion = np.block([[np.zeros((n, n)), np.eye(n)], [-open_ends, -h_c]])
+    w = scipy.linalg.eigvals(companion, overwrite_a=True, check_finite=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = 1.0 / w
+    return -1j * np.log(z[np.isfinite(z)])
+
+
+def _pencil_audit(spec: ChainSpec, region: SearchRegion, roots: list[complex]) -> None:
+    """Check grid roots against the pencil and append the roots the grid missed.
+
+    Pencil eigenvalues whose ``k`` lies in ``region`` (padded by
+    :data:`PENCIL_TOL`) and, like the grid seeds, off the singular verticals
+    are polished by Newton; when Newton fails from one, a
+    grid root within :data:`PENCIL_TOL` stands in for it. Every grid root
+    must have a polished partner within :data:`PENCIL_TOL`, else
+    :class:`MissedRoots` is raised; unpartnered pencil roots inside the
+    region are appended to ``roots``.
+    """
+    polished: list[complex] = []
+    for seed in map(complex, _pencil_wavenumbers(spec)):
+        if not region.contains(seed, pad=PENCIL_TOL) or _near_singular_vertical(seed):
+            continue
+        root = _newton(spec, seed)
+        if root is None:
+            root = next((r for r in roots if abs(r - seed) <= PENCIL_TOL), None)
+            if root is None:
+                raise NonConvergence(
+                    f"Newton failed from pencil eigenvalue k={seed!r} with no grid root "
+                    f"nearby (N={spec.n_cells}, gamma={spec.gamma})"
+                )
+        polished.append(root)
+    for r in roots:
+        if all(abs(r - q) > PENCIL_TOL for q in polished):
+            raise MissedRoots(
+                f"grid root k={r!r} has no partner among the outgoing-wave pencil "
+                f"roots (N={spec.n_cells}, gamma={spec.gamma})"
+            )
+    for q in polished:
+        if (
+            region.contains(q)
+            and not _near_singular_vertical(q)
+            and all(abs(q - r) > PENCIL_TOL for r in roots)
+        ):
+            roots.append(q)
+
+
 def find_poles(
     spec: ChainSpec,
     region: SearchRegion | None = None,
     grid_density: int = 60,
-    audit: bool = True,
 ) -> list[PoleRecord]:
     """Locate every pole of the scattering denominator inside ``region``.
 
     Grid minima of ``|M22|`` seed a damped Newton iteration (derivative by
     central difference, step 1e-6, residual target 1e-10, deduplication at
-    1e-8). When ``audit`` is on, the found count inside each singularity-free
-    slab of the region is checked against the argument-principle winding
-    number of ``M22`` along the slab boundary; on a deficit the slab is
-    rescanned at increasing density before :class:`MissedRoots` is raised.
+    1e-8). The result is audited against the outgoing-wave pencil, whose
+    finite eigenvalues are every pole at once: each grid root must match a
+    Newton-polished pencil root within 1e-6 (else :class:`MissedRoots`), and
+    pencil roots in the region that the grid missed are added.
 
     Parameters
     ----------
@@ -378,8 +377,14 @@ def find_poles(
         singular-vertical margins).
     grid_density : int
         Seed-grid points per unit k length (minimum 50).
-    audit : bool
-        Disable only when an enclosing caller performs its own audit.
+
+    Raises
+    ------
+    MissedRoots
+        A grid root has no pencil partner.
+    NonConvergence
+        Newton fails from a pencil eigenvalue in the region with no grid
+        root within 1e-6 of it.
     """
     if region is None:
         region = DEFAULT_REGION
@@ -387,27 +392,7 @@ def find_poles(
         raise OutOfRange(f"grid_density must be at least 50 per unit length, got {grid_density}")
 
     roots = _collect_roots(spec, region, grid_density)
-
-    if audit:
-        for slab in _audit_slabs(region):
-            in_slab = [r for r in roots if slab.contains(r, pad=0.0)]
-            expected = _winding_number(spec, slab)
-            density = grid_density
-            attempts = 0
-            while expected != len(in_slab) and attempts < 2:
-                # densify only the deficient slab
-                density *= 3
-                attempts += 1
-                extra = _collect_roots(spec, slab, density)
-                for r in extra:
-                    if all(abs(r - q) > DEDUP_TOL for q in roots):
-                        roots.append(r)
-                in_slab = [r for r in roots if slab.contains(r, pad=0.0)]
-            if expected != len(in_slab):
-                raise MissedRoots(
-                    f"winding number {expected} != {len(in_slab)} roots found in "
-                    f"{slab!r} (N={spec.n_cells}, gamma={spec.gamma})"
-                )
+    _pencil_audit(spec, region, roots)
 
     records = [_record(spec, r) for r in roots]
     records.sort(key=lambda p: (p.k.re, p.k.im))
@@ -437,10 +422,10 @@ class ThresholdLadder:
 def threshold_ladder(n_cells: int, verify_numeric: bool = False) -> ThresholdLadder:
     """Evaluate the closed-form threshold ladder for an ``n_cells`` chain.
 
-    With ``verify_numeric=True``, additionally runs :func:`find_poles` in a
-    tight window around ``k = pi/2`` at every ladder value and requires a
-    real-axis root at ``pi/2`` within 1e-7 (slower; the closed form itself is
-    microseconds).
+    With ``verify_numeric=True``, additionally runs one Newton solve of the
+    pole condition from ``k = pi/2`` at every ladder value and requires it to
+    converge to a real-axis root at ``pi/2`` (within 1e-7 in ``Re k`` and
+    1e-8 in ``Im k``); otherwise :class:`MissedRoots` is raised.
     """
     if n_cells < 1:
         raise OutOfRange(f"n_cells must be >= 1, got {n_cells}")
@@ -453,17 +438,9 @@ def threshold_ladder(n_cells: int, verify_numeric: bool = False) -> ThresholdLad
         mu_values=mu,
     )
     if verify_numeric:
-        window = SearchRegion(
-            0.5 * math.pi - 0.3, 0.5 * math.pi + 0.3, -0.05, 0.05
-        )
         for g in gammas:
-            recs = find_poles(ChainSpec(n_cells, g), window, grid_density=200)
-            hits = [
-                r
-                for r in recs
-                if abs(r.k.re - 0.5 * math.pi) <= 1e-7 and abs(r.k.im) <= 1e-8
-            ]
-            if not hits:
+            root = _newton(ChainSpec(n_cells, g), 0.5 * math.pi)
+            if root is None or abs(root.real - 0.5 * math.pi) > 1e-7 or abs(root.imag) > 1e-8:
                 raise MissedRoots(
                     f"no real-axis root at k=pi/2 for N={n_cells}, gamma={g!r}"
                 )
@@ -725,7 +702,7 @@ def trace_trajectories(
         1 for b in branches if b.points and b.points[-1][1].k.re > 0
     )
     expected = 2 * spec_base.n_cells - 1
-    if gamma_max >= 2.0 and n_positive != expected and spec_base.n_cells != 3:
+    if gamma_max >= 2.0 and n_positive != expected:
         warnings.warn(
             f"observed {n_positive} branches with Re k > 0, expected {expected} "
             f"(soft structural check for N={spec_base.n_cells})",

@@ -15,7 +15,7 @@ import pytest
 from scipy.optimize import brentq
 
 import ptchain as pc
-from ptchain.poles import _audit_slabs, _winding_number
+from winding import _audit_slabs, _winding_number
 
 PI = math.pi
 

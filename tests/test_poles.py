@@ -1,20 +1,27 @@
 """Pole census, threshold ladder, and trajectory tracking.
 
 The heavy cross-check here is an independent oracle for the full pole set:
-``M22(k) * sin(k) * z**(2N+1)`` with ``z = exp(ik)`` is a polynomial in z of
-degree <= 4N+2, so its coefficients can be recovered exactly (to rounding) by
-FFT on the unit circle and its roots enumerated by ``numpy.roots`` — no grids,
-no Newton, no winding numbers shared with the implementation under test.
+``2i * M22(k) * sin(k) * z**(2N+1)`` with ``z = exp(ik)`` is a polynomial
+``q(u)`` in ``u = z**2``, of degree at most 2N - 1. Its coefficients are
+built from the Chebyshev recurrences in high-precision ``mpmath`` arithmetic
+and its roots polished there, so each root ``u`` gives the two poles
+``z = ±sqrt(u)`` — no grids, no Newton on ``M22``, no pencil shared with the
+implementation under test.
 """
 
-import cmath
 import math
+import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ptchain import (
     ChainSpec,
+    MissedRoots,
+    NonConvergence,
     OutOfRange,
     PoleClass,
     SearchRegion,
@@ -27,34 +34,70 @@ from ptchain import (
     threshold_ladder,
     trace_trajectories,
 )
+from ptchain import poles
+from ptchain.poles import DEFAULT_REGION, EDGE_MARGIN
 
 PI = math.pi
 
+#: Working precision of the z-polynomial oracle. At N = 50 its coefficients
+#: span ~30 decades and its roots are ill-conditioned in double precision.
+ZPOLY_DPS = 60
+#: Leading coefficients below this fraction of the largest are cancellation
+#: residue (~10**-ZPOLY_DPS); genuine ones stay above 1e-36 for N <= 50 and
+#: gamma <= 1.9.
+ZPOLY_TRIM = 1e-45
+
+
+def _zpoly_coefficients(spec: ChainSpec) -> list:
+    """Coefficients of ``q(u)``, highest power first, as mpmath numbers.
+
+    With ``x = cos 2k + gamma**2/2 = (u + 1/u)/2 + gamma**2/2``,
+    ``q(u) = (u - 1) u^N T_N(x) + (u + 1) u (1 - x) u^(N-1) U_(N-1)(x)``.
+    The two leading coefficients cancel identically; cancelled ones are
+    trimmed, so the list length is one more than the true degree.
+    """
+    n = spec.n_cells
+    with mp.workdps(ZPOLY_DPS):
+        g2 = mp.mpf(spec.gamma) ** 2
+        two_xu = np.array([1, g2, 1], dtype=object)  # 2 u x
+        u2 = np.array([1, 0, 0], dtype=object)
+        t_prev, t_cur = np.array([1], dtype=object), two_xu / 2  # u^j T_j(x)
+        u_prev, u_cur = np.array([0], dtype=object), np.array([1], dtype=object)  # u^j U_j(x)
+        for _ in range(n - 1):
+            t_prev, t_cur = t_cur, np.polysub(np.polymul(two_xu, t_cur), np.polymul(u2, t_prev))
+            u_prev, u_cur = u_cur, np.polysub(np.polymul(two_xu, u_cur), np.polymul(u2, u_prev))
+        u_one_minus_x = np.array([-0.5, 1 - g2 / 2, -0.5], dtype=object)
+        q = list(np.polyadd(
+            np.polymul([1, -1], t_cur), np.polymul([1, 1], np.polymul(u_one_minus_x, u_cur))
+        ))
+        scale = max(abs(c) for c in q)
+        while q and abs(q[0]) <= ZPOLY_TRIM * scale:
+            q.pop(0)
+    return q
+
 
 def _zpoly_roots(spec: ChainSpec) -> list[complex]:
-    """All strip poles of the scattering denominator via the z-polynomial."""
-    n = spec.n_cells
-    deg = 4 * n + 2
-    m = 1 << (deg + 4).bit_length()
-    # half-bin shift keeps the sample points away from sin k = 0
-    delta = PI / m
-    k = 2.0 * PI * np.arange(m) / m + delta
-    vals = pole_residual(spec, k) * np.sin(k) * np.exp(1j * k * (2 * n + 1))
-    coeffs = np.fft.fft(vals) / m * np.exp(-1j * delta * np.arange(m))
-    # trim the aliasing tail: everything above deg must be noise
-    tail = np.max(np.abs(coeffs[deg + 1 :]))
-    assert tail < 1e-8, f"z-polynomial degree bound violated (tail {tail:.2e})"
-    poly = coeffs[: deg + 1][::-1]  # numpy.roots wants highest power first
-    roots = np.roots(poly)
-    out = []
-    for z in roots:
-        if abs(z) < 1e-6:  # z**(2N) factor
-            continue
-        if abs(z * z - 1.0) < 1e-6:  # sin k factor (k = 0, pi)
-            continue
-        kk = -1j * np.log(z)  # Re in (-pi, pi], Im = -ln|z|
-        out.append(complex(kk))
-    return out
+    """All poles ``k`` (``Re k`` in ``(-pi, pi]``) via the z-polynomial.
+
+    Double-precision companion roots seed an Aberth iteration carried out at
+    :data:`ZPOLY_DPS` digits.
+    """
+    q = _zpoly_coefficients(spec)
+    with mp.workdps(ZPOLY_DPS):
+        us = [mp.mpc(complex(u)) for u in np.roots(np.array([complex(c) for c in q]))]
+        for _ in range(200):
+            worst = mp.mpf(0)
+            for i, ui in enumerate(us):
+                f, df = mp.polyval(q, ui, derivative=True)
+                ratio = f / df
+                w = ratio / (1 - ratio * mp.fsum(1 / (ui - uj) for j, uj in enumerate(us) if j != i))
+                us[i] = ui - w
+                worst = max(worst, abs(w))
+            if worst <= mp.mpf(10) ** -30:
+                break
+        else:
+            raise AssertionError(f"z-polynomial oracle did not converge for {spec!r}")
+        return [complex(-1j * mp.log(s * mp.sqrt(u))) for u in us for s in (1, -1)]
 
 
 @pytest.mark.parametrize(
@@ -86,6 +129,75 @@ def test_imaginary_depth_bound(gamma):
         top = max(z.imag for z in roots)
         assert top <= bound + 1e-9
         assert first_quadrant_region(gamma).im_max >= bound
+
+
+def _check_census_symmetries(spec: ChainSpec, found: list[complex]) -> None:
+    """``k <-> -conj(k)`` pairing, and first-quadrant count = ladder count."""
+    for k in found:
+        assert min(abs(q + k.conjugate()) for q in found) <= 1e-7
+    quadrant = sum(1 for k in found if k.real > 1e-8 and k.imag > 1e-8)
+    assert quadrant == sum(1 for g in threshold_ladder(spec.n_cells).gamma_values if g < spec.gamma)
+
+
+@pytest.mark.parametrize("n, gamma", [(35, 1.545), (35, 1.685), (40, 0.465), (50, 0.285)])
+def test_full_strip_census_is_complete_at_large_n(n, gamma):
+    """Every root of the z-polynomial is found (gamma from the census strata)."""
+    spec = ChainSpec(n, gamma)
+    found = [r.k.as_complex() for r in find_poles(spec)]
+    # each root u of q gives the two poles z = ±sqrt(u)
+    assert len(found) == 2 * (len(_zpoly_coefficients(spec)) - 1) == 4 * n - 2
+    assert min(abs(a - b) for i, a in enumerate(found) for b in found[i + 1 :]) > 1e-6
+    _check_census_symmetries(spec, found)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 20), gamma=st.floats(0.1, 1.9))
+def test_full_strip_census_matches_z_polynomial_property(n, gamma):
+    spec = ChainSpec(n, gamma)
+    oracle = _zpoly_roots(spec)
+
+    def margin(z: complex) -> float:
+        """Signed distance of z inside the default region minus the vertical bands."""
+        r = DEFAULT_REGION
+        edges = (z.real - r.re_min, r.re_max - z.real, z.imag - r.im_min, r.im_max - z.imag)
+        vertical = min(abs(z.real - s) for s in (-PI, 0.0, PI)) - EDGE_MARGIN
+        return min(*edges, vertical)
+
+    # a root within rounding of the region's edge may fall either side of it
+    assume(all(abs(margin(z)) > 1e-6 for z in oracle))
+    expected = [z for z in oracle if margin(z) > 0]
+    found = [r.k.as_complex() for r in find_poles(spec)]
+    assert len(found) == len(expected)
+    for z in expected:
+        assert min(abs(z - f) for f in found) < 1e-6
+    _check_census_symmetries(spec, found)
+
+
+def test_pencil_audit_adds_the_roots_the_grid_missed(monkeypatch):
+    spec = ChainSpec(3, 0.3)
+    expected = [r.k.as_complex() for r in find_poles(spec)]
+    monkeypatch.setattr(poles, "_collect_roots", lambda *args: [])
+    found = [r.k.as_complex() for r in find_poles(spec)]
+    assert len(found) == len(expected)
+    assert all(abs(a - b) < 1e-10 for a, b in zip(found, expected))
+
+
+def test_pencil_audit_rejects_a_grid_root_without_partner(monkeypatch):
+    monkeypatch.setattr(poles, "_pencil_wavenumbers", lambda spec: np.array([], dtype=complex))
+    with pytest.raises(MissedRoots):
+        find_poles(ChainSpec(3, 0.3))
+
+
+def test_pencil_seed_without_newton_falls_back_to_its_grid_root(monkeypatch):
+    spec = ChainSpec(3, 0.3)
+    expected = find_poles(spec)
+    grid = poles._collect_roots(spec, DEFAULT_REGION, 60)
+    monkeypatch.setattr(poles, "_collect_roots", lambda *args: list(grid))
+    monkeypatch.setattr(poles, "_newton", lambda spec, seed: None)
+    assert find_poles(spec) == expected
+    monkeypatch.setattr(poles, "_collect_roots", lambda *args: [])
+    with pytest.raises(NonConvergence):
+        find_poles(spec)
 
 
 def test_find_poles_census_is_sorted_and_converged():
@@ -156,6 +268,11 @@ def test_ladder_numeric_verification_runs():
     threshold_ladder(2, verify_numeric=True)  # raises MissedRoots on failure
 
 
+@pytest.mark.parametrize("n_cells", [9, 11, 17, 26, 40])
+def test_ladder_numeric_verification_at_larger_n(n_cells):
+    threshold_ladder(n_cells, verify_numeric=True)
+
+
 def test_ladder_residual_vanishes_at_pi_over_2():
     for n_cells in (1, 3, 5):
         for g in threshold_ladder(n_cells).gamma_values:
@@ -199,6 +316,11 @@ def test_tgbs_count_numeric_verification():
     assert tgbs_count(ChainSpec(3, 0.7), verify=True) == 1
 
 
+@pytest.mark.parametrize("n, gamma", [(17, 1.5062), (26, 1.0562), (40, 0.7187)])
+def test_tgbs_count_numeric_verification_at_larger_n(n, gamma):
+    assert tgbs_count(ChainSpec(n, gamma), verify=True) == 9
+
+
 # ---- trajectories -------------------------------------------------------------
 
 def test_single_cell_trajectory_crosses_at_sqrt2():
@@ -219,6 +341,17 @@ def test_single_cell_trajectory_crosses_at_sqrt2():
     crossing = traj.crossings[0]
     assert crossing.gamma == pytest.approx(math.sqrt(2.0), abs=1e-6)
     assert crossing.k.real == pytest.approx(0.5 * PI, abs=1e-7)
+
+
+def test_three_cell_trajectory_passes_the_branch_count_check():
+    """N=3 keeps 2N-1 right-half branches, so the soft check stays silent."""
+    region = SearchRegion(1e-4, PI - 1e-4, -1.5, 1.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = trace_trajectories(ChainSpec(3, 0.0), 0.0, 2.0, steps=50, region=region)
+    assert sum(1 for b in traj.branches if b.points[-1][1].k.re > 0) == 5
+    ladder = threshold_ladder(3).gamma_values
+    assert sorted(c.gamma for c in traj.crossings) == pytest.approx(sorted(ladder), abs=1e-6)
 
 
 def test_degenerate_sweep_emits_single_sample():
