@@ -37,14 +37,10 @@ from .scattering import (
     Matrix2C,
     ScatterResult,
     chebyshev_tu,
-    n_cell_matrix,
     plane_wave_transfer,
     scatter,
     scatter_at_energy,
-    single_site_matrix,
-    transfer_matrix_from_branch,
     transmission_closed_form,
-    unit_cell_matrix,
 )
 from .poles import (
     AxisCrossing,
@@ -57,7 +53,6 @@ from .poles import (
     critical_size,
     find_poles,
     first_quadrant_region,
-    imaginary_branch_excluded,
     pole_residual,
     tgbs_count,
     threshold_ladder,
@@ -122,11 +117,7 @@ __all__ = [
     "Matrix2C",
     "ScatterResult",
     "chebyshev_tu",
-    "single_site_matrix",
-    "unit_cell_matrix",
-    "n_cell_matrix",
     "plane_wave_transfer",
-    "transfer_matrix_from_branch",
     "transmission_closed_form",
     "scatter",
     "scatter_at_energy",
@@ -145,7 +136,6 @@ __all__ = [
     "first_quadrant_region",
     "tgbs_count",
     "trace_trajectories",
-    "imaginary_branch_excluded",
     # dynamics
     "LatticeLayout",
     "WaveState",

@@ -100,6 +100,29 @@ def _write_json(path: str, payload: dict[str, Any]) -> None:
         fh.write("\n")
 
 
+def _emit(
+    fmt: str,
+    out: str,
+    header: Sequence[str],
+    rows: Sequence[Sequence[Any]],
+    key: str = "rows",
+    json_only: Sequence[str] = (),
+    **fields: Any,
+) -> None:
+    """Write a table and report it on stdout.
+
+    CSV gets the columns ``header``; JSON gets ``fields`` plus, under ``key``,
+    one object per row. ``json_only`` names trailing row cells that only the
+    JSON objects carry.
+    """
+    if fmt == "json":
+        names = (*header, *json_only)
+        _write_json(out, {**fields, key: [dict(zip(names, row)) for row in rows]})
+    else:
+        _write_csv(out, header, [row[: len(header)] for row in rows])
+    print(f"wrote {len(rows)} {key} -> {out}")
+
+
 def _finite_or_none(x: float) -> float | None:
     return float(x) if math.isfinite(x) else None
 
@@ -126,8 +149,9 @@ def _csv_floats(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
 
 
-def _out(args: argparse.Namespace, default: str) -> str:
-    return args.out if args.out else default
+def _out(args: argparse.Namespace, command: str) -> str:
+    """``--out``, or ``ptchain_<command>.<format>`` in the working directory."""
+    return args.out or f"ptchain_{command}.{args.format}"
 
 
 def _grid(lo: float, hi: float, steps: int) -> list[float]:
@@ -161,17 +185,8 @@ def _run_scatter(spec: ChainSpec, k_values: Sequence[float], fmt: str, out: str)
             rows.append([energy, k, res.T, res.R_left, res.R_right, physical, False])
         except SpectralSingularityError:
             rows.append([energy, k, None, None, None, physical, True])
-    if fmt == "json":
-        payload = {
-            "n_cells": spec.n_cells,
-            "gamma": spec.gamma,
-            "physical": physical,
-            "rows": [dict(zip(_SCATTER_HEADER, row)) for row in rows],
-        }
-        _write_json(out, payload)
-    else:
-        _write_csv(out, _SCATTER_HEADER, rows)
-    print(f"wrote {len(rows)} rows -> {out}")
+    _emit(fmt, out, _SCATTER_HEADER, rows,
+          n_cells=spec.n_cells, gamma=spec.gamma, physical=physical)
     return EXIT_OK
 
 
@@ -189,8 +204,7 @@ def cmd_scatter(args: argparse.Namespace) -> int:
                 f"energy sweep must satisfy -2 < e_min < e_max < 2, got {e_min!r}, {e_max!r}"
             )
         ks = [energy_to_wavenumber(e) for e in _grid(e_min, e_max, args.steps)]
-    ext = "json" if args.format == "json" else "csv"
-    return _run_scatter(spec, ks, args.format, _out(args, f"ptchain_scatter.{ext}"))
+    return _run_scatter(spec, ks, args.format, _out(args, "scatter"))
 
 
 #==== poles =================================================================
@@ -226,27 +240,15 @@ def _run_poles(
         ]
         for r in records
     ]
-    if fmt == "json":
-        payload = {
-            "n_cells": spec.n_cells,
-            "gamma": spec.gamma,
-            "count": len(rows),
-            "poles": [dict(zip(_POLES_HEADER, row)) for row in rows],
-        }
-        _write_json(out, payload)
-    else:
-        _write_csv(out, _POLES_HEADER, rows)
-    print(f"wrote {len(rows)} poles -> {out}")
+    _emit(fmt, out, _POLES_HEADER, rows, key="poles",
+          n_cells=spec.n_cells, gamma=spec.gamma, count=len(rows))
     return EXIT_OK
 
 
 def cmd_poles(args: argparse.Namespace) -> int:
     spec = ChainSpec(args.n, args.gamma)
     region = _parse_region(args.region)
-    ext = "json" if args.format == "json" else "csv"
-    return _run_poles(
-        spec, region, args.grid_density, args.format, _out(args, f"ptchain_poles.{ext}")
-    )
+    return _run_poles(spec, region, args.grid_density, args.format, _out(args, "poles"))
 
 
 #==== threshold =============================================================
@@ -256,28 +258,12 @@ _THRESHOLD_HEADER = ("n_cells", "gamma_critical", "asymptote_ratio")
 
 def _run_threshold(n_values: Sequence[int], fmt: str, out: str) -> int:
     rows: list[list[Any]] = []
-    ladders = []
     for n in n_values:
         ladder = threshold_ladder(n)
-        ladders.append(ladder)
         # gamma_c ~ pi/(2N) for large N; the ratio tends to 1 from below
-        rows.append([n, ladder.gamma_critical, ladder.gamma_critical * 2 * n / math.pi])
-    if fmt == "json":
-        payload = {
-            "rows": [
-                {
-                    "n_cells": ladder.n_cells,
-                    "gamma_critical": ladder.gamma_critical,
-                    "asymptote_ratio": row[2],
-                    "ladder": list(ladder.gamma_values),
-                }
-                for ladder, row in zip(ladders, rows)
-            ]
-        }
-        _write_json(out, payload)
-    else:
-        _write_csv(out, _THRESHOLD_HEADER, rows)
-    print(f"wrote {len(rows)} rows -> {out}")
+        ratio = ladder.gamma_critical * 2 * n / math.pi
+        rows.append([n, ladder.gamma_critical, ratio, list(ladder.gamma_values)])
+    _emit(fmt, out, _THRESHOLD_HEADER, rows, json_only=("ladder",))
     return EXIT_OK
 
 
@@ -294,8 +280,7 @@ def cmd_threshold(args: argparse.Namespace) -> int:
         ns = range(args.n_min, args.n_max + 1)
     else:
         raise OutOfRange("threshold needs --n or both --n-min and --n-max")
-    ext = "json" if args.format == "json" else "csv"
-    return _run_threshold(ns, args.format, _out(args, f"ptchain_threshold.{ext}"))
+    return _run_threshold(ns, args.format, _out(args, "threshold"))
 
 
 #==== trajectory ============================================================
@@ -378,7 +363,6 @@ def _run_trajectory(
 def cmd_trajectory(args: argparse.Namespace) -> int:
     spec_base = ChainSpec(args.n, 0.0)
     region = _parse_region(args.region)
-    ext = "json" if args.format == "json" else "csv"
     return _run_trajectory(
         spec_base,
         args.gamma_min,
@@ -387,7 +371,7 @@ def cmd_trajectory(args: argparse.Namespace) -> int:
         region,
         args.grid_density,
         args.format,
-        _out(args, f"ptchain_trajectory.{ext}"),
+        _out(args, "trajectory"),
     )
 
 
@@ -518,8 +502,8 @@ def cmd_relevance(args: argparse.Namespace) -> int:
         v.gamma_critical, v.margin, v.tgbs_count, n_c,
     ]
     rows = _special_point_rows(spec) if args.special_points else None
+    out = _out(args, "relevance")
     if args.format == "csv":
-        out = _out(args, "ptchain_relevance.csv")
         _write_csv(out, _VERDICT_HEADER, [verdict_row])
         if rows is not None:
             stem = out[:-4] if out.endswith(".csv") else out
@@ -527,7 +511,6 @@ def cmd_relevance(args: argparse.Namespace) -> int:
             _write_csv(points_path, _SPECIAL_HEADER, rows)
             print(f"wrote {len(rows)} special points -> {points_path}")
     else:
-        out = _out(args, "ptchain_relevance.json")
         payload = dict(zip(_VERDICT_HEADER, verdict_row))
         if rows is not None:
             payload["special_points"] = [dict(zip(_SPECIAL_HEADER, row)) for row in rows]
@@ -556,19 +539,7 @@ def _run_size_scan(
                 "log_slope": scan.log_slope,
             }
         )
-    if fmt == "json":
-        _write_json(
-            out,
-            {
-                "gamma": gamma,
-                "n_max": n_max,
-                "curves": curves,
-                "rows": [dict(zip(header, row)) for row in rows],
-            },
-        )
-    else:
-        _write_csv(out, header, rows)
-    print(f"wrote {len(rows)} rows -> {out}")
+    _emit(fmt, out, header, rows, gamma=gamma, n_max=n_max, curves=curves)
     return EXIT_OK
 
 
@@ -587,18 +558,7 @@ def _run_gamma_scan(
         except SpectralSingularityError:
             t_val, singular = None, True
         rows.append([g, t_val, g < gamma_c, singular])
-    if fmt == "json":
-        _write_json(
-            out,
-            {
-                "n_cells": n_cells,
-                "k": k,
-                "rows": [dict(zip(header, row)) for row in rows],
-            },
-        )
-    else:
-        _write_csv(out, header, rows)
-    print(f"wrote {len(rows)} rows -> {out}")
+    _emit(fmt, out, header, rows, n_cells=n_cells, k=k)
     return EXIT_OK
 
 
@@ -610,11 +570,10 @@ def cmd_figure(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     mode = params.pop("mode")
     fmt = args.format
-    ext = "json" if fmt == "json" else "csv"
     stem = args.out if args.out else f"ptchain_{args.preset}"
     if stem.endswith(".csv") or stem.endswith(".json"):
         stem = stem.rsplit(".", 1)[0]
-    out = f"{stem}.{ext}"
+    out = f"{stem}.{fmt}"
 
     if mode == "poles":
         spec = ChainSpec(params["n_cells"], params["gamma"])

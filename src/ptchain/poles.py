@@ -37,7 +37,7 @@ from .errors import (
     SingularBasis,
 )
 from .model import ChainSpec, ComplexWavenumber, dispersion_energy, onsite_profile
-from .scattering import chebyshev_tu
+from .scattering import _transfer_terms, chebyshev_tu
 
 __all__ = [
     "PoleClass",
@@ -55,7 +55,6 @@ __all__ = [
     "tgbs_count",
     "first_quadrant_region",
     "trace_trajectories",
-    "imaginary_branch_excluded",
 ]
 
 #: Sign tolerance for classifying a pole's quadrant / axis proximity.
@@ -122,7 +121,7 @@ def _record(spec: ChainSpec, k: complex) -> PoleRecord:
         energy=e,
         growth_rate=e.imag,
         classification=_classify(k),
-        residual=abs(_residual_scalar(spec, k)),
+        residual=abs(pole_residual(spec, k)),
     )
 
 
@@ -157,41 +156,20 @@ DEFAULT_REGION = SearchRegion(
 # residual evaluation
 # ---------------------------------------------------------------------------
 
-def _residual_scalar(spec: ChainSpec, k: complex) -> complex:
-    sink = cmath.sin(k)
-    if abs(sink) < 1e-12:
-        raise SingularBasis(f"pole residual undefined at k = {k!r} (sin k ~ 0)")
-    x = cmath.cos(2 * k) + 0.5 * spec.gamma**2
-    t_n, u_nm1 = chebyshev_tu(spec.n_cells, x)
-    return t_n - 1j * (cmath.cos(k) / sink) * (1.0 - x) * u_nm1
-
-
-def _residual_and_scale(spec: ChainSpec, k: complex) -> tuple[complex, float]:
-    """Residual plus the magnitude of its constituent terms.
-
-    Deep in the strip the two terms grow like cosh(2N Im k) and cancel at a
-    root, so the achievable residual floor is the term scale times machine
-    epsilon; convergence acceptance must account for that.
-    """
-    sink = cmath.sin(k)
-    if abs(sink) < 1e-12:
-        raise SingularBasis(f"pole residual undefined at k = {k!r} (sin k ~ 0)")
-    x = cmath.cos(2 * k) + 0.5 * spec.gamma**2
-    t_n, u_nm1 = chebyshev_tu(spec.n_cells, x)
-    second = 1j * (cmath.cos(k) / sink) * (1.0 - x) * u_nm1
-    return t_n - second, abs(t_n) + abs(second)
-
-
 def pole_residual(spec: ChainSpec, k):
     """The pole condition residual ``M22(k)`` (zero exactly at poles).
 
     Evaluates ``cos(2N mu) - i cot(k) tan(mu) sin(2N mu)`` in its branch-free
-    Chebyshev form; agrees with the ``M22`` entry of the scattering module to
-    rounding. Accepts a scalar (raising :class:`SingularBasis` at
-    ``sin k = 0``) or a numpy array (singular entries become non-finite).
+    Chebyshev form. A scalar ``k`` goes through the scalar evaluator that
+    :func:`~ptchain.scattering.plane_wave_transfer` builds ``M22`` from; it
+    raises :class:`SingularBasis` at ``sin k = 0``, and a residual beyond the
+    double range is NaN. A numpy array is evaluated elementwise by the same
+    formula in array arithmetic (singular entries become non-finite), which
+    can differ from the scalar path in the last bit.
     """
     if isinstance(k, (complex, float, int)):
-        return _residual_scalar(spec, complex(k))
+        t_n, diag, _, _, exp = _transfer_terms(spec, complex(k))
+        return t_n - diag if not exp else complex(math.nan, math.nan)
     k = np.asarray(k, dtype=complex)
     x = np.cos(2 * k) + 0.5 * spec.gamma**2
     t_n, u_nm1 = chebyshev_tu(spec.n_cells, x)
@@ -201,24 +179,28 @@ def pole_residual(spec: ChainSpec, k):
 
 def _residual_derivative(spec: ChainSpec, k: complex, step: float = 1e-6) -> complex:
     """Central-difference derivative of the analytic residual."""
-    return (_residual_scalar(spec, k + step) - _residual_scalar(spec, k - step)) / (2 * step)
+    return (pole_residual(spec, k + step) - pole_residual(spec, k - step)) / (2 * step)
 
 
 def _newton(spec: ChainSpec, seed: complex, max_iter: int = 60) -> complex | None:
     """Damped Newton iteration on the residual; None when not converged.
 
     Acceptance is ``|f| <= max(1e-10, 5e-15 * scale)`` where ``scale`` is the
-    magnitude of the cancelling terms — the rounding floor for poles deep in
-    the strip at large N.
+    magnitude ``|T_N| + |diag|`` of the cancelling terms: deep in the strip
+    they grow like cosh(2N Im k) and cancel at a root, so the achievable
+    residual floor is the term scale times machine epsilon.
     """
     k = complex(seed)
-    for _ in range(max_iter):
+    for it in range(max_iter + 1):
         try:
-            f, scale = _residual_and_scale(spec, k)
+            t_n, diag, _, _, exp = _transfer_terms(spec, k)
         except SingularBasis:
             return None
-        if abs(f) <= max(1e-13, 1e-15 * scale):
-            break
+        if exp:  # M22 beyond the double range
+            return None
+        f, scale = t_n - diag, abs(t_n) + abs(diag)
+        if it == max_iter or abs(f) <= max(1e-13, 1e-15 * scale):
+            return k if abs(f) <= max(RESIDUAL_TOL, 5e-15 * scale) else None
         df = _residual_derivative(spec, k)
         if df == 0 or not cmath.isfinite(df):
             return None
@@ -226,11 +208,7 @@ def _newton(spec: ChainSpec, seed: complex, max_iter: int = 60) -> complex | Non
         if abs(step) > 0.5:  # damping: never jump across the strip
             step *= 0.5 / abs(step)
         k -= step
-    try:
-        f, scale = _residual_and_scale(spec, k)
-    except SingularBasis:
-        return None
-    return k if abs(f) <= max(RESIDUAL_TOL, 5e-15 * scale) else None
+    return None  # unreachable: the last pass returns
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +251,7 @@ def _collect_roots(
             # A deep minimum with no converged root nearby is a genuine
             # failure; shallow minima are grid artifacts and are dropped.
             try:
-                deep = abs(_residual_scalar(spec, seed)) < 1e-6
+                deep = abs(pole_residual(spec, seed)) < 1e-6
             except SingularBasis:
                 deep = False
             if deep:
@@ -709,28 +687,3 @@ def trace_trajectories(
             stacklevel=2,
         )
     return Trajectory(gamma_samples=gammas, branches=branches, crossings=crossings)
-
-
-# ---------------------------------------------------------------------------
-# derivation check
-# ---------------------------------------------------------------------------
-
-def imaginary_branch_excluded(spec: ChainSpec, phi: float, k: float = 0.5 * math.pi) -> bool:
-    """Executable check that an imaginary band index admits no real-axis pole.
-
-    For ``mu = i*phi`` (``phi > 0``) at real ``k``, the real part of the
-    residual is ``cosh(2N phi)``, which is strictly positive — so the
-    denominator cannot vanish on the real axis in the evanescent regime.
-    Returns True when the evaluated real part matches ``cosh(2N phi)`` and is
-    positive.
-    """
-    if phi <= 0:
-        raise OutOfRange(f"phi must be positive, got {phi!r}")
-    if abs(math.sin(k)) < 1e-12:
-        raise SingularBasis(f"check undefined at k = {k!r} (sin k ~ 0)")
-    mu = 1j * phi
-    n = spec.n_cells
-    cotk = math.cos(k) / math.sin(k)
-    m22 = cmath.cos(2 * n * mu) - 1j * cotk * cmath.tan(mu) * cmath.sin(2 * n * mu)
-    expected = math.cosh(2 * n * phi)
-    return abs(m22.real - expected) <= 1e-12 * expected and m22.real > 0.0

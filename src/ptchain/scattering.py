@@ -7,19 +7,14 @@ amplitudes are
 
     t = 1 / M22,   r_left = -M21 / M22,   r_right = M12 / M22.
 
-Three independent evaluation routes are implemented and cross-checked:
-
-1. :func:`plane_wave_transfer` (release path) assembles the closed-form
-   entries from Chebyshev polynomials ``T_N(x)`` and ``U_{N-1}(x)`` evaluated
-   by recurrence on the branch-free variable ``x = cos 2k + gamma**2 / 2``
-   (which equals ``cos 2mu``). No band-index branch is ever chosen, and the
-   removable singularities of the textbook ratio ``sin(2N mu)/sin(2 mu)``
-   never arise.
-2. :func:`transfer_matrix_from_branch` evaluates the same entries from an
-   explicit branch value of ``mu``; all results are invariant under
-   ``mu -> -mu`` and ``mu -> mu + pi``.
-3. The explicit basis-transformed product ``Q^{-1} cell^N Q`` (enabled with
-   ``verify=True``), where ``cell`` is the unit-cell matrix in the site basis.
+:func:`plane_wave_transfer` assembles the closed-form entries from the
+Chebyshev polynomials ``T_N(x)`` and ``U_{N-1}(x)``, evaluated by recurrence
+on the branch-free variable ``x = cos 2k + gamma**2 / 2`` (which equals
+``cos 2mu``). No band-index branch is ever chosen, and the removable
+singularities of the textbook ratio ``sin(2N mu)/sin(2 mu)`` never arise.
+One scalar evaluator, :func:`_transfer_terms`, supplies ``T_N``,
+``U_{N-1}`` and the diagonal term to the transfer matrix, to :func:`scatter`
+and to the pole finder, whose zeros of ``M22`` are the S-matrix poles.
 
 The closed-form transmission (real arithmetic only)
 
@@ -35,17 +30,13 @@ import math
 from dataclasses import dataclass
 
 from .errors import NumericalFailure, OutOfRange, SingularBasis, SpectralSingularityError
-from .model import ChainSpec, dispersion_energy, energy_to_wavenumber
+from .model import ChainSpec, energy_to_wavenumber
 
 __all__ = [
     "Matrix2C",
     "ScatterResult",
     "chebyshev_tu",
-    "single_site_matrix",
-    "unit_cell_matrix",
-    "n_cell_matrix",
     "plane_wave_transfer",
-    "transfer_matrix_from_branch",
     "transmission_closed_form",
     "scatter",
     "scatter_at_energy",
@@ -64,50 +55,12 @@ CLOSED_FORM_FLOOR = 1e-13
 
 @dataclass(frozen=True)
 class Matrix2C:
-    """An immutable 2x2 complex matrix with exact multiply and determinant."""
+    """The four entries of a 2x2 complex transfer matrix."""
 
     m11: complex
     m12: complex
     m21: complex
     m22: complex
-
-    def __matmul__(self, other: "Matrix2C") -> "Matrix2C":
-        return Matrix2C(
-            self.m11 * other.m11 + self.m12 * other.m21,
-            self.m11 * other.m12 + self.m12 * other.m22,
-            self.m21 * other.m11 + self.m22 * other.m21,
-            self.m21 * other.m12 + self.m22 * other.m22,
-        )
-
-    def det(self) -> complex:
-        return self.m11 * self.m22 - self.m12 * self.m21
-
-    def scaled(self, factor: complex) -> "Matrix2C":
-        return Matrix2C(
-            factor * self.m11, factor * self.m12, factor * self.m21, factor * self.m22
-        )
-
-    def __sub__(self, other: "Matrix2C") -> "Matrix2C":
-        return Matrix2C(
-            self.m11 - other.m11,
-            self.m12 - other.m12,
-            self.m21 - other.m21,
-            self.m22 - other.m22,
-        )
-
-    def max_abs(self) -> float:
-        return max(abs(self.m11), abs(self.m12), abs(self.m21), abs(self.m22))
-
-    @classmethod
-    def identity(cls) -> "Matrix2C":
-        return cls(1.0, 0.0, 0.0, 1.0)
-
-    def power(self, n: int) -> "Matrix2C":
-        """Iterated product (used as the brute-force oracle for ``n_cell_matrix``)."""
-        out = Matrix2C.identity()
-        for _ in range(n):
-            out = out @ self
-        return out
 
 
 @dataclass(frozen=True)
@@ -157,53 +110,64 @@ def chebyshev_tu(n: int, x):
     return t_cur, u_cur
 
 
-def single_site_matrix(eps: complex, energy: complex) -> Matrix2C:
-    """Site-basis transfer matrix ``[[eps - E, -1], [1, 0]]`` of one site."""
-    return Matrix2C(eps - energy, -1.0, 1.0, 0.0)
+def _chebyshev_tu_rescaled(n: int, x: complex) -> tuple[complex, complex, int]:
+    """``(T_n(x), U_{n-1}(x))`` of a scalar ``x`` as ``(t, u, e)``: ``T_n = t 2**e``.
 
-
-def unit_cell_matrix(spec: ChainSpec, energy: complex) -> Matrix2C:
-    """Transfer matrix of one gain+loss cell in the site basis.
-
-    Equals ``single_site_matrix(-i*gamma, E) @ single_site_matrix(+i*gamma, E)``
-    and evaluates to ``[[E**2 + gamma**2 - 1, E + i*gamma],
-    [-E + i*gamma, -1]]`` with unit determinant.
+    The recurrence of :func:`chebyshev_tu` for ``n >= 1``, with its state
+    multiplied by ``2**-512`` whenever ``|U|`` exceeds ``2**512``. Scaling by a
+    power of two is exact, so only the exponent range differs from the plain
+    recurrence, whose terms overflow for long chains with ``|x| > 1``.
     """
-    g = spec.gamma
-    e = energy
-    return Matrix2C(e * e + g * g - 1.0, e + 1j * g, -e + 1j * g, -1.0)
+    big, small = 2.0**512, 2.0**-512
+    t_prev, u_prev, t_cur, u_cur = 1.0, 0.0, x, 1.0  # T_0, U_{-1}, T_1, U_0
+    exp = 0
+    for _ in range(n - 1):
+        t_prev, t_cur = t_cur, 2 * x * t_cur - t_prev
+        u_prev, u_cur = u_cur, 2 * x * u_cur - u_prev
+        if abs(u_cur) > big:  # |T_n| <= 1 + sqrt(|x^2 - 1|) |U_{n-1}| follows
+            t_prev, t_cur = t_prev * small, t_cur * small
+            u_prev, u_cur = u_prev * small, u_cur * small
+            exp += 512
+    return t_cur, u_cur, exp
 
 
-def n_cell_matrix(spec: ChainSpec, energy: complex) -> Matrix2C:
-    """Transfer matrix of the full N-cell region in the site basis.
+def _transfer_terms(spec: ChainSpec, k: complex) -> tuple[complex, complex, complex, complex, int]:
+    """Chebyshev terms of the plane-wave transfer matrix at wavenumber ``k``.
 
-    Uses the Chebyshev identity ``cell**N = cell * U_{N-1}(x) - I * U_{N-2}(x)``
-    with ``x = (E**2 + gamma**2 - 2)/2`` (half the cell trace), evaluated by
-    polynomial recurrence — finite and branch-free everywhere, including the
-    band edges where the textbook ratio form has removable singularities.
+    Returns ``(T_N(x), diag, U_{N-1}(x), sin k, e)`` with the branch-free
+    ``x = cos 2k + gamma**2/2`` and ``diag = i cot k (1 - x) U_{N-1}(x)``, so
+    that ``M22 = (T_N - diag) 2**e`` and ``M11 = (T_N + diag) 2**e``. The
+    exponent ``e`` is 0 unless ``T_N`` or ``diag`` overflows in the plain
+    recurrence; then the terms come from :func:`_chebyshev_tu_rescaled`,
+    divided by ``2**e``.
+
+    Raises
+    ------
+    SingularBasis
+        When ``|sin k| < 1e-12`` (the plane-wave basis degenerates).
     """
-    x = 0.5 * (energy * energy + spec.gamma**2 - 2.0)
-    # U_{N-1} and U_{N-2} from one recurrence pass.
-    _, u_nm1 = chebyshev_tu(spec.n_cells, x)
-    _, u_nm2 = chebyshev_tu(spec.n_cells - 1, x)
-    cell = unit_cell_matrix(spec, energy)
-    return Matrix2C(
-        cell.m11 * u_nm1 - u_nm2,
-        cell.m12 * u_nm1,
-        cell.m21 * u_nm1,
-        cell.m22 * u_nm1 - u_nm2,
-    )
-
-
-def _closed_form_entries(spec: ChainSpec, k: complex) -> Matrix2C:
-    """Plane-wave-basis entries from the branch-free Chebyshev variables."""
-    n, g = spec.n_cells, spec.gamma
     sink = cmath.sin(k)
-    cosk = cmath.cos(k)
-    x = cmath.cos(2 * k) + 0.5 * g * g
-    t_n, u_nm1 = chebyshev_tu(n, x)
+    if abs(sink) < SIN_K_TOL:
+        raise SingularBasis(f"plane-wave basis is singular at k = {k!r} (sin k ~ 0)")
+    x = cmath.cos(2 * k) + 0.5 * spec.gamma**2
+    if not x.imag:
+        x = x.real  # real k: real arithmetic gives the same values, faster
+    t_n, u_nm1 = chebyshev_tu(spec.n_cells, x)
     # cot k * tan(mu) * sin(2N mu) == cot k * (1 - cos 2mu) * U_{N-1}(cos 2mu)
-    diag = 1j * (cosk / sink) * (1.0 - x) * u_nm1
+    cot_factor = 1j * (cmath.cos(k) / sink) * (1.0 - x)
+    diag = cot_factor * u_nm1
+    exp = 0
+    if not (cmath.isfinite(t_n) and cmath.isfinite(diag)):
+        t_n, u_nm1, exp = _chebyshev_tu_rescaled(spec.n_cells, x)
+        diag = cot_factor * u_nm1
+    return t_n, diag, u_nm1, sink, exp
+
+
+def _assemble(
+    spec: ChainSpec, k: complex, t_n: complex, diag: complex, u_nm1: complex, sink: complex
+) -> Matrix2C:
+    """The plane-wave-basis entries from the terms of :func:`_transfer_terms`."""
+    g = spec.gamma
     off = 1j * g * u_nm1 / (2.0 * sink)
     return Matrix2C(
         t_n + diag,
@@ -213,19 +177,7 @@ def _closed_form_entries(spec: ChainSpec, k: complex) -> Matrix2C:
     )
 
 
-def _product_entries(spec: ChainSpec, k: complex) -> Matrix2C:
-    """Plane-wave-basis entries via the explicit product ``Q^{-1} cell^N Q``."""
-    e = dispersion_energy(k)
-    mn = unit_cell_matrix(spec, e).power(spec.n_cells)
-    eik = cmath.exp(1j * k)
-    emik = cmath.exp(-1j * k)
-    det_q = eik - emik  # 2i sin k
-    q_inv = Matrix2C(eik, -1.0, -emik, 1.0).scaled(1.0 / det_q)
-    q = Matrix2C(1.0, 1.0, emik, eik)
-    return q_inv @ mn @ q
-
-
-def plane_wave_transfer(spec: ChainSpec, k: complex, verify: bool = False) -> Matrix2C:
+def plane_wave_transfer(spec: ChainSpec, k: complex) -> Matrix2C:
     """Transfer matrix in the plane-wave (incoming/outgoing) basis.
 
     Parameters
@@ -234,68 +186,22 @@ def plane_wave_transfer(spec: ChainSpec, k: complex, verify: bool = False) -> Ma
         Scattering region.
     k : complex
         Wavenumber; ``E = -2 cos k`` throughout.
-    verify : bool, optional
-        When true, additionally evaluate the explicit basis-transformed
-        product ``Q^{-1} cell^N Q`` and require entrywise agreement to 1e-10
-        relative. Intended for tests and debugging; the closed form alone is
-        the release path.
 
     Raises
     ------
     SingularBasis
         When ``|sin k| < 1e-12`` (the plane-wave basis degenerates).
     NumericalFailure
-        When ``verify=True`` and the two routes disagree.
+        When the entries exceed the double range (long chains with
+        ``|cos 2k + gamma**2/2| > 1``).
     """
-    if abs(cmath.sin(k)) < SIN_K_TOL:
-        raise SingularBasis(f"plane-wave basis is singular at k = {k!r} (sin k ~ 0)")
-    m = _closed_form_entries(spec, k)
-    if verify:
-        ref = _product_entries(spec, k)
-        scale = max(m.max_abs(), ref.max_abs(), 1.0)
-        if (m - ref).max_abs() > 1e-10 * scale:
-            raise NumericalFailure(
-                f"closed-form and product transfer matrices disagree at k={k!r}: "
-                f"|diff| = {(m - ref).max_abs():.3e} (scale {scale:.3e})"
-            )
-    return m
-
-
-def transfer_matrix_from_branch(spec: ChainSpec, k: complex, mu: complex) -> Matrix2C:
-    """Plane-wave-basis entries from an explicit band-index branch ``mu``.
-
-    ``mu`` must satisfy ``cos 2mu = cos 2k + gamma**2/2``; any branch works,
-    and the output is invariant under ``mu -> -mu`` and ``mu -> mu + pi``
-    (tested property). Near ``sin 2mu = 0`` the ratio
-    ``sin(2N mu)/sin(2 mu)`` is replaced by its finite limit ``±N``.
-
-    This route exists for verification; the release path is
-    :func:`plane_wave_transfer`.
-    """
-    if abs(cmath.sin(k)) < SIN_K_TOL:
-        raise SingularBasis(f"plane-wave basis is singular at k = {k!r} (sin k ~ 0)")
-    n, g = spec.n_cells, spec.gamma
-    sink = cmath.sin(k)
-    cotk = cmath.cos(k) / sink
-    sin2mu = cmath.sin(2 * mu)
-    cos2nmu = cmath.cos(2 * n * mu)
-    sin2nmu = cmath.sin(2 * n * mu)
-    if abs(sin2mu) < 1e-8:
-        # Removable singularity: sin(2N mu)/sin(2 mu) -> ±N at cos 2mu = ±1.
-        sign = 1.0 if abs(cmath.cos(2 * mu) - 1.0) < abs(cmath.cos(2 * mu) + 1.0) else (-1.0) ** (n - 1)
-        ratio = n * sign
-        tanmu_sin2nmu = (1.0 - cmath.cos(2 * mu)) * ratio
-    else:
-        ratio = sin2nmu / sin2mu
-        tanmu_sin2nmu = cmath.tan(mu) * sin2nmu
-    diag = 1j * cotk * tanmu_sin2nmu
-    off = 1j * g * ratio / (2.0 * sink)
-    return Matrix2C(
-        cos2nmu + diag,
-        off * cmath.exp(1j * k) * (2.0 * sink - g),
-        off * cmath.exp(-1j * k) * (2.0 * sink + g),
-        cos2nmu - diag,
-    )
+    t_n, diag, u_nm1, sink, exp = _transfer_terms(spec, k)
+    if exp:
+        raise NumericalFailure(
+            f"transfer matrix entries overflow at k={k!r} "
+            f"(N={spec.n_cells}, gamma={spec.gamma})"
+        )
+    return _assemble(spec, k, t_n, diag, u_nm1, sink)
 
 
 def transmission_closed_form(spec: ChainSpec, k: float) -> float:
@@ -303,7 +209,9 @@ def transmission_closed_form(spec: ChainSpec, k: float) -> float:
 
     ``1/T = 1 - gamma**2 (1 - x) U_{N-1}(x)**2 / (2 sin^2 k)`` with
     ``x = cos 2k + gamma**2/2``. Valid at real ``k`` in ``(0, pi)``; diverges
-    exactly at spectral singularities.
+    exactly at spectral singularities. Where ``U_{N-1}(x)`` exceeds the double
+    range (long chains with ``x > 1``), the exact ``T`` lies far below it and
+    0.0 is returned.
 
     Raises
     ------
@@ -319,6 +227,8 @@ def transmission_closed_form(spec: ChainSpec, k: float) -> float:
     sink = math.sin(k)
     x = math.cos(2 * k) + 0.5 * g * g
     _, u_nm1 = chebyshev_tu(spec.n_cells, x)
+    if not math.isfinite(u_nm1):
+        return 0.0
     inv_t = 1.0 - g * g * (1.0 - x) * u_nm1 * u_nm1 / (2.0 * sink * sink)
     if abs(inv_t) < CLOSED_FORM_FLOOR:
         raise SpectralSingularityError(
@@ -334,6 +244,9 @@ def scatter(spec: ChainSpec, k: float) -> ScatterResult:
     transmission is additionally cross-checked against the independent
     real-arithmetic closed form on every call (1e-9 relative, widened by
     the closed form's own quadratic error floor near singularities).
+    On long chains whose entries approach or exceed the double range, they
+    are evaluated rescaled by a power of two: ``T`` underflows toward 0 while
+    ``R_left`` and ``R_right`` stay finite.
 
     Raises
     ------
@@ -342,15 +255,23 @@ def scatter(spec: ChainSpec, k: float) -> ScatterResult:
     SpectralSingularityError
         When ``|M22| < 1e-10``: the coefficients diverge, and the caller
         receives the classification instead of meaningless huge numbers.
+    NumericalFailure
+        When the transmission cross-check fails.
     """
     if not 0.0 < k < math.pi:
         raise OutOfRange(f"real scattering requires k in (0, pi), got {k!r}")
-    m = plane_wave_transfer(spec, k)
-    if abs(m.m22) < M22_SINGULAR_TOL:
+    t_n, diag, u_nm1, sink, exp = _transfer_terms(spec, k)
+    if abs(u_nm1) > 2.0**512:
+        # leave the entries and their quotients headroom; scaling by 2**-512 is exact
+        t_n, diag, u_nm1 = t_n * 2.0**-512, diag * 2.0**-512, u_nm1 * 2.0**-512
+        exp += 512
+    # the entries are divided by 2**exp: the ratios r are unaffected, t = 2**-exp / M22
+    m = _assemble(spec, k, t_n, diag, u_nm1, sink)
+    if abs(m.m22) < M22_SINGULAR_TOL * 2.0**-exp:
         raise SpectralSingularityError(
             f"scattering coefficients diverge at k = {k!r} (|M22| = {abs(m.m22):.2e})"
         )
-    t = 1.0 / m.m22
+    t = 2.0**-exp / m.m22
     r_left = -m.m21 / m.m22
     r_right = m.m12 / m.m22
     big_t = abs(t) ** 2
@@ -358,7 +279,7 @@ def scatter(spec: ChainSpec, k: float) -> ScatterResult:
     # the closed form computes 1/T as an O(1) difference, so the reference
     # carries an absolute error ~ ulp * T^2 near singularities; allow for it
     allowance = 1e-9 * max(1.0, abs(reference)) + 1e-13 * reference * reference
-    if abs(big_t - reference) > allowance:
+    if not abs(big_t - reference) <= allowance:  # NaN fails too
         raise NumericalFailure(
             f"transmission cross-check failed at k={k!r}: "
             f"matrix route {big_t!r} vs closed form {reference!r}"

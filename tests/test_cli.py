@@ -289,3 +289,36 @@ def test_figure_fig8_divergences_at_ladder(workdir):
     gc = threshold_ladder(3).gamma_critical
     for g_text, flag in physical_flags.items():
         assert flag == ("true" if float(g_text) < gc else "false")
+
+
+# ---- csv and json carry the same rows ------------------------------------------
+
+def _csv_cell(value):
+    """A JSON value as the CSV writer renders it (17 significant digits)."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    return str(value)
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        # the sweep ends on the N=3 singularity at pi/2, so a row has empty cells
+        (["scatter", "--n", "3", "--gamma", repr(threshold_ladder(3).gamma_critical),
+          "--e-min", "-1.5", "--e-max", "0.0", "--steps", "6"], "rows"),
+        (["poles", "--n", "3", "--gamma", "0.7"], "poles"),
+        (["figure", "--preset", "fig6"], "rows"),
+        (["figure", "--preset", "fig8"], "rows"),
+    ],
+)
+def test_json_rows_equal_csv_rows(workdir, argv, key):
+    assert main(argv + ["--format", "csv", "--out", "table.csv"]) == 0
+    assert main(argv + ["--format", "json", "--out", "table.json"]) == 0
+    header, rows = _read_csv(workdir / "table.csv")
+    objects = json.loads((workdir / "table.json").read_text())[key]
+    assert rows
+    assert [[_csv_cell(obj[name]) for name in header] for obj in objects] == rows

@@ -25,10 +25,10 @@ from ptchain import (
     OutOfRange,
     PoleClass,
     SearchRegion,
+    chebyshev_tu,
     critical_size,
     find_poles,
     first_quadrant_region,
-    imaginary_branch_excluded,
     pole_residual,
     tgbs_count,
     threshold_ladder,
@@ -36,6 +36,7 @@ from ptchain import (
 )
 from ptchain import poles
 from ptchain.poles import DEFAULT_REGION, EDGE_MARGIN
+from transfer_oracles import imaginary_branch_excluded
 
 PI = math.pi
 
@@ -368,6 +369,23 @@ def test_trajectory_validation():
         trace_trajectories(ChainSpec(2, 0.0), 0.0, 1.0, steps=5)
     with pytest.raises(OutOfRange):
         trace_trajectories(ChainSpec(2, 0.0), 1.0, 0.5, steps=20)
+
+
+# ---- residual evaluation ------------------------------------------------------
+
+def test_pole_residual_array_branch_matches_scalar_branch(rng):
+    """The grid's array evaluation and the scalar evaluator agree to rounding."""
+    for _ in range(60):
+        spec = ChainSpec(int(rng.integers(1, 21)), float(rng.uniform(0.0, 2.2)))
+        ks = rng.uniform(-PI, PI, 8) + 1j * rng.uniform(-1.5, 1.5, 8)
+        ks[:2] = ks[:2].real  # real k takes the scalar path's real arithmetic
+        ks = ks[np.abs(np.sin(ks)) > 1e-3]
+        array = pole_residual(spec, ks)
+        x = np.cos(2 * ks) + 0.5 * spec.gamma**2
+        t_n, u_nm1 = chebyshev_tu(spec.n_cells, x)
+        scale = np.abs(t_n) + np.abs(np.cos(ks) / np.sin(ks) * (1.0 - x) * u_nm1)
+        for k, value, s in zip(ks, array, scale):
+            assert abs(value - pole_residual(spec, complex(k))) <= 1e-13 * s
 
 
 # ---- imaginary-axis exclusion --------------------------------------------------

@@ -1,9 +1,10 @@
 """Transfer-matrix routes, closed forms, and scattering coefficients.
 
-The module keeps three independent evaluation routes alive (branch-free
-Chebyshev recurrence, explicit band-index parameterization, and the literal
-2x2 cell product); these tests pin them against each other and against the
-analytic structure (determinant, PT pairing, conservation relation).
+The package evaluates the transfer matrix by the branch-free Chebyshev
+recurrence; these tests pin it against the oracle routes in
+``transfer_oracles`` (explicit band-index parameterization and the literal
+2x2 cell product) and against the analytic structure (determinant, PT
+pairing, conservation relation).
 """
 
 import cmath
@@ -14,20 +15,24 @@ import pytest
 
 from ptchain import (
     ChainSpec,
-    Matrix2C,
+    NumericalFailure,
     OutOfRange,
     SpectralSingularityError,
     bloch_index,
     chebyshev_tu,
-    n_cell_matrix,
     plane_wave_transfer,
     scatter,
     scatter_at_energy,
-    single_site_matrix,
     threshold_ladder,
-    transfer_matrix_from_branch,
     transmission_closed_form,
+)
+from transfer_oracles import (
+    Matrix2,
+    n_cell_matrix,
+    single_site_matrix,
+    transfer_matrix_from_branch,
     unit_cell_matrix,
+    verified_transfer,
 )
 
 
@@ -106,7 +111,7 @@ def test_determinant_is_one(rng):
     for _ in range(60):
         n = int(rng.integers(1, 7))
         spec = ChainSpec(n, rng.uniform(0.0, 2.0))
-        m = plane_wave_transfer(spec, _rand_k(rng))
+        m = Matrix2.of(plane_wave_transfer(spec, _rand_k(rng)))
         assert abs(m.det() - 1.0) < 1e-9 * max(1.0, m.max_abs() ** 2)
 
 
@@ -116,7 +121,7 @@ def test_pt_entry_pairing_on_real_axis(rng):
         n = int(rng.integers(1, 7))
         spec = ChainSpec(n, rng.uniform(0.05, 1.9))
         k = rng.uniform(0.05, math.pi - 0.05)
-        m = plane_wave_transfer(spec, k)
+        m = Matrix2.of(plane_wave_transfer(spec, k))
         scale = max(1.0, m.max_abs())
         assert m.m11 == pytest.approx(m.m22.conjugate(), abs=1e-10 * scale)
         assert (m.m12 * m.m21).imag == pytest.approx(0.0, abs=1e-10 * scale**2)
@@ -131,7 +136,7 @@ def test_closed_form_agrees_with_plane_wave_product(rng):
     for _ in range(50):
         n = int(rng.integers(1, 9))
         spec = ChainSpec(n, rng.uniform(0.0, 2.0))
-        plane_wave_transfer(spec, _rand_k(rng), verify=True)  # raises on mismatch
+        verified_transfer(spec, _rand_k(rng))  # raises on mismatch
 
 
 def test_branch_parameterization_invariance(rng):
@@ -155,13 +160,13 @@ def test_branch_route_equals_recurrence_route(rng):
         k = _rand_k(rng)
         mu = bloch_index(k, spec).mu
         a = transfer_matrix_from_branch(spec, k, mu)
-        b = plane_wave_transfer(spec, k)
+        b = Matrix2.of(plane_wave_transfer(spec, k))
         assert (a - b).max_abs() < 1e-9 * max(1.0, b.max_abs())
 
 
 def test_matrix2c_power_and_identity():
-    eye = Matrix2C.identity()
-    m = Matrix2C(1.0, 2.0, 3.0, 4.0)
+    eye = Matrix2.identity()
+    m = Matrix2(1.0, 2.0, 3.0, 4.0)
     assert (m.power(0) - eye).max_abs() == 0.0
     m2 = m.power(2)
     assert m2.m11 == 7.0 and m2.m12 == 10.0 and m2.m21 == 15.0 and m2.m22 == 22.0
@@ -216,6 +221,21 @@ def test_amplitudes_follow_matrix_entries(rng):
         assert res.t == pytest.approx(1.0 / m.m22, rel=1e-12)
         assert res.r_left == pytest.approx(-m.m21 / m.m22, rel=1e-12)
         assert res.r_right == pytest.approx(m.m12 / m.m22, rel=1e-12)
+
+
+@pytest.mark.parametrize("k", [0.0016, 0.01, 0.1])
+def test_scatter_stays_finite_where_the_recurrence_overflows(k):
+    """At N=807, gamma=1.62, U_{N-1} ~ 1e519 exceeds the double range."""
+    spec = ChainSpec(807, 1.62)
+    res = scatter(spec, k)
+    assert all(math.isfinite(v) for v in (res.T, res.R_left, res.R_right))
+    assert res.T < 1e-300
+    assert abs(res.T - 1.0) == pytest.approx(
+        math.sqrt(res.R_left * res.R_right), abs=1e-9
+    )
+    assert transmission_closed_form(spec, k) == 0.0
+    with pytest.raises(NumericalFailure):
+        plane_wave_transfer(spec, k)
 
 
 def test_scatter_rejects_wavenumber_outside_open_interval():

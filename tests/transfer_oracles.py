@@ -1,0 +1,198 @@
+"""Independent transfer-matrix routes: oracles for the Chebyshev closed form.
+
+The package evaluates the plane-wave transfer matrix one way, from the
+Chebyshev polynomials of the branch-free ``x = cos 2k + gamma**2/2``. The
+routes here reach the same entries by other means, so tests can pin the
+closed form against them:
+
+- the literal site-basis products ``single_site_matrix`` and
+  ``unit_cell_matrix``, the Chebyshev identity ``n_cell_matrix`` for the
+  N-cell product, and the basis change ``Q^{-1} cell^N Q``
+  (``product_transfer``);
+- ``transfer_matrix_from_branch``, which uses an explicit band-index branch
+  ``mu`` instead of ``x``;
+- ``imaginary_branch_excluded``, the evanescent-regime argument that no pole
+  sits on the real axis when ``mu`` is imaginary.
+"""
+
+from __future__ import annotations
+
+import cmath
+import math
+
+from ptchain import (
+    ChainSpec,
+    Matrix2C,
+    NumericalFailure,
+    OutOfRange,
+    SingularBasis,
+    chebyshev_tu,
+    dispersion_energy,
+    plane_wave_transfer,
+)
+from ptchain.scattering import SIN_K_TOL
+
+
+class Matrix2(Matrix2C):
+    """A :class:`Matrix2C` with exact multiply, difference and determinant."""
+
+    @classmethod
+    def of(cls, m: Matrix2C) -> "Matrix2":
+        return cls(m.m11, m.m12, m.m21, m.m22)
+
+    def __matmul__(self, other: Matrix2C) -> "Matrix2":
+        return Matrix2(
+            self.m11 * other.m11 + self.m12 * other.m21,
+            self.m11 * other.m12 + self.m12 * other.m22,
+            self.m21 * other.m11 + self.m22 * other.m21,
+            self.m21 * other.m12 + self.m22 * other.m22,
+        )
+
+    def det(self) -> complex:
+        return self.m11 * self.m22 - self.m12 * self.m21
+
+    def scaled(self, factor: complex) -> "Matrix2":
+        return Matrix2(
+            factor * self.m11, factor * self.m12, factor * self.m21, factor * self.m22
+        )
+
+    def __sub__(self, other: Matrix2C) -> "Matrix2":
+        return Matrix2(
+            self.m11 - other.m11,
+            self.m12 - other.m12,
+            self.m21 - other.m21,
+            self.m22 - other.m22,
+        )
+
+    def max_abs(self) -> float:
+        return max(abs(self.m11), abs(self.m12), abs(self.m21), abs(self.m22))
+
+    @classmethod
+    def identity(cls) -> "Matrix2":
+        return cls(1.0, 0.0, 0.0, 1.0)
+
+    def power(self, n: int) -> "Matrix2":
+        """Iterated product (the brute-force oracle for ``n_cell_matrix``)."""
+        out = Matrix2.identity()
+        for _ in range(n):
+            out = out @ self
+        return out
+
+
+def single_site_matrix(eps: complex, energy: complex) -> Matrix2:
+    """Site-basis transfer matrix ``[[eps - E, -1], [1, 0]]`` of one site."""
+    return Matrix2(eps - energy, -1.0, 1.0, 0.0)
+
+
+def unit_cell_matrix(spec: ChainSpec, energy: complex) -> Matrix2:
+    """Transfer matrix of one gain+loss cell in the site basis.
+
+    Equals ``single_site_matrix(-i*gamma, E) @ single_site_matrix(+i*gamma, E)``
+    and evaluates to ``[[E**2 + gamma**2 - 1, E + i*gamma],
+    [-E + i*gamma, -1]]`` with unit determinant.
+    """
+    g = spec.gamma
+    e = energy
+    return Matrix2(e * e + g * g - 1.0, e + 1j * g, -e + 1j * g, -1.0)
+
+
+def n_cell_matrix(spec: ChainSpec, energy: complex) -> Matrix2:
+    """Transfer matrix of the full N-cell region in the site basis.
+
+    Uses the Chebyshev identity ``cell**N = cell * U_{N-1}(x) - I * U_{N-2}(x)``
+    with ``x = (E**2 + gamma**2 - 2)/2`` (half the cell trace).
+    """
+    x = 0.5 * (energy * energy + spec.gamma**2 - 2.0)
+    _, u_nm1 = chebyshev_tu(spec.n_cells, x)
+    _, u_nm2 = chebyshev_tu(spec.n_cells - 1, x)
+    cell = unit_cell_matrix(spec, energy)
+    return Matrix2(
+        cell.m11 * u_nm1 - u_nm2,
+        cell.m12 * u_nm1,
+        cell.m21 * u_nm1,
+        cell.m22 * u_nm1 - u_nm2,
+    )
+
+
+def product_transfer(spec: ChainSpec, k: complex) -> Matrix2:
+    """Plane-wave-basis entries via the explicit product ``Q^{-1} cell^N Q``."""
+    e = dispersion_energy(k)
+    mn = unit_cell_matrix(spec, e).power(spec.n_cells)
+    eik = cmath.exp(1j * k)
+    emik = cmath.exp(-1j * k)
+    det_q = eik - emik  # 2i sin k
+    q_inv = Matrix2(eik, -1.0, -emik, 1.0).scaled(1.0 / det_q)
+    q = Matrix2(1.0, 1.0, emik, eik)
+    return q_inv @ mn @ q
+
+
+def verified_transfer(spec: ChainSpec, k: complex) -> Matrix2:
+    """:func:`plane_wave_transfer`, required to match :func:`product_transfer`.
+
+    Raises :class:`NumericalFailure` unless the two agree entrywise to 1e-10
+    relative to the larger entry (or 1).
+    """
+    m = Matrix2.of(plane_wave_transfer(spec, k))
+    ref = product_transfer(spec, k)
+    scale = max(m.max_abs(), ref.max_abs(), 1.0)
+    if (m - ref).max_abs() > 1e-10 * scale:
+        raise NumericalFailure(
+            f"closed-form and product transfer matrices disagree at k={k!r}: "
+            f"|diff| = {(m - ref).max_abs():.3e} (scale {scale:.3e})"
+        )
+    return m
+
+
+def transfer_matrix_from_branch(spec: ChainSpec, k: complex, mu: complex) -> Matrix2:
+    """Plane-wave-basis entries from an explicit band-index branch ``mu``.
+
+    ``mu`` must satisfy ``cos 2mu = cos 2k + gamma**2/2``; any branch works,
+    and the output is invariant under ``mu -> -mu`` and ``mu -> mu + pi``.
+    Near ``sin 2mu = 0`` the ratio ``sin(2N mu)/sin(2 mu)`` is replaced by its
+    finite limit ``±N``.
+    """
+    if abs(cmath.sin(k)) < SIN_K_TOL:
+        raise SingularBasis(f"plane-wave basis is singular at k = {k!r} (sin k ~ 0)")
+    n, g = spec.n_cells, spec.gamma
+    sink = cmath.sin(k)
+    cotk = cmath.cos(k) / sink
+    sin2mu = cmath.sin(2 * mu)
+    cos2nmu = cmath.cos(2 * n * mu)
+    sin2nmu = cmath.sin(2 * n * mu)
+    if abs(sin2mu) < 1e-8:
+        # Removable singularity: sin(2N mu)/sin(2 mu) -> ±N at cos 2mu = ±1.
+        sign = 1.0 if abs(cmath.cos(2 * mu) - 1.0) < abs(cmath.cos(2 * mu) + 1.0) else (-1.0) ** (n - 1)
+        ratio = n * sign
+        tanmu_sin2nmu = (1.0 - cmath.cos(2 * mu)) * ratio
+    else:
+        ratio = sin2nmu / sin2mu
+        tanmu_sin2nmu = cmath.tan(mu) * sin2nmu
+    diag = 1j * cotk * tanmu_sin2nmu
+    off = 1j * g * ratio / (2.0 * sink)
+    return Matrix2(
+        cos2nmu + diag,
+        off * cmath.exp(1j * k) * (2.0 * sink - g),
+        off * cmath.exp(-1j * k) * (2.0 * sink + g),
+        cos2nmu - diag,
+    )
+
+
+def imaginary_branch_excluded(spec: ChainSpec, phi: float, k: float = 0.5 * math.pi) -> bool:
+    """Executable check that an imaginary band index admits no real-axis pole.
+
+    For ``mu = i*phi`` (``phi > 0``) at real ``k``, the real part of the
+    residual is ``cosh(2N phi)``, which is strictly positive — so the
+    denominator cannot vanish on the real axis in the evanescent regime.
+    Returns True when the evaluated real part matches ``cosh(2N phi)`` and is
+    positive.
+    """
+    if phi <= 0:
+        raise OutOfRange(f"phi must be positive, got {phi!r}")
+    if abs(math.sin(k)) < 1e-12:
+        raise SingularBasis(f"check undefined at k = {k!r} (sin k ~ 0)")
+    mu = 1j * phi
+    n = spec.n_cells
+    cotk = math.cos(k) / math.sin(k)
+    m22 = cmath.cos(2 * n * mu) - 1j * cotk * cmath.tan(mu) * cmath.sin(2 * n * mu)
+    expected = math.cosh(2 * n * phi)
+    return abs(m22.real - expected) <= 1e-12 * expected and m22.real > 0.0
