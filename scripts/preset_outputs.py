@@ -3,30 +3,34 @@
 Usage::
 
     python scripts/preset_outputs.py SRC OUTDIR
+    python scripts/preset_outputs.py SRC OUTDIR --against OTHER_SRC
 
 ``SRC`` is the ``src`` directory of the checkout to run (its ``ptchain``
 package is imported, not the installed one); ``OUTDIR`` receives
 ``<preset>.csv`` and ``<preset>.json`` for each preset. Evolve presets write
 the same snapshot files in either format, so they run once.
 
-The evolve summaries record their snapshot paths, so to compare two
-checkouts, run both to the same ``OUTDIR``, moving the first run's files
-aside in between, then ``diff -r`` the two trees.
+The evolve summaries record their snapshot paths, so two checkouts are
+compared by writing both to the same ``OUTDIR``. With ``--against``, the
+script does that itself: it runs ``OTHER_SRC`` into ``OUTDIR``, moves that
+tree aside to ``OUTDIR.against``, runs ``SRC`` into ``OUTDIR`` and compares
+the two trees byte for byte. It exits 1 on any difference or missing file,
+and 2 when ``OUTDIR`` or ``OUTDIR.against`` already exists (stale files
+would enter the comparison).
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
+import filecmp
 import io
 import os
+import subprocess
 import sys
 
 
-def main(argv: list[str]) -> int:
-    if len(argv) != 2:
-        print(__doc__, file=sys.stderr)
-        return 2
-    src, outdir = argv
+def write_presets(src: str, outdir: str) -> int:
     sys.path.insert(0, os.path.abspath(src))
     from ptchain.cli import main as cli_main
     from ptchain.presets import get_preset, preset_names
@@ -44,6 +48,57 @@ def main(argv: list[str]) -> int:
                 return code
     print(f"wrote {len(os.listdir(outdir))} files -> {outdir}")
     return 0
+
+
+def _differences(cmp: filecmp.dircmp, prefix: str = "") -> list[str]:
+    """Files that differ in content or exist on one side only, recursively."""
+    found = [f"only in {side}: {prefix}{name}"
+             for side, names in (("against", cmp.left_only), ("src", cmp.right_only))
+             for name in names]
+    _, mismatch, errors = filecmp.cmpfiles(cmp.left, cmp.right, cmp.common_files, shallow=False)
+    found += [f"differs: {prefix}{name}" for name in mismatch + errors]
+    for name, sub in cmp.subdirs.items():
+        found += _differences(sub, f"{prefix}{name}/")
+    return found
+
+
+def compare(src: str, outdir: str, against: str) -> int:
+    aside = outdir.rstrip(os.sep) + ".against"
+    for path in (outdir, aside):
+        if os.path.exists(path):
+            print(f"{path} exists; remove it or pick another OUTDIR", file=sys.stderr)
+            return 2
+    def run(checkout: str) -> int:
+        # its own interpreter: both checkouts import the name ptchain
+        return subprocess.call([sys.executable, os.path.abspath(__file__), checkout, outdir])
+
+    code = run(against)
+    if code != 0:
+        return code
+    os.rename(outdir, aside)
+    code = run(src)
+    if code != 0:
+        return code
+    diffs = _differences(filecmp.dircmp(aside, outdir))
+    for line in diffs:
+        print(line)
+    count = sum(len(files) for _, _, files in os.walk(outdir))
+    print(f"{len(diffs)} differences in {count} files ({aside} vs {outdir})")
+    return 1 if diffs else 0
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(
+        description=__doc__.split("\n")[0],
+        epilog="See the module docstring for the comparison mode.")
+    parser.add_argument("src", help="src directory of the checkout to run")
+    parser.add_argument("outdir", help="directory receiving the preset files")
+    parser.add_argument("--against", metavar="OTHER_SRC",
+                        help="src directory of a second checkout to compare against")
+    args = parser.parse_args(argv)
+    if args.against:
+        return compare(args.src, args.outdir, args.against)
+    return write_presets(args.src, args.outdir)
 
 
 if __name__ == "__main__":

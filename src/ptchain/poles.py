@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import cmath
 import enum
+import logging
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -37,7 +38,9 @@ from .errors import (
     SingularBasis,
 )
 from .model import ChainSpec, ComplexWavenumber, dispersion_energy, onsite_profile
-from .scattering import _transfer_terms, chebyshev_tu
+from .scattering import _transfer_terms
+
+_log = logging.getLogger(__name__)
 
 __all__ = [
     "PoleClass",
@@ -165,16 +168,58 @@ def pole_residual(spec: ChainSpec, k):
     raises :class:`SingularBasis` at ``sin k = 0``, and a residual beyond the
     double range is NaN. A numpy array is evaluated elementwise by the same
     formula in array arithmetic (singular entries become non-finite), which
-    can differ from the scalar path in the last bit.
+    can differ from the scalar path in the last bit; it is the evaluation the
+    seed grid of :func:`find_poles` makes, bit for bit.
     """
     if isinstance(k, (complex, float, int)):
         t_n, diag, _, _, exp = _transfer_terms(spec, complex(k))
         return t_n - diag if not exp else complex(math.nan, math.nan)
     k = np.asarray(k, dtype=complex)
-    x = np.cos(2 * k) + 0.5 * spec.gamma**2
-    t_n, u_nm1 = chebyshev_tu(spec.n_cells, x)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return t_n - 1j * (np.cos(k) / np.sin(k)) * (1.0 - x) * u_nm1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cos2k, icot = np.cos(2 * k), 1j * (np.cos(k) / np.sin(k))
+    return _m22_array(spec, cos2k, icot, [np.empty_like(k) for _ in range(_M22_WORK)])
+
+
+#: Number of work arrays :func:`_m22_array` takes.
+_M22_WORK = 6
+
+
+def _m22_array(spec: ChainSpec, cos2k: np.ndarray, icot: np.ndarray, work: list) -> np.ndarray:
+    """``M22`` on an array of ``k`` from its gamma-independent factors.
+
+    ``cos2k`` is ``cos 2k`` and ``icot`` is ``1j * cot k``; ``work`` holds
+    :data:`_M22_WORK` arrays of their shape, all overwritten, and the result
+    is returned in one of them. The Chebyshev recurrence runs in place.
+
+    Every operation, and the order of its operands, is the one the plain
+    expression ``t_n - 1j * (cos k / sin k) * (1 - x) * u_nm1`` with
+    ``chebyshev_tu`` performs: numpy's complex multiply is not bitwise
+    commutative, so swapping two factors moves the last bit of ``|M22|``, and
+    with it the grid seeds and the polished roots.
+    """
+    two_x, scratch, t_prev, t_cur, u_prev, u_cur = work
+    shift = 0.5 * spec.gamma**2
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = np.add(cos2k, shift, out=scratch)
+        # T_0 = x*0 + 1, U_{-1} = x*0, T_1 = x*T_0, U_0 = T_0, as chebyshev_tu builds them
+        np.multiply(x, 0, out=u_prev)
+        np.add(u_prev, 1.0, out=t_prev)
+        np.multiply(x, t_prev, out=t_cur)
+        np.copyto(u_cur, t_prev)
+        np.multiply(2, x, out=two_x)
+        for _ in range(spec.n_cells - 1):
+            np.multiply(two_x, t_cur, out=scratch)
+            np.subtract(scratch, t_prev, out=t_prev)
+            t_prev, t_cur = t_cur, t_prev
+            np.multiply(two_x, u_cur, out=scratch)
+            np.subtract(scratch, u_prev, out=u_prev)
+            u_prev, u_cur = u_cur, u_prev
+        # x once more, into the spent T_{N-1}: the same sum gives the same bits
+        m = np.add(cos2k, shift, out=t_prev)
+        np.subtract(1.0, m, out=m)
+        np.multiply(icot, m, out=m)
+        np.multiply(m, u_cur, out=m)
+        return np.subtract(t_cur, m, out=m)
 
 
 def _residual_derivative(spec: ChainSpec, k: complex, step: float = 1e-6) -> complex:
@@ -215,35 +260,59 @@ def _newton(spec: ChainSpec, seed: complex, max_iter: int = 60) -> complex | Non
 # the finder
 # ---------------------------------------------------------------------------
 
-def _grid_seeds(spec: ChainSpec, region: SearchRegion, grid_density: int) -> list[complex]:
-    nr = max(4, int(math.ceil((region.re_max - region.re_min) * grid_density)) + 1)
-    ni = max(4, int(math.ceil((region.im_max - region.im_min) * grid_density)) + 1)
-    re = np.linspace(region.re_min, region.re_max, nr)
-    im = np.linspace(region.im_min, region.im_max, ni)
-    kk = re[None, :] + 1j * im[:, None]
-    a = np.abs(pole_residual(spec, kk))
-    a[~np.isfinite(a)] = np.inf
-    inner = a[1:-1, 1:-1]
-    is_min = np.ones_like(inner, dtype=bool)
-    for di in (-1, 0, 1):
-        for dj in (-1, 0, 1):
-            if di == 0 and dj == 0:
-                continue
-            is_min &= inner <= a[1 + di : a.shape[0] - 1 + di, 1 + dj : a.shape[1] - 1 + dj]
-    ii, jj = np.where(is_min)
-    order = np.argsort(inner[ii, jj])
-    return [complex(kk[1 + i, 1 + j]) for i, j in zip(ii[order], jj[order])]
+class _SeedGrid:
+    """The seed lattice of one search region and density.
+
+    Holds the lattice axes, the gamma-independent factors ``cos 2k`` and
+    ``1j * cot k`` of ``M22`` on the lattice, and the work arrays of
+    :func:`_m22_array`. :func:`find_poles` builds one per call;
+    :func:`trace_trajectories` builds one per sweep and shares it between the
+    censuses of the sweep, so that only the recurrence runs per gamma.
+    """
+
+    def __init__(self, region: SearchRegion, grid_density: int) -> None:
+        nr = max(4, int(math.ceil((region.re_max - region.re_min) * grid_density)) + 1)
+        ni = max(4, int(math.ceil((region.im_max - region.im_min) * grid_density)) + 1)
+        self.region = region
+        self.re = np.linspace(region.re_min, region.re_max, nr)
+        self.im = np.linspace(region.im_min, region.im_max, ni)
+        kk = self.re[None, :] + 1j * self.im[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self.cos2k = np.cos(2 * kk)
+            self.icot = 1j * (np.cos(kk) / np.sin(kk))
+        del kk  # before the work arrays exist: it would raise a census's peak memory
+        self.work = [np.empty_like(self.cos2k) for _ in range(_M22_WORK)]
+
+    def seeds(self, spec: ChainSpec) -> list[complex]:
+        """Interior local minima of ``|M22|`` on the lattice, deepest first.
+
+        ``|M22|`` equals ``np.abs(pole_residual(spec, kk))`` on the lattice
+        ``kk`` bit for bit, so the seeds do not depend on whether the factors
+        were shared.
+        """
+        a = np.abs(_m22_array(spec, self.cos2k, self.icot, self.work))
+        a[~np.isfinite(a)] = np.inf
+        inner = a[1:-1, 1:-1]
+        is_min = np.ones_like(inner, dtype=bool)
+        for di in (-1, 0, 1):
+            for dj in (-1, 0, 1):
+                if di == 0 and dj == 0:
+                    continue
+                is_min &= inner <= a[1 + di : a.shape[0] - 1 + di, 1 + dj : a.shape[1] - 1 + dj]
+        ii, jj = np.where(is_min)
+        order = np.argsort(inner[ii, jj])
+        ii, jj = ii[order] + 1, jj[order] + 1
+        return [complex(k) for k in self.re[jj] + 1j * self.im[ii]]
 
 
 def _near_singular_vertical(k: complex) -> bool:
     return any(abs(k.real - s) < EDGE_MARGIN for s in (-math.pi, 0.0, math.pi))
 
 
-def _collect_roots(
-    spec: ChainSpec, region: SearchRegion, grid_density: int
-) -> list[complex]:
+def _collect_roots(spec: ChainSpec, grid: _SeedGrid) -> list[complex]:
+    region = grid.region
     roots: list[complex] = []
-    for seed in _grid_seeds(spec, region, grid_density):
+    for seed in grid.seeds(spec):
         if _near_singular_vertical(seed):
             continue
         root = _newton(spec, seed)
@@ -255,6 +324,10 @@ def _collect_roots(
             except SingularBasis:
                 deep = False
             if deep:
+                _log.debug(
+                    "Newton failed from deep seed k=%r (N=%d, gamma=%r); retrying jittered",
+                    seed, spec.n_cells, spec.gamma,
+                )
                 for jitter in (1e-4, -1e-4, 1e-4j, -1e-4j):
                     root = _newton(spec, seed + jitter)
                     if root is not None:
@@ -317,6 +390,10 @@ def _pencil_audit(spec: ChainSpec, region: SearchRegion, roots: list[complex]) -
                     f"Newton failed from pencil eigenvalue k={seed!r} with no grid root "
                     f"nearby (N={spec.n_cells}, gamma={spec.gamma})"
                 )
+            _log.debug(
+                "Newton failed from pencil eigenvalue k=%r (N=%d, gamma=%r); "
+                "grid root k=%r stands in", seed, spec.n_cells, spec.gamma, root,
+            )
         polished.append(root)
     for r in roots:
         if all(abs(r - q) > PENCIL_TOL for q in polished):
@@ -337,6 +414,8 @@ def find_poles(
     spec: ChainSpec,
     region: SearchRegion | None = None,
     grid_density: int = 60,
+    *,
+    _grid: _SeedGrid | None = None,
 ) -> list[PoleRecord]:
     """Locate every pole of the scattering denominator inside ``region``.
 
@@ -345,7 +424,16 @@ def find_poles(
     1e-8). The result is audited against the outgoing-wave pencil, whose
     finite eigenvalues are every pole at once: each grid root must match a
     Newton-polished pencil root within 1e-6 (else :class:`MissedRoots`), and
-    pencil roots in the region that the grid missed are added.
+    pencil roots in the region that the grid missed are added. At
+    ``gamma = 0`` the census is empty: ``M22 = e^{-2iNk}`` has no zeros.
+
+    The grid's gamma-independent factors ``cos 2k`` and ``i cot k`` are
+    built once per call, or once per sweep when :func:`trace_trajectories`
+    passes its grid (the private ``_grid``, built from the same ``region`` and
+    ``grid_density``). Either way ``|M22|`` on the grid is the same to the
+    bit, because its operands are multiplied in the order the plain array
+    expression uses; the seeds, the polished roots and the output files
+    depend on those bits.
 
     Parameters
     ----------
@@ -368,8 +456,10 @@ def find_poles(
         region = DEFAULT_REGION
     if grid_density < 50:
         raise OutOfRange(f"grid_density must be at least 50 per unit length, got {grid_density}")
+    if spec.gamma == 0.0:
+        return []
 
-    roots = _collect_roots(spec, region, grid_density)
+    roots = _collect_roots(spec, _grid or _SeedGrid(region, grid_density))
     _pencil_audit(spec, region, roots)
 
     records = [_record(spec, r) for r in roots]
@@ -555,13 +645,19 @@ def trace_trajectories(
 ) -> Trajectory:
     """Track every pole inside ``region`` while gamma sweeps upward.
 
-    At each gamma sample the poles are re-found from scratch and matched to
-    existing branches by nearest-neighbor distance in k (rejection beyond
-    0.3); unmatched poles start new branches (poles rise into the window
-    from below as gamma grows — at gamma = 0 the window is empty), and
+    At each gamma sample the poles are re-found by :func:`find_poles` and
+    matched to existing branches by nearest-neighbor distance in k (rejection
+    beyond 0.3); unmatched poles start new branches (poles rise into the
+    window from below as gamma grows — at gamma = 0 the window is empty), and
     branches whose pole left the window are closed. A branch whose root
     cannot be re-converged after three step halvings is marked lost
     (``strict=True`` raises :class:`BranchLost` instead).
+
+    The censuses share one seed grid, so the gamma-independent factors of
+    ``|M22|`` on it are built once per sweep and each sample runs only the
+    Chebyshev recurrence, Newton and the pencil audit. The grid values, and
+    so every branch point, are bitwise those of a fresh :func:`find_poles`
+    call at the same gamma.
 
     Real-axis crossings of every branch are refined in gamma by bisection
     and reported; they land on ``Re k = ±pi/2`` at the ladder values.
@@ -580,19 +676,19 @@ def trace_trajectories(
         gammas = [gamma_min + (gamma_max - gamma_min) * i / steps for i in range(steps + 1)]
     branches: list[BranchPath] = []
     next_id = 0
+    grid = _SeedGrid(region, grid_density)
 
     for g in gammas:
         spec = ChainSpec(spec_base.n_cells, g)
-        found = [] if g == 0.0 else [
-            r.k.as_complex() for r in find_poles(spec, region, grid_density)
-        ]
+        found = find_poles(spec, region, grid_density, _grid=grid)
+        found_k = [r.k.as_complex() for r in found]
         live = [b for b in branches if not b.lost and b.points]
         prev_pts = {id(b): b.last_k for b in live}
 
         # greedy nearest-neighbor matching, closest pairs first
         pairs: list[tuple[float, int, int]] = []
         for bi, b in enumerate(live):
-            for ri, r in enumerate(found):
+            for ri, r in enumerate(found_k):
                 d = abs(r - prev_pts[id(b)])
                 if d <= 0.3:
                     pairs.append((d, bi, ri))
@@ -605,8 +701,8 @@ def trace_trajectories(
                 continue
             matched_b.add(bi)
             matched_r.add(ri)
-            live[bi].points.append((g, _record(spec, found[ri])))
-            taken.append(found[ri])
+            live[bi].points.append((g, found[ri]))
+            taken.append(found_k[ri])
 
         # unmatched live branches: direct continuation with step halving
         for bi, b in enumerate(live):
@@ -637,17 +733,25 @@ def trace_trajectories(
                         f"branch {b.branch_id} lost near gamma={g!r} "
                         f"(last k = {b.last_k!r})"
                     )
+                _log.debug(
+                    "branch %d lost near gamma=%r (last k=%r, N=%d)",
+                    b.branch_id, g, b.last_k, spec_base.n_cells,
+                )
                 b.lost = True
             elif region.contains(root):
                 # the continuation may land on a root the fresh search also
                 # produced (a fast-moving pole beyond the matching radius);
                 # claim it so the birth loop below does not duplicate it
-                for ri, r in enumerate(found):
+                for ri, r in enumerate(found_k):
                     if ri not in matched_r and abs(r - root) <= 1e-6:
                         matched_r.add(ri)
                 if any(abs(root - q) <= 1e-8 for q in taken):
                     # collided with a pole another branch already tracks;
                     # stop following this branch rather than double-count
+                    _log.debug(
+                        "branch %d collided at gamma=%r with a tracked pole k=%r (N=%d)",
+                        b.branch_id, g, root, spec_base.n_cells,
+                    )
                     b.lost = True
                 else:
                     b.points.append((g, _record(spec, root)))
@@ -660,7 +764,7 @@ def trace_trajectories(
                 continue
             b = BranchPath(branch_id=next_id)
             next_id += 1
-            b.points.append((g, _record(spec, r)))
+            b.points.append((g, r))
             branches.append(b)
 
     # refine real-axis crossings

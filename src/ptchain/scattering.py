@@ -104,9 +104,10 @@ def chebyshev_tu(n: int, x):
         return one, zero
     t_prev, u_prev = one, zero  # T_0, U_{-1}
     t_cur, u_cur = x * one, one  # T_1, U_0
+    two_x = 2 * x  # ``2 * x * t`` parses as ``(2 * x) * t``: hoisting moves no bit
     for _ in range(n - 1):
-        t_prev, t_cur = t_cur, 2 * x * t_cur - t_prev
-        u_prev, u_cur = u_cur, 2 * x * u_cur - u_prev
+        t_prev, t_cur = t_cur, two_x * t_cur - t_prev
+        u_prev, u_cur = u_cur, two_x * u_cur - u_prev
     return t_cur, u_cur
 
 
@@ -121,9 +122,10 @@ def _chebyshev_tu_rescaled(n: int, x: complex) -> tuple[complex, complex, int]:
     big, small = 2.0**512, 2.0**-512
     t_prev, u_prev, t_cur, u_cur = 1.0, 0.0, x, 1.0  # T_0, U_{-1}, T_1, U_0
     exp = 0
+    two_x = 2 * x
     for _ in range(n - 1):
-        t_prev, t_cur = t_cur, 2 * x * t_cur - t_prev
-        u_prev, u_cur = u_cur, 2 * x * u_cur - u_prev
+        t_prev, t_cur = t_cur, two_x * t_cur - t_prev
+        u_prev, u_cur = u_cur, two_x * u_cur - u_prev
         if abs(u_cur) > big:  # |T_n| <= 1 + sqrt(|x^2 - 1|) |U_{n-1}| follows
             t_prev, t_cur = t_prev * small, t_cur * small
             u_prev, u_cur = u_prev * small, u_cur * small

@@ -120,6 +120,12 @@ def test_poles_csv_and_window(workdir):
     assert rows[0][5] == "TGBS"
 
 
+def test_poles_without_gain_and_loss_is_an_empty_census(workdir):
+    assert main(["poles", "--n", "10", "--gamma", "0"]) == 0
+    header, rows = _read_csv(workdir / "ptchain_poles.csv")
+    assert header[:2] == ["k_re", "k_im"] and rows == []
+
+
 def test_threshold_single_and_range(workdir):
     assert main(["threshold", "--n", "3", "--format", "json", "--out", "t.json"]) == 0
     payload = json.loads((workdir / "t.json").read_text())

@@ -9,6 +9,7 @@ and its roots polished there, so each root ``u`` gives the two poles
 implementation under test.
 """
 
+import logging
 import math
 import warnings
 
@@ -36,7 +37,7 @@ from ptchain import (
 )
 from ptchain import poles
 from ptchain.poles import DEFAULT_REGION, EDGE_MARGIN
-from transfer_oracles import imaginary_branch_excluded
+from transfer_oracles import imaginary_branch_excluded, plain_m22_array
 
 PI = math.pi
 
@@ -189,16 +190,45 @@ def test_pencil_audit_rejects_a_grid_root_without_partner(monkeypatch):
         find_poles(ChainSpec(3, 0.3))
 
 
-def test_pencil_seed_without_newton_falls_back_to_its_grid_root(monkeypatch):
+def test_pencil_seed_without_newton_falls_back_to_its_grid_root(monkeypatch, caplog):
     spec = ChainSpec(3, 0.3)
     expected = find_poles(spec)
-    grid = poles._collect_roots(spec, DEFAULT_REGION, 60)
+    grid = poles._collect_roots(spec, poles._SeedGrid(DEFAULT_REGION, 60))
     monkeypatch.setattr(poles, "_collect_roots", lambda *args: list(grid))
     monkeypatch.setattr(poles, "_newton", lambda spec, seed: None)
-    assert find_poles(spec) == expected
+    with caplog.at_level(logging.DEBUG, logger="ptchain"):
+        assert find_poles(spec) == expected
+    stand_ins = [r for r in caplog.records if "stands in" in r.getMessage()]
+    assert len(stand_ins) == len(expected)
     monkeypatch.setattr(poles, "_collect_roots", lambda *args: [])
     with pytest.raises(NonConvergence):
         find_poles(spec)
+
+
+def test_deep_seed_retry_is_logged(monkeypatch, caplog):
+    """A deep grid seed whose first Newton fails is retried from a jittered seed."""
+    spec = ChainSpec(3, 0.3)
+    root = find_poles(spec)[-1].k.as_complex()
+    newton = poles._newton
+    attempts = []
+
+    def first_fails(spec, seed):
+        attempts.append(seed)
+        return None if len(attempts) == 1 else newton(spec, seed)
+
+    monkeypatch.setattr(poles._SeedGrid, "seeds", lambda self, spec: [root])
+    monkeypatch.setattr(poles, "_newton", first_fails)
+    with caplog.at_level(logging.DEBUG, logger="ptchain"):
+        roots = poles._collect_roots(spec, poles._SeedGrid(DEFAULT_REGION, 60))
+    assert len(roots) == 1 and abs(roots[0] - root) < 1e-10
+    assert attempts[1] == root + 1e-4
+    assert any("retrying jittered" in r.getMessage() for r in caplog.records)
+
+
+@pytest.mark.parametrize("n", [1, 3, 9, 10, 50])
+def test_census_is_empty_without_gain_and_loss(n):
+    """At gamma = 0, M22 = e^{-2iNk} has no zeros."""
+    assert find_poles(ChainSpec(n, 0.0)) == []
 
 
 def test_find_poles_census_is_sorted_and_converged():
@@ -362,6 +392,64 @@ def test_degenerate_sweep_emits_single_sample():
     assert traj.crossings == []
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_sweep_censuses_equal_fresh_censuses(n, monkeypatch):
+    """Each census of a sweep, on its shared grid, is a fresh find_poles call's."""
+    region = SearchRegion(1e-4, PI - 1e-4, -1.5, 1.5)
+    census = poles.find_poles
+    seen = []
+
+    def spy(spec, *args, **kwargs):
+        seen.append((spec.gamma, census(spec, *args, **kwargs)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(poles, "find_poles", spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # 20 steps are too coarse for the soft branch count
+        traj = trace_trajectories(ChainSpec(n, 0.0), 0.0, 2.0, steps=20, region=region)
+    assert [g for g, _ in seen] == traj.gamma_samples
+    for g, records in seen:
+        assert records == census(ChainSpec(n, g), region)
+        # matched and newborn branches take the census records themselves; a
+        # record is left out only when a branch's continuation claimed its root
+        points = [p for b in traj.branches for gb, p in b.points if gb == g]
+        continued = [p for p in points if not any(p is r for r in records)]
+        for r in records:
+            k = r.k.as_complex()
+            assert any(p is r for p in points) or any(
+                abs(p.k.as_complex() - k) <= 1e-6 for p in continued
+            )
+
+
+def _fake_census(records_by_sample):
+    """A find_poles stand-in returning the given record lists, one per call."""
+    calls = iter(records_by_sample)
+    return lambda spec, *args, **kwargs: next(calls)
+
+
+def test_lost_branch_is_logged(monkeypatch, caplog):
+    spec = ChainSpec(3, 0.7)
+    (tgbs,) = find_poles(spec, first_quadrant_region(0.7))
+    monkeypatch.setattr(poles, "find_poles", _fake_census([[tgbs]] + [[]] * 10))
+    monkeypatch.setattr(poles, "_newton", lambda spec, seed: None)
+    with caplog.at_level(logging.DEBUG, logger="ptchain"):
+        traj = trace_trajectories(ChainSpec(3, 0.0), 0.7, 0.8, steps=10, strict=False)
+    assert [b.lost for b in traj.branches] == [True]
+    assert any("branch 0 lost" in r.getMessage() for r in caplog.records)
+
+
+def test_colliding_branch_is_logged(caplog, monkeypatch):
+    """Two branches near one pole: the one that loses the match collides."""
+    first = find_poles(ChainSpec(3, 0.7), first_quadrant_region(0.7))[0]
+    second = find_poles(ChainSpec(3, 0.71), first_quadrant_region(0.71))[0]
+    near = poles._record(ChainSpec(3, 0.7), first.k.as_complex() + 0.01)
+    monkeypatch.setattr(poles, "find_poles", _fake_census([[first, near]] + [[second]] * 10))
+    with caplog.at_level(logging.DEBUG, logger="ptchain"):
+        traj = trace_trajectories(ChainSpec(3, 0.0), 0.7, 0.8, steps=10, strict=False)
+    assert [b.lost for b in traj.branches] == [False, True]
+    assert any("branch 1 collided" in r.getMessage() for r in caplog.records)
+
+
 def test_trajectory_validation():
     with pytest.raises(OutOfRange):
         trace_trajectories(ChainSpec(2, 0.0), -0.1, 1.0, steps=20)
@@ -386,6 +474,36 @@ def test_pole_residual_array_branch_matches_scalar_branch(rng):
         scale = np.abs(t_n) + np.abs(np.cos(ks) / np.sin(ks) * (1.0 - x) * u_nm1)
         for k, value, s in zip(ks, array, scale):
             assert abs(value - pole_residual(spec, complex(k))) <= 1e-13 * s
+
+
+@pytest.fixture(scope="module")
+def seed_grids():
+    """One grid per region and density, shared by every test case, as in a sweep."""
+    return [
+        poles._SeedGrid(DEFAULT_REGION, 60),
+        poles._SeedGrid(DEFAULT_REGION, 90),
+        poles._SeedGrid(first_quadrant_region(2.2), 60),
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 3, 8, 20, 50, 400])
+def test_shared_grid_factors_give_the_plain_residual_bitwise(n, seed_grids):
+    """|M22| from the shared factors is bitwise the plain array expression's.
+
+    The grids carry their work arrays over from earlier cases; N = 400
+    overflows the recurrence at large gamma (its density-90 case is left out
+    for time).
+    """
+    gammas = [0.0, threshold_ladder(n).gamma_values[n // 2], 0.7, 1.9, 2.2]
+    for grid in seed_grids if n < 400 else seed_grids[::2]:
+        kk = grid.re[None, :] + 1j * grid.im[:, None]
+        for g in gammas:
+            spec = ChainSpec(n, g)
+            plain = np.abs(plain_m22_array(spec, kk))
+            shared = np.abs(poles._m22_array(spec, grid.cos2k, grid.icot, grid.work))
+            assert np.array_equal(shared, plain, equal_nan=True)
+            if grid is seed_grids[2]:  # the public array path assembles M22 alike
+                assert np.array_equal(np.abs(pole_residual(spec, kk)), plain, equal_nan=True)
 
 
 # ---- imaginary-axis exclusion --------------------------------------------------

@@ -26,9 +26,11 @@ from ptchain import (
     threshold_ladder,
     transmission_closed_form,
 )
+from ptchain.scattering import _chebyshev_tu_rescaled
 from transfer_oracles import (
     Matrix2,
     n_cell_matrix,
+    plain_chebyshev_tu,
     single_site_matrix,
     transfer_matrix_from_branch,
     unit_cell_matrix,
@@ -69,6 +71,26 @@ def test_chebyshev_scalar_and_edge_orders():
     assert (t, u) == (0.3, 1.0)
     with pytest.raises(OutOfRange):
         chebyshev_tu(-1, 0.5)
+
+
+def test_chebyshev_equals_the_plain_recurrence_bitwise(rng):
+    """Forming ``2 * x`` once, outside the loop, moves no bit."""
+    reals = [float(v) for v in rng.uniform(-3.0, 3.0, 6)]
+    complexes = [complex(a, b) for a, b in rng.uniform(-2.0, 2.0, (6, 2))]
+    arrays = [rng.uniform(-3.0, 3.0, 40), rng.uniform(-2, 2, 40) + 1j * rng.uniform(-2, 2, 40)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in (0, 1, 2, 3, 8, 57, 400, 807):
+            for x in reals + complexes + arrays:
+                got = chebyshev_tu(n, x)
+                want = plain_chebyshev_tu(n, x)
+                for a, b in zip(got, want):
+                    assert type(a) is type(b)
+                    assert np.array_equal(a, b, equal_nan=True)
+            if n >= 1:
+                for x in reals + complexes:  # no rescaling happens below 2**512
+                    t, u, exp = _chebyshev_tu_rescaled(n, x)
+                    if exp == 0:
+                        assert (t, u) == plain_chebyshev_tu(n, x)
 
 
 def test_pell_identity(rng):

@@ -13,12 +13,19 @@ closed form against them:
   ``mu`` instead of ``x``;
 - ``imaginary_branch_excluded``, the evanescent-regime argument that no pole
   sits on the real axis when ``mu`` is imaginary.
+
+Two more are bit references rather than independent routes:
+``plain_chebyshev_tu`` is the Chebyshev recurrence with ``2 * x`` formed
+inside its loop, and ``plain_m22_array`` is the array residual ``M22`` as one
+numpy expression. The package's rearranged loops must match them bit for bit.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+
+import numpy as np
 
 from ptchain import (
     ChainSpec,
@@ -196,3 +203,25 @@ def imaginary_branch_excluded(spec: ChainSpec, phi: float, k: float = 0.5 * math
     m22 = cmath.cos(2 * n * mu) - 1j * cotk * cmath.tan(mu) * cmath.sin(2 * n * mu)
     expected = math.cosh(2 * n * phi)
     return abs(m22.real - expected) <= 1e-12 * expected and m22.real > 0.0
+
+
+def plain_chebyshev_tu(n: int, x):
+    """``(T_n(x), U_{n-1}(x))`` with ``2 * x`` formed inside the loop."""
+    one = x * 0 + 1.0
+    zero = x * 0
+    if n == 0:
+        return one, zero
+    t_prev, u_prev = one, zero
+    t_cur, u_cur = x * one, one
+    for _ in range(n - 1):
+        t_prev, t_cur = t_cur, 2 * x * t_cur - t_prev
+        u_prev, u_cur = u_cur, 2 * x * u_cur - u_prev
+    return t_cur, u_cur
+
+
+def plain_m22_array(spec: ChainSpec, k: np.ndarray) -> np.ndarray:
+    """``M22`` on an array of ``k`` as one expression, allocating every term."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x = np.cos(2 * k) + 0.5 * spec.gamma**2
+        t_n, u_nm1 = plain_chebyshev_tu(spec.n_cells, x)
+        return t_n - 1j * (np.cos(k) / np.sin(k)) * (1.0 - x) * u_nm1
