@@ -149,13 +149,14 @@ class PropagatorBundle:
 
 
 def _tridiagonal_bands(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """(lower, diag, upper) bands when ``h`` is tridiagonal, else None."""
-    diag = np.diag(h).copy()
-    upper = np.diag(h, 1).copy()
-    lower = np.diag(h, -1).copy()
-    rebuilt = np.diag(diag) + np.diag(upper, 1) + np.diag(lower, -1)
-    if np.array_equal(rebuilt, h):
-        return lower, diag, upper
+    """(lower, diag, upper) bands when ``h`` is tridiagonal, else None.
+
+    The bands are entries of ``h``, so ``h`` is tridiagonal exactly when they
+    hold all of its nonzero entries; counting them needs no dense rebuild.
+    """
+    bands = np.diag(h, -1).copy(), np.diag(h).copy(), np.diag(h, 1).copy()
+    if sum(np.count_nonzero(b) for b in bands) == np.count_nonzero(h):
+        return bands
     return None
 
 
@@ -202,10 +203,12 @@ def prepare_propagator(h: np.ndarray, flag_threshold: float = 1e8) -> Propagator
 
     matvec = _matvec_factory(h)
     h_norm = np.linalg.norm(h)
-    residual = float(
-        np.linalg.norm(np.column_stack([matvec(vr[:, i]) for i in range(len(w))]) - vr * w)
-        / h_norm
-    )
+    # H R - R diag(E), one column at a time into the one matrix R diag(E)
+    resid = vr * w
+    for i in range(len(w)):
+        np.subtract(matvec(vr[:, i]), resid[:, i], out=resid[:, i])
+    residual = float(np.linalg.norm(resid) / h_norm)
+    del resid  # before the copy ``vl.conj()`` below, not beside it
     if residual > 1e-8:
         raise DecompositionFailed(f"spectral assembly residual {residual:.3e} > 1e-8")
 
@@ -214,7 +217,7 @@ def prepare_propagator(h: np.ndarray, flag_threshold: float = 1e8) -> Propagator
     condition = math.inf if min_overlap == 0.0 else 1.0 / min_overlap
     near_defective = condition > flag_threshold
     if not near_defective:
-        vl = vl / overlaps.conj()[None, :]
+        vl /= overlaps.conj()[None, :]
     return PropagatorBundle(
         eigenvalues=w,
         right_modes=vr,

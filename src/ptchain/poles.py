@@ -172,7 +172,7 @@ def pole_residual(spec: ChainSpec, k):
     seed grid of :func:`find_poles` makes, bit for bit.
     """
     if isinstance(k, (complex, float, int)):
-        t_n, diag, _, _, exp = _transfer_terms(spec, complex(k))
+        t_n, diag, _, _, exp, _ = _transfer_terms(spec, complex(k))
         return t_n - diag if not exp else complex(math.nan, math.nan)
     k = np.asarray(k, dtype=complex)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -189,7 +189,11 @@ def _m22_array(spec: ChainSpec, cos2k: np.ndarray, icot: np.ndarray, work: list)
 
     ``cos2k`` is ``cos 2k`` and ``icot`` is ``1j * cot k``; ``work`` holds
     :data:`_M22_WORK` arrays of their shape, all overwritten, and the result
-    is returned in one of them. The Chebyshev recurrence runs in place.
+    is returned in one of them. The Chebyshev recurrence runs in place, N
+    passes over the work arrays; :class:`_SeedGrid` therefore calls it on
+    blocks of lattice rows small enough to stay in cache. Each element's
+    operations do not depend on the array it sits in, so a block gives the
+    bits the whole lattice gives.
 
     Every operation, and the order of its operands, is the one the plain
     expression ``t_n - 1j * (cos k / sin k) * (1 - x) * u_nm1`` with
@@ -238,7 +242,7 @@ def _newton(spec: ChainSpec, seed: complex, max_iter: int = 60) -> complex | Non
     k = complex(seed)
     for it in range(max_iter + 1):
         try:
-            t_n, diag, _, _, exp = _transfer_terms(spec, k)
+            t_n, diag, _, _, exp, _ = _transfer_terms(spec, k)
         except SingularBasis:
             return None
         if exp:  # M22 beyond the double range
@@ -260,14 +264,28 @@ def _newton(spec: ChainSpec, seed: complex, max_iter: int = 60) -> complex | Non
 # the finder
 # ---------------------------------------------------------------------------
 
+#: Lattice points per block of the seed grid's recurrence. A block's six
+#: complex work arrays then take about 0.8 MB and stay in a core's L2 cache
+#: through the N passes of the recurrence; the whole default lattice (68,418
+#: points, 6.6 MB of work arrays) streams from L3 on every pass.
+_BLOCK = 8192
+
+
 class _SeedGrid:
     """The seed lattice of one search region and density.
 
     Holds the lattice axes, the gamma-independent factors ``cos 2k`` and
-    ``1j * cot k`` of ``M22`` on the lattice, and the work arrays of
-    :func:`_m22_array`. :func:`find_poles` builds one per call;
-    :func:`trace_trajectories` builds one per sweep and shares it between the
-    censuses of the sweep, so that only the recurrence runs per gamma.
+    ``1j * cot k`` of ``M22`` on the lattice (from :func:`_lattice_cos_sin`,
+    bit for bit ``np.cos`` and ``np.sin`` of the lattice), the work arrays of
+    :func:`_m22_array` and the array that receives ``|M22|``.
+    :func:`find_poles` builds one per call; :func:`trace_trajectories` builds
+    one per sweep and shares it between the censuses of the sweep, so that
+    only the recurrence runs per gamma.
+
+    The recurrence runs over blocks of whole lattice rows, about
+    :data:`_BLOCK` points each, so that its work arrays stay in cache. Every
+    point goes through the same elementwise operations whatever block it
+    falls in, so ``|M22|`` is the same to the bit as over the whole lattice.
     """
 
     def __init__(self, region: SearchRegion, grid_density: int) -> None:
@@ -276,33 +294,76 @@ class _SeedGrid:
         self.region = region
         self.re = np.linspace(region.re_min, region.re_max, nr)
         self.im = np.linspace(region.im_min, region.im_max, ni)
-        kk = self.re[None, :] + 1j * self.im[:, None]
+        self.cos2k, _ = _lattice_cos_sin(2 * self.re, 2 * self.im)
+        cos_k, sin_k = _lattice_cos_sin(self.re, self.im)
         with np.errstate(divide="ignore", invalid="ignore"):
-            self.cos2k = np.cos(2 * kk)
-            self.icot = 1j * (np.cos(kk) / np.sin(kk))
-        del kk  # before the work arrays exist: it would raise a census's peak memory
-        self.work = [np.empty_like(self.cos2k) for _ in range(_M22_WORK)]
+            self.icot = 1j * (cos_k / sin_k)
+        del cos_k, sin_k  # before the work arrays exist: they would raise a census's peak memory
+        self.block_rows = max(1, _BLOCK // nr)
+        block = (min(self.block_rows, ni), nr)
+        self.work = [np.empty(block, dtype=complex) for _ in range(_M22_WORK)]
+        self.abs_m22 = np.empty((ni, nr))
+
+    def residual(self, spec: ChainSpec) -> np.ndarray:
+        """``|M22|`` on the lattice, block by block, in :attr:`abs_m22`.
+
+        It equals ``np.abs(pole_residual(spec, kk))`` on the lattice ``kk``
+        bit for bit, so the seeds depend neither on the block size nor on
+        whether the factors were shared. The array is overwritten by the
+        next call.
+        """
+        for start in range(0, len(self.im), self.block_rows):
+            rows = slice(start, start + self.block_rows)
+            block = self.cos2k[rows]
+            work = [w[: len(block)] for w in self.work]
+            m22 = _m22_array(spec, block, self.icot[rows], work)
+            np.abs(m22, out=self.abs_m22[rows])
+        return self.abs_m22
 
     def seeds(self, spec: ChainSpec) -> list[complex]:
-        """Interior local minima of ``|M22|`` on the lattice, deepest first.
-
-        ``|M22|`` equals ``np.abs(pole_residual(spec, kk))`` on the lattice
-        ``kk`` bit for bit, so the seeds do not depend on whether the factors
-        were shared.
-        """
-        a = np.abs(_m22_array(spec, self.cos2k, self.icot, self.work))
+        """Interior local minima of ``|M22|`` on the lattice, deepest first."""
+        a = self.residual(spec)
         a[~np.isfinite(a)] = np.inf
         inner = a[1:-1, 1:-1]
-        is_min = np.ones_like(inner, dtype=bool)
-        for di in (-1, 0, 1):
-            for dj in (-1, 0, 1):
-                if di == 0 and dj == 0:
-                    continue
-                is_min &= inner <= a[1 + di : a.shape[0] - 1 + di, 1 + dj : a.shape[1] - 1 + dj]
-        ii, jj = np.where(is_min)
+        ii, jj = np.nonzero(_interior_minima(a))
         order = np.argsort(inner[ii, jj])
         ii, jj = ii[order] + 1, jj[order] + 1
         return [complex(k) for k in self.re[jj] + 1j * self.im[ii]]
+
+
+def _lattice_cos_sin(re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``cos`` and ``sin`` of the lattice ``re[None, :] + 1j * im[:, None]``.
+
+    Built from ``cos(a + ib) = cos a cosh b - i sin a sinh b`` and
+    ``sin(a + ib) = sin a cosh b + i cos a sinh b`` with the real libm
+    functions, which takes ``len(re) + len(im)`` real transcendentals instead
+    of one complex one per lattice point. The C library's complex ``cos`` and
+    ``sin``, which ``np.cos`` and ``np.sin`` call, form each entry as the same
+    products of the same real libm values, so the arrays equal ``np.cos`` and
+    ``np.sin`` of the lattice bit for bit (the tests compare their bytes).
+    Doubling a lattice is exact, so ``2 * re`` and ``2 * im`` give the
+    lattice ``2k``.
+    """
+    cos_a, sin_a = (np.array([f(a) for a in re]) for f in (math.cos, math.sin))
+    cosh_b, sinh_b = (np.array([f(b) for b in im])[:, None] for f in (math.cosh, math.sinh))
+    cos, sin = (np.empty((len(im), len(re)), dtype=complex) for _ in range(2))
+    cos.real, cos.imag = cosh_b * cos_a, -(sinh_b * sin_a)
+    sin.real, sin.imag = cosh_b * sin_a, sinh_b * cos_a
+    return cos, sin
+
+
+def _interior_minima(a: np.ndarray) -> np.ndarray:
+    """Mask of the interior points of ``a`` no larger than any of their eight neighbours.
+
+    The 3x3 window minimum is taken separably, first along rows and then
+    along columns. Since the window holds the point itself, ``inner <=
+    window`` says exactly that the point is no larger than each neighbour,
+    ties included, provided ``a`` holds no NaN (the seed grid sets non-finite
+    values to ``inf`` first).
+    """
+    across = np.minimum(np.minimum(a[:, :-2], a[:, 1:-1]), a[:, 2:])
+    window = np.minimum(np.minimum(across[:-2], across[1:-1]), across[2:])
+    return a[1:-1, 1:-1] <= window
 
 
 def _near_singular_vertical(k: complex) -> bool:

@@ -105,9 +105,15 @@ def chebyshev_tu(n: int, x):
     t_prev, u_prev = one, zero  # T_0, U_{-1}
     t_cur, u_cur = x * one, one  # T_1, U_0
     two_x = 2 * x  # ``2 * x * t`` parses as ``(2 * x) * t``: hoisting moves no bit
-    for _ in range(n - 1):
-        t_prev, t_cur = t_cur, two_x * t_cur - t_prev
-        u_prev, u_cur = u_cur, two_x * u_cur - u_prev
+    # two steps per pass, each term overwriting the older one: no tuple swaps
+    for _ in range((n - 1) // 2):
+        t_prev = two_x * t_cur - t_prev
+        u_prev = two_x * u_cur - u_prev
+        t_cur = two_x * t_prev - t_cur
+        u_cur = two_x * u_prev - u_cur
+    if (n - 1) % 2:
+        t_cur = two_x * t_cur - t_prev
+        u_cur = two_x * u_cur - u_prev
     return t_cur, u_cur
 
 
@@ -133,15 +139,17 @@ def _chebyshev_tu_rescaled(n: int, x: complex) -> tuple[complex, complex, int]:
     return t_cur, u_cur, exp
 
 
-def _transfer_terms(spec: ChainSpec, k: complex) -> tuple[complex, complex, complex, complex, int]:
+def _transfer_terms(
+    spec: ChainSpec, k: complex
+) -> tuple[complex, complex, complex, complex, int, complex]:
     """Chebyshev terms of the plane-wave transfer matrix at wavenumber ``k``.
 
-    Returns ``(T_N(x), diag, U_{N-1}(x), sin k, e)`` with the branch-free
+    Returns ``(T_N(x), diag, U_{N-1}(x), sin k, e, x)`` with the branch-free
     ``x = cos 2k + gamma**2/2`` and ``diag = i cot k (1 - x) U_{N-1}(x)``, so
     that ``M22 = (T_N - diag) 2**e`` and ``M11 = (T_N + diag) 2**e``. The
     exponent ``e`` is 0 unless ``T_N`` or ``diag`` overflows in the plain
     recurrence; then the terms come from :func:`_chebyshev_tu_rescaled`,
-    divided by ``2**e``.
+    divided by ``2**e``. At real ``k``, ``x`` is a float.
 
     Raises
     ------
@@ -162,7 +170,7 @@ def _transfer_terms(spec: ChainSpec, k: complex) -> tuple[complex, complex, comp
     if not (cmath.isfinite(t_n) and cmath.isfinite(diag)):
         t_n, u_nm1, exp = _chebyshev_tu_rescaled(spec.n_cells, x)
         diag = cot_factor * u_nm1
-    return t_n, diag, u_nm1, sink, exp
+    return t_n, diag, u_nm1, sink, exp, x
 
 
 def _assemble(
@@ -197,7 +205,7 @@ def plane_wave_transfer(spec: ChainSpec, k: complex) -> Matrix2C:
         When the entries exceed the double range (long chains with
         ``|cos 2k + gamma**2/2| > 1``).
     """
-    t_n, diag, u_nm1, sink, exp = _transfer_terms(spec, k)
+    t_n, diag, u_nm1, sink, exp, _ = _transfer_terms(spec, k)
     if exp:
         raise NumericalFailure(
             f"transfer matrix entries overflow at k={k!r} "
@@ -225,12 +233,22 @@ def transmission_closed_form(spec: ChainSpec, k: float) -> float:
     """
     if not 0.0 < k < math.pi:
         raise OutOfRange(f"real scattering requires k in (0, pi), got {k!r}")
-    g = spec.gamma
-    sink = math.sin(k)
-    x = math.cos(2 * k) + 0.5 * g * g
+    x = _closed_form_x(spec, k)
     _, u_nm1 = chebyshev_tu(spec.n_cells, x)
+    return _closed_form_transmission(spec, k, x, u_nm1)
+
+
+def _closed_form_x(spec: ChainSpec, k: float) -> float:
+    """The closed form's ``x = cos 2k + gamma**2/2``, in real arithmetic."""
+    return math.cos(2 * k) + 0.5 * spec.gamma * spec.gamma
+
+
+def _closed_form_transmission(spec: ChainSpec, k: float, x: float, u_nm1: float) -> float:
+    """:func:`transmission_closed_form` from its ``x`` and ``U_{N-1}(x)``."""
     if not math.isfinite(u_nm1):
         return 0.0
+    g = spec.gamma
+    sink = math.sin(k)
     inv_t = 1.0 - g * g * (1.0 - x) * u_nm1 * u_nm1 / (2.0 * sink * sink)
     if abs(inv_t) < CLOSED_FORM_FLOOR:
         raise SpectralSingularityError(
@@ -245,7 +263,13 @@ def scatter(spec: ChainSpec, k: float) -> ScatterResult:
     ``t = 1/M22``, ``r_left = -M21/M22``, ``r_right = M12/M22``. The
     transmission is additionally cross-checked against the independent
     real-arithmetic closed form on every call (1e-9 relative, widened by
-    the closed form's own quadratic error floor near singularities).
+    the closed form's own quadratic error floor near singularities). The
+    closed form needs ``U_{N-1}(x)`` at ``x = cos 2k + gamma*gamma/2``; when
+    the matrix route's ``x`` (formed with ``gamma**2``) has the same bits
+    and its recurrence did not rescale, its ``U_{N-1}`` is that value bit for
+    bit and is reused. Otherwise (``0.5*gamma**2 != 0.5*gamma*gamma`` for
+    about 0.08% of gamma, or rescaled entries) the closed form runs its own
+    recurrence. Either way the reference, and so the check, is the same.
     On long chains whose entries approach or exceed the double range, they
     are evaluated rescaled by a power of two: ``T`` underflows toward 0 while
     ``R_left`` and ``R_right`` stay finite.
@@ -262,7 +286,9 @@ def scatter(spec: ChainSpec, k: float) -> ScatterResult:
     """
     if not 0.0 < k < math.pi:
         raise OutOfRange(f"real scattering requires k in (0, pi), got {k!r}")
-    t_n, diag, u_nm1, sink, exp = _transfer_terms(spec, k)
+    t_n, diag, u_nm1, sink, exp, x = _transfer_terms(spec, k)
+    # the closed form's own recurrence would run on these bits again
+    reuse_u = u_nm1 if not exp and x == _closed_form_x(spec, k) else None
     if abs(u_nm1) > 2.0**512:
         # leave the entries and their quotients headroom; scaling by 2**-512 is exact
         t_n, diag, u_nm1 = t_n * 2.0**-512, diag * 2.0**-512, u_nm1 * 2.0**-512
@@ -277,7 +303,10 @@ def scatter(spec: ChainSpec, k: float) -> ScatterResult:
     r_left = -m.m21 / m.m22
     r_right = m.m12 / m.m22
     big_t = abs(t) ** 2
-    reference = transmission_closed_form(spec, k)
+    if reuse_u is None:
+        reference = transmission_closed_form(spec, k)
+    else:
+        reference = _closed_form_transmission(spec, k, x, reuse_u)
     # the closed form computes 1/T as an O(1) difference, so the reference
     # carries an absolute error ~ ulp * T^2 near singularities; allow for it
     allowance = 1e-9 * max(1.0, abs(reference)) + 1e-13 * reference * reference

@@ -37,7 +37,7 @@ from ptchain import (
 )
 from ptchain import poles
 from ptchain.poles import DEFAULT_REGION, EDGE_MARGIN
-from transfer_oracles import imaginary_branch_excluded, plain_m22_array
+from transfer_oracles import eight_neighbour_minima, imaginary_branch_excluded, plain_m22_array
 
 PI = math.pi
 
@@ -488,7 +488,7 @@ def seed_grids():
 
 @pytest.mark.parametrize("n", [1, 3, 8, 20, 50, 400])
 def test_shared_grid_factors_give_the_plain_residual_bitwise(n, seed_grids):
-    """|M22| from the shared factors is bitwise the plain array expression's.
+    """|M22| from the shared factors, block by block, is bitwise the plain array expression's.
 
     The grids carry their work arrays over from earlier cases; N = 400
     overflows the recurrence at large gamma (its density-90 case is left out
@@ -500,10 +500,54 @@ def test_shared_grid_factors_give_the_plain_residual_bitwise(n, seed_grids):
         for g in gammas:
             spec = ChainSpec(n, g)
             plain = np.abs(plain_m22_array(spec, kk))
-            shared = np.abs(poles._m22_array(spec, grid.cos2k, grid.icot, grid.work))
+            shared = grid.residual(spec)
             assert np.array_equal(shared, plain, equal_nan=True)
             if grid is seed_grids[2]:  # the public array path assembles M22 alike
                 assert np.array_equal(np.abs(pole_residual(spec, kk)), plain, equal_nan=True)
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+def test_grid_blocks_of_any_row_count_give_the_plain_residual_bitwise(rows, monkeypatch):
+    """One-row blocks, and 7-row blocks that leave a 6-row remainder of the 181 rows."""
+    region, density = DEFAULT_REGION, 60
+    nr = len(poles._SeedGrid(region, density).re)
+    monkeypatch.setattr(poles, "_BLOCK", rows * nr + nr - 1)
+    grid = poles._SeedGrid(region, density)
+    assert grid.block_rows == rows and len(grid.im) == 181 and 181 % rows in (0, 6)
+    kk = grid.re[None, :] + 1j * grid.im[:, None]
+    for n, g in ((3, 0.7), (20, 1.9), (50, threshold_ladder(50).gamma_values[25])):
+        spec = ChainSpec(n, g)
+        plain = np.abs(plain_m22_array(spec, kk))
+        assert np.array_equal(grid.residual(spec), plain, equal_nan=True)
+
+
+@pytest.mark.parametrize("region", [
+    DEFAULT_REGION, first_quadrant_region(6.0), SearchRegion(-0.3, 2.9, -2.5, 0.7),
+])
+def test_lattice_trig_equals_numpy_complex_trig_bitwise(region):
+    """cos and sin of the lattice from its axes have the bytes of np.cos and np.sin, zeros' signs too."""
+    for density in (60, 73):
+        grid = poles._SeedGrid(region, density)
+        kk = grid.re[None, :] + 1j * grid.im[:, None]
+        for scale in (1, 2):
+            cos, sin = poles._lattice_cos_sin(scale * grid.re, scale * grid.im)
+            assert cos.tobytes() == np.cos(scale * kk).tobytes()
+            assert sin.tobytes() == np.sin(scale * kk).tobytes()
+
+
+def test_window_minimum_equals_eight_neighbour_comparisons(rng):
+    """Ties and inf plateaus included, the separable 3x3 minimum picks the same points."""
+    for shape in ((3, 3), (4, 9), (17, 12), (40, 41)):
+        for _ in range(25):
+            a = rng.integers(0, 4, shape).astype(float)  # few levels: many ties
+            a[rng.random(shape) < 0.2] = np.inf
+            if rng.random() < 0.2:
+                a[: shape[0] // 2] = np.inf  # a plateau of inf
+            assert np.array_equal(poles._interior_minima(a), eight_neighbour_minima(a))
+        a = rng.random(shape)
+        assert np.array_equal(poles._interior_minima(a), eight_neighbour_minima(a))
+    flat = np.full((5, 6), np.inf)
+    assert poles._interior_minima(flat).all() and eight_neighbour_minima(flat).all()
 
 
 # ---- imaginary-axis exclusion --------------------------------------------------

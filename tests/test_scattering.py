@@ -26,6 +26,7 @@ from ptchain import (
     threshold_ladder,
     transmission_closed_form,
 )
+from ptchain import scattering
 from ptchain.scattering import _chebyshev_tu_rescaled
 from transfer_oracles import (
     Matrix2,
@@ -74,12 +75,16 @@ def test_chebyshev_scalar_and_edge_orders():
 
 
 def test_chebyshev_equals_the_plain_recurrence_bitwise(rng):
-    """Forming ``2 * x`` once, outside the loop, moves no bit."""
+    """Forming ``2 * x`` once and taking two steps per pass moves no bit.
+
+    Every order up to 13 covers both parities of the two-step loop; the
+    orders from 400 up overflow for ``|x| > 1``.
+    """
     reals = [float(v) for v in rng.uniform(-3.0, 3.0, 6)]
     complexes = [complex(a, b) for a, b in rng.uniform(-2.0, 2.0, (6, 2))]
     arrays = [rng.uniform(-3.0, 3.0, 40), rng.uniform(-2, 2, 40) + 1j * rng.uniform(-2, 2, 40)]
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in (0, 1, 2, 3, 8, 57, 400, 807):
+        for n in (*range(14), 57, 400, 807, 2000):
             for x in reals + complexes + arrays:
                 got = chebyshev_tu(n, x)
                 want = plain_chebyshev_tu(n, x)
@@ -258,6 +263,58 @@ def test_scatter_stays_finite_where_the_recurrence_overflows(k):
     assert transmission_closed_form(spec, k) == 0.0
     with pytest.raises(NumericalFailure):
         plane_wave_transfer(spec, k)
+
+
+def test_scatter_cross_checks_against_the_closed_form_value(rng, monkeypatch):
+    """The reference ``scatter`` checks against is ``transmission_closed_form`` to the bit.
+
+    Reusing the matrix route's ``U_{N-1}`` is exact only when both routes form
+    ``x`` with the same bits; at a gamma where ``0.5*g**2 != 0.5*g*g`` and
+    where the recurrence overflows, the closed form runs its own recurrence.
+    """
+    odd_gamma = 0.8862418894599235
+    assert 0.5 * odd_gamma**2 != 0.5 * odd_gamma * odd_gamma
+    cases = [(ChainSpec(5, odd_gamma), 1.1, True), (ChainSpec(5, 0.8862), 1.1, False),
+             (ChainSpec(807, 1.62), 0.01, True)]
+    for _ in range(200):
+        spec = ChainSpec(int(rng.integers(1, 60)), float(rng.uniform(0.0, 2.0)))
+        cases.append((spec, float(rng.uniform(0.01, math.pi - 0.01)), None))
+    closed_form, tail = scattering.transmission_closed_form, scattering._closed_form_transmission
+    for spec, k, fallback in cases:
+        references, own_runs = [], []
+        monkeypatch.setattr(scattering, "_closed_form_transmission",
+                            lambda *a: references.append(tail(*a)) or references[-1])
+        monkeypatch.setattr(scattering, "transmission_closed_form",
+                            lambda *a: own_runs.append(a) or closed_form(*a))
+        try:
+            scatter(spec, k)
+        except SpectralSingularityError:
+            continue
+        finally:
+            monkeypatch.undo()
+        assert references == [closed_form(spec, k)]
+        if fallback is not None:
+            assert len(own_runs) == fallback
+
+
+def test_scatter_cross_check_catches_a_perturbed_matrix_route(rng, monkeypatch):
+    """M22 off by one part in 1e6 moves T by 2e-6, far outside the 1e-9 allowance.
+
+    The allowance is relative where T is of order one, as on these short,
+    weakly non-Hermitian chains (it is absolute below T = 1 and widens
+    quadratically far above it).
+    """
+    assemble = scattering._assemble
+
+    def perturbed(*args):
+        m = assemble(*args)
+        return scattering.Matrix2C(m.m11, m.m12, m.m21, m.m22 * (1.0 + 1e-6))
+
+    monkeypatch.setattr(scattering, "_assemble", perturbed)
+    for _ in range(20):
+        spec = ChainSpec(int(rng.integers(1, 9)), float(rng.uniform(0.05, 0.5)))
+        with pytest.raises(NumericalFailure):
+            scatter(spec, float(rng.uniform(0.3, math.pi - 0.3)))
 
 
 def test_scatter_rejects_wavenumber_outside_open_interval():

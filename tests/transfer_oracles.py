@@ -14,10 +14,13 @@ closed form against them:
 - ``imaginary_branch_excluded``, the evanescent-regime argument that no pole
   sits on the real axis when ``mu`` is imaginary.
 
-Two more are bit references rather than independent routes:
+Three more are bit references rather than independent routes:
 ``plain_chebyshev_tu`` is the Chebyshev recurrence with ``2 * x`` formed
-inside its loop, and ``plain_m22_array`` is the array residual ``M22`` as one
-numpy expression. The package's rearranged loops must match them bit for bit.
+inside its loop, one step per pass, and ``plain_m22_array`` is the array
+residual ``M22`` as one numpy expression over the whole array. The package's
+rearranged and blocked loops must match them bit for bit.
+``eight_neighbour_minima`` is the seed grid's local-minimum test as eight
+shifted comparisons.
 """
 
 from __future__ import annotations
@@ -225,3 +228,15 @@ def plain_m22_array(spec: ChainSpec, k: np.ndarray) -> np.ndarray:
         x = np.cos(2 * k) + 0.5 * spec.gamma**2
         t_n, u_nm1 = plain_chebyshev_tu(spec.n_cells, x)
         return t_n - 1j * (np.cos(k) / np.sin(k)) * (1.0 - x) * u_nm1
+
+
+def eight_neighbour_minima(a: np.ndarray) -> np.ndarray:
+    """Mask of the interior points of ``a`` no larger than each of their eight neighbours."""
+    inner = a[1:-1, 1:-1]
+    is_min = np.ones_like(inner, dtype=bool)
+    for di in (-1, 0, 1):
+        for dj in (-1, 0, 1):
+            if di == 0 and dj == 0:
+                continue
+            is_min &= inner <= a[1 + di : a.shape[0] - 1 + di, 1 + dj : a.shape[1] - 1 + dj]
+    return is_min
