@@ -3,6 +3,8 @@
 Usage::
 
     python scripts/bench_pairs.py PARENT_ROOT --workload pole_census --pairs 10 --seed0 101
+    python scripts/bench_pairs.py PARENT_ROOT --workload paper_figures pole_census \
+        --pairs 10 --seed0 101 --json BENCH.json
 
 ``PARENT_ROOT`` is the root of the checkout to compare against; the other
 side is the checkout holding this script. Pair ``i`` runs
@@ -17,8 +19,14 @@ median and quartiles, the ratio of the medians, the pairs the change won
 (ties count for neither), and whether a gain could be claimed: the change
 wins at least nine tenths of the pairs and the medians differ by more than
 the distance between the parent's quartiles. It also prints ``correct`` and
-the failed operations per side. It exits 1 when a run fails or prints no
-result.
+the failed operations per side. Several workloads run one after another,
+each with ``--pairs`` pairs from seed ``SEED0``. It exits 1 when a run fails
+or prints no result.
+
+With ``--json PATH`` it also writes, per workload, every run's result line
+and machine facts and the printed summary as numbers: each metric's medians,
+quartiles, ratio, pair wins and claim, and each side's ``correct`` count and
+failed operations.
 """
 
 from __future__ import annotations
@@ -34,14 +42,19 @@ HERE = Path(__file__).resolve().parents[1]
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced benchmark run in ``root``; its final JSON line."""
+    """One untraced benchmark run in ``root``: its final JSON line, with its
+    machine facts under ``machine``."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
             "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(argv, cwd=root, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"{root}: exit {proc.returncode}\n{proc.stderr[-2000:]}")
-    return json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    machine = [line for line in lines if line.startswith("machine ")]
+    if machine:
+        result["machine"] = json.loads(machine[-1][len("machine "):])
+    return result
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -51,15 +64,48 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def summary(name: str, better: str, parent: list[float], change: list[float]) -> str:
+def summary(better: str, parent: list[float], change: list[float]) -> dict:
+    """Medians, quartiles, ratio, pair wins and the claim rule for one metric."""
     sign = 1.0 if better == "lower" else -1.0
     wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
     p1, pm, p3 = quartiles(parent)
     c1, cm, c3 = quartiles(change)
-    claim = wins >= 0.9 * len(parent) and sign * (pm - cm) > p3 - p1
-    return (f"{name}: parent {pm:.4g} ({p1:.4g}-{p3:.4g})  change {cm:.4g} ({c1:.4g}-{c3:.4g})"
-            f"  ratio {cm / pm:.3f}  change {better} in {wins}/{len(parent)} pairs"
-            f"  gain claimable: {'yes' if claim else 'no'}")
+    return {
+        "better": better,
+        "parent": {"median": pm, "q1": p1, "q3": p3},
+        "change": {"median": cm, "q1": c1, "q3": c3},
+        "ratio": cm / pm,
+        "change_wins": wins,
+        "pairs": len(parent),
+        "gain_claimable": wins >= 0.9 * len(parent) and sign * (pm - cm) > p3 - p1,
+    }
+
+
+def summary_line(name: str, s: dict) -> str:
+    p, c = s["parent"], s["change"]
+    return (f"{name}: parent {p['median']:.4g} ({p['q1']:.4g}-{p['q3']:.4g})"
+            f"  change {c['median']:.4g} ({c['q1']:.4g}-{c['q3']:.4g})"
+            f"  ratio {s['ratio']:.3f}  change {s['better']} in {s['change_wins']}/{s['pairs']} pairs"
+            f"  gain claimable: {'yes' if s['gain_claimable'] else 'no'}")
+
+
+def run_pairs(sides: dict[str, Path], workload: str, pairs: int, seed0: int,
+              seconds: float) -> dict[str, list[dict]] | None:
+    """Every run's result per side, or None when a run fails."""
+    results: dict[str, list[dict]] = {"parent": [], "change": []}
+    for i in range(pairs):
+        seed = seed0 + i
+        for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+            try:
+                result = run_once(sides[side], workload, seed, seconds)
+            except (RuntimeError, json.JSONDecodeError) as exc:
+                print(f"pair {i} seed {seed} {side}: no result: {exc}", file=sys.stderr)
+                return None
+            results[side].append(result)
+            values = {n: round(m["value"], 4) for n, m in result["metrics"].items()}
+            print(f"pair {i} seed {seed} {side}: correct {result['correct']} "
+                  f"failed {result['failed']}/{result['attempted']} {values}", flush=True)
+    return results
 
 
 def main(argv: list[str]) -> int:
@@ -67,36 +113,39 @@ def main(argv: list[str]) -> int:
         description=__doc__.split("\n")[0],
         epilog="See the module docstring for the pairing and the claim rule.")
     parser.add_argument("parent_root", type=Path, help="root of the checkout to compare against")
-    parser.add_argument("--workload", required=True,
+    parser.add_argument("--workload", required=True, nargs="+",
                         choices=("paper_figures", "pole_census", "stationary_sweeps"))
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seed0", type=int, required=True, help="seed of the first pair")
+    parser.add_argument("--json", type=Path, metavar="PATH",
+                        help="write the runs and the summary to PATH")
     args = parser.parse_args(argv)
 
     bench = json.loads((HERE / "BENCHMARK.json").read_text())
     sides = {"parent": args.parent_root.resolve(), "change": HERE}
-    results: dict[str, list[dict]] = {"parent": [], "change": []}
-    for i in range(args.pairs):
-        seed = args.seed0 + i
-        for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-            try:
-                result = run_once(sides[side], args.workload, seed, bench["run_seconds"])
-            except (RuntimeError, json.JSONDecodeError) as exc:
-                print(f"pair {i} seed {seed} {side}: no result: {exc}", file=sys.stderr)
-                return 1
-            results[side].append(result)
-            values = {n: round(m["value"], 4) for n, m in result["metrics"].items()}
-            print(f"pair {i} seed {seed} {side}: correct {result['correct']} "
-                  f"failed {result['failed']}/{result['attempted']} {values}", flush=True)
-
-    print(f"\n{args.workload}, {args.pairs} pairs, seeds {args.seed0}-{args.seed0 + args.pairs - 1}")
-    for metric in bench["end_to_end"]:
-        name = metric["name"]
-        parent, change = ([r["metrics"][name]["value"] for r in results[s]] for s in sides)
-        print(summary(name, metric["better"], parent, change))
-    for side, runs in results.items():
-        print(f"{side}: correct in {sum(r['correct'] for r in runs)}/{len(runs)} runs, "
-              f"failed operations {[r['failed'] for r in runs]}")
+    report = {"run_seconds": bench["run_seconds"], "workloads": {}}
+    for workload in args.workload:
+        results = run_pairs(sides, workload, args.pairs, args.seed0, bench["run_seconds"])
+        if results is None:
+            return 1
+        seeds = [args.seed0, args.seed0 + args.pairs - 1]
+        print(f"\n{workload}, {args.pairs} pairs, seeds {seeds[0]}-{seeds[1]}")
+        metrics = {}
+        for metric in bench["end_to_end"]:
+            name = metric["name"]
+            parent, change = ([r["metrics"][name]["value"] for r in results[s]] for s in sides)
+            metrics[name] = summary(metric["better"], parent, change)
+            print(summary_line(name, metrics[name]))
+        outcome = {side: {"correct": sum(r["correct"] for r in runs), "runs": len(runs),
+                          "failed": [r["failed"] for r in runs]}
+                   for side, runs in results.items()}
+        for side, o in outcome.items():
+            print(f"{side}: correct in {o['correct']}/{o['runs']} runs, "
+                  f"failed operations {o['failed']}")
+        report["workloads"][workload] = {"pairs": args.pairs, "seeds": seeds, "metrics": metrics,
+                                         "outcome": outcome, "runs": results}
+    if args.json:
+        args.json.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     return 0
 
 

@@ -22,7 +22,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DecompositionFailed, InsufficientGrowth, OutOfRange
-from .model import ChainSpec
+from .model import ChainSpec, onsite_profile
 
 __all__ = [
     "LatticeLayout",
@@ -38,6 +38,10 @@ __all__ = [
     "growth_rate_fit",
     "validity_horizon",
 ]
+
+#: Condition estimate (inverse smallest left-right mode overlap) above which
+#: a propagator bundle is near-defective and :func:`evolve` steps by RK4.
+NEAR_DEFECTIVE_CONDITION = 1e8
 
 
 @dataclass(frozen=True)
@@ -97,8 +101,8 @@ def build_hamiltonian(layout: LatticeLayout, spec: ChainSpec) -> np.ndarray:
     idx = np.arange(size - 1)
     h[idx, idx + 1] = -1.0
     h[idx + 1, idx] = -1.0
-    for j in range(2 * spec.n_cells):
-        h[layout.global_index(j), layout.global_index(j)] = (-1) ** j * 1j * spec.gamma
+    for p in onsite_profile(spec):
+        h[layout.global_index(p.site_index), layout.global_index(p.site_index)] = p.value
     return h
 
 
@@ -175,18 +179,17 @@ def _matvec_factory(h: np.ndarray):
     return matvec
 
 
-def prepare_propagator(h: np.ndarray, flag_threshold: float = 1e8) -> PropagatorBundle:
+def prepare_propagator(h: np.ndarray) -> PropagatorBundle:
     """Full spectral decomposition with biorthogonal left/right mode pairs.
+
+    Above a condition estimate of :data:`NEAR_DEFECTIVE_CONDITION` the
+    bundle is flagged near-defective and :func:`evolve` uses direct RK4
+    stepping instead of the spectral path.
 
     Parameters
     ----------
     h : ndarray
         Square complex matrix.
-    flag_threshold : float
-        Overlap-conditioning level above which the bundle is flagged
-        near-defective and :func:`evolve` uses direct RK4 stepping instead of
-        the spectral path. Set to 0 to force the stepping path (useful for
-        cross-validating the two).
 
     Raises
     ------
@@ -215,7 +218,7 @@ def prepare_propagator(h: np.ndarray, flag_threshold: float = 1e8) -> Propagator
     overlaps = np.einsum("ij,ij->j", vl.conj(), vr)
     min_overlap = float(np.min(np.abs(overlaps)))
     condition = math.inf if min_overlap == 0.0 else 1.0 / min_overlap
-    near_defective = condition > flag_threshold
+    near_defective = condition > NEAR_DEFECTIVE_CONDITION
     if not near_defective:
         vl /= overlaps.conj()[None, :]
     return PropagatorBundle(

@@ -39,7 +39,11 @@ class MissedRoots(NumericalFailure):
 
 
 class NonConvergence(NumericalFailure):
-    """Iterative refinement failed to converge from all available seeds."""
+    """Iterative refinement failed to converge.
+
+    Raised when Newton, started from a pencil eigenvalue that no grid root
+    matches, fails or lands farther than the pencil tolerance from it.
+    """
 
 
 class BranchLost(NumericalFailure):

@@ -68,8 +68,9 @@ RESIDUAL_TOL = 1e-10
 DEDUP_TOL = 1e-8
 #: Exclusion margin around the singular verticals Re k in {-pi, 0, pi}.
 EDGE_MARGIN = 1e-4
-#: A grid root and a polished pencil root closer than this (in k) are one pole;
-#: also the pad around the region within which pencil eigenvalues are polished.
+#: A grid root and a pencil eigenvalue closer than this (in k) are one pole;
+#: also the pad around the region within which pencil eigenvalues are taken,
+#: and the farthest Newton may move a pencil eigenvalue it polishes.
 PENCIL_TOL = 1e-6
 
 
@@ -371,36 +372,18 @@ def _near_singular_vertical(k: complex) -> bool:
 
 
 def _collect_roots(spec: ChainSpec, grid: _SeedGrid) -> list[complex]:
+    """Newton roots from the grid seeds; a seed Newton fails from is dropped.
+
+    A pole behind a dropped seed is still an in-region pencil eigenvalue, so
+    :func:`_pencil_audit` adds it.
+    """
     region = grid.region
     roots: list[complex] = []
     for seed in grid.seeds(spec):
         if _near_singular_vertical(seed):
             continue
         root = _newton(spec, seed)
-        if root is None:
-            # A deep minimum with no converged root nearby is a genuine
-            # failure; shallow minima are grid artifacts and are dropped.
-            try:
-                deep = abs(pole_residual(spec, seed)) < 1e-6
-            except SingularBasis:
-                deep = False
-            if deep:
-                _log.debug(
-                    "Newton failed from deep seed k=%r (N=%d, gamma=%r); retrying jittered",
-                    seed, spec.n_cells, spec.gamma,
-                )
-                for jitter in (1e-4, -1e-4, 1e-4j, -1e-4j):
-                    root = _newton(spec, seed + jitter)
-                    if root is not None:
-                        break
-                else:
-                    raise NonConvergence(
-                        f"Newton failed from deep seed {seed!r} (N={spec.n_cells}, "
-                        f"gamma={spec.gamma})"
-                    )
-            else:
-                continue
-        if not region.contains(root) or _near_singular_vertical(root):
+        if root is None or not region.contains(root) or _near_singular_vertical(root):
             continue
         if all(abs(root - r) > DEDUP_TOL for r in roots):
             roots.append(root)
@@ -431,38 +414,32 @@ def _pencil_wavenumbers(spec: ChainSpec) -> np.ndarray:
 def _pencil_audit(spec: ChainSpec, region: SearchRegion, roots: list[complex]) -> None:
     """Check grid roots against the pencil and append the roots the grid missed.
 
-    Pencil eigenvalues whose ``k`` lies in ``region`` (padded by
-    :data:`PENCIL_TOL`) and, like the grid seeds, off the singular verticals
-    are polished by Newton; when Newton fails from one, a
-    grid root within :data:`PENCIL_TOL` stands in for it. Every grid root
-    must have a polished partner within :data:`PENCIL_TOL`, else
-    :class:`MissedRoots` is raised; unpartnered pencil roots inside the
-    region are appended to ``roots``.
+    The pencil eigenvalues taken are those whose ``k`` lies in ``region``
+    (padded by :data:`PENCIL_TOL`) and, like the grid seeds, off the singular
+    verticals. Every grid root must lie within :data:`PENCIL_TOL` of one of
+    them, else :class:`MissedRoots` is raised. An eigenvalue with no grid
+    root that close is polished by Newton, which must converge within
+    :data:`PENCIL_TOL` of it, else :class:`NonConvergence` is raised; the
+    polished root is appended to ``roots`` when it lies in the region, off
+    the verticals and farther than :data:`PENCIL_TOL` from every root.
     """
-    polished: list[complex] = []
-    for seed in map(complex, _pencil_wavenumbers(spec)):
-        if not region.contains(seed, pad=PENCIL_TOL) or _near_singular_vertical(seed):
-            continue
-        root = _newton(spec, seed)
-        if root is None:
-            root = next((r for r in roots if abs(r - seed) <= PENCIL_TOL), None)
-            if root is None:
-                raise NonConvergence(
-                    f"Newton failed from pencil eigenvalue k={seed!r} with no grid root "
-                    f"nearby (N={spec.n_cells}, gamma={spec.gamma})"
-                )
-            _log.debug(
-                "Newton failed from pencil eigenvalue k=%r (N=%d, gamma=%r); "
-                "grid root k=%r stands in", seed, spec.n_cells, spec.gamma, root,
-            )
-        polished.append(root)
+    pencil = [
+        k for k in map(complex, _pencil_wavenumbers(spec))
+        if region.contains(k, pad=PENCIL_TOL) and not _near_singular_vertical(k)
+    ]
     for r in roots:
-        if all(abs(r - q) > PENCIL_TOL for q in polished):
+        if all(abs(r - k) > PENCIL_TOL for k in pencil):
             raise MissedRoots(
                 f"grid root k={r!r} has no partner among the outgoing-wave pencil "
                 f"roots (N={spec.n_cells}, gamma={spec.gamma})"
             )
-    for q in polished:
+    for k in [k for k in pencil if all(abs(k - r) > PENCIL_TOL for r in roots)]:
+        q = _newton(spec, k)
+        if q is None or abs(q - k) > PENCIL_TOL:
+            raise NonConvergence(
+                f"Newton from pencil eigenvalue k={k!r} gave {q!r}, no root within "
+                f"{PENCIL_TOL} (N={spec.n_cells}, gamma={spec.gamma})"
+            )
         if (
             region.contains(q)
             and not _near_singular_vertical(q)
@@ -482,11 +459,12 @@ def find_poles(
 
     Grid minima of ``|M22|`` seed a damped Newton iteration (derivative by
     central difference, step 1e-6, residual target 1e-10, deduplication at
-    1e-8). The result is audited against the outgoing-wave pencil, whose
-    finite eigenvalues are every pole at once: each grid root must match a
-    Newton-polished pencil root within 1e-6 (else :class:`MissedRoots`), and
-    pencil roots in the region that the grid missed are added. At
-    ``gamma = 0`` the census is empty: ``M22 = e^{-2iNk}`` has no zeros.
+    1e-8); a seed Newton fails from is dropped. The outgoing-wave pencil,
+    whose finite eigenvalues are every pole at once, carries completeness:
+    each grid root must lie within 1e-6 of an in-region pencil eigenvalue
+    (else :class:`MissedRoots`), and each eigenvalue with no grid root that
+    close is polished by Newton and added. At ``gamma = 0`` the census is
+    empty: ``M22 = e^{-2iNk}`` has no zeros.
 
     The grid's gamma-independent factors ``cos 2k`` and ``i cot k`` are
     built once per call, or once per sweep when :func:`trace_trajectories`
@@ -510,8 +488,8 @@ def find_poles(
     MissedRoots
         A grid root has no pencil partner.
     NonConvergence
-        Newton fails from a pencil eigenvalue in the region with no grid
-        root within 1e-6 of it.
+        Newton from a pencil eigenvalue with no grid root within 1e-6 of it
+        fails, or converges farther than 1e-6 from it.
     """
     if region is None:
         region = DEFAULT_REGION

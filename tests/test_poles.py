@@ -23,6 +23,7 @@ from ptchain import (
     ChainSpec,
     MissedRoots,
     NonConvergence,
+    NumericalFailure,
     OutOfRange,
     PoleClass,
     SearchRegion,
@@ -152,6 +153,17 @@ def test_full_strip_census_is_complete_at_large_n(n, gamma):
     _check_census_symmetries(spec, found)
 
 
+@pytest.mark.xfail(raises=NumericalFailure, strict=True, reason=(
+    "Newton on M22 fails here: at gamma=1e-8 a spurious grid root passes its "
+    "acceptance (MissedRoots); at N=89, gamma=2.5 the rounding of M22 near "
+    "x = -1 keeps a pencil eigenvalue from converging (NonConvergence)"
+))
+@pytest.mark.parametrize("n, gamma", [(8, 1e-8), (89, 2.5)])
+def test_full_strip_census_at_known_failing_cells(n, gamma):
+    spec = ChainSpec(n, gamma)
+    _check_census_symmetries(spec, [r.k.as_complex() for r in find_poles(spec)])
+
+
 @settings(max_examples=12, deadline=None, derandomize=True, database=None)
 @given(n=st.integers(1, 20), gamma=st.floats(0.1, 1.9))
 def test_full_strip_census_matches_z_polynomial_property(n, gamma):
@@ -190,25 +202,37 @@ def test_pencil_audit_rejects_a_grid_root_without_partner(monkeypatch):
         find_poles(ChainSpec(3, 0.3))
 
 
-def test_pencil_seed_without_newton_falls_back_to_its_grid_root(monkeypatch, caplog):
+def test_matched_pencil_eigenvalues_are_not_polished(monkeypatch):
+    """Newton runs only from pencil eigenvalues that no grid root matches."""
     spec = ChainSpec(3, 0.3)
     expected = find_poles(spec)
     grid = poles._collect_roots(spec, poles._SeedGrid(DEFAULT_REGION, 60))
+    calls = []
     monkeypatch.setattr(poles, "_collect_roots", lambda *args: list(grid))
-    monkeypatch.setattr(poles, "_newton", lambda spec, seed: None)
-    with caplog.at_level(logging.DEBUG, logger="ptchain"):
-        assert find_poles(spec) == expected
-    stand_ins = [r for r in caplog.records if "stands in" in r.getMessage()]
-    assert len(stand_ins) == len(expected)
+    monkeypatch.setattr(poles, "_newton", lambda spec, seed: calls.append(seed))  # fails
+    assert find_poles(spec) == expected
+    assert calls == []
     monkeypatch.setattr(poles, "_collect_roots", lambda *args: [])
     with pytest.raises(NonConvergence):
         find_poles(spec)
 
 
-def test_deep_seed_retry_is_logged(monkeypatch, caplog):
-    """A deep grid seed whose first Newton fails is retried from a jittered seed."""
+def test_pencil_polish_must_stay_near_its_eigenvalue(monkeypatch):
+    """Newton landing farther than PENCIL_TOL from its eigenvalue raises."""
+    monkeypatch.setattr(poles, "_collect_roots", lambda *args: [])
+    monkeypatch.setattr(poles, "_newton", lambda spec, seed: seed + 1e-3)
+    with pytest.raises(NonConvergence):
+        find_poles(ChainSpec(3, 0.3))
+
+
+def test_failed_grid_seed_is_dropped_without_retry(monkeypatch):
+    """A grid seed Newton fails from is dropped; the pencil audit supplies its pole."""
     spec = ChainSpec(3, 0.3)
-    root = find_poles(spec)[-1].k.as_complex()
+    expected = find_poles(spec)
+    seeds = [
+        s for s in poles._SeedGrid(DEFAULT_REGION, 60).seeds(spec)
+        if not poles._near_singular_vertical(s)
+    ]
     newton = poles._newton
     attempts = []
 
@@ -216,13 +240,15 @@ def test_deep_seed_retry_is_logged(monkeypatch, caplog):
         attempts.append(seed)
         return None if len(attempts) == 1 else newton(spec, seed)
 
-    monkeypatch.setattr(poles._SeedGrid, "seeds", lambda self, spec: [root])
     monkeypatch.setattr(poles, "_newton", first_fails)
-    with caplog.at_level(logging.DEBUG, logger="ptchain"):
-        roots = poles._collect_roots(spec, poles._SeedGrid(DEFAULT_REGION, 60))
-    assert len(roots) == 1 and abs(roots[0] - root) < 1e-10
-    assert attempts[1] == root + 1e-4
-    assert any("retrying jittered" in r.getMessage() for r in caplog.records)
+    found = find_poles(spec)
+    # each grid seed once, in order, then the one pencil eigenvalue left unmatched
+    assert attempts[: len(seeds)] == seeds
+    assert len(attempts) == len(seeds) + 1
+    assert abs(attempts[-1] - newton(spec, seeds[0])) < poles.PENCIL_TOL
+    assert [r.classification for r in found] == [r.classification for r in expected]
+    for a, b in zip(found, expected):
+        assert abs(a.k.as_complex() - b.k.as_complex()) < 1e-12
 
 
 @pytest.mark.parametrize("n", [1, 3, 9, 10, 50])
