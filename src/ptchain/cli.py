@@ -10,6 +10,10 @@ evolve      wave-packet propagation snapshots and intensity bookkeeping
 relevance   physicality verdict and special scattering points
 figure      canned parameter presets (fig2a..fig8) for the above
 
+Each subcommand and preset mode is one runner ``runner(fmt, out, **params)``
+in ``_RUNNERS``. A subcommand passes the options it was given (under their
+``dest`` names), a preset its entries in :mod:`ptchain.presets`.
+
 Exit status: 0 success, 2 bad usage or out-of-range parameters, 3 numerical
 failure (missed roots, non-convergence, eigendecomposition failure, ...).
 
@@ -100,6 +104,11 @@ def _write_json(path: str, payload: dict[str, Any]) -> None:
         fh.write("\n")
 
 
+def _stem(path: str) -> str:
+    """``path`` without a trailing ``.csv`` or ``.json``: the base of side files."""
+    return path.rsplit(".", 1)[0] if path.endswith((".csv", ".json")) else path
+
+
 def _emit(
     fmt: str,
     out: str,
@@ -107,20 +116,33 @@ def _emit(
     rows: Sequence[Sequence[Any]],
     key: str = "rows",
     json_only: Sequence[str] = (),
+    side: tuple[str, Sequence[str], Sequence[Sequence[Any]]] | None = None,
     **fields: Any,
 ) -> None:
     """Write a table and report it on stdout.
 
     CSV gets the columns ``header``; JSON gets ``fields`` plus, under ``key``,
     one object per row. ``json_only`` names trailing row cells that only the
-    JSON objects carry.
+    JSON objects carry. ``side`` is an optional second table ``(key, header,
+    rows)``: JSON carries it under its key, CSV writes it to
+    ``<stem>_<key>.csv``.
     """
     if fmt == "json":
         names = (*header, *json_only)
-        _write_json(out, {**fields, key: [dict(zip(names, row)) for row in rows]})
+        payload = {**fields, key: [dict(zip(names, row)) for row in rows]}
+        if side is not None:
+            payload[side[0]] = [dict(zip(side[1], row)) for row in side[2]]
+        _write_json(out, payload)
     else:
         _write_csv(out, header, [row[: len(header)] for row in rows])
     print(f"wrote {len(rows)} {key} -> {out}")
+    if side is not None:
+        side_key, side_header, side_rows = side
+        side_out = out
+        if fmt == "csv":
+            side_out = f"{_stem(out)}_{side_key}.csv"
+            _write_csv(side_out, side_header, side_rows)
+        print(f"wrote {len(side_rows)} {side_key} -> {side_out}")
 
 
 def _finite_or_none(x: float) -> float | None:
@@ -130,15 +152,12 @@ def _finite_or_none(x: float) -> float | None:
 def _parse_region(text: str | None) -> SearchRegion | None:
     if text is None:
         return None
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise OutOfRange(
-            f"--region wants 're_min,re_max,im_min,im_max', got {text!r}"
-        )
     try:
-        a, b, c, d = (float(p) for p in parts)
+        a, b, c, d = (float(p) for p in text.split(","))
     except ValueError:
-        raise OutOfRange(f"--region values must be numbers, got {text!r}") from None
+        raise OutOfRange(
+            f"--region wants four numbers 're_min,re_max,im_min,im_max', got {text!r}"
+        ) from None
     return SearchRegion(a, b, c, d)
 
 
@@ -149,11 +168,6 @@ def _csv_floats(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
 
 
-def _out(args: argparse.Namespace, command: str) -> str:
-    """``--out``, or ``ptchain_<command>.<format>`` in the working directory."""
-    return args.out or f"ptchain_{command}.{args.format}"
-
-
 def _grid(lo: float, hi: float, steps: int) -> list[float]:
     if steps < 1:
         raise OutOfRange(f"steps must be >= 1, got {steps}")
@@ -162,7 +176,7 @@ def _grid(lo: float, hi: float, steps: int) -> list[float]:
     return [lo + (hi - lo) * i / steps for i in range(steps + 1)]
 
 
-#==== scatter ===============================================================
+#==== runners: one per subcommand and preset mode ===========================
 
 _SCATTER_HEADER = (
     "energy",
@@ -175,39 +189,38 @@ _SCATTER_HEADER = (
 )
 
 
-def _run_scatter(spec: ChainSpec, k_values: Sequence[float], fmt: str, out: str) -> int:
-    physical = verdict(spec).regime is RelevanceRegime.RELEVANT
-    rows: list[list[Any]] = []
-    for k in k_values:
-        energy = -2.0 * math.cos(k)
-        try:
-            res = scatter(spec, k)
-            rows.append([energy, k, res.T, res.R_left, res.R_right, physical, False])
-        except SpectralSingularityError:
-            rows.append([energy, k, None, None, None, physical, True])
-    _emit(fmt, out, _SCATTER_HEADER, rows,
-          n_cells=spec.n_cells, gamma=spec.gamma, physical=physical)
-    return EXIT_OK
-
-
-def cmd_scatter(args: argparse.Namespace) -> int:
-    spec = ChainSpec(args.n, args.gamma)
-    if args.k is not None:
-        if not 0.0 < args.k < math.pi:
-            raise OutOfRange(f"--k must lie in (0, pi), got {args.k!r}")
-        ks = [args.k]
+def _run_scatter(
+    fmt: str, out: str, n_cells: int, gamma: float, k: float | None = None,
+    e_min: float = -1.99, e_max: float = 1.99, steps: int = 400,
+    k_min: float | None = None, k_max: float | None = None,
+) -> int:
+    """One ``k``, a ``k`` sweep (presets only) or an energy sweep."""
+    spec = ChainSpec(n_cells, gamma)
+    if k is not None:
+        if not 0.0 < k < math.pi:
+            raise OutOfRange(f"--k must lie in (0, pi), got {k!r}")
+        ks = [k]
+    elif k_min is not None:
+        ks = _grid(k_min, k_max, steps)
     else:
-        e_min = args.e_min if args.e_min is not None else -1.99
-        e_max = args.e_max if args.e_max is not None else 1.99
         if not (-2.0 < e_min < e_max < 2.0):
             raise OutOfRange(
                 f"energy sweep must satisfy -2 < e_min < e_max < 2, got {e_min!r}, {e_max!r}"
             )
-        ks = [energy_to_wavenumber(e) for e in _grid(e_min, e_max, args.steps)]
-    return _run_scatter(spec, ks, args.format, _out(args, "scatter"))
+        ks = [energy_to_wavenumber(e) for e in _grid(e_min, e_max, steps)]
+    physical = verdict(spec).regime is RelevanceRegime.RELEVANT
+    rows: list[list[Any]] = []
+    for kv in ks:
+        energy = -2.0 * math.cos(kv)
+        try:
+            res = scatter(spec, kv)
+            rows.append([energy, kv, res.T, res.R_left, res.R_right, physical, False])
+        except SpectralSingularityError:
+            rows.append([energy, kv, None, None, None, physical, True])
+    _emit(fmt, out, _SCATTER_HEADER, rows,
+          n_cells=spec.n_cells, gamma=spec.gamma, physical=physical)
+    return EXIT_OK
 
-
-#==== poles =================================================================
 
 _POLES_HEADER = (
     "k_re",
@@ -221,23 +234,14 @@ _POLES_HEADER = (
 
 
 def _run_poles(
-    spec: ChainSpec,
-    region: SearchRegion | None,
-    grid_density: int,
-    fmt: str,
-    out: str,
+    fmt: str, out: str, n_cells: int, gamma: float, region: str | None = None,
+    grid_density: int = 60,
 ) -> int:
-    records = find_poles(spec, region, grid_density)
+    spec = ChainSpec(n_cells, gamma)
+    records = find_poles(spec, _parse_region(region), grid_density)
     rows = [
-        [
-            r.k.re,
-            r.k.im,
-            r.energy.real,
-            r.energy.imag,
-            r.growth_rate,
-            r.classification.value,
-            r.residual,
-        ]
+        [r.k.re, r.k.im, r.energy.real, r.energy.imag, r.growth_rate,
+         r.classification.value, r.residual]
         for r in records
     ]
     _emit(fmt, out, _POLES_HEADER, rows, key="poles",
@@ -245,20 +249,25 @@ def _run_poles(
     return EXIT_OK
 
 
-def cmd_poles(args: argparse.Namespace) -> int:
-    spec = ChainSpec(args.n, args.gamma)
-    region = _parse_region(args.region)
-    return _run_poles(spec, region, args.grid_density, args.format, _out(args, "poles"))
-
-
-#==== threshold =============================================================
-
 _THRESHOLD_HEADER = ("n_cells", "gamma_critical", "asymptote_ratio")
 
 
-def _run_threshold(n_values: Sequence[int], fmt: str, out: str) -> int:
+def _run_threshold(
+    fmt: str, out: str, n_cells: int | None = None, n_min: int | None = None,
+    n_max: int | None = None,
+) -> int:
+    if n_cells is not None:
+        if n_min is not None or n_max is not None:
+            raise OutOfRange("give either --n or --n-min/--n-max, not both")
+        ns: Sequence[int] = [n_cells]
+    elif n_min is not None and n_max is not None:
+        if not 1 <= n_min <= n_max:
+            raise OutOfRange(f"need 1 <= n_min <= n_max, got {n_min}, {n_max}")
+        ns = range(n_min, n_max + 1)
+    else:
+        raise OutOfRange("threshold needs --n or both --n-min and --n-max")
     rows: list[list[Any]] = []
-    for n in n_values:
+    for n in ns:
         ladder = threshold_ladder(n)
         # gamma_c ~ pi/(2N) for large N; the ratio tends to 1 from below
         ratio = ladder.gamma_critical * 2 * n / math.pi
@@ -267,61 +276,29 @@ def _run_threshold(n_values: Sequence[int], fmt: str, out: str) -> int:
     return EXIT_OK
 
 
-def cmd_threshold(args: argparse.Namespace) -> int:
-    if args.n is not None:
-        if args.n_min is not None or args.n_max is not None:
-            raise OutOfRange("give either --n or --n-min/--n-max, not both")
-        ns: Sequence[int] = [args.n]
-    elif args.n_min is not None and args.n_max is not None:
-        if not 1 <= args.n_min <= args.n_max:
-            raise OutOfRange(
-                f"need 1 <= n_min <= n_max, got {args.n_min}, {args.n_max}"
-            )
-        ns = range(args.n_min, args.n_max + 1)
-    else:
-        raise OutOfRange("threshold needs --n or both --n-min and --n-max")
-    return _run_threshold(ns, args.format, _out(args, "threshold"))
-
-
-#==== trajectory ============================================================
-
 _TRAJECTORY_HEADER = ("branch_id", "gamma", "k_re", "k_im", "classification", "lost")
 _CROSSING_HEADER = ("branch_id", "gamma", "k_re", "k_im")
 
 
 def _run_trajectory(
-    spec_base: ChainSpec,
-    gamma_min: float,
-    gamma_max: float,
-    steps: int,
-    region: SearchRegion | None,
-    grid_density: int,
-    fmt: str,
-    out: str,
+    fmt: str, out: str, n_cells: int, gamma_max: float, gamma_min: float = 0.0,
+    steps: int = 200, region: str | None = None, grid_density: int = 60,
 ) -> int:
+    spec_base = ChainSpec(n_cells, 0.0)
     traj = trace_trajectories(
         spec_base, gamma_min, gamma_max, steps,
-        region=region, grid_density=grid_density, strict=False,
+        region=_parse_region(region), grid_density=grid_density, strict=False,
     )
 
     rows: list[list[Any]] = []
     recorded = 0
     lost_remaining = 0
-    n_samples = len(traj.gamma_samples)
     for branch in traj.branches:
         recorded += len(branch.points)
         for i, (g, rec) in enumerate(branch.points):
             is_last = i == len(branch.points) - 1
-            rows.append(
-                [
-                    branch.branch_id,
-                    g,
-                    rec.k.re,
-                    rec.k.im,
-                    rec.classification.value,
-                    branch.lost and is_last,
-                ]
-            )
+            rows.append([branch.branch_id, g, rec.k.re, rec.k.im,
+                         rec.classification.value, branch.lost and is_last])
         if branch.lost and branch.points:
             g_last = branch.points[-1][0]
             trailing = sum(1 for g in traj.gamma_samples if g > g_last)
@@ -329,25 +306,10 @@ def _run_trajectory(
     cross_rows = [
         [c.branch_id, c.gamma, c.k.real, c.k.imag] for c in traj.crossings
     ]
-
-    if fmt == "json":
-        payload = {
-            "n_cells": spec_base.n_cells,
-            "gamma_min": gamma_min,
-            "gamma_max": gamma_max,
-            "samples": n_samples,
-            "branches": [dict(zip(_TRAJECTORY_HEADER, row)) for row in rows],
-            "crossings": [dict(zip(_CROSSING_HEADER, row)) for row in cross_rows],
-        }
-        _write_json(out, payload)
-        print(f"wrote {len(rows)} points, {len(cross_rows)} crossings -> {out}")
-    else:
-        _write_csv(out, _TRAJECTORY_HEADER, rows)
-        stem = out[:-4] if out.endswith(".csv") else out
-        cross_path = f"{stem}_crossings.csv"
-        _write_csv(cross_path, _CROSSING_HEADER, cross_rows)
-        print(f"wrote {len(rows)} points -> {out}")
-        print(f"wrote {len(cross_rows)} crossings -> {cross_path}")
+    _emit(fmt, out, _TRAJECTORY_HEADER, rows, key="branches",
+          side=("crossings", _CROSSING_HEADER, cross_rows),
+          n_cells=spec_base.n_cells, gamma_min=gamma_min, gamma_max=gamma_max,
+          samples=len(traj.gamma_samples))
 
     total = recorded + lost_remaining
     converged = recorded / total if total else 1.0
@@ -360,32 +322,20 @@ def _run_trajectory(
     return EXIT_OK
 
 
-def cmd_trajectory(args: argparse.Namespace) -> int:
-    spec_base = ChainSpec(args.n, 0.0)
-    region = _parse_region(args.region)
-    return _run_trajectory(
-        spec_base,
-        args.gamma_min,
-        args.gamma_max,
-        args.steps,
-        region,
-        args.grid_density,
-        args.format,
-        _out(args, "trajectory"),
-    )
-
-
-#==== evolve ================================================================
-
 def _run_evolve(
-    spec: ChainSpec,
-    total_sites: int,
-    j0: int,
-    sigma: float,
-    k0: float,
-    times: Sequence[float],
-    out_stem: str,
+    fmt: str, out: str, n_cells: int, gamma: float, total_sites: int = 1200,
+    j0: int = -300, sigma: float = 60.0, k0: float = 0.5 * math.pi,
+    times: Sequence[float] = (0.0, 60.0, 150.0, 225.0, 300.0),
 ) -> int:
+    """Snapshots ``<stem>_t<T>.csv`` and the summary ``<stem>.json``; ``fmt`` is unused."""
+    spec = ChainSpec(n_cells, gamma)
+    if not 0.0 < k0 < math.pi:
+        raise OutOfRange(f"--k0 must lie in (0, pi), got {k0!r}")
+    if not 0.0 < sigma < math.inf:
+        raise OutOfRange(f"--sigma must be positive and finite, got {sigma!r}")
+    if not all(0.0 <= t < math.inf for t in times):
+        raise OutOfRange(f"--times must be finite and nonnegative, got {times!r}")
+    out_stem = _stem(out)
     layout = LatticeLayout.centered(total_sites, spec.n_cells)
     h = build_hamiltonian(layout, spec)
     psi0 = gaussian_packet(layout, j0, sigma, k0)
@@ -447,35 +397,7 @@ def _run_evolve(
     return EXIT_OK
 
 
-def cmd_evolve(args: argparse.Namespace) -> int:
-    spec = ChainSpec(args.n, args.gamma)
-    if not 0.0 < args.k0 < math.pi:
-        raise OutOfRange(f"--k0 must lie in (0, pi), got {args.k0!r}")
-    if args.sigma <= 0:
-        raise OutOfRange(f"--sigma must be positive, got {args.sigma!r}")
-    if any(t < 0 for t in args.times):
-        raise OutOfRange(f"--times must be nonnegative, got {args.times!r}")
-    stem = args.out if args.out else "ptchain_evolve"
-    if stem.endswith(".json"):
-        stem = stem[:-5]
-    return _run_evolve(spec, args.l, args.j0, args.sigma, args.k0, args.times, stem)
-
-
-#==== relevance =============================================================
-
 _SPECIAL_HEADER = ("kind", "energy", "k", "gamma", "n_index", "physical")
-
-
-def _special_point_rows(spec: ChainSpec) -> list[list[Any]]:
-    points = []
-    if 0.0 < spec.gamma < 2.0:
-        points.extend(band_edge_points(spec))
-    points.extend(fabry_perot_points(spec))
-    points.extend(cpa_laser_points(spec.n_cells))
-    return [
-        [p.kind.value, p.energy, p.k, p.gamma, p.n_index, p.physical] for p in points
-    ]
-
 
 _VERDICT_HEADER = (
     "n_cells",
@@ -488,8 +410,10 @@ _VERDICT_HEADER = (
 )
 
 
-def cmd_relevance(args: argparse.Namespace) -> int:
-    spec = ChainSpec(args.n, args.gamma)
+def _run_relevance(
+    fmt: str, out: str, n_cells: int, gamma: float, special_points: bool = False
+) -> int:
+    spec = ChainSpec(n_cells, gamma)
     v = verdict(spec)
     n_c = critical_size(spec.gamma) if spec.gamma > 0 else None
     print(
@@ -501,13 +425,15 @@ def cmd_relevance(args: argparse.Namespace) -> int:
         spec.n_cells, spec.gamma, v.regime.value,
         v.gamma_critical, v.margin, v.tgbs_count, n_c,
     ]
-    rows = _special_point_rows(spec) if args.special_points else None
-    out = _out(args, "relevance")
-    if args.format == "csv":
+    rows = None
+    if special_points:
+        points = band_edge_points(spec) if 0.0 < spec.gamma < 2.0 else []
+        points += fabry_perot_points(spec) + cpa_laser_points(spec.n_cells)
+        rows = [[p.kind.value, p.energy, p.k, p.gamma, p.n_index, p.physical] for p in points]
+    if fmt == "csv":
         _write_csv(out, _VERDICT_HEADER, [verdict_row])
         if rows is not None:
-            stem = out[:-4] if out.endswith(".csv") else out
-            points_path = f"{stem}_points.csv"
+            points_path = f"{_stem(out)}_points.csv"
             _write_csv(points_path, _SPECIAL_HEADER, rows)
             print(f"wrote {len(rows)} special points -> {points_path}")
     else:
@@ -520,10 +446,8 @@ def cmd_relevance(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-#==== figure presets ========================================================
-
 def _run_size_scan(
-    gamma: float, energies: Sequence[float], n_max: int, fmt: str, out: str
+    fmt: str, out: str, gamma: float, energies: Sequence[float], n_max: int
 ) -> int:
     header = ("energy", "n_cells", "transmission", "regime", "physical")
     rows: list[list[Any]] = []
@@ -544,8 +468,8 @@ def _run_size_scan(
 
 
 def _run_gamma_scan(
-    n_cells: int, k: float, gamma_min: float, gamma_max: float, steps: int,
-    fmt: str, out: str,
+    fmt: str, out: str, n_cells: int, k: float, gamma_min: float, gamma_max: float,
+    steps: int,
 ) -> int:
     header = ("gamma", "transmission", "physical", "singular")
     gamma_c = threshold_ladder(n_cells).gamma_critical
@@ -562,78 +486,22 @@ def _run_gamma_scan(
     return EXIT_OK
 
 
-def cmd_figure(args: argparse.Namespace) -> int:
-    try:
-        params = get_preset(args.preset)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return EXIT_USAGE
-    mode = params.pop("mode")
-    fmt = args.format
-    stem = args.out if args.out else f"ptchain_{args.preset}"
-    if stem.endswith(".csv") or stem.endswith(".json"):
-        stem = stem.rsplit(".", 1)[0]
-    out = f"{stem}.{fmt}"
-
-    if mode == "poles":
-        spec = ChainSpec(params["n_cells"], params["gamma"])
-        return _run_poles(spec, None, params["grid_density"], fmt, out)
-    if mode == "scatter":
-        spec = ChainSpec(params["n_cells"], params["gamma"])
-        if "k_min" in params:
-            ks = _grid(params["k_min"], params["k_max"], params["steps"])
-        else:
-            ks = [
-                energy_to_wavenumber(e)
-                for e in _grid(params["e_min"], params["e_max"], params["steps"])
-            ]
-        return _run_scatter(spec, ks, fmt, out)
-    if mode == "threshold":
-        ns = range(params["n_min"], params["n_max"] + 1)
-        return _run_threshold(ns, fmt, out)
-    if mode == "trajectory":
-        return _run_trajectory(
-            ChainSpec(params["n_cells"], 0.0),
-            params["gamma_min"],
-            params["gamma_max"],
-            params["steps"],
-            None,
-            60,
-            fmt,
-            out,
-        )
-    if mode == "evolve":
-        spec = ChainSpec(params["n_cells"], params["gamma"])
-        return _run_evolve(
-            spec,
-            params["total_sites"],
-            params["j0"],
-            params["sigma"],
-            params["k0"],
-            params["times"],
-            stem,
-        )
-    if mode == "size_scan":
-        return _run_size_scan(
-            params["gamma"], params["energies"], params["n_max"], fmt, out
-        )
-    if mode == "gamma_scan":
-        return _run_gamma_scan(
-            params["n_cells"],
-            params["k"],
-            params["gamma_min"],
-            params["gamma_max"],
-            params["steps"],
-            fmt,
-            out,
-        )
-    print(f"error: preset {args.preset!r} has unknown mode {mode!r}", file=sys.stderr)
-    return EXIT_USAGE
+_RUNNERS = {
+    "scatter": _run_scatter,
+    "poles": _run_poles,
+    "threshold": _run_threshold,
+    "trajectory": _run_trajectory,
+    "evolve": _run_evolve,
+    "relevance": _run_relevance,
+    "size_scan": _run_size_scan,
+    "gamma_scan": _run_gamma_scan,
+}
 
 
 #==== parser ================================================================
 
 def build_parser() -> argparse.ArgumentParser:
+    """Options are named after their runner's keywords; defaults live there."""
     parser = argparse.ArgumentParser(
         prog="ptchain",
         description=(
@@ -651,17 +519,19 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", help="output path (default: ./ptchain_<command>.<ext>)")
 
     def add_chain(sp: argparse.ArgumentParser) -> None:
-        sp.add_argument("--n", type=int, required=True, help="number of unit cells")
+        sp.add_argument(
+            "--n", dest="n_cells", metavar="N", type=int, required=True,
+            help="number of unit cells",
+        )
         sp.add_argument("--gamma", type=float, required=True, help="gain/loss strength")
 
     p = sub.add_parser("scatter", help="transmission/reflection sweep")
     add_chain(p)
     p.add_argument("--e-min", type=float, help="sweep start energy (default -1.99)")
     p.add_argument("--e-max", type=float, help="sweep end energy (default 1.99)")
-    p.add_argument("--steps", type=int, default=400, help="sweep intervals (default 400)")
+    p.add_argument("--steps", type=int, help="sweep intervals (default 400)")
     p.add_argument("--k", type=float, help="single wavenumber in (0, pi) instead of a sweep")
     add_io(p)
-    p.set_defaults(func=cmd_scatter)
 
     p = sub.add_parser("poles", help="complex-k pole census")
     add_chain(p)
@@ -669,47 +539,45 @@ def build_parser() -> argparse.ArgumentParser:
         "--region", help="search window 're_min,re_max,im_min,im_max' (default full strip)"
     )
     p.add_argument(
-        "--grid-density", type=int, default=60,
+        "--grid-density", type=int,
         help="seed-grid points per unit k (default 60, minimum 50)",
     )
     add_io(p)
-    p.set_defaults(func=cmd_poles)
 
     p = sub.add_parser("threshold", help="onset thresholds vs chain size")
-    p.add_argument("--n", type=int, help="single chain size")
+    p.add_argument("--n", dest="n_cells", metavar="N", type=int, help="single chain size")
     p.add_argument("--n-min", type=int, help="start of a size range")
     p.add_argument("--n-max", type=int, help="end of a size range (inclusive)")
     add_io(p)
-    p.set_defaults(func=cmd_threshold)
 
     p = sub.add_parser("trajectory", help="pole trajectories over a gamma sweep")
-    p.add_argument("--n", type=int, required=True, help="number of unit cells")
-    p.add_argument("--gamma-min", type=float, default=0.0)
+    p.add_argument(
+        "--n", dest="n_cells", metavar="N", type=int, required=True,
+        help="number of unit cells",
+    )
+    p.add_argument("--gamma-min", type=float)
     p.add_argument("--gamma-max", type=float, required=True)
-    p.add_argument("--steps", type=int, default=200, help="sweep intervals (default 200)")
+    p.add_argument("--steps", type=int, help="sweep intervals (default 200)")
     p.add_argument("--region", help="tracking window 're_min,re_max,im_min,im_max'")
-    p.add_argument("--grid-density", type=int, default=60)
+    p.add_argument("--grid-density", type=int)
     add_io(p)
-    p.set_defaults(func=cmd_trajectory)
 
     p = sub.add_parser("evolve", help="wave-packet propagation snapshots")
     add_chain(p)
-    p.add_argument("--l", type=int, default=1200, help="total lattice sites (default 1200)")
     p.add_argument(
-        "--j0", type=int, default=-300,
-        help="packet center, relative to the first gain site (default -300)",
-    )
-    p.add_argument("--sigma", type=float, default=60.0, help="packet width (default 60)")
-    p.add_argument(
-        "--k0", type=float, default=0.5 * math.pi,
-        help="carrier wavenumber in (0, pi) (default pi/2)",
+        "--l", dest="total_sites", metavar="L", type=int,
+        help="total lattice sites (default 1200)",
     )
     p.add_argument(
-        "--times", type=_csv_floats, default=[0.0, 60.0, 150.0, 225.0, 300.0],
+        "--j0", type=int, help="packet center, relative to the first gain site (default -300)",
+    )
+    p.add_argument("--sigma", type=float, help="packet width (default 60)")
+    p.add_argument("--k0", type=float, help="carrier wavenumber in (0, pi) (default pi/2)")
+    p.add_argument(
+        "--times", type=_csv_floats,
         help="comma-separated snapshot times (default 0,60,150,225,300)",
     )
     p.add_argument("--out", help="output stem (default ./ptchain_evolve)")
-    p.set_defaults(func=cmd_evolve)
 
     p = sub.add_parser("relevance", help="physicality verdict and special points")
     add_chain(p)
@@ -718,7 +586,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="append band-edge/Fabry-Perot/CPA-laser listings",
     )
     add_io(p, default_fmt="json")
-    p.set_defaults(func=cmd_relevance)
 
     p = sub.add_parser("figure", help="run a canned preset")
     p.add_argument(
@@ -727,19 +594,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", help="output stem (default ./ptchain_<preset>)")
-    p.set_defaults(func=cmd_figure)
 
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
+    params = {name: value for name, value in vars(args).items() if value is not None}
+    mode = params.pop("command")
+    fmt = params.pop("format", "csv")
+    out = params.pop("out", None)
+    if mode == "figure":
+        # a preset is its mode's runner called with the preset's parameters
+        name = params.pop("preset")
+        params = get_preset(name)
+        mode = params.pop("mode")
+        out = f"{_stem(out or f'ptchain_{name}')}.{fmt}"
     try:
-        return args.func(args)
+        return _RUNNERS[mode](fmt, out or f"ptchain_{mode}.{fmt}", **params)
     except OutOfRange as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

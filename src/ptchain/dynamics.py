@@ -14,6 +14,7 @@ region occupies ``j = 0 .. 2N-1``, the left lead has ``j < 0``, and
 
 from __future__ import annotations
 
+import logging
 import math
 import warnings
 from dataclasses import dataclass
@@ -38,6 +39,8 @@ __all__ = [
     "growth_rate_fit",
     "validity_horizon",
 ]
+
+_log = logging.getLogger(__name__)
 
 #: Condition estimate (inverse smallest left-right mode overlap) above which
 #: a propagator bundle is near-defective and :func:`evolve` steps by RK4.
@@ -112,8 +115,8 @@ def gaussian_packet(layout: LatticeLayout, j0: int, sigma: float, k0: float) -> 
     ``j0`` should sit well inside a lead: a warning is emitted when it is
     within 3 sigma of a lattice edge or of the scattering region.
     """
-    if sigma <= 0:
-        raise OutOfRange(f"sigma must be positive, got {sigma!r}")
+    if not 0.0 < sigma < math.inf:
+        raise OutOfRange(f"sigma must be positive and finite, got {sigma!r}")
     left_edge_j = -layout.lead_left_len
     right_edge_j = 2 * layout.n_cells + layout.lead_right_len - 1
     clearance = min(
@@ -183,8 +186,9 @@ def prepare_propagator(h: np.ndarray) -> PropagatorBundle:
     """Full spectral decomposition with biorthogonal left/right mode pairs.
 
     Above a condition estimate of :data:`NEAR_DEFECTIVE_CONDITION` the
-    bundle is flagged near-defective and :func:`evolve` uses direct RK4
-    stepping instead of the spectral path.
+    bundle is flagged near-defective, with a DEBUG event under
+    ``ptchain.dynamics``, and :func:`evolve` uses direct RK4 stepping instead
+    of the spectral path.
 
     Parameters
     ----------
@@ -219,7 +223,12 @@ def prepare_propagator(h: np.ndarray) -> PropagatorBundle:
     min_overlap = float(np.min(np.abs(overlaps)))
     condition = math.inf if min_overlap == 0.0 else 1.0 / min_overlap
     near_defective = condition > NEAR_DEFECTIVE_CONDITION
-    if not near_defective:
+    if near_defective:
+        _log.debug(
+            "near-defective spectrum (condition estimate %.3g > %.3g): evolve steps by RK4",
+            condition, NEAR_DEFECTIVE_CONDITION,
+        )
+    else:
         vl /= overlaps.conj()[None, :]
     return PropagatorBundle(
         eigenvalues=w,
@@ -260,11 +269,15 @@ def evolve(bundle: PropagatorBundle, psi0: WaveState, t: float) -> WaveState:
 
     Spectral path: expand in right modes with left-mode coefficients and
     multiply by ``exp(-i E_n t)``. Near-defective bundles route to the direct
-    RK4 integrator automatically.
+    RK4 integrator automatically, with a DEBUG event under ``ptchain.dynamics``.
     """
-    if t < 0:
-        raise OutOfRange(f"t must be nonnegative, got {t!r}")
+    if not 0.0 <= t < math.inf:
+        raise OutOfRange(f"t must be finite and nonnegative, got {t!r}")
     if bundle.near_defective:
+        _log.debug(
+            "stepping by RK4 to t=%r: near-defective bundle (condition estimate %.3g)",
+            t, bundle.condition_estimate,
+        )
         psi_t = _evolve_rk4(bundle.hamiltonian, psi0.amplitudes, t)
     else:
         coeff = bundle.left_modes.conj().T @ psi0.amplitudes

@@ -53,7 +53,7 @@ class ChainSpec:
     n_cells : int
         Number of two-site unit cells (``N >= 1``).
     gamma : float
-        Gain/loss strength ``gamma >= 0`` in units of the hopping.
+        Finite gain/loss strength ``gamma >= 0`` in units of the hopping.
     """
 
     n_cells: int
@@ -62,8 +62,8 @@ class ChainSpec:
     def __post_init__(self) -> None:
         if not (isinstance(self.n_cells, int) and self.n_cells >= 1):
             raise OutOfRange(f"n_cells must be a positive integer, got {self.n_cells!r}")
-        if not (self.gamma >= 0.0):
-            raise OutOfRange(f"gamma must be nonnegative, got {self.gamma!r}")
+        if not 0.0 <= self.gamma < math.inf:
+            raise OutOfRange(f"gamma must be finite and nonnegative, got {self.gamma!r}")
 
     @property
     def n_sites(self) -> int:

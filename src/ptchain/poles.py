@@ -139,6 +139,9 @@ class SearchRegion:
     im_max: float
 
     def __post_init__(self) -> None:
+        bounds = (self.re_min, self.re_max, self.im_min, self.im_max)
+        if not all(map(math.isfinite, bounds)):
+            raise OutOfRange(f"search region bounds must be finite, got {self!r}")
         if not (self.re_min < self.re_max and self.im_min < self.im_max):
             raise OutOfRange(f"degenerate search region {self!r}")
         if self.re_min < -math.pi - 1e-12 or self.re_max > math.pi + 1e-12:
@@ -565,10 +568,11 @@ def critical_size(gamma: float) -> int:
     Raises
     ------
     OutOfRange
-        For ``gamma <= 0`` (no threshold is ever crossed).
+        For ``gamma <= 0`` (no threshold is ever crossed) and non-finite
+        ``gamma``.
     """
-    if gamma <= 0.0:
-        raise OutOfRange(f"gamma must be positive, got {gamma!r}")
+    if not 0.0 < gamma < math.inf:
+        raise OutOfRange(f"gamma must be positive and finite, got {gamma!r}")
     if gamma >= 2.0:
         return 1
     # N > pi / (4 asin(gamma/2)); the epsilon keeps exact-equality cases

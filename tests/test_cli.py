@@ -1,14 +1,15 @@
 """End-to-end CLI checks: exit codes, file formats, determinism, presets."""
 
 import csv
+import inspect
 import json
 import math
 
 import pytest
 
-from ptchain import MissedRoots, threshold_ladder
+from ptchain import MissedRoots, cli, threshold_ladder
 from ptchain.cli import main
-from ptchain.presets import preset_names
+from ptchain.presets import get_preset, preset_names
 
 
 @pytest.fixture
@@ -34,6 +35,13 @@ def test_usage_errors_exit_2(workdir):
     assert main(["poles", "--n", "3", "--gamma", "0.3", "--region", "1,2,3"]) == 2
     assert main(["threshold"]) == 2
     assert main(["evolve", "--n", "1", "--gamma", "0.1", "--sigma", "-1"]) == 2
+    # non-finite gain, search bounds, packet width and snapshot times
+    assert main(["scatter", "--n", "3", "--gamma", "inf", "--k", "1"]) == 2
+    assert main(["relevance", "--n", "3", "--gamma", "inf"]) == 2
+    assert main(["poles", "--n", "3", "--gamma", "0.3", "--region", "0.1,1,0,inf"]) == 2
+    evolve = ["evolve", "--n", "1", "--gamma", "0.1", "--l", "120", "--j0", "-30"]
+    assert main(evolve + ["--sigma", "nan"]) == 2
+    assert main(evolve + ["--sigma", "8", "--times", "0,nan"]) == 2
 
 
 def test_numerical_failures_exit_3(workdir, monkeypatch):
@@ -253,6 +261,29 @@ def test_figure_rejects_unknown_preset(workdir):
     assert main(["figure", "--preset", "fig99"]) == 2
 
 
+@pytest.mark.parametrize("name", preset_names())
+def test_preset_parameters_bind_to_its_runner(name):
+    params = get_preset(name)
+    runner = cli._RUNNERS[params.pop("mode")]
+    inspect.signature(runner).bind("csv", "out.csv", **params)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "preset, argv",
+    [
+        ("fig2a", ["poles", "--n", "3", "--gamma", "0.3", "--grid-density", "90"]),
+        ("fig4", ["threshold", "--n-min", "1", "--n-max", "50"]),
+        ("fig7a", ["scatter", "--n", "1", "--gamma", "1.0", "--e-min", "-1.999",
+                   "--e-max", "1.999", "--steps", "801"]),
+    ],
+)
+def test_preset_writes_what_its_subcommand_writes(workdir, fmt, preset, argv):
+    assert main(["figure", "--preset", preset, "--format", fmt, "--out", "a"]) == 0
+    assert main(argv + ["--format", fmt, "--out", f"b.{fmt}"]) == 0
+    assert (workdir / f"a.{fmt}").read_bytes() == (workdir / f"b.{fmt}").read_bytes()
+
+
 def test_figure_fig7a_right_reflection_zeros(workdir):
     assert main(["figure", "--preset", "fig7a"]) == 0
     _, rows = _read_csv(workdir / "ptchain_fig7a.csv")
@@ -311,20 +342,28 @@ def _csv_cell(value):
 
 
 @pytest.mark.parametrize(
-    "argv, key",
+    "argv, keys",
     [
         # the sweep ends on the N=3 singularity at pi/2, so a row has empty cells
         (["scatter", "--n", "3", "--gamma", repr(threshold_ladder(3).gamma_critical),
-          "--e-min", "-1.5", "--e-max", "0.0", "--steps", "6"], "rows"),
-        (["poles", "--n", "3", "--gamma", "0.7"], "poles"),
-        (["figure", "--preset", "fig6"], "rows"),
-        (["figure", "--preset", "fig8"], "rows"),
+          "--e-min", "-1.5", "--e-max", "0.0", "--steps", "6"], ("rows",)),
+        (["poles", "--n", "3", "--gamma", "0.7"], ("poles",)),
+        (["figure", "--preset", "fig6"], ("rows",)),
+        (["figure", "--preset", "fig8"], ("rows",)),
+        # a second table: CSV writes it to table_crossings.csv
+        (["trajectory", "--n", "1", "--gamma-min", "1.0", "--gamma-max", "2.0",
+          "--steps", "10", "--region", "0.8,2.4,-1.2,1.2", "--grid-density", "50"],
+         ("branches", "crossings")),
     ],
+    ids=lambda value: "+".join(value) if isinstance(value, tuple) else None,
 )
-def test_json_rows_equal_csv_rows(workdir, argv, key):
+def test_json_rows_equal_csv_rows(workdir, argv, keys):
     assert main(argv + ["--format", "csv", "--out", "table.csv"]) == 0
     assert main(argv + ["--format", "json", "--out", "table.json"]) == 0
-    header, rows = _read_csv(workdir / "table.csv")
-    objects = json.loads((workdir / "table.json").read_text())[key]
-    assert rows
-    assert [[_csv_cell(obj[name]) for name in header] for obj in objects] == rows
+    payload = json.loads((workdir / "table.json").read_text())
+    paths = ["table.csv"] + [f"table_{key}.csv" for key in keys[1:]]
+    for key, path in zip(keys, paths):
+        header, rows = _read_csv(workdir / path)
+        objects = payload[key]
+        assert rows
+        assert [[_csv_cell(obj[name]) for name in header] for obj in objects] == rows

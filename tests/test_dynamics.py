@@ -1,5 +1,6 @@
 """Lattice layout, Hamiltonian assembly, and wave-packet propagation."""
 
+import logging
 import math
 
 import numpy as np
@@ -113,6 +114,12 @@ def test_evolve_rejects_negative_time():
     psi0 = gaussian_packet(layout, j0=-10, sigma=3.0, k0=1.0)
     with pytest.raises(OutOfRange):
         evolve(bundle, psi0, -1.0)
+    for t in (float("nan"), float("inf")):
+        with pytest.raises(OutOfRange):
+            evolve(bundle, psi0, t)
+    for sigma in (float("nan"), float("inf")):
+        with pytest.raises(OutOfRange):
+            gaussian_packet(layout, j0=-10, sigma=sigma, k0=1.0)
 
 
 def test_unitary_evolution_without_gain_loss():
@@ -136,9 +143,10 @@ def test_spectral_path_matches_rk4():
     assert np.max(np.abs(spectral - direct)) < 1e-6
 
 
-def test_near_defective_falls_back_to_rk4():
+def test_near_defective_falls_back_to_rk4(caplog):
     # 2x2 Jordan block: exp(-iHt) = I - iHt exactly (H nilpotent)
     h = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    caplog.set_level(logging.DEBUG, logger="ptchain.dynamics")
     bundle = prepare_propagator(h)
     assert bundle.near_defective
     from ptchain import WaveState
@@ -147,6 +155,10 @@ def test_near_defective_falls_back_to_rk4():
     out = evolve(bundle, psi0, 2.0)
     expected = psi0.amplitudes - 2.0j * (h @ psi0.amplitudes)
     assert np.allclose(out.amplitudes, expected, atol=1e-10)
+    messages = [r.getMessage() for r in caplog.records if r.name == "ptchain.dynamics"]
+    assert len(messages) == 2
+    assert "near-defective spectrum (condition estimate" in messages[0]
+    assert "stepping by RK4 to t=2.0" in messages[1]
 
 
 def test_intensity_split_partitions_norm():

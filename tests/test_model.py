@@ -30,6 +30,8 @@ def test_chain_spec_validation():
         ChainSpec(3, -0.1)
     with pytest.raises(OutOfRange):
         ChainSpec(3, float("nan"))
+    with pytest.raises(OutOfRange):
+        ChainSpec(3, float("inf"))
 
 
 def test_n_sites():

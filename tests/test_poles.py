@@ -296,6 +296,8 @@ def test_search_region_validation():
         SearchRegion(1.0, 1.0, -1.0, 1.0)
     with pytest.raises(OutOfRange):
         SearchRegion(-4.0, 1.0, -1.0, 1.0)  # leaves the strip
+    with pytest.raises(OutOfRange):
+        SearchRegion(0.1, 1.0, 0.0, float("inf"))
     r = SearchRegion(0.1, 1.0, -1.0, 1.0)
     assert r.contains(0.5 + 0.5j)
     assert not r.contains(2.0 + 0.5j)
@@ -360,6 +362,10 @@ def test_critical_size_rejects_nonpositive():
         critical_size(0.0)
     with pytest.raises(OutOfRange):
         critical_size(-0.5)
+    with pytest.raises(OutOfRange):
+        critical_size(float("nan"))
+    with pytest.raises(OutOfRange):
+        critical_size(float("inf"))
 
 
 @pytest.mark.parametrize(
