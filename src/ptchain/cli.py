@@ -472,7 +472,6 @@ def _run_gamma_scan(
     steps: int,
 ) -> int:
     header = ("gamma", "transmission", "physical", "singular")
-    gamma_c = threshold_ladder(n_cells).gamma_critical
     rows: list[list[Any]] = []
     for g in _grid(gamma_min, gamma_max, steps):
         spec = ChainSpec(n_cells, g)
@@ -481,7 +480,8 @@ def _run_gamma_scan(
             singular = False
         except SpectralSingularityError:
             t_val, singular = None, True
-        rows.append([g, t_val, g < gamma_c, singular])
+        physical = verdict(spec).regime is RelevanceRegime.RELEVANT
+        rows.append([g, t_val, physical, singular])
     _emit(fmt, out, header, rows, n_cells=n_cells, k=k)
     return EXIT_OK
 

@@ -5,7 +5,7 @@ in its center. The non-Hermitian Hamiltonian is diagonalized densely; time
 evolution expands the state in right eigenmodes with left-eigenmode
 coefficients (biorthogonal expansion) and multiplies by ``exp(-i E t)``.
 Near-defective spectra (mode-overlap conditioning above a threshold) fall
-back to a fixed-step RK4 integration of the Schrödinger equation.
+back to ``scipy.sparse.linalg.expm_multiply`` (Al-Mohy & Higham 2011).
 
 Site indexing: ``j`` is relative to the first gain site, so the scattering
 region occupies ``j = 0 .. 2N-1``, the left lead has ``j < 0``, and
@@ -43,7 +43,7 @@ __all__ = [
 _log = logging.getLogger(__name__)
 
 #: Condition estimate (inverse smallest left-right mode overlap) above which
-#: a propagator bundle is near-defective and :func:`evolve` steps by RK4.
+#: a propagator bundle is near-defective and :func:`evolve` uses ``expm_multiply``.
 NEAR_DEFECTIVE_CONDITION = 1e8
 
 
@@ -113,7 +113,8 @@ def gaussian_packet(layout: LatticeLayout, j0: int, sigma: float, k0: float) -> 
     """Normalized Gaussian wave packet ``exp(-(j-j0)^2/2 sigma^2) exp(i k0 j)``.
 
     ``j0`` should sit well inside a lead: a warning is emitted when it is
-    within 3 sigma of a lattice edge or of the scattering region.
+    within 3 sigma of a lattice edge or of the scattering region. A packet
+    with no finite nonzero norm on the lattice raises :class:`OutOfRange`.
     """
     if not 0.0 < sigma < math.inf:
         raise OutOfRange(f"sigma must be positive and finite, got {sigma!r}")
@@ -131,8 +132,12 @@ def gaussian_packet(layout: LatticeLayout, j0: int, sigma: float, k0: float) -> 
             stacklevel=2,
         )
     j = layout.site_offsets()
-    psi = np.exp(-((j - j0) ** 2) / (2.0 * sigma**2) + 1j * k0 * j)
-    psi /= np.linalg.norm(psi)
+    with np.errstate(divide="ignore", invalid="ignore"):  # caught by the norm check
+        psi = np.exp(-((j - j0) ** 2) / (2.0 * sigma**2) + 1j * k0 * j)
+    norm = np.linalg.norm(psi)
+    if not 0.0 < norm < math.inf:
+        raise OutOfRange(f"packet (j0={j0}, sigma={sigma}) has no finite norm on the lattice")
+    psi /= norm
     return WaveState(amplitudes=psi, time=0.0)
 
 
@@ -155,40 +160,13 @@ class PropagatorBundle:
     hamiltonian: np.ndarray
 
 
-def _tridiagonal_bands(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """(lower, diag, upper) bands when ``h`` is tridiagonal, else None.
-
-    The bands are entries of ``h``, so ``h`` is tridiagonal exactly when they
-    hold all of its nonzero entries; counting them needs no dense rebuild.
-    """
-    bands = np.diag(h, -1).copy(), np.diag(h).copy(), np.diag(h, 1).copy()
-    if sum(np.count_nonzero(b) for b in bands) == np.count_nonzero(h):
-        return bands
-    return None
-
-
-def _matvec_factory(h: np.ndarray):
-    bands = _tridiagonal_bands(h)
-    if bands is None:
-        return lambda v: h @ v
-    lower, diag, upper = bands
-
-    def matvec(v: np.ndarray) -> np.ndarray:
-        out = diag * v
-        out[:-1] += upper * v[1:]
-        out[1:] += lower * v[:-1]
-        return out
-
-    return matvec
-
-
 def prepare_propagator(h: np.ndarray) -> PropagatorBundle:
     """Full spectral decomposition with biorthogonal left/right mode pairs.
 
     Above a condition estimate of :data:`NEAR_DEFECTIVE_CONDITION` the
     bundle is flagged near-defective, with a DEBUG event under
-    ``ptchain.dynamics``, and :func:`evolve` uses direct RK4 stepping instead
-    of the spectral path.
+    ``ptchain.dynamics``, and :func:`evolve` steps by ``expm_multiply`` on the
+    sparse Hamiltonian instead of the spectral path.
 
     Parameters
     ----------
@@ -208,12 +186,15 @@ def prepare_propagator(h: np.ndarray) -> PropagatorBundle:
     if not np.all(np.isfinite(w)):
         raise DecompositionFailed("eigensolver returned non-finite eigenvalues")
 
-    matvec = _matvec_factory(h)
+    # imported here so that ``import ptchain`` does not load scipy.sparse
+    from scipy.sparse import csr_array
+
+    h_sparse = csr_array(h)
     h_norm = np.linalg.norm(h)
     # H R - R diag(E), one column at a time into the one matrix R diag(E)
     resid = vr * w
     for i in range(len(w)):
-        np.subtract(matvec(vr[:, i]), resid[:, i], out=resid[:, i])
+        np.subtract(h_sparse @ vr[:, i], resid[:, i], out=resid[:, i])
     residual = float(np.linalg.norm(resid) / h_norm)
     del resid  # before the copy ``vl.conj()`` below, not beside it
     if residual > 1e-8:
@@ -225,7 +206,8 @@ def prepare_propagator(h: np.ndarray) -> PropagatorBundle:
     near_defective = condition > NEAR_DEFECTIVE_CONDITION
     if near_defective:
         _log.debug(
-            "near-defective spectrum (condition estimate %.3g > %.3g): evolve steps by RK4",
+            "near-defective spectrum (condition estimate %.3g > %.3g): "
+            "evolve steps by expm_multiply",
             condition, NEAR_DEFECTIVE_CONDITION,
         )
     else:
@@ -241,44 +223,25 @@ def prepare_propagator(h: np.ndarray) -> PropagatorBundle:
     )
 
 
-def _evolve_rk4(h: np.ndarray, psi0: np.ndarray, t: float) -> np.ndarray:
-    """Fixed-step RK4 on ``d psi/dt = -i H psi``.
-
-    The step is sized so the local truncation error stays below
-    ``1e-10 * ||psi||``: ``(||H|| dt)^5 / 120 <= 1e-10``.
-    """
-    if t == 0.0:
-        return psi0.copy()
-    matvec = _matvec_factory(h)
-    h_inf = float(np.max(np.sum(np.abs(h), axis=1)))
-    dt_max = (120.0 * 1e-10) ** 0.2 / max(h_inf, 1e-12)
-    n_steps = max(1, int(math.ceil(t / dt_max)))
-    dt = t / n_steps
-    psi = psi0.astype(complex, copy=True)
-    for _ in range(n_steps):
-        k1 = -1j * matvec(psi)
-        k2 = -1j * matvec(psi + 0.5 * dt * k1)
-        k3 = -1j * matvec(psi + 0.5 * dt * k2)
-        k4 = -1j * matvec(psi + dt * k3)
-        psi += (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return psi
-
-
 def evolve(bundle: PropagatorBundle, psi0: WaveState, t: float) -> WaveState:
     """Propagate a state by time ``t`` under ``exp(-i H t)``.
 
     Spectral path: expand in right modes with left-mode coefficients and
-    multiply by ``exp(-i E_n t)``. Near-defective bundles route to the direct
-    RK4 integrator automatically, with a DEBUG event under ``ptchain.dynamics``.
+    multiply by ``exp(-i E_n t)``. Near-defective bundles route to
+    ``expm_multiply`` automatically, with a DEBUG event under ``ptchain.dynamics``.
     """
     if not 0.0 <= t < math.inf:
         raise OutOfRange(f"t must be finite and nonnegative, got {t!r}")
     if bundle.near_defective:
         _log.debug(
-            "stepping by RK4 to t=%r: near-defective bundle (condition estimate %.3g)",
+            "stepping by expm_multiply to t=%r: near-defective bundle "
+            "(condition estimate %.3g)",
             t, bundle.condition_estimate,
         )
-        psi_t = _evolve_rk4(bundle.hamiltonian, psi0.amplitudes, t)
+        from scipy.sparse import csr_array
+        from scipy.sparse.linalg import expm_multiply
+
+        psi_t = expm_multiply(-1j * t * csr_array(bundle.hamiltonian), psi0.amplitudes)
     else:
         coeff = bundle.left_modes.conj().T @ psi0.amplitudes
         psi_t = bundle.right_modes @ (coeff * np.exp(-1j * bundle.eigenvalues * t))

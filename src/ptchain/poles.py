@@ -72,6 +72,10 @@ EDGE_MARGIN = 1e-4
 #: also the pad around the region within which pencil eigenvalues are taken,
 #: and the farthest Newton may move a pencil eigenvalue it polishes.
 PENCIL_TOL = 1e-6
+#: Largest |Delta k| between consecutive points of one trajectory branch,
+#: both when a fresh pole is matched to a branch and when a branch is
+#: continued by Newton.
+CONTINUATION_STEP_BOUND = 0.3
 
 
 class PoleClass(enum.Enum):
@@ -648,9 +652,6 @@ class Trajectory:
     branches: list[BranchPath]
     crossings: list[AxisCrossing]
 
-    #: Maximum |Delta k| accepted between consecutive points of one branch.
-    continuation_step_bound: float = 0.3
-
 
 def _refine_crossing(
     spec_base: ChainSpec,
@@ -690,10 +691,11 @@ def trace_trajectories(
 
     At each gamma sample the poles are re-found by :func:`find_poles` and
     matched to existing branches by nearest-neighbor distance in k (rejection
-    beyond 0.3); unmatched poles start new branches (poles rise into the
-    window from below as gamma grows — at gamma = 0 the window is empty), and
-    branches whose pole left the window are closed. A branch whose root
-    cannot be re-converged after three step halvings is marked lost
+    beyond :data:`CONTINUATION_STEP_BOUND`); unmatched poles start new
+    branches (poles rise into the window from below as gamma grows — at
+    gamma = 0 the window is empty), and branches whose pole left the window
+    are closed. A branch whose root cannot be re-converged within the same
+    bound after three step halvings is marked lost
     (``strict=True`` raises :class:`BranchLost` instead).
 
     The censuses share one seed grid, so the gamma-independent factors of
@@ -733,7 +735,7 @@ def trace_trajectories(
         for bi, b in enumerate(live):
             for ri, r in enumerate(found_k):
                 d = abs(r - prev_pts[id(b)])
-                if d <= 0.3:
+                if d <= CONTINUATION_STEP_BOUND:
                     pairs.append((d, bi, ri))
         pairs.sort()
         matched_b: set[int] = set()
@@ -762,7 +764,7 @@ def trace_trajectories(
                 for s in range(1, sub + 1):
                     gs = g_prev + (g - g_prev) * s / sub
                     root = _newton(ChainSpec(spec_base.n_cells, gs), seed)
-                    if root is None or abs(root - seed) > 0.3:
+                    if root is None or abs(root - seed) > CONTINUATION_STEP_BOUND:
                         ok = False
                         break
                     seed = root

@@ -42,6 +42,11 @@ def test_usage_errors_exit_2(workdir):
     evolve = ["evolve", "--n", "1", "--gamma", "0.1", "--l", "120", "--j0", "-30"]
     assert main(evolve + ["--sigma", "nan"]) == 2
     assert main(evolve + ["--sigma", "8", "--times", "0,nan"]) == 2
+    # packets without a finite nonzero norm on the lattice
+    small = ["evolve", "--n", "1", "--gamma", "0.1", "--l", "40", "--times", "0"]
+    with pytest.warns(UserWarning):
+        assert main(small + ["--j0", "500", "--sigma", "3"]) == 2
+    assert main(small + ["--j0", "-10", "--sigma", "1e-300"]) == 2
 
 
 def test_numerical_failures_exit_3(workdir, monkeypatch):

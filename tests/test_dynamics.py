@@ -20,7 +20,7 @@ from ptchain import (
     transmitted_intensity,
     validity_horizon,
 )
-from ptchain.dynamics import _evolve_rk4
+from ptchain import dynamics
 
 
 def test_layout_centered_indexing():
@@ -120,6 +120,12 @@ def test_evolve_rejects_negative_time():
     for sigma in (float("nan"), float("inf")):
         with pytest.raises(OutOfRange):
             gaussian_packet(layout, j0=-10, sigma=sigma, k0=1.0)
+    # packets without a finite nonzero norm on the lattice: off the lattice
+    # (every amplitude underflows to 0) and a width whose exponent is 0/0
+    with pytest.warns(UserWarning), pytest.raises(OutOfRange):
+        gaussian_packet(layout, j0=500, sigma=3.0, k0=1.0)
+    with pytest.raises(OutOfRange):
+        gaussian_packet(layout, j0=-10, sigma=1e-300, k0=1.0)
 
 
 def test_unitary_evolution_without_gain_loss():
@@ -132,15 +138,16 @@ def test_unitary_evolution_without_gain_loss():
     assert state.time == 40.0
 
 
-def test_spectral_path_matches_rk4():
+def test_spectral_path_matches_forced_fallback(monkeypatch):
     layout = LatticeLayout.centered(60, 3)
     h = build_hamiltonian(layout, ChainSpec(3, 0.5))
-    bundle = prepare_propagator(h)
     psi0 = gaussian_packet(layout, j0=-12, sigma=4.0, k0=1.3)
-    spectral = evolve(bundle, psi0, 6.0).amplitudes
-    direct = _evolve_rk4(h, psi0.amplitudes, 6.0)
-    # RK4 step targets ~1e-10 local error; accumulated over t=6 that is ~1e-7
-    assert np.max(np.abs(spectral - direct)) < 1e-6
+    spectral = evolve(prepare_propagator(h), psi0, 6.0).amplitudes
+    monkeypatch.setattr(dynamics, "NEAR_DEFECTIVE_CONDITION", 0.0)
+    bundle = prepare_propagator(h)
+    assert bundle.near_defective
+    direct = evolve(bundle, psi0, 6.0).amplitudes
+    assert np.max(np.abs(spectral - direct)) < 1e-12
 
 
 def test_near_defective_falls_back_to_rk4(caplog):
@@ -158,7 +165,7 @@ def test_near_defective_falls_back_to_rk4(caplog):
     messages = [r.getMessage() for r in caplog.records if r.name == "ptchain.dynamics"]
     assert len(messages) == 2
     assert "near-defective spectrum (condition estimate" in messages[0]
-    assert "stepping by RK4 to t=2.0" in messages[1]
+    assert "stepping by expm_multiply to t=2.0" in messages[1]
 
 
 def test_intensity_split_partitions_norm():
