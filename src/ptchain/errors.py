@@ -47,7 +47,7 @@ class NonConvergence(NumericalFailure):
 
 
 class BranchLost(NumericalFailure):
-    """A continuation branch could not be re-converged after step halving."""
+    """A trajectory branch inside its window matched no census pole after three step halvings."""
 
 
 class DecompositionFailed(NumericalFailure):

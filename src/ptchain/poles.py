@@ -72,9 +72,10 @@ EDGE_MARGIN = 1e-4
 #: also the pad around the region within which pencil eigenvalues are taken,
 #: and the farthest Newton may move a pencil eigenvalue it polishes.
 PENCIL_TOL = 1e-6
-#: Largest |Delta k| between consecutive points of one trajectory branch,
-#: both when a fresh pole is matched to a branch and when a branch is
-#: continued by Newton.
+#: Largest |Delta k| between consecutive points of one trajectory branch: a
+#: census pole farther than this from a branch is not matched to it. Also the
+#: depth inside the window beyond which a branch unmatched at the finest gamma
+#: step is lost rather than gone out of the window.
 CONTINUATION_STEP_BOUND = 0.3
 
 
@@ -167,25 +168,17 @@ DEFAULT_REGION = SearchRegion(
 # residual evaluation
 # ---------------------------------------------------------------------------
 
-def pole_residual(spec: ChainSpec, k):
+def pole_residual(spec: ChainSpec, k: complex) -> complex:
     """The pole condition residual ``M22(k)`` (zero exactly at poles).
 
     Evaluates ``cos(2N mu) - i cot(k) tan(mu) sin(2N mu)`` in its branch-free
-    Chebyshev form. A scalar ``k`` goes through the scalar evaluator that
-    :func:`~ptchain.scattering.plane_wave_transfer` builds ``M22`` from; it
+    Chebyshev form, through the scalar evaluator that
+    :func:`~ptchain.scattering.plane_wave_transfer` builds ``M22`` from. It
     raises :class:`SingularBasis` at ``sin k = 0``, and a residual beyond the
-    double range is NaN. A numpy array is evaluated elementwise by the same
-    formula in array arithmetic (singular entries become non-finite), which
-    can differ from the scalar path in the last bit; it is the evaluation the
-    seed grid of :func:`find_poles` makes, bit for bit.
+    double range is NaN.
     """
-    if isinstance(k, (complex, float, int)):
-        t_n, diag, _, _, exp, _ = _transfer_terms(spec, complex(k))
-        return t_n - diag if not exp else complex(math.nan, math.nan)
-    k = np.asarray(k, dtype=complex)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cos2k, icot = np.cos(2 * k), 1j * (np.cos(k) / np.sin(k))
-    return _m22_array(spec, cos2k, icot, [np.empty_like(k) for _ in range(_M22_WORK)])
+    t_n, diag, _, _, exp, _ = _transfer_terms(spec, complex(k))
+    return t_n - diag if not exp else complex(math.nan, math.nan)
 
 
 #: Number of work arrays :func:`_m22_array` takes.
@@ -315,10 +308,9 @@ class _SeedGrid:
     def residual(self, spec: ChainSpec) -> np.ndarray:
         """``|M22|`` on the lattice, block by block, in :attr:`abs_m22`.
 
-        It equals ``np.abs(pole_residual(spec, kk))`` on the lattice ``kk``
-        bit for bit, so the seeds depend neither on the block size nor on
-        whether the factors were shared. The array is overwritten by the
-        next call.
+        It equals the plain array expression's ``|M22|`` on the lattice bit
+        for bit, so the seeds depend neither on the block size nor on whether
+        the factors were shared. The array is overwritten by the next call.
         """
         for start in range(0, len(self.im), self.block_rows):
             rows = slice(start, start + self.block_rows)
@@ -646,7 +638,10 @@ class AxisCrossing:
 
 @dataclass
 class Trajectory:
-    """Pole trajectories over an ascending gamma sweep."""
+    """Pole trajectories over an ascending gamma sweep.
+
+    ``gamma_samples`` holds the midpoints of halved steps too, in order.
+    """
 
     gamma_samples: list[float]
     branches: list[BranchPath]
@@ -689,14 +684,15 @@ def trace_trajectories(
 ) -> Trajectory:
     """Track every pole inside ``region`` while gamma sweeps upward.
 
-    At each gamma sample the poles are re-found by :func:`find_poles` and
-    matched to existing branches by nearest-neighbor distance in k (rejection
-    beyond :data:`CONTINUATION_STEP_BOUND`); unmatched poles start new
-    branches (poles rise into the window from below as gamma grows — at
-    gamma = 0 the window is empty), and branches whose pole left the window
-    are closed. A branch whose root cannot be re-converged within the same
-    bound after three step halvings is marked lost
-    (``strict=True`` raises :class:`BranchLost` instead).
+    At each gamma sample the complete census of :func:`find_poles` is matched
+    to the live branches nearest-first within :data:`CONTINUATION_STEP_BOUND`;
+    unmatched poles start new branches (poles rise into the window from below
+    as gamma grows — at gamma = 0 the window is empty), so every branch point
+    is a census record. An unmatched branch makes the sweep retry the sample
+    after a census at the step's midpoint, at most three halvings deep. A
+    branch still unmatched then ends if its last point lies within the bound
+    of the window's edge (its pole left the window), and is marked lost
+    otherwise (``strict=True`` raises :class:`BranchLost` instead).
 
     The censuses share one seed grid, so the gamma-independent factors of
     ``|M22|`` on it are built once per sweep and each sample runs only the
@@ -719,98 +715,72 @@ def trace_trajectories(
         gammas = [gamma_min]
     else:
         gammas = [gamma_min + (gamma_max - gamma_min) * i / steps for i in range(steps + 1)]
+    # stack of (gamma, halvings, census or None), the next sample last
+    todo = [(g, 0, None) for g in reversed(gammas)]
+    samples: list[float] = []
     branches: list[BranchPath] = []
-    next_id = 0
+    live: list[BranchPath] = []  # creation order, so that ties match the older branch
     grid = _SeedGrid(region, grid_density)
 
-    for g in gammas:
-        spec = ChainSpec(spec_base.n_cells, g)
-        found = find_poles(spec, region, grid_density, _grid=grid)
-        found_k = [r.k.as_complex() for r in found]
-        live = [b for b in branches if not b.lost and b.points]
-        prev_pts = {id(b): b.last_k for b in live}
+    while todo:
+        g, halvings, found = todo[-1]
+        if found is None:
+            found = find_poles(ChainSpec(spec_base.n_cells, g), region, grid_density, _grid=grid)
 
         # greedy nearest-neighbor matching, closest pairs first
+        found_k = [r.k.as_complex() for r in found]
         pairs: list[tuple[float, int, int]] = []
         for bi, b in enumerate(live):
+            last_k = b.last_k
             for ri, r in enumerate(found_k):
-                d = abs(r - prev_pts[id(b)])
+                d = abs(r - last_k)
                 if d <= CONTINUATION_STEP_BOUND:
                     pairs.append((d, bi, ri))
         pairs.sort()
-        matched_b: set[int] = set()
+        matched: dict[int, int] = {}
         matched_r: set[int] = set()
-        taken: list[complex] = []  # roots adopted by some branch this sample
         for d, bi, ri in pairs:
-            if bi in matched_b or ri in matched_r:
-                continue
-            matched_b.add(bi)
-            matched_r.add(ri)
-            live[bi].points.append((g, found[ri]))
-            taken.append(found_k[ri])
+            if bi not in matched and ri not in matched_r:
+                matched[bi] = ri
+                matched_r.add(ri)
 
-        # unmatched live branches: direct continuation with step halving
-        for bi, b in enumerate(live):
-            if bi in matched_b or not b.points:
+        unmatched = [b for bi, b in enumerate(live) if bi not in matched]
+        if unmatched and halvings < 3:
+            mid = 0.5 * (samples[-1] + g)
+            _log.debug(
+                "branches %s unmatched at gamma=%r: halving the step to gamma=%r (N=%d)",
+                [b.branch_id for b in unmatched], g, mid, spec_base.n_cells,
+            )
+            todo[-1] = (g, halvings + 1, found)
+            todo.append((mid, halvings + 1, None))
+            continue
+        todo.pop()
+        samples.append(g)
+        # at the finest step, an unmatched branch within the bound of the
+        # window's edge has left the window; one farther inside (a negative
+        # pad) is lost
+        for b in unmatched:
+            if not region.contains(b.last_k, pad=-CONTINUATION_STEP_BOUND):
                 continue
-            g_prev = b.points[-1][0]
-            if g_prev == g:
-                continue
-            root = None
-            sub = 1
-            for _ in range(4):  # 1, 2, 4, 8 sub-steps (three halvings)
-                seed = b.last_k
-                ok = True
-                for s in range(1, sub + 1):
-                    gs = g_prev + (g - g_prev) * s / sub
-                    root = _newton(ChainSpec(spec_base.n_cells, gs), seed)
-                    if root is None or abs(root - seed) > CONTINUATION_STEP_BOUND:
-                        ok = False
-                        break
-                    seed = root
-                if ok:
-                    break
-                sub *= 2
-                root = None
-            if root is None:
-                if strict:
-                    raise BranchLost(
-                        f"branch {b.branch_id} lost near gamma={g!r} "
-                        f"(last k = {b.last_k!r})"
-                    )
-                _log.debug(
-                    "branch %d lost near gamma=%r (last k=%r, N=%d)",
-                    b.branch_id, g, b.last_k, spec_base.n_cells,
+            if strict:
+                raise BranchLost(
+                    f"branch {b.branch_id} lost near gamma={g!r} (last k = {b.last_k!r})"
                 )
-                b.lost = True
-            elif region.contains(root):
-                # the continuation may land on a root the fresh search also
-                # produced (a fast-moving pole beyond the matching radius);
-                # claim it so the birth loop below does not duplicate it
-                for ri, r in enumerate(found_k):
-                    if ri not in matched_r and abs(r - root) <= 1e-6:
-                        matched_r.add(ri)
-                if any(abs(root - q) <= 1e-8 for q in taken):
-                    # collided with a pole another branch already tracks;
-                    # stop following this branch rather than double-count
-                    _log.debug(
-                        "branch %d collided at gamma=%r with a tracked pole k=%r (N=%d)",
-                        b.branch_id, g, root, spec_base.n_cells,
-                    )
-                    b.lost = True
-                else:
-                    b.points.append((g, _record(spec, root)))
-                    taken.append(root)
-            # else: the pole left the window; branch simply ends.
+            _log.debug(
+                "branch %d lost near gamma=%r (last k=%r, N=%d)",
+                b.branch_id, g, b.last_k, spec_base.n_cells,
+            )
+            b.lost = True
+        for bi, ri in matched.items():
+            live[bi].points.append((g, found[ri]))
+        live = [b for bi, b in enumerate(live) if bi in matched]
 
         # unmatched found roots: new branches are born
         for ri, r in enumerate(found):
-            if ri in matched_r:
-                continue
-            b = BranchPath(branch_id=next_id)
-            next_id += 1
-            b.points.append((g, r))
-            branches.append(b)
+            if ri not in matched_r:
+                b = BranchPath(branch_id=len(branches), points=[(g, r)])
+                branches.append(b)
+                live.append(b)
 
     # refine real-axis crossings
     crossings: list[AxisCrossing] = []
@@ -835,4 +805,4 @@ def trace_trajectories(
             f"(soft structural check for N={spec_base.n_cells})",
             stacklevel=2,
         )
-    return Trajectory(gamma_samples=gammas, branches=branches, crossings=crossings)
+    return Trajectory(gamma_samples=samples, branches=branches, crossings=crossings)

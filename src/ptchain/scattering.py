@@ -233,14 +233,9 @@ def transmission_closed_form(spec: ChainSpec, k: float) -> float:
     """
     if not 0.0 < k < math.pi:
         raise OutOfRange(f"real scattering requires k in (0, pi), got {k!r}")
-    x = _closed_form_x(spec, k)
+    x = math.cos(2 * k) + 0.5 * spec.gamma**2
     _, u_nm1 = chebyshev_tu(spec.n_cells, x)
     return _closed_form_transmission(spec, k, x, u_nm1)
-
-
-def _closed_form_x(spec: ChainSpec, k: float) -> float:
-    """The closed form's ``x = cos 2k + gamma**2/2``, in real arithmetic."""
-    return math.cos(2 * k) + 0.5 * spec.gamma * spec.gamma
 
 
 def _closed_form_transmission(spec: ChainSpec, k: float, x: float, u_nm1: float) -> float:
@@ -264,12 +259,11 @@ def scatter(spec: ChainSpec, k: float) -> ScatterResult:
     transmission is additionally cross-checked against the independent
     real-arithmetic closed form on every call (1e-9 relative, widened by
     the closed form's own quadratic error floor near singularities). The
-    closed form needs ``U_{N-1}(x)`` at ``x = cos 2k + gamma*gamma/2``; when
-    the matrix route's ``x`` (formed with ``gamma**2``) has the same bits
-    and its recurrence did not rescale, its ``U_{N-1}`` is that value bit for
-    bit and is reused. Otherwise (``0.5*gamma**2 != 0.5*gamma*gamma`` for
-    about 0.08% of gamma, or rescaled entries) the closed form runs its own
-    recurrence. Either way the reference, and so the check, is the same.
+    closed form needs ``U_{N-1}(x)`` at ``x = cos 2k + gamma**2/2``, the
+    matrix route's ``x`` to the bit; unless the matrix route's recurrence
+    rescaled, its ``U_{N-1}`` is that value bit for bit and is reused, and
+    otherwise the closed form runs its own recurrence. Either way the
+    reference, and so the check, is the same.
     On long chains whose entries approach or exceed the double range, they
     are evaluated rescaled by a power of two: ``T`` underflows toward 0 while
     ``R_left`` and ``R_right`` stay finite.
@@ -288,7 +282,7 @@ def scatter(spec: ChainSpec, k: float) -> ScatterResult:
         raise OutOfRange(f"real scattering requires k in (0, pi), got {k!r}")
     t_n, diag, u_nm1, sink, exp, x = _transfer_terms(spec, k)
     # the closed form's own recurrence would run on these bits again
-    reuse_u = u_nm1 if not exp and x == _closed_form_x(spec, k) else None
+    reuse_u = None if exp else u_nm1
     if abs(u_nm1) > 2.0**512:
         # leave the entries and their quotients headroom; scaling by 2**-512 is exact
         t_n, diag, u_nm1 = t_n * 2.0**-512, diag * 2.0**-512, u_nm1 * 2.0**-512

@@ -180,6 +180,19 @@ def test_trajectory_single_cell_crossing(workdir):
     assert float(crossings[0][1]) == pytest.approx(math.sqrt(2.0), abs=1e-6)
 
 
+def test_trajectory_branch_leaving_the_window_ends(workdir):
+    """Branch 0 leaves the window's top near gamma = 1.6: it ends, it is not lost."""
+    assert main(
+        ["trajectory", "--n", "2", "--gamma-max", "2.5", "--steps", "60",
+         "--region", "0.05,3.0,-1.0,0.6"]
+    ) == 0
+    _, rows = _read_csv(workdir / "ptchain_trajectory.csv")
+    assert [r for r in rows if r[5] != "false"] == []
+    _, crossings = _read_csv(workdir / "ptchain_trajectory_crossings.csv")
+    gammas = sorted(float(c[1]) for c in crossings)
+    assert gammas == pytest.approx(sorted(threshold_ladder(2).gamma_values), abs=1e-6)
+
+
 # ---- evolve -------------------------------------------------------------------
 
 def test_evolve_writes_snapshots_and_summary(workdir, capsys):

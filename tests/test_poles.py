@@ -20,6 +20,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ptchain import (
+    BranchLost,
     ChainSpec,
     MissedRoots,
     NonConvergence,
@@ -406,14 +407,19 @@ def test_single_cell_trajectory_crosses_at_sqrt2():
     assert crossing.k.real == pytest.approx(0.5 * PI, abs=1e-7)
 
 
-def test_three_cell_trajectory_passes_the_branch_count_check():
-    """N=3 keeps 2N-1 right-half branches, so the soft check stays silent."""
+@pytest.mark.parametrize("n, steps", [(3, 50), (3, 20), (3, 10), (4, 20), (4, 10)])
+def test_trajectory_passes_the_branch_count_check(n, steps):
+    """2N-1 right-half branches and every ladder crossing, even on coarse sweeps.
+
+    A step too coarse for the matching is halved, so the 10- and 20-step
+    sweeps split no branch and miss no crossing.
+    """
     region = SearchRegion(1e-4, PI - 1e-4, -1.5, 1.5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        traj = trace_trajectories(ChainSpec(3, 0.0), 0.0, 2.0, steps=50, region=region)
-    assert sum(1 for b in traj.branches if b.points[-1][1].k.re > 0) == 5
-    ladder = threshold_ladder(3).gamma_values
+        traj = trace_trajectories(ChainSpec(n, 0.0), 0.0, 2.0, steps=steps, region=region)
+    assert sum(1 for b in traj.branches if b.points[-1][1].k.re > 0) == 2 * n - 1
+    ladder = threshold_ladder(n).gamma_values
     assert sorted(c.gamma for c in traj.crossings) == pytest.approx(sorted(ladder), abs=1e-6)
 
 
@@ -426,7 +432,12 @@ def test_degenerate_sweep_emits_single_sample():
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_sweep_censuses_equal_fresh_censuses(n, monkeypatch):
-    """Each census of a sweep, on its shared grid, is a fresh find_poles call's."""
+    """Each census of a sweep, on its shared grid, is a fresh find_poles call's.
+
+    Every branch point is a record of the census at its gamma, and the
+    samples are the census gammas in ascending order, each censused once
+    (a halved step's midpoint is censused after the sample it precedes).
+    """
     region = SearchRegion(1e-4, PI - 1e-4, -1.5, 1.5)
     census = poles.find_poles
     seen = []
@@ -436,50 +447,68 @@ def test_sweep_censuses_equal_fresh_censuses(n, monkeypatch):
         return seen[-1][1]
 
     monkeypatch.setattr(poles, "find_poles", spy)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # 20 steps are too coarse for the soft branch count
-        traj = trace_trajectories(ChainSpec(n, 0.0), 0.0, 2.0, steps=20, region=region)
-    assert [g for g, _ in seen] == traj.gamma_samples
+    traj = trace_trajectories(ChainSpec(n, 0.0), 0.0, 2.0, steps=20, region=region)
+    assert traj.gamma_samples == sorted(g for g, _ in seen)
     for g, records in seen:
         assert records == census(ChainSpec(n, g), region)
-        # matched and newborn branches take the census records themselves; a
-        # record is left out only when a branch's continuation claimed its root
-        points = [p for b in traj.branches for gb, p in b.points if gb == g]
-        continued = [p for p in points if not any(p is r for r in records)]
-        for r in records:
-            k = r.k.as_complex()
-            assert any(p is r for p in points) or any(
-                abs(p.k.as_complex() - k) <= 1e-6 for p in continued
-            )
+    census_at = dict(seen)
+    for b in traj.branches:
+        assert all(any(p is r for r in census_at[g]) for g, p in b.points)
 
 
-def _fake_census(records_by_sample):
-    """A find_poles stand-in returning the given record lists, one per call."""
-    calls = iter(records_by_sample)
-    return lambda spec, *args, **kwargs: next(calls)
+def _census_once(record):
+    """A find_poles stand-in that returns ``[record]`` on its first call and ``[]`` after."""
+    calls = iter([[record]])
+    return lambda spec, *args, **kwargs: next(calls, [])
 
 
 def test_lost_branch_is_logged(monkeypatch, caplog):
-    spec = ChainSpec(3, 0.7)
-    (tgbs,) = find_poles(spec, first_quadrant_region(0.7))
-    monkeypatch.setattr(poles, "find_poles", _fake_census([[tgbs]] + [[]] * 10))
-    monkeypatch.setattr(poles, "_newton", lambda spec, seed: None)
+    """A pole that vanishes mid-window: three halved steps, then the branch is lost."""
+    (tgbs,) = find_poles(ChainSpec(3, 0.7), first_quadrant_region(0.7))
+    monkeypatch.setattr(poles, "find_poles", _census_once(tgbs))
     with caplog.at_level(logging.DEBUG, logger="ptchain"):
         traj = trace_trajectories(ChainSpec(3, 0.0), 0.7, 0.8, steps=10, strict=False)
     assert [b.lost for b in traj.branches] == [True]
-    assert any("branch 0 lost" in r.getMessage() for r in caplog.records)
+    assert traj.gamma_samples[:5] == pytest.approx([0.7, 0.70125, 0.7025, 0.705, 0.71])
+    assert len(traj.gamma_samples) == 14
+    messages = [r.getMessage() for r in caplog.records]
+    assert sum("halving the step" in m for m in messages) == 3
+    assert any(f"branch 0 lost near gamma={traj.gamma_samples[1]!r}" in m for m in messages)
 
 
-def test_colliding_branch_is_logged(caplog, monkeypatch):
-    """Two branches near one pole: the one that loses the match collides."""
-    first = find_poles(ChainSpec(3, 0.7), first_quadrant_region(0.7))[0]
-    second = find_poles(ChainSpec(3, 0.71), first_quadrant_region(0.71))[0]
-    near = poles._record(ChainSpec(3, 0.7), first.k.as_complex() + 0.01)
-    monkeypatch.setattr(poles, "find_poles", _fake_census([[first, near]] + [[second]] * 10))
+def test_lost_branch_raises_when_strict(monkeypatch):
+    (tgbs,) = find_poles(ChainSpec(3, 0.7), first_quadrant_region(0.7))
+    monkeypatch.setattr(poles, "find_poles", _census_once(tgbs))
+    with pytest.raises(BranchLost, match="branch 0 lost"):
+        trace_trajectories(ChainSpec(3, 0.0), 0.7, 0.8, steps=10)
+
+
+def test_branch_leaving_the_window_ends(monkeypatch, caplog):
+    """Unmatched after three halvings within the matching bound of the window's edge, a branch ends."""
+    (tgbs,) = find_poles(ChainSpec(3, 0.7), first_quadrant_region(0.7))
+    monkeypatch.setattr(poles, "find_poles", _census_once(tgbs))
+    region = SearchRegion(1e-4, PI - 1e-4, -1.0, tgbs.k.im + 0.1)
     with caplog.at_level(logging.DEBUG, logger="ptchain"):
-        traj = trace_trajectories(ChainSpec(3, 0.0), 0.7, 0.8, steps=10, strict=False)
-    assert [b.lost for b in traj.branches] == [False, True]
-    assert any("branch 1 collided" in r.getMessage() for r in caplog.records)
+        traj = trace_trajectories(ChainSpec(3, 0.0), 0.7, 0.8, steps=10, region=region)
+    assert [(b.lost, len(b.points)) for b in traj.branches] == [(False, 1)]
+    assert len(traj.gamma_samples) == 14
+    messages = [r.getMessage() for r in caplog.records]
+    assert sum("halving the step" in m for m in messages) == 3
+    assert not any("lost" in m for m in messages)
+
+
+def test_pole_entering_fast_stays_one_branch():
+    """At N=1 a pole rises 0.35 in k in one of 100 steps just after entering the strip.
+
+    Its first point lies within the matching bound of the window's bottom;
+    the halved step matches it instead of ending the branch and starting
+    another.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = trace_trajectories(ChainSpec(1, 0.0), 0.0, 2.5, steps=100, strict=True)
+    assert [len(b.points) for b in traj.branches] == [61, 61]
+    assert len(traj.gamma_samples) == 102
 
 
 def test_trajectory_validation():
@@ -493,14 +522,14 @@ def test_trajectory_validation():
 
 # ---- residual evaluation ------------------------------------------------------
 
-def test_pole_residual_array_branch_matches_scalar_branch(rng):
-    """The grid's array evaluation and the scalar evaluator agree to rounding."""
+def test_plain_array_residual_matches_scalar_residual(rng):
+    """The array expression the seed grid equals bitwise and the scalar evaluator agree to rounding."""
     for _ in range(60):
         spec = ChainSpec(int(rng.integers(1, 21)), float(rng.uniform(0.0, 2.2)))
         ks = rng.uniform(-PI, PI, 8) + 1j * rng.uniform(-1.5, 1.5, 8)
         ks[:2] = ks[:2].real  # real k takes the scalar path's real arithmetic
         ks = ks[np.abs(np.sin(ks)) > 1e-3]
-        array = pole_residual(spec, ks)
+        array = plain_m22_array(spec, ks)
         x = np.cos(2 * ks) + 0.5 * spec.gamma**2
         t_n, u_nm1 = chebyshev_tu(spec.n_cells, x)
         scale = np.abs(t_n) + np.abs(np.cos(ks) / np.sin(ks) * (1.0 - x) * u_nm1)
@@ -534,8 +563,6 @@ def test_shared_grid_factors_give_the_plain_residual_bitwise(n, seed_grids):
             plain = np.abs(plain_m22_array(spec, kk))
             shared = grid.residual(spec)
             assert np.array_equal(shared, plain, equal_nan=True)
-            if grid is seed_grids[2]:  # the public array path assembles M22 alike
-                assert np.array_equal(np.abs(pole_residual(spec, kk)), plain, equal_nan=True)
 
 
 @pytest.mark.parametrize("rows", [1, 7])

@@ -268,13 +268,14 @@ def test_scatter_stays_finite_where_the_recurrence_overflows(k):
 def test_scatter_cross_checks_against_the_closed_form_value(rng, monkeypatch):
     """The reference ``scatter`` checks against is ``transmission_closed_form`` to the bit.
 
-    Reusing the matrix route's ``U_{N-1}`` is exact only when both routes form
-    ``x`` with the same bits; at a gamma where ``0.5*g**2 != 0.5*g*g`` and
-    where the recurrence overflows, the closed form runs its own recurrence.
+    Both routes form ``x`` as ``cos 2k + 0.5*gamma**2``, so the matrix
+    route's ``U_{N-1}`` is reused, also at a gamma where
+    ``0.5*g**2 != 0.5*g*g``; only where the recurrence overflows does the
+    closed form run its own.
     """
     odd_gamma = 0.8862418894599235
     assert 0.5 * odd_gamma**2 != 0.5 * odd_gamma * odd_gamma
-    cases = [(ChainSpec(5, odd_gamma), 1.1, True), (ChainSpec(5, 0.8862), 1.1, False),
+    cases = [(ChainSpec(5, odd_gamma), 1.1, False), (ChainSpec(5, 0.8862), 1.1, False),
              (ChainSpec(807, 1.62), 0.01, True)]
     for _ in range(200):
         spec = ChainSpec(int(rng.integers(1, 60)), float(rng.uniform(0.0, 2.0)))
