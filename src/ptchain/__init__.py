@@ -28,6 +28,7 @@ from .model import (
     ComplexWavenumber,
     OnsitePotential,
     bloch_index,
+    chain_operator,
     classify_bloch_regime,
     dispersion_energy,
     energy_to_wavenumber,
@@ -109,6 +110,7 @@ __all__ = [
     "BlochRegime",
     "BlochIndex",
     "onsite_profile",
+    "chain_operator",
     "dispersion_energy",
     "energy_to_wavenumber",
     "bloch_index",

@@ -1,11 +1,14 @@
 """Finite-lattice wave-packet dynamics: the time-dependent oracle.
 
 A hard-wall tight-binding lattice of ``L`` sites embeds the gain/loss region
-in its center. The non-Hermitian Hamiltonian is diagonalized densely; time
-evolution expands the state in right eigenmodes with left-eigenmode
-coefficients (biorthogonal expansion) and multiplies by ``exp(-i E t)``.
-Near-defective spectra (mode-overlap conditioning above a threshold) fall
-back to ``scipy.sparse.linalg.expm_multiply`` (Al-Mohy & Higham 2011).
+in its center. Its non-Hermitian Hamiltonian is the sparse
+:func:`~ptchain.model.chain_operator` with leads; only
+:func:`prepare_propagator` densifies it, as the input of the dense
+eigensolver. Time evolution expands the state in right eigenmodes with
+left-eigenmode coefficients (biorthogonal expansion) and multiplies by
+``exp(-i E t)``. Near-defective spectra (mode-overlap conditioning above a
+threshold) fall back to ``scipy.sparse.linalg.expm_multiply`` on the sparse
+Hamiltonian (Al-Mohy & Higham 2011).
 
 Site indexing: ``j`` is relative to the first gain site, so the scattering
 region occupies ``j = 0 .. 2N-1``, the left lead has ``j < 0``, and
@@ -18,12 +21,16 @@ import logging
 import math
 import warnings
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.linalg
 
 from .errors import DecompositionFailed, InsufficientGrowth, OutOfRange
-from .model import ChainSpec, onsite_profile
+from .model import ChainSpec, chain_operator
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_array
 
 __all__ = [
     "LatticeLayout",
@@ -88,10 +95,11 @@ class WaveState:
     time: float
 
 
-def build_hamiltonian(layout: LatticeLayout, spec: ChainSpec) -> np.ndarray:
-    """Dense complex tridiagonal Hamiltonian with hard-wall boundaries.
+def build_hamiltonian(layout: LatticeLayout, spec: ChainSpec) -> "csr_array":
+    """Sparse (CSR) tridiagonal Hamiltonian with hard-wall boundaries.
 
-    Hopping -1 on both off-diagonals; diagonal zero in the leads and
+    The :func:`~ptchain.model.chain_operator` of ``spec`` with the layout's
+    leads: hopping -1 on both off-diagonals; diagonal zero in the leads and
     alternating ``+i gamma, -i gamma`` on the ``2N`` scattering sites (gain
     first). The trace vanishes for every (N, gamma).
     """
@@ -99,14 +107,7 @@ def build_hamiltonian(layout: LatticeLayout, spec: ChainSpec) -> np.ndarray:
         raise OutOfRange(
             f"layout is for N={layout.n_cells} but spec has N={spec.n_cells}"
         )
-    size = layout.total_sites
-    h = np.zeros((size, size), dtype=complex)
-    idx = np.arange(size - 1)
-    h[idx, idx + 1] = -1.0
-    h[idx + 1, idx] = -1.0
-    for p in onsite_profile(spec):
-        h[layout.global_index(p.site_index), layout.global_index(p.site_index)] = p.value
-    return h
+    return chain_operator(spec, layout.lead_left_len, layout.lead_right_len)
 
 
 def gaussian_packet(layout: LatticeLayout, j0: int, sigma: float, k0: float) -> WaveState:
@@ -148,7 +149,10 @@ class PropagatorBundle:
     ``left_modes`` are normalized so that ``left_modes.conj().T @ right_modes``
     is the identity (biorthogonal pairs); ``condition_estimate`` is the
     inverse of the smallest raw left-right overlap and flags near-defective
-    spectra. ``spectral_residual`` records ``||H R - R diag(E)|| / ||H||``.
+    spectra. ``spectral_residual`` records ``||H R - R diag(E)|| / ||H||``
+    (Frobenius norms). ``hamiltonian`` is ``H`` in CSR form, the operator
+    :func:`evolve` steps by ``expm_multiply`` when the bundle is
+    near-defective.
     """
 
     eigenvalues: np.ndarray
@@ -157,11 +161,15 @@ class PropagatorBundle:
     condition_estimate: float
     spectral_residual: float
     near_defective: bool
-    hamiltonian: np.ndarray
+    hamiltonian: "csr_array"
 
 
-def prepare_propagator(h: np.ndarray) -> PropagatorBundle:
+def prepare_propagator(h: "csr_array | np.ndarray") -> PropagatorBundle:
     """Full spectral decomposition with biorthogonal left/right mode pairs.
+
+    ``h`` is converted to CSR once. A dense copy exists only as the input of
+    the dense eigensolver, which overwrites it; the residual is formed with
+    the CSR, which the bundle keeps.
 
     Above a condition estimate of :data:`NEAR_DEFECTIVE_CONDITION` the
     bundle is flagged near-defective, with a DEBUG event under
@@ -170,8 +178,8 @@ def prepare_propagator(h: np.ndarray) -> PropagatorBundle:
 
     Parameters
     ----------
-    h : ndarray
-        Square complex matrix.
+    h : csr_array or ndarray
+        Square complex matrix, such as :func:`build_hamiltonian` returns.
 
     Raises
     ------
@@ -179,23 +187,24 @@ def prepare_propagator(h: np.ndarray) -> PropagatorBundle:
         If the dense eigensolver does not converge or the spectral assembly
         residual is out of tolerance.
     """
+    # imported here so that ``import ptchain`` does not load scipy.sparse
+    from scipy.sparse import csr_array
+
+    h = csr_array(h)
     try:
-        w, vl, vr = scipy.linalg.eig(h, left=True, right=True)
+        w, vl, vr = scipy.linalg.eig(
+            h.toarray(order="F"), left=True, right=True, overwrite_a=True
+        )
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - solver hiccup
         raise DecompositionFailed(f"dense eigensolver failed: {exc}") from exc
     if not np.all(np.isfinite(w)):
         raise DecompositionFailed("eigensolver returned non-finite eigenvalues")
 
-    # imported here so that ``import ptchain`` does not load scipy.sparse
-    from scipy.sparse import csr_array
-
-    h_sparse = csr_array(h)
-    h_norm = np.linalg.norm(h)
     # H R - R diag(E), one column at a time into the one matrix R diag(E)
     resid = vr * w
     for i in range(len(w)):
-        np.subtract(h_sparse @ vr[:, i], resid[:, i], out=resid[:, i])
-    residual = float(np.linalg.norm(resid) / h_norm)
+        np.subtract(h @ vr[:, i], resid[:, i], out=resid[:, i])
+    residual = float(np.linalg.norm(resid) / np.linalg.norm(h.data))
     del resid  # before the copy ``vl.conj()`` below, not beside it
     if residual > 1e-8:
         raise DecompositionFailed(f"spectral assembly residual {residual:.3e} > 1e-8")
@@ -238,10 +247,9 @@ def evolve(bundle: PropagatorBundle, psi0: WaveState, t: float) -> WaveState:
             "(condition estimate %.3g)",
             t, bundle.condition_estimate,
         )
-        from scipy.sparse import csr_array
         from scipy.sparse.linalg import expm_multiply
 
-        psi_t = expm_multiply(-1j * t * csr_array(bundle.hamiltonian), psi0.amplitudes)
+        psi_t = expm_multiply(-1j * t * bundle.hamiltonian, psi0.amplitudes)
     else:
         coeff = bundle.left_modes.conj().T @ psi0.amplitudes
         psi_t = bundle.right_modes @ (coeff * np.exp(-1j * bundle.eigenvalues * t))

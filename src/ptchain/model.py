@@ -22,8 +22,14 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
+
+import numpy as np
 
 from .errors import OutOfRange
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_array
 
 __all__ = [
     "ChainSpec",
@@ -37,6 +43,7 @@ __all__ = [
     "bloch_index",
     "classify_bloch_regime",
     "onsite_profile",
+    "chain_operator",
 ]
 
 #: Absolute tolerance on ``E**2 + gamma**2 - 4`` separating the propagating,
@@ -89,6 +96,35 @@ def onsite_profile(spec: ChainSpec) -> list[OnsitePotential]:
         OnsitePotential(j, (-1) ** j * 1j * spec.gamma)
         for j in range(spec.n_sites)
     ]
+
+
+def chain_operator(spec: ChainSpec, left: int = 0, right: int = 0) -> "csr_array":
+    """The chain's tridiagonal matrix as CSR: the one place its entries are written.
+
+    Hopping -1 between neighbours, ``onsite_profile(spec)`` on the ``2N``
+    scattering sites, and ``left`` and ``right`` lead sites with no on-site
+    entry, between hard walls. Without leads it is the outgoing-wave pencil's
+    ``H_c``, with them the lattice Hamiltonian. The CSR arrays are built
+    directly; for ``gamma > 0`` they equal those of ``csr_array`` of the
+    dense matrix (at ``gamma = 0`` the on-site zeros are stored too).
+    """
+    # imported here so that ``import ptchain`` does not load scipy.sparse
+    from scipy.sparse import csr_array
+
+    if left < 0 or right < 0:
+        raise OutOfRange(f"lead lengths must be nonnegative, got {left!r}, {right!r}")
+    n = spec.n_sites
+    size = left + n + right
+    # row i holds columns i-1, i and i+1, of which ``stored`` keeps those that exist
+    columns = np.arange(size, dtype=np.int32)[:, None] + np.arange(-1, 2, dtype=np.int32)
+    stored = np.ones((size, 3), dtype=bool)
+    stored[0, 0] = stored[-1, 2] = False
+    stored[:left, 1] = stored[left + n :, 1] = False
+    values = np.full((size, 3), -1.0 + 0.0j)
+    values[left : left + n, 1] = [p.value for p in onsite_profile(spec)]
+    indptr = np.zeros(size + 1, dtype=np.int32)
+    np.cumsum(stored.sum(axis=1), out=indptr[1:])
+    return csr_array((values[stored], columns[stored], indptr), shape=(size, size))
 
 
 def _canonical_strip(re: float) -> float:

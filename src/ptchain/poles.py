@@ -37,7 +37,7 @@ from .errors import (
     OutOfRange,
     SingularBasis,
 )
-from .model import ChainSpec, ComplexWavenumber, dispersion_energy, onsite_profile
+from .model import ChainSpec, ComplexWavenumber, chain_operator, dispersion_energy
 from .scattering import _transfer_terms
 
 _log = logging.getLogger(__name__)
@@ -397,10 +397,11 @@ def _pencil_wavenumbers(spec: ChainSpec) -> np.ndarray:
     an ordinary eigenproblem. ``I - P`` has rank 2N - 2, so at least two
     eigenvalues ``w`` vanish (``z`` infinite); they are dropped. The finite
     count is therefore at most 4N - 2, and fewer at exceptional points (none
-    at N = 1, gamma = 1).
+    at N = 1, gamma = 1). ``H_c`` is the leadless :func:`chain_operator`,
+    densified for the eigensolver.
     """
     n = spec.n_sites
-    h_c = np.diag([p.value for p in onsite_profile(spec)]) - np.eye(n, k=1) - np.eye(n, k=-1)
+    h_c = chain_operator(spec).toarray()
     open_ends = np.eye(n)
     open_ends[0, 0] = open_ends[-1, -1] = 0.0
     companion = np.block([[np.zeros((n, n)), np.eye(n)], [-open_ends, -h_c]])
@@ -688,11 +689,15 @@ def trace_trajectories(
     to the live branches nearest-first within :data:`CONTINUATION_STEP_BOUND`;
     unmatched poles start new branches (poles rise into the window from below
     as gamma grows — at gamma = 0 the window is empty), so every branch point
-    is a census record. An unmatched branch makes the sweep retry the sample
-    after a census at the step's midpoint, at most three halvings deep. A
-    branch still unmatched then ends if its last point lies within the bound
-    of the window's edge (its pole left the window), and is marked lost
-    otherwise (``strict=True`` raises :class:`BranchLost` instead).
+    is a census record. When every census pole is matched and each unmatched
+    branch lies within the bound of the window's edge, those branches end at
+    once: their poles left the window. The exception is a branch below the
+    real axis within the bound of a top edge at or above it, which may have
+    crossed the axis on its way out. Any other unmatched branch makes the
+    sweep retry the sample after a census at the step's midpoint, at most
+    three halvings deep. A branch still unmatched then ends if it lies
+    within the bound of the window's edge, and is marked lost otherwise
+    (``strict=True`` raises :class:`BranchLost` instead).
 
     The censuses share one seed grid, so the gamma-independent factors of
     ``|M22|`` on it are built once per sweep and each sample runs only the
@@ -745,7 +750,18 @@ def trace_trajectories(
                 matched_r.add(ri)
 
         unmatched = [b for bi, b in enumerate(live) if bi not in matched]
-        if unmatched and halvings < 3:
+        # unmatched branches farther than the bound inside the window
+        inside = [
+            b for b in unmatched if region.contains(b.last_k, pad=-CONTINUATION_STEP_BOUND)
+        ]
+        # edge branches end at once when no census pole is left for them,
+        # unless one may cross the real axis on its way out through the top
+        settled = len(matched_r) == len(found) and not any(
+            b.last_k.imag < 0.0 <= region.im_max
+            and region.im_max - b.last_k.imag <= CONTINUATION_STEP_BOUND
+            for b in unmatched
+        )
+        if unmatched and halvings < 3 and (inside or not settled):
             mid = 0.5 * (samples[-1] + g)
             _log.debug(
                 "branches %s unmatched at gamma=%r: halving the step to gamma=%r (N=%d)",
@@ -756,12 +772,9 @@ def trace_trajectories(
             continue
         todo.pop()
         samples.append(g)
-        # at the finest step, an unmatched branch within the bound of the
-        # window's edge has left the window; one farther inside (a negative
-        # pad) is lost
-        for b in unmatched:
-            if not region.contains(b.last_k, pad=-CONTINUATION_STEP_BOUND):
-                continue
+        # an unmatched branch within the bound of the window's edge has left
+        # the window; one farther inside is lost
+        for b in inside:
             if strict:
                 raise BranchLost(
                     f"branch {b.branch_id} lost near gamma={g!r} (last k = {b.last_k!r})"

@@ -45,7 +45,7 @@ def test_layout_validation():
 def test_hamiltonian_structure():
     layout = LatticeLayout.centered(20, 2)
     spec = ChainSpec(2, 0.9)
-    h = build_hamiltonian(layout, spec)
+    h = build_hamiltonian(layout, spec).toarray()
     assert h.shape == (20, 20)
     # hopping -1 on the two off-diagonals, nothing further out
     assert np.allclose(np.diag(h, 1), -1.0)
@@ -61,7 +61,7 @@ def test_hamiltonian_structure():
 
 def test_hamiltonian_hermitian_when_gamma_zero():
     layout = LatticeLayout.centered(30, 3)
-    h = build_hamiltonian(layout, ChainSpec(3, 0.0))
+    h = build_hamiltonian(layout, ChainSpec(3, 0.0)).toarray()
     assert np.allclose(h, h.conj().T)
 
 
@@ -96,6 +96,18 @@ def test_propagator_biorthogonality():
     assert bundle.spectral_residual <= 1e-8
     gram = bundle.left_modes.conj().T @ bundle.right_modes
     assert np.allclose(gram, np.eye(80), atol=1e-8)
+
+
+def test_propagator_accepts_a_dense_hamiltonian():
+    """A dense ``h`` gives the bundle of its CSR form, bit for bit."""
+    layout = LatticeLayout.centered(40, 2)
+    h = build_hamiltonian(layout, ChainSpec(2, 0.7))
+    sparse, dense = prepare_propagator(h), prepare_propagator(h.toarray())
+    assert sparse.eigenvalues.tobytes() == dense.eigenvalues.tobytes()
+    assert sparse.right_modes.tobytes() == dense.right_modes.tobytes()
+    assert sparse.spectral_residual == dense.spectral_residual
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(dense.hamiltonian, part), getattr(h, part))
 
 
 def test_evolve_identity_at_t_zero():

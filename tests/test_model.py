@@ -2,21 +2,32 @@
 
 import cmath
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.sparse import csr_array
 
+import ptchain
 from ptchain import (
     BlochRegime,
     ChainSpec,
     ComplexWavenumber,
+    LatticeLayout,
     OutOfRange,
     bloch_index,
+    chain_operator,
     classify_bloch_regime,
     dispersion_energy,
     energy_to_wavenumber,
     onsite_profile,
 )
+from ptchain import poles
+from transfer_oracles import dense_hamiltonian, dense_pencil_companion
 
 
 def test_chain_spec_validation():
@@ -47,6 +58,72 @@ def test_onsite_profile_alternates_and_is_pt_symmetric():
     assert all(eps[j] == (-1) ** j * 0.9j for j in range(8))
     # PT: eps_j = conj(eps_{2N-1-j})
     assert all(eps[j] == eps[7 - j].conjugate() for j in range(8))
+
+
+CHAIN_SIZES = [1, 2, 3, 8, 50]
+#: (left, right) lead lengths
+LEADS = [(0, 0), (1, 0), (0, 3), (5, 4)]
+
+
+@pytest.mark.parametrize("n", CHAIN_SIZES)
+@pytest.mark.parametrize("left, right", LEADS)
+def test_chain_operator_equals_the_dense_builder(n, left, right):
+    """Byte-equal densified, and the CSR arrays of the dense matrix, for gamma > 0."""
+    for gamma in (0.3, 1.7, 2.5):
+        spec = ChainSpec(n, gamma)
+        op = chain_operator(spec, left, right)
+        dense = dense_hamiltonian(LatticeLayout(left + 2 * n + right, n, left), spec)
+        assert op.toarray().tobytes() == dense.tobytes()
+        ref = csr_array(dense)
+        assert op.indptr.tobytes() == ref.indptr.tobytes()
+        assert op.indices.tobytes() == ref.indices.tobytes()
+        assert op.data.tobytes() == ref.data.tobytes()
+
+
+@pytest.mark.parametrize("n", CHAIN_SIZES)
+def test_chain_operator_without_gain_and_loss_has_the_dense_values(n):
+    """At gamma = 0 the values agree; the stored on-site zeros carry signs the dense matrix lacks."""
+    spec = ChainSpec(n, 0.0)
+    for left, right in LEADS:
+        op = chain_operator(spec, left, right)
+        dense = dense_hamiltonian(LatticeLayout(left + 2 * n + right, n, left), spec)
+        assert np.array_equal(op.toarray(), dense)
+        assert op.nnz == 3 * op.shape[0] - 2 - left - right
+
+
+@pytest.mark.parametrize("n", CHAIN_SIZES)
+def test_pencil_companion_equals_the_dense_builder(n, monkeypatch):
+    seen = []
+    eigvals = scipy.linalg.eigvals
+
+    def capture(a, **kwargs):
+        seen.append(a.copy())
+        return eigvals(a, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigvals", capture)
+    for gamma in (0.3, 1.7, 2.5):
+        spec = ChainSpec(n, gamma)
+        poles._pencil_wavenumbers(spec)
+        assert seen.pop().tobytes() == dense_pencil_companion(spec).tobytes()
+
+
+def test_chain_operator_rejects_negative_leads():
+    with pytest.raises(OutOfRange):
+        chain_operator(ChainSpec(2, 0.5), left=-1)
+    with pytest.raises(OutOfRange):
+        chain_operator(ChainSpec(2, 0.5), right=-1)
+
+
+def test_import_does_not_load_scipy_sparse():
+    """``import ptchain`` in a fresh interpreter leaves scipy.sparse unloaded."""
+    src = str(Path(ptchain.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = "import sys, ptchain; assert 'scipy.sparse' not in sys.modules, 'loaded'"
+    run = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True,
+    )
+    assert run.returncode == 0, run.stderr
 
 
 @pytest.mark.parametrize(

@@ -21,6 +21,12 @@ residual ``M22`` as one numpy expression over the whole array. The package's
 rearranged and blocked loops must match them bit for bit.
 ``eight_neighbour_minima`` is the seed grid's local-minimum test as eight
 shifted comparisons.
+
+Two more are dense references for the chain's sparse operator
+``chain_operator``: ``dense_hamiltonian`` writes the finite lattice's
+Hamiltonian entry by entry into a zero matrix, and ``dense_pencil_companion``
+assembles the outgoing-wave pencil's companion matrix from ``np.diag`` and
+``np.eye``.
 """
 
 from __future__ import annotations
@@ -32,12 +38,14 @@ import numpy as np
 
 from ptchain import (
     ChainSpec,
+    LatticeLayout,
     Matrix2C,
     NumericalFailure,
     OutOfRange,
     SingularBasis,
     chebyshev_tu,
     dispersion_energy,
+    onsite_profile,
     plane_wave_transfer,
 )
 from ptchain.scattering import SIN_K_TOL
@@ -240,3 +248,24 @@ def eight_neighbour_minima(a: np.ndarray) -> np.ndarray:
                 continue
             is_min &= inner <= a[1 + di : a.shape[0] - 1 + di, 1 + dj : a.shape[1] - 1 + dj]
     return is_min
+
+
+def dense_hamiltonian(layout: LatticeLayout, spec: ChainSpec) -> np.ndarray:
+    """The lattice Hamiltonian: hopping -1 and the gain/loss profile written into zeros."""
+    size = layout.total_sites
+    h = np.zeros((size, size), dtype=complex)
+    idx = np.arange(size - 1)
+    h[idx, idx + 1] = -1.0
+    h[idx + 1, idx] = -1.0
+    for p in onsite_profile(spec):
+        h[layout.global_index(p.site_index), layout.global_index(p.site_index)] = p.value
+    return h
+
+
+def dense_pencil_companion(spec: ChainSpec) -> np.ndarray:
+    """Companion matrix ``[[0, I], [-(I - P), -H_c]]`` of the outgoing-wave pencil."""
+    n = spec.n_sites
+    h_c = np.diag([p.value for p in onsite_profile(spec)]) - np.eye(n, k=1) - np.eye(n, k=-1)
+    open_ends = np.eye(n)
+    open_ends[0, 0] = open_ends[-1, -1] = 0.0
+    return np.block([[np.zeros((n, n)), np.eye(n)], [-open_ends, -h_c]])
