@@ -14,17 +14,21 @@ The evolve summaries record their snapshot paths, so two checkouts are
 compared by writing both to the same ``OUTDIR``. With ``--against``, the
 script does that itself: it runs ``OTHER_SRC`` into ``OUTDIR``, moves that
 tree aside to ``OUTDIR.against``, runs ``SRC`` into ``OUTDIR`` and compares
-the two trees byte for byte. It exits 1 on any difference or missing file,
-and 2 when ``OUTDIR`` or ``OUTDIR.against`` already exists (stale files
-would enter the comparison).
+the two trees byte for byte. For each CSV that differs it also prints
+whether the headers, the row counts and the non-numeric cells match, and the
+largest absolute difference in each numeric column. It exits 1 on any
+difference or missing file, and 2 when ``OUTDIR`` or ``OUTDIR.against``
+already exists (stale files would enter the comparison).
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import filecmp
 import io
+import math
 import os
 import subprocess
 import sys
@@ -48,6 +52,41 @@ def write_presets(src: str, outdir: str) -> int:
                 return code
     print(f"wrote {len(os.listdir(outdir))} files -> {outdir}")
     return 0
+
+
+def _number(cell: str) -> float | None:
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def _csv_summary(left: str, right: str) -> list[str]:
+    """How two CSV files differ: structure, non-numeric cells, numeric columns."""
+    tables = []
+    for path in (left, right):
+        with open(path, newline="") as fh:
+            tables.append(list(csv.reader(fh)) or [[]])
+    (head_a, *rows_a), (head_b, *rows_b) = tables
+    text_same, worst = True, {}
+    for row_a, row_b in zip(rows_a, rows_b):
+        if len(row_a) != len(row_b):
+            text_same = False
+        for col, (a, b) in enumerate(zip(row_a, row_b)):
+            x, y = _number(a), _number(b)
+            if x is None or y is None:
+                text_same = text_same and a == b
+            else:
+                d = 0.0 if x == y or (math.isnan(x) and math.isnan(y)) else abs(x - y)
+                worst[col] = max(worst.get(col, 0.0), d)
+    same = {True: "same", False: "DIFFER"}
+    numeric = ", ".join(f"{head_b[col] if col < len(head_b) else col} {d:.3g}"
+                        for col, d in sorted(worst.items()))
+    return [
+        f"  headers {same[head_a == head_b]}, rows {len(rows_a)} vs {len(rows_b)},"
+        f" non-numeric cells {same[text_same]}",
+        f"  largest |difference| per column: {numeric}",
+    ]
 
 
 def _differences(cmp: filecmp.dircmp, prefix: str = "") -> list[str]:
@@ -82,6 +121,10 @@ def compare(src: str, outdir: str, against: str) -> int:
     diffs = _differences(filecmp.dircmp(aside, outdir))
     for line in diffs:
         print(line)
+        name = line.removeprefix("differs: ")
+        if name != line and name.endswith(".csv"):
+            for detail in _csv_summary(os.path.join(aside, name), os.path.join(outdir, name)):
+                print(detail)
     count = sum(len(files) for _, _, files in os.walk(outdir))
     print(f"{len(diffs)} differences in {count} files ({aside} vs {outdir})")
     return 1 if diffs else 0

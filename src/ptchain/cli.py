@@ -282,12 +282,12 @@ _CROSSING_HEADER = ("branch_id", "gamma", "k_re", "k_im")
 
 def _run_trajectory(
     fmt: str, out: str, n_cells: int, gamma_max: float, gamma_min: float = 0.0,
-    steps: int = 200, region: str | None = None, grid_density: int = 60,
+    steps: int = 200, region: str | None = None,
 ) -> int:
     spec_base = ChainSpec(n_cells, 0.0)
     traj = trace_trajectories(
         spec_base, gamma_min, gamma_max, steps,
-        region=_parse_region(region), grid_density=grid_density, strict=False,
+        region=_parse_region(region), strict=False,
     )
 
     rows: list[list[Any]] = []
@@ -559,7 +559,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma-max", type=float, required=True)
     p.add_argument("--steps", type=int, help="sweep intervals (default 200)")
     p.add_argument("--region", help="tracking window 're_min,re_max,im_min,im_max'")
-    p.add_argument("--grid-density", type=int)
     add_io(p)
 
     p = sub.add_parser("evolve", help="wave-packet propagation snapshots")

@@ -31,18 +31,21 @@ class SpectralSingularityError(NumericalFailure):
 class MissedRoots(NumericalFailure):
     """Two independent routes disagree on a set of roots.
 
-    Raised when a grid-located pole has no partner among the eigenvalues of
-    the outgoing-wave pencil, when a threshold-ladder value parks no root at
-    ``k = pi/2``, or when the closed-form growing-state count differs from
-    the first-quadrant pole count.
+    Raised when a pole that :func:`~ptchain.poles.find_poles` located on its
+    grid has no partner among the eigenvalues of the outgoing-wave pencil,
+    when a threshold-ladder value parks no root at ``k = pi/2``, or when the
+    closed-form growing-state count differs from the number of first-quadrant
+    pencil eigenvalues.
     """
 
 
 class NonConvergence(NumericalFailure):
     """Iterative refinement failed to converge.
 
-    Raised when Newton, started from a pencil eigenvalue that no grid root
-    matches, fails or lands farther than the pencil tolerance from it.
+    Raised by :func:`~ptchain.poles.find_poles` when Newton, started from a
+    pencil eigenvalue that no grid root matches, fails or lands farther than
+    the pencil tolerance from it. Trajectory sweeps and the verified TGBS
+    count run no such Newton and do not raise it.
     """
 
 

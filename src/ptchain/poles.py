@@ -1,12 +1,14 @@
 """S-matrix poles in the complex wavenumber strip.
 
 Poles are the zeros of the common scattering denominator ``M22(k)``. This
-module locates them numerically (grid scan + damped Newton, audited against
-the eigenvalues of the outgoing-wave pencil), evaluates the closed-form
-threshold ladder at which they cross the real axis, classifies them
-physically, and tracks their motion as the gain/loss strength varies.
+module locates them numerically, evaluates the closed-form threshold ladder
+at which they cross the real axis, classifies them physically, and tracks
+their motion as the gain/loss strength varies. :func:`find_poles` scans a
+grid and polishes by damped Newton, audited against the eigenvalues of the
+outgoing-wave pencil; the trajectory sweep and the verified TGBS count take
+those eigenvalues alone, one eigensolve per census.
 
-The audit rests on the outgoing-wave (Siegert) boundary conditions
+The pencil rests on the outgoing-wave (Siegert) boundary conditions
 ``psi_{-1} = z psi_0`` and ``psi_{2N} = z psi_{2N-1}`` with ``z = e^{ik}``,
 which close the scattering region into the quadratic eigenproblem
 ``z^2 (I - P) + z H_c + I = 0`` (``H_c`` the 2N x 2N chain block, ``P`` the
@@ -191,7 +193,7 @@ def _m22_array(spec: ChainSpec, cos2k: np.ndarray, icot: np.ndarray, work: list)
     ``cos2k`` is ``cos 2k`` and ``icot`` is ``1j * cot k``; ``work`` holds
     :data:`_M22_WORK` arrays of their shape, all overwritten, and the result
     is returned in one of them. The Chebyshev recurrence runs in place, N
-    passes over the work arrays; :class:`_SeedGrid` therefore calls it on
+    passes over the work arrays; :func:`_seed_lattice` therefore calls it on
     blocks of lattice rows small enough to stay in cache. Each element's
     operations do not depend on the array it sits in, so a block gives the
     bits the whole lattice gives.
@@ -272,63 +274,48 @@ def _newton(spec: ChainSpec, seed: complex, max_iter: int = 60) -> complex | Non
 _BLOCK = 8192
 
 
-class _SeedGrid:
-    """The seed lattice of one search region and density.
+def _seed_lattice(
+    spec: ChainSpec, region: SearchRegion, grid_density: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The seed lattice's axes ``re`` and ``im``, and ``|M22|`` on it.
 
-    Holds the lattice axes, the gamma-independent factors ``cos 2k`` and
-    ``1j * cot k`` of ``M22`` on the lattice (from :func:`_lattice_cos_sin`,
-    bit for bit ``np.cos`` and ``np.sin`` of the lattice), the work arrays of
-    :func:`_m22_array` and the array that receives ``|M22|``.
-    :func:`find_poles` builds one per call; :func:`trace_trajectories` builds
-    one per sweep and shares it between the censuses of the sweep, so that
-    only the recurrence runs per gamma.
-
-    The recurrence runs over blocks of whole lattice rows, about
-    :data:`_BLOCK` points each, so that its work arrays stay in cache. Every
-    point goes through the same elementwise operations whatever block it
-    falls in, so ``|M22|`` is the same to the bit as over the whole lattice.
+    ``|M22|`` comes from the gamma-independent factors ``cos 2k`` and
+    ``1j * cot k`` (from :func:`_lattice_cos_sin`, bit for bit ``np.cos`` and
+    ``np.sin`` of the lattice) through :func:`_m22_array`, run over blocks of
+    whole lattice rows, about :data:`_BLOCK` points each, so that its work
+    arrays stay in cache. Every point goes through the same elementwise
+    operations whatever block it falls in, so ``|M22|`` is the plain array
+    expression's to the bit.
     """
+    nr = max(4, int(math.ceil((region.re_max - region.re_min) * grid_density)) + 1)
+    ni = max(4, int(math.ceil((region.im_max - region.im_min) * grid_density)) + 1)
+    re = np.linspace(region.re_min, region.re_max, nr)
+    im = np.linspace(region.im_min, region.im_max, ni)
+    cos2k, _ = _lattice_cos_sin(2 * re, 2 * im)
+    cos_k, sin_k = _lattice_cos_sin(re, im)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        icot = 1j * (cos_k / sin_k)
+    del cos_k, sin_k  # before the work arrays exist: they would raise a census's peak memory
+    block_rows = max(1, _BLOCK // nr)
+    work = [np.empty((min(block_rows, ni), nr), dtype=complex) for _ in range(_M22_WORK)]
+    abs_m22 = np.empty((ni, nr))
+    for start in range(0, ni, block_rows):
+        rows = slice(start, start + block_rows)
+        block = cos2k[rows]
+        m22 = _m22_array(spec, block, icot[rows], [w[: len(block)] for w in work])
+        np.abs(m22, out=abs_m22[rows])
+    return re, im, abs_m22
 
-    def __init__(self, region: SearchRegion, grid_density: int) -> None:
-        nr = max(4, int(math.ceil((region.re_max - region.re_min) * grid_density)) + 1)
-        ni = max(4, int(math.ceil((region.im_max - region.im_min) * grid_density)) + 1)
-        self.region = region
-        self.re = np.linspace(region.re_min, region.re_max, nr)
-        self.im = np.linspace(region.im_min, region.im_max, ni)
-        self.cos2k, _ = _lattice_cos_sin(2 * self.re, 2 * self.im)
-        cos_k, sin_k = _lattice_cos_sin(self.re, self.im)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            self.icot = 1j * (cos_k / sin_k)
-        del cos_k, sin_k  # before the work arrays exist: they would raise a census's peak memory
-        self.block_rows = max(1, _BLOCK // nr)
-        block = (min(self.block_rows, ni), nr)
-        self.work = [np.empty(block, dtype=complex) for _ in range(_M22_WORK)]
-        self.abs_m22 = np.empty((ni, nr))
 
-    def residual(self, spec: ChainSpec) -> np.ndarray:
-        """``|M22|`` on the lattice, block by block, in :attr:`abs_m22`.
-
-        It equals the plain array expression's ``|M22|`` on the lattice bit
-        for bit, so the seeds depend neither on the block size nor on whether
-        the factors were shared. The array is overwritten by the next call.
-        """
-        for start in range(0, len(self.im), self.block_rows):
-            rows = slice(start, start + self.block_rows)
-            block = self.cos2k[rows]
-            work = [w[: len(block)] for w in self.work]
-            m22 = _m22_array(spec, block, self.icot[rows], work)
-            np.abs(m22, out=self.abs_m22[rows])
-        return self.abs_m22
-
-    def seeds(self, spec: ChainSpec) -> list[complex]:
-        """Interior local minima of ``|M22|`` on the lattice, deepest first."""
-        a = self.residual(spec)
-        a[~np.isfinite(a)] = np.inf
-        inner = a[1:-1, 1:-1]
-        ii, jj = np.nonzero(_interior_minima(a))
-        order = np.argsort(inner[ii, jj])
-        ii, jj = ii[order] + 1, jj[order] + 1
-        return [complex(k) for k in self.re[jj] + 1j * self.im[ii]]
+def _grid_seeds(spec: ChainSpec, region: SearchRegion, grid_density: int) -> list[complex]:
+    """Interior local minima of ``|M22|`` on the seed lattice, deepest first."""
+    re, im, a = _seed_lattice(spec, region, grid_density)
+    a[~np.isfinite(a)] = np.inf
+    inner = a[1:-1, 1:-1]
+    ii, jj = np.nonzero(_interior_minima(a))
+    order = np.argsort(inner[ii, jj])
+    ii, jj = ii[order] + 1, jj[order] + 1
+    return [complex(k) for k in re[jj] + 1j * im[ii]]
 
 
 def _lattice_cos_sin(re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -370,15 +357,14 @@ def _near_singular_vertical(k: complex) -> bool:
     return any(abs(k.real - s) < EDGE_MARGIN for s in (-math.pi, 0.0, math.pi))
 
 
-def _collect_roots(spec: ChainSpec, grid: _SeedGrid) -> list[complex]:
+def _collect_roots(spec: ChainSpec, region: SearchRegion, grid_density: int) -> list[complex]:
     """Newton roots from the grid seeds; a seed Newton fails from is dropped.
 
     A pole behind a dropped seed is still an in-region pencil eigenvalue, so
     :func:`_pencil_audit` adds it.
     """
-    region = grid.region
     roots: list[complex] = []
-    for seed in grid.seeds(spec):
+    for seed in _grid_seeds(spec, region, grid_density):
         if _near_singular_vertical(seed):
             continue
         root = _newton(spec, seed)
@@ -448,12 +434,30 @@ def _pencil_audit(spec: ChainSpec, region: SearchRegion, roots: list[complex]) -
             roots.append(q)
 
 
+def _records(spec: ChainSpec, roots: list[complex]) -> list[PoleRecord]:
+    return sorted((_record(spec, r) for r in roots), key=lambda p: (p.k.re, p.k.im))
+
+
+def _census(spec: ChainSpec, region: SearchRegion) -> list[PoleRecord]:
+    """The poles in ``region`` as the outgoing-wave pencil gives them, sorted.
+
+    Its finite eigenvalues whose ``k`` lies in ``region`` and off the
+    singular verticals, taken as they are: no grid, no Newton. Empty at
+    ``gamma = 0``, where ``M22 = e^{-2iNk}`` has no zeros but the pencil
+    still puts eigenvalues in the strip (74 in the default one at N = 20).
+    """
+    if spec.gamma == 0.0:
+        return []
+    return _records(spec, [
+        k for k in map(complex, _pencil_wavenumbers(spec))
+        if region.contains(k) and not _near_singular_vertical(k)
+    ])
+
+
 def find_poles(
     spec: ChainSpec,
     region: SearchRegion | None = None,
     grid_density: int = 60,
-    *,
-    _grid: _SeedGrid | None = None,
 ) -> list[PoleRecord]:
     """Locate every pole of the scattering denominator inside ``region``.
 
@@ -466,13 +470,11 @@ def find_poles(
     close is polished by Newton and added. At ``gamma = 0`` the census is
     empty: ``M22 = e^{-2iNk}`` has no zeros.
 
-    The grid's gamma-independent factors ``cos 2k`` and ``i cot k`` are
-    built once per call, or once per sweep when :func:`trace_trajectories`
-    passes its grid (the private ``_grid``, built from the same ``region`` and
-    ``grid_density``). Either way ``|M22|`` on the grid is the same to the
-    bit, because its operands are multiplied in the order the plain array
-    expression uses; the seeds, the polished roots and the output files
-    depend on those bits.
+    ``|M22|`` on the grid is the plain array expression's to the bit,
+    because its operands are multiplied in the order that expression uses;
+    the seeds, the polished roots and the output files depend on those bits.
+    :func:`trace_trajectories` and :func:`tgbs_count` take their censuses
+    from the pencil alone and build no grid.
 
     Parameters
     ----------
@@ -498,12 +500,9 @@ def find_poles(
     if spec.gamma == 0.0:
         return []
 
-    roots = _collect_roots(spec, _grid or _SeedGrid(region, grid_density))
+    roots = _collect_roots(spec, region, grid_density)
     _pencil_audit(spec, region, roots)
-
-    records = [_record(spec, r) for r in roots]
-    records.sort(key=lambda p: (p.k.re, p.k.im))
-    return records
+    return _records(spec, roots)
 
 
 # ---------------------------------------------------------------------------
@@ -596,13 +595,14 @@ def tgbs_count(spec: ChainSpec, verify: bool = False) -> int:
 
     The closed form counts ``#{n : gamma_n < gamma}``. With ``verify=True``
     the count is cross-checked against the number of first-quadrant poles
-    located by :func:`find_poles`; a mismatch raises :class:`MissedRoots`.
+    among the eigenvalues of the outgoing-wave pencil; a mismatch raises
+    :class:`MissedRoots`.
     """
     ladder = threshold_ladder(spec.n_cells)
     count = sum(1 for g in ladder.gamma_values if g < spec.gamma)
     if verify:
-        recs = find_poles(spec, first_quadrant_region(spec.gamma), grid_density=60)
-        numeric = sum(1 for r in recs if r.classification is PoleClass.TGBS)
+        recs = _census(spec, first_quadrant_region(spec.gamma))
+        numeric = sum(r.classification is PoleClass.TGBS for r in recs)
         if numeric != count:
             raise MissedRoots(
                 f"closed-form TGBS count {count} != first-quadrant pole count "
@@ -680,12 +680,12 @@ def trace_trajectories(
     gamma_max: float,
     steps: int,
     region: SearchRegion | None = None,
-    grid_density: int = 60,
     strict: bool = True,
 ) -> Trajectory:
     """Track every pole inside ``region`` while gamma sweeps upward.
 
-    At each gamma sample the complete census of :func:`find_poles` is matched
+    At each gamma sample the in-region eigenvalues of the outgoing-wave
+    pencil, every pole at once with no grid and no Newton, are matched
     to the live branches nearest-first within :data:`CONTINUATION_STEP_BOUND`;
     unmatched poles start new branches (poles rise into the window from below
     as gamma grows — at gamma = 0 the window is empty), so every branch point
@@ -699,14 +699,10 @@ def trace_trajectories(
     within the bound of the window's edge, and is marked lost otherwise
     (``strict=True`` raises :class:`BranchLost` instead).
 
-    The censuses share one seed grid, so the gamma-independent factors of
-    ``|M22|`` on it are built once per sweep and each sample runs only the
-    Chebyshev recurrence, Newton and the pencil audit. The grid values, and
-    so every branch point, are bitwise those of a fresh :func:`find_poles`
-    call at the same gamma.
-
     Real-axis crossings of every branch are refined in gamma by bisection
-    and reported; they land on ``Re k = ±pi/2`` at the ladder values.
+    with Newton on ``M22`` and reported; they land on ``Re k = ±pi/2`` at
+    the ladder values. With the default region, a sweep reaching gamma = 2
+    warns unless it ends with 2N - 1 branches at ``Re k > 0``.
     """
     if not (0.0 <= gamma_min <= gamma_max):
         raise OutOfRange(f"need 0 <= gamma_min <= gamma_max, got {gamma_min!r}, {gamma_max!r}")
@@ -725,12 +721,11 @@ def trace_trajectories(
     samples: list[float] = []
     branches: list[BranchPath] = []
     live: list[BranchPath] = []  # creation order, so that ties match the older branch
-    grid = _SeedGrid(region, grid_density)
 
     while todo:
         g, halvings, found = todo[-1]
         if found is None:
-            found = find_poles(ChainSpec(spec_base.n_cells, g), region, grid_density, _grid=grid)
+            found = _census(ChainSpec(spec_base.n_cells, g), region)
 
         # greedy nearest-neighbor matching, closest pairs first
         found_k = [r.k.as_complex() for r in found]
@@ -808,11 +803,9 @@ def trace_trajectories(
                 if ref is not None:
                     crossings.append(AxisCrossing(b.branch_id, ref[0], ref[1]))
 
-    n_positive = sum(
-        1 for b in branches if b.points and b.points[-1][1].k.re > 0
-    )
+    n_positive = sum(b.points[-1][1].k.re > 0 for b in branches)
     expected = 2 * spec_base.n_cells - 1
-    if gamma_max >= 2.0 and n_positive != expected:
+    if region == DEFAULT_REGION and gamma_max >= 2.0 and n_positive != expected:
         warnings.warn(
             f"observed {n_positive} branches with Re k > 0, expected {expected} "
             f"(soft structural check for N={spec_base.n_cells})",

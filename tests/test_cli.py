@@ -170,7 +170,7 @@ def test_trajectory_degenerate_range(workdir):
 def test_trajectory_single_cell_crossing(workdir):
     assert main(
         ["trajectory", "--n", "1", "--gamma-min", "1.0", "--gamma-max", "2.0",
-         "--steps", "10", "--region", "0.8,2.4,-1.2,1.2", "--grid-density", "50"]
+         "--steps", "10", "--region", "0.8,2.4,-1.2,1.2"]
     ) == 0
     _, rows = _read_csv(workdir / "ptchain_trajectory.csv")
     assert rows, "expected at least one tracked point"
@@ -370,7 +370,7 @@ def _csv_cell(value):
         (["figure", "--preset", "fig8"], ("rows",)),
         # a second table: CSV writes it to table_crossings.csv
         (["trajectory", "--n", "1", "--gamma-min", "1.0", "--gamma-max", "2.0",
-          "--steps", "10", "--region", "0.8,2.4,-1.2,1.2", "--grid-density", "50"],
+          "--steps", "10", "--region", "0.8,2.4,-1.2,1.2"],
          ("branches", "crossings")),
     ],
     ids=lambda value: "+".join(value) if isinstance(value, tuple) else None,

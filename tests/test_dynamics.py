@@ -162,7 +162,7 @@ def test_spectral_path_matches_forced_fallback(monkeypatch):
     assert np.max(np.abs(spectral - direct)) < 1e-12
 
 
-def test_near_defective_falls_back_to_rk4(caplog):
+def test_near_defective_falls_back_to_expm_multiply(caplog):
     # 2x2 Jordan block: exp(-iHt) = I - iHt exactly (H nilpotent)
     h = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     caplog.set_level(logging.DEBUG, logger="ptchain.dynamics")

@@ -66,15 +66,14 @@ def _strip_margin(z: complex) -> float:
 def test_find_poles_matches_z_polynomial_oracle(n, gamma):
     spec = ChainSpec(n, gamma)
     region = SearchRegion(-PI + 1e-4, PI - 1e-4, -1.2, 1.2)
-    found = [r.k.as_complex() for r in find_poles(spec, region, grid_density=60)]
-
     expected = [
         z
         for z in zpoly_roots(spec)
         if abs(z.imag) <= 1.2 - 1e-3
         and min(abs(z.real), abs(abs(z.real) - PI)) > 2e-4
     ]
-    _assert_census_matches(found, expected)
+    for census in (find_poles(spec, region, grid_density=60), poles._census(spec, region)):
+        _assert_census_matches([r.k.as_complex() for r in census], expected)
 
 
 @pytest.mark.parametrize("gamma", [1.5, 2.0, 2.9])
@@ -125,9 +124,10 @@ def test_full_strip_census_matches_z_polynomial_property(n, gamma):
     oracle = zpoly_roots(spec)
     # a root within rounding of the region's edge may fall either side of it
     assume(all(abs(_strip_margin(z)) > 1e-6 for z in oracle))
-    found = [r.k.as_complex() for r in find_poles(spec)]
-    _assert_census_matches(found, [z for z in oracle if _strip_margin(z) > 0])
-    _check_census_symmetries(spec, found)
+    for census in (find_poles(spec), poles._census(spec, DEFAULT_REGION)):
+        found = [r.k.as_complex() for r in census]
+        _assert_census_matches(found, [z for z in oracle if _strip_margin(z) > 0])
+        _check_census_symmetries(spec, found)
 
 
 _NEWTON_DRIFT = pytest.mark.xfail(raises=AssertionError, strict=True, reason=(
@@ -173,7 +173,7 @@ def test_matched_pencil_eigenvalues_are_not_polished(monkeypatch):
     """Newton runs only from pencil eigenvalues that no grid root matches."""
     spec = ChainSpec(3, 0.3)
     expected = find_poles(spec)
-    grid = poles._collect_roots(spec, poles._SeedGrid(DEFAULT_REGION, 60))
+    grid = poles._collect_roots(spec, DEFAULT_REGION, 60)
     calls = []
     monkeypatch.setattr(poles, "_collect_roots", lambda *args: list(grid))
     monkeypatch.setattr(poles, "_newton", lambda spec, seed: calls.append(seed))  # fails
@@ -197,7 +197,7 @@ def test_failed_grid_seed_is_dropped_without_retry(monkeypatch):
     spec = ChainSpec(3, 0.3)
     expected = find_poles(spec)
     seeds = [
-        s for s in poles._SeedGrid(DEFAULT_REGION, 60).seeds(spec)
+        s for s in poles._grid_seeds(spec, DEFAULT_REGION, 60)
         if not poles._near_singular_vertical(s)
     ]
     newton = poles._newton
@@ -222,6 +222,17 @@ def test_failed_grid_seed_is_dropped_without_retry(monkeypatch):
 def test_census_is_empty_without_gain_and_loss(n):
     """At gamma = 0, M22 = e^{-2iNk} has no zeros."""
     assert find_poles(ChainSpec(n, 0.0)) == []
+
+
+def test_pencil_census_is_empty_without_gain_and_loss():
+    """At N = 20, gamma = 0, the pencil puts 74 eigenvalues in the default strip; none is a pole."""
+    spec = ChainSpec(20, 0.0)
+    in_strip = [
+        k for k in map(complex, poles._pencil_wavenumbers(spec))
+        if DEFAULT_REGION.contains(k) and not poles._near_singular_vertical(k)
+    ]
+    assert len(in_strip) == 74
+    assert poles._census(spec, DEFAULT_REGION) == []
 
 
 def test_find_poles_census_is_sorted_and_converged():
@@ -356,7 +367,7 @@ def test_tgbs_count_numeric_verification_at_larger_n(n, gamma):
 def test_single_cell_trajectory_crosses_at_sqrt2():
     region = SearchRegion(1e-4, PI - 1e-4, -1.2, 1.2)
     traj = trace_trajectories(
-        ChainSpec(1, 0.0), 0.0, 2.0, steps=25, region=region, grid_density=50
+        ChainSpec(1, 0.0), 0.0, 2.0, steps=25, region=region
     )
     live = [b for b in traj.branches if len(b.points) >= 2]
     assert len(live) == 1
@@ -389,6 +400,29 @@ def test_trajectory_passes_the_branch_count_check(n, steps):
     assert sorted(c.gamma for c in traj.crossings) == pytest.approx(sorted(ladder), abs=1e-6)
 
 
+def test_windowed_sweep_skips_the_branch_count_check():
+    """The 2N-1 count holds for the full strip only: a window holds fewer branches."""
+    region = SearchRegion(-0.33, 0.90, -1.5, 1.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = trace_trajectories(ChainSpec(6, 0.0), 0.0, 2.5, steps=30, region=region)
+    assert 0 < sum(1 for b in traj.branches if b.points[-1][1].k.re > 0) < 11
+
+
+def test_trajectory_points_match_z_polynomial_oracle():
+    """The fig3 sweep's branch points lie on the oracle's roots, at every 6th sample past gamma = 0."""
+    traj = trace_trajectories(ChainSpec(3, 0.0), 0.0, 2.0, 200)
+    points: dict[float, list[complex]] = {}
+    for b in traj.branches:
+        for g, p in b.points:
+            points.setdefault(g, []).append(p.k.as_complex())
+    for g in traj.gamma_samples[1::6]:
+        oracle = zpoly_roots(ChainSpec(3, g))
+        assert points[g]
+        for k in points[g]:
+            assert min(abs(k - z) for z in oracle) <= 1e-12
+
+
 def test_degenerate_sweep_emits_single_sample():
     traj = trace_trajectories(ChainSpec(3, 0.0), 0.0, 0.0, steps=0)
     assert traj.gamma_samples == [0.0]
@@ -398,21 +432,21 @@ def test_degenerate_sweep_emits_single_sample():
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_sweep_censuses_equal_fresh_censuses(n, monkeypatch):
-    """Each census of a sweep, on its shared grid, is a fresh find_poles call's.
+    """Each census of a sweep is a fresh pencil census's.
 
     Every branch point is a record of the census at its gamma, and the
     samples are the census gammas in ascending order, each censused once
     (a halved step's midpoint is censused after the sample it precedes).
     """
     region = SearchRegion(1e-4, PI - 1e-4, -1.5, 1.5)
-    census = poles.find_poles
+    census = poles._census
     seen = []
 
     def spy(spec, *args, **kwargs):
         seen.append((spec.gamma, census(spec, *args, **kwargs)))
         return seen[-1][1]
 
-    monkeypatch.setattr(poles, "find_poles", spy)
+    monkeypatch.setattr(poles, "_census", spy)
     traj = trace_trajectories(ChainSpec(n, 0.0), 0.0, 2.0, steps=20, region=region)
     assert traj.gamma_samples == sorted(g for g, _ in seen)
     for g, records in seen:
@@ -423,7 +457,7 @@ def test_sweep_censuses_equal_fresh_censuses(n, monkeypatch):
 
 
 def _census_once(record):
-    """A find_poles stand-in that returns ``[record]`` on its first call and ``[]`` after."""
+    """A census stand-in that returns ``[record]`` on its first call and ``[]`` after."""
     calls = iter([[record]])
     return lambda spec, *args, **kwargs: next(calls, [])
 
@@ -431,7 +465,7 @@ def _census_once(record):
 def test_lost_branch_is_logged(monkeypatch, caplog):
     """A pole that vanishes mid-window: three halved steps, then the branch is lost."""
     (tgbs,) = find_poles(ChainSpec(3, 0.7), first_quadrant_region(0.7))
-    monkeypatch.setattr(poles, "find_poles", _census_once(tgbs))
+    monkeypatch.setattr(poles, "_census", _census_once(tgbs))
     with caplog.at_level(logging.DEBUG, logger="ptchain"):
         traj = trace_trajectories(ChainSpec(3, 0.0), 0.7, 0.8, steps=10, strict=False)
     assert [b.lost for b in traj.branches] == [True]
@@ -444,7 +478,7 @@ def test_lost_branch_is_logged(monkeypatch, caplog):
 
 def test_lost_branch_raises_when_strict(monkeypatch):
     (tgbs,) = find_poles(ChainSpec(3, 0.7), first_quadrant_region(0.7))
-    monkeypatch.setattr(poles, "find_poles", _census_once(tgbs))
+    monkeypatch.setattr(poles, "_census", _census_once(tgbs))
     with pytest.raises(BranchLost, match="branch 0 lost"):
         trace_trajectories(ChainSpec(3, 0.0), 0.7, 0.8, steps=10)
 
@@ -453,7 +487,7 @@ def test_branch_leaving_the_window_ends(monkeypatch, caplog):
     """Unmatched within the matching bound of the window's edge, with no census
     pole left for it, a branch ends at once, without halving the step."""
     (tgbs,) = find_poles(ChainSpec(3, 0.7), first_quadrant_region(0.7))
-    monkeypatch.setattr(poles, "find_poles", _census_once(tgbs))
+    monkeypatch.setattr(poles, "_census", _census_once(tgbs))
     region = SearchRegion(1e-4, PI - 1e-4, -1.0, tgbs.k.im + 0.1)
     with caplog.at_level(logging.DEBUG, logger="ptchain"):
         traj = trace_trajectories(ChainSpec(3, 0.0), 0.7, 0.8, steps=10, region=region)
@@ -520,31 +554,31 @@ def test_plain_array_residual_matches_scalar_residual(rng):
             assert abs(value - pole_residual(spec, complex(k))) <= 1e-13 * s
 
 
-@pytest.fixture(scope="module")
-def seed_grids():
-    """One grid per region and density, shared by every test case, as in a sweep."""
-    return [
-        poles._SeedGrid(DEFAULT_REGION, 60),
-        poles._SeedGrid(DEFAULT_REGION, 90),
-        poles._SeedGrid(first_quadrant_region(2.2), 60),
-    ]
+#: (region, density) of the seed lattices the bitwise tests build.
+SEED_LATTICES = [
+    (DEFAULT_REGION, 60),
+    (DEFAULT_REGION, 90),
+    (first_quadrant_region(2.2), 60),
+]
+
+
+def _lattice_points(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    return re[None, :] + 1j * im[:, None]
 
 
 @pytest.mark.parametrize("n", [1, 3, 8, 20, 50, 400])
-def test_shared_grid_factors_give_the_plain_residual_bitwise(n, seed_grids):
-    """|M22| from the shared factors, block by block, is bitwise the plain array expression's.
+def test_shared_grid_factors_give_the_plain_residual_bitwise(n):
+    """|M22| from the lattice's gamma-independent factors, block by block, is bitwise the plain array expression's.
 
-    The grids carry their work arrays over from earlier cases; N = 400
-    overflows the recurrence at large gamma (its density-90 case is left out
-    for time).
+    N = 400 overflows the recurrence at large gamma (its density-90 case is
+    left out for time).
     """
     gammas = [0.0, threshold_ladder(n).gamma_values[n // 2], 0.7, 1.9, 2.2]
-    for grid in seed_grids if n < 400 else seed_grids[::2]:
-        kk = grid.re[None, :] + 1j * grid.im[:, None]
+    for region, density in SEED_LATTICES if n < 400 else SEED_LATTICES[::2]:
         for g in gammas:
             spec = ChainSpec(n, g)
-            plain = np.abs(plain_m22_array(spec, kk))
-            shared = grid.residual(spec)
+            re, im, shared = poles._seed_lattice(spec, region, density)
+            plain = np.abs(plain_m22_array(spec, _lattice_points(re, im)))
             assert np.array_equal(shared, plain, equal_nan=True)
 
 
@@ -552,15 +586,13 @@ def test_shared_grid_factors_give_the_plain_residual_bitwise(n, seed_grids):
 def test_grid_blocks_of_any_row_count_give_the_plain_residual_bitwise(rows, monkeypatch):
     """One-row blocks, and 7-row blocks that leave a 6-row remainder of the 181 rows."""
     region, density = DEFAULT_REGION, 60
-    nr = len(poles._SeedGrid(region, density).re)
-    monkeypatch.setattr(poles, "_BLOCK", rows * nr + nr - 1)
-    grid = poles._SeedGrid(region, density)
-    assert grid.block_rows == rows and len(grid.im) == 181 and 181 % rows in (0, 6)
-    kk = grid.re[None, :] + 1j * grid.im[:, None]
+    re, im, _ = poles._seed_lattice(ChainSpec(1, 0.5), region, density)
+    monkeypatch.setattr(poles, "_BLOCK", rows * len(re) + len(re) - 1)
+    assert len(im) == 181 and 181 % rows in (0, 6)
     for n, g in ((3, 0.7), (20, 1.9), (50, threshold_ladder(50).gamma_values[25])):
         spec = ChainSpec(n, g)
-        plain = np.abs(plain_m22_array(spec, kk))
-        assert np.array_equal(grid.residual(spec), plain, equal_nan=True)
+        plain = np.abs(plain_m22_array(spec, _lattice_points(re, im)))
+        assert np.array_equal(poles._seed_lattice(spec, region, density)[2], plain, equal_nan=True)
 
 
 @pytest.mark.parametrize("region", [
@@ -569,10 +601,10 @@ def test_grid_blocks_of_any_row_count_give_the_plain_residual_bitwise(rows, monk
 def test_lattice_trig_equals_numpy_complex_trig_bitwise(region):
     """cos and sin of the lattice from its axes have the bytes of np.cos and np.sin, zeros' signs too."""
     for density in (60, 73):
-        grid = poles._SeedGrid(region, density)
-        kk = grid.re[None, :] + 1j * grid.im[:, None]
+        re, im, _ = poles._seed_lattice(ChainSpec(1, 0.5), region, density)
+        kk = _lattice_points(re, im)
         for scale in (1, 2):
-            cos, sin = poles._lattice_cos_sin(scale * grid.re, scale * grid.im)
+            cos, sin = poles._lattice_cos_sin(scale * re, scale * im)
             assert cos.tobytes() == np.cos(scale * kk).tobytes()
             assert sin.tobytes() == np.sin(scale * kk).tobytes()
 
