@@ -12,19 +12,25 @@ package is imported, not the installed one). For every cell of
 with the pole count, or the class of the ``NumericalFailure`` it raised.
 Any other exception ends the run with a traceback.
 
-A passing cell also prints its error: the largest distance of a reported
-pole from the nearest reference pole. The reference is the z-polynomial
-oracle of ``tests/zpoly_oracle.py`` for ``N <= ORACLE_MAX_N``, and above
-that the in-region eigenvalues of the outgoing-wave pencil. A cell whose
-error exceeds ``ACCURACY_TOL`` is marked ``inaccurate``.
+A passing cell also prints its error. For ``N <= ORACLE_MAX_N`` that is the
+largest distance of a reported pole from the nearest root of the
+z-polynomial oracle of ``tests/zpoly_oracle.py`` (``err``). Above it no
+independent pole list is at hand (the pencil's eigenvalues are what
+``find_poles`` reports), so the cell prints two structural checks instead:
+the largest distance of a pole's mirror ``-conj(k)`` from the nearest
+reported pole (``pair``), and the number of first-quadrant poles against
+the closed-form ladder count ``tgbs_count`` (``ladder``). A cell whose
+error exceeds ``ACCURACY_TOL``, or whose first-quadrant count is not the
+ladder's, is marked ``inaccurate``. The script exits 1 when any cell
+raises.
 
 With ``--against``, both checkouts run, each in its own interpreter (both
 import the name ``ptchain``), and every cell prints both outcomes. A cell
 differs when it passes on one side only, or when the two pole lists, as
 ``(Re k, Im k, residual)`` triples, are not equal bit for bit; the script
-exits 1 when any cell differs. A cell that fails on both sides with
-different exception classes is marked ``changed`` but is not a difference:
-there is no pole list to compare.
+exits 1 when any cell differs or any cell of ``SRC`` raises. A cell that
+fails on both sides with different exception classes is marked ``changed``
+but is not a difference: there is no pole list to compare.
 """
 
 from __future__ import annotations
@@ -46,55 +52,70 @@ TESTS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, 
 
 
 def census_map(src: str) -> list[dict]:
-    """One entry per cell: ``n``, ``gamma``, ``outcome``, ``poles`` and ``error``.
+    """One entry per cell: ``n``, ``gamma``, ``outcome``, ``poles``, ``error``, ``ladder``.
 
-    ``outcome`` is ``"ok"`` or the exception class name; ``poles`` is the
-    list of ``[Re k, Im k, residual]`` and ``error`` the largest distance of
-    a pole from its reference, or both None.
+    ``outcome`` is ``"ok"`` or the exception class name and ``poles`` the
+    list of ``[Re k, Im k, residual]``. ``error`` is the oracle distance or,
+    above ``ORACLE_MAX_N``, the pairing defect; ``ladder`` is None or, above
+    ``ORACLE_MAX_N``, the first-quadrant pole count and the ladder count.
+    All but ``outcome`` are None when the cell raised.
     """
     sys.path.insert(0, os.path.abspath(src))
     sys.path.insert(1, TESTS_DIR)
-    from ptchain import ChainSpec, NumericalFailure, find_poles
-    from ptchain.poles import DEFAULT_REGION, _pencil_wavenumbers
+    from ptchain import ChainSpec, NumericalFailure, PoleClass, find_poles, tgbs_count
     from zpoly_oracle import zpoly_roots
 
     cells = []
     for n in N_VALUES:
         for gamma in GAMMAS:
             spec = ChainSpec(n, gamma)
+            cell = {"n": n, "gamma": gamma, "outcome": "ok", "poles": None,
+                    "error": None, "ladder": None}
             try:
                 records = find_poles(spec)
             except NumericalFailure as exc:
-                outcome, poles, error = type(exc).__name__, None, None
+                cell["outcome"] = type(exc).__name__
+                cells.append(cell)
+                continue
+            cell["poles"] = [[r.k.re, r.k.im, r.residual] for r in records]
+            found = [r.k.as_complex() for r in records]
+            if n <= ORACLE_MAX_N:
+                reference, mirrors = zpoly_roots(spec), found
             else:
-                outcome = "ok"
-                poles = [[r.k.re, r.k.im, r.residual] for r in records]
-                if n <= ORACLE_MAX_N:
-                    reference = zpoly_roots(spec)
-                else:
-                    reference = [
-                        k for k in map(complex, _pencil_wavenumbers(spec))
-                        if DEFAULT_REGION.contains(k)
-                    ]
-                error = max(
-                    (min((abs(r.k.as_complex() - k) for k in reference), default=math.inf)
-                     for r in records),
-                    default=0.0,
-                )
-            cells.append({"n": n, "gamma": gamma, "outcome": outcome, "poles": poles,
-                          "error": error})
+                reference, mirrors = found, [-k.conjugate() for k in found]
+                quadrant = sum(r.classification is PoleClass.TGBS for r in records)
+                cell["ladder"] = [quadrant, tgbs_count(spec)]
+            cell["error"] = max(
+                (min((abs(m - k) for k in reference), default=math.inf) for m in mirrors),
+                default=0.0,
+            )
+            cells.append(cell)
     return cells
+
+
+def _is_inaccurate(cell: dict) -> bool:
+    ladder = cell["ladder"]
+    return cell["outcome"] == "ok" and (
+        cell["error"] > ACCURACY_TOL or (ladder is not None and ladder[0] != ladder[1]))
 
 
 def _describe(cell: dict) -> str:
     if cell["outcome"] != "ok":
         return cell["outcome"]
-    verdict = " inaccurate" if cell["error"] > ACCURACY_TOL else ""
-    return f"ok {len(cell['poles'])} err {cell['error']:.1e}{verdict}"
+    text = f"ok {len(cell['poles'])}"
+    if cell["ladder"] is None:
+        text += f" err {cell['error']:.1e}"
+    else:
+        text += f" pair {cell['error']:.1e} ladder {cell['ladder'][0]}/{cell['ladder'][1]}"
+    return text + (" inaccurate" if _is_inaccurate(cell) else "")
 
 
 def _inaccurate(cells: list[dict]) -> int:
-    return sum(c["outcome"] == "ok" and c["error"] > ACCURACY_TOL for c in cells)
+    return sum(map(_is_inaccurate, cells))
+
+
+def _raised(cells: list[dict]) -> bool:
+    return any(c["outcome"] != "ok" for c in cells)
 
 
 def _run_elsewhere(src: str) -> list[dict]:
@@ -117,12 +138,12 @@ def compare(src: str, against: str) -> int:
             changed += 1
             mark = "  changed"
         print(f"N={cell['n']:<4d} gamma={cell['gamma']!r:<6}  "
-              f"{_describe(other):<32} | {_describe(cell)}{mark}")
+              f"{_describe(other):<44} | {_describe(cell)}{mark}")
     passing = [sum(c["outcome"] == "ok" for c in side) for side in (theirs, ours)]
     print(f"ok in {passing[0]} | {passing[1]} of {len(ours)} cells, inaccurate in "
           f"{_inaccurate(theirs)} | {_inaccurate(ours)} ({against} | {src}); "
           f"{differing} differing, {changed} failing with another class")
-    return 1 if differing else 0
+    return 1 if differing or _raised(ours) else 0
 
 
 def main(argv: list[str]) -> int:
@@ -145,7 +166,7 @@ def main(argv: list[str]) -> int:
         print(f"N={cell['n']:<4d} gamma={cell['gamma']!r:<6}  {_describe(cell)}")
     print(f"ok in {sum(c['outcome'] == 'ok' for c in cells)} of {len(cells)} cells, "
           f"inaccurate in {_inaccurate(cells)}")
-    return 0
+    return 1 if _raised(cells) else 0
 
 
 if __name__ == "__main__":
