@@ -6,8 +6,9 @@ at which they cross the real axis, classifies them physically, and tracks
 their motion as the gain/loss strength varies. Every census is the set of
 eigenvalues of the outgoing-wave pencil in a region, one eigensolve each:
 :func:`find_poles`, the trajectory sweep and the verified TGBS count. Only
-:func:`find_poles` also runs a seed grid with Newton on ``M22``, whose roots
-stand in for the eigenvalues they agree with to 1e-12.
+:func:`find_poles` also runs Newton on ``M22``, from the local minima of
+``|M22|`` on a seed grid within a few cells of each eigenvalue; a Newton
+root stands in for the eigenvalue it agrees with to 1e-12.
 
 The pencil rests on the outgoing-wave (Siegert) boundary conditions
 ``psi_{-1} = z psi_0`` and ``psi_{2N} = z psi_{2N-1}`` with ``z = e^{ik}``,
@@ -40,7 +41,7 @@ from .errors import (
     SingularBasis,
 )
 from .model import ChainSpec, ComplexWavenumber, chain_operator, dispersion_energy
-from .scattering import _transfer_terms
+from .scattering import _transfer_terms, chebyshev_tu
 
 _log = logging.getLogger(__name__)
 
@@ -179,52 +180,6 @@ def pole_residual(spec: ChainSpec, k: complex) -> complex:
     return t_n - diag if not exp else complex(math.nan, math.nan)
 
 
-#: Number of work arrays :func:`_m22_array` takes.
-_M22_WORK = 6
-
-
-def _m22_array(spec: ChainSpec, cos2k: np.ndarray, icot: np.ndarray, work: list) -> np.ndarray:
-    """``M22`` on an array of ``k`` from its gamma-independent factors.
-
-    ``cos2k`` is ``cos 2k`` and ``icot`` is ``1j * cot k``; ``work`` holds
-    :data:`_M22_WORK` arrays of their shape, all overwritten, and the result
-    is returned in one of them. The Chebyshev recurrence runs in place, N
-    passes over the work arrays; :func:`_seed_lattice` therefore calls it on
-    blocks of lattice rows small enough to stay in cache. Each element's
-    operations do not depend on the array it sits in, so a block gives the
-    bits the whole lattice gives.
-
-    Every operation, and the order of its operands, is the one the plain
-    expression ``t_n - 1j * (cos k / sin k) * (1 - x) * u_nm1`` with
-    ``chebyshev_tu`` performs: numpy's complex multiply is not bitwise
-    commutative, so swapping two factors moves the last bit of ``|M22|``, and
-    with it the grid seeds and the polished roots.
-    """
-    two_x, scratch, t_prev, t_cur, u_prev, u_cur = work
-    shift = 0.5 * spec.gamma**2
-    with np.errstate(over="ignore", invalid="ignore"):
-        x = np.add(cos2k, shift, out=scratch)
-        # T_0 = x*0 + 1, U_{-1} = x*0, T_1 = x*T_0, U_0 = T_0, as chebyshev_tu builds them
-        np.multiply(x, 0, out=u_prev)
-        np.add(u_prev, 1.0, out=t_prev)
-        np.multiply(x, t_prev, out=t_cur)
-        np.copyto(u_cur, t_prev)
-        np.multiply(2, x, out=two_x)
-        for _ in range(spec.n_cells - 1):
-            np.multiply(two_x, t_cur, out=scratch)
-            np.subtract(scratch, t_prev, out=t_prev)
-            t_prev, t_cur = t_cur, t_prev
-            np.multiply(two_x, u_cur, out=scratch)
-            np.subtract(scratch, u_prev, out=u_prev)
-            u_prev, u_cur = u_cur, u_prev
-        # x once more, into the spent T_{N-1}: the same sum gives the same bits
-        m = np.add(cos2k, shift, out=t_prev)
-        np.subtract(1.0, m, out=m)
-        np.multiply(icot, m, out=m)
-        np.multiply(m, u_cur, out=m)
-        return np.subtract(t_cur, m, out=m)
-
-
 def _residual_derivative(spec: ChainSpec, k: complex, step: float = 1e-6) -> complex:
     """Central-difference derivative of the analytic residual."""
     return (pole_residual(spec, k + step) - pole_residual(spec, k - step)) / (2 * step)
@@ -263,76 +218,53 @@ def _newton(spec: ChainSpec, seed: complex, max_iter: int = 60) -> complex | Non
 # the finder
 # ---------------------------------------------------------------------------
 
-#: Lattice points per block of the seed grid's recurrence. A block's six
-#: complex work arrays then take about 0.8 MB and stay in a core's L2 cache
-#: through the N passes of the recurrence; the whole default lattice (68,418
-#: points, 6.6 MB of work arrays) streams from L3 on every pass.
-_BLOCK = 8192
+#: Half-width, in lattice cells along each axis, of the window around each
+#: in-region pencil eigenvalue within which a seed-grid point may seed Newton.
+SEED_WINDOW = 2
 
 
-def _seed_lattice(
-    spec: ChainSpec, region: SearchRegion, grid_density: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The seed lattice's axes ``re`` and ``im``, and ``|M22|`` on it.
+def _grid_seeds(
+    spec: ChainSpec, region: SearchRegion, grid_density: int, pencil: list[complex]
+) -> list[complex]:
+    """Interior local minima of ``|M22|`` on the seed lattice near ``pencil``, deepest first.
 
-    ``|M22|`` comes from the gamma-independent factors ``cos 2k`` and
-    ``1j * cot k`` (from :func:`_lattice_cos_sin`, bit for bit ``np.cos`` and
-    ``np.sin`` of the lattice) through :func:`_m22_array`, run over blocks of
-    whole lattice rows, about :data:`_BLOCK` points each, so that its work
-    arrays stay in cache. Every point goes through the same elementwise
-    operations whatever block it falls in, so ``|M22|`` is the plain array
-    expression's to the bit.
+    The lattice spans ``region`` with ``grid_density`` points per unit
+    length. A seed is a lattice point within :data:`SEED_WINDOW` cells
+    (max-norm) of an eigenvalue in ``pencil``, off the lattice's border, whose
+    ``|M22|`` is no larger than at any of its eight neighbours. ``|M22|`` is
+    evaluated on the windows and their neighbours only, by the plain array
+    expression with :func:`chebyshev_tu`, and counts as ``inf`` elsewhere,
+    where no window point's test looks. Equal depths keep lattice (row-major)
+    order. The seeds and their order are therefore those of the whole
+    lattice's local minima that fall in a window.
     """
     nr = max(4, int(math.ceil((region.re_max - region.re_min) * grid_density)) + 1)
     ni = max(4, int(math.ceil((region.im_max - region.im_min) * grid_density)) + 1)
     re = np.linspace(region.re_min, region.re_max, nr)
     im = np.linspace(region.im_min, region.im_max, ni)
-    cos2k, _ = _lattice_cos_sin(2 * re, 2 * im)
-    cos_k, sin_k = _lattice_cos_sin(re, im)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        icot = 1j * (cos_k / sin_k)
-    del cos_k, sin_k  # before the work arrays exist: they would raise a census's peak memory
-    block_rows = max(1, _BLOCK // nr)
-    work = [np.empty((min(block_rows, ni), nr), dtype=complex) for _ in range(_M22_WORK)]
-    abs_m22 = np.empty((ni, nr))
-    for start in range(0, ni, block_rows):
-        rows = slice(start, start + block_rows)
-        block = cos2k[rows]
-        m22 = _m22_array(spec, block, icot[rows], [w[: len(block)] for w in work])
-        np.abs(m22, out=abs_m22[rows])
-    return re, im, abs_m22
-
-
-def _grid_seeds(spec: ChainSpec, region: SearchRegion, grid_density: int) -> list[complex]:
-    """Interior local minima of ``|M22|`` on the seed lattice, deepest first."""
-    re, im, a = _seed_lattice(spec, region, grid_density)
+    window = np.zeros((ni, nr), dtype=bool)
+    evaluated = np.zeros((ni, nr), dtype=bool)
+    for k in pencil:
+        # fractional lattice indices of k, and the index ranges within the window
+        j = (k.real - region.re_min) / (region.re_max - region.re_min) * (nr - 1)
+        i = (k.imag - region.im_min) / (region.im_max - region.im_min) * (ni - 1)
+        j0, j1 = max(0, math.ceil(j - SEED_WINDOW)), math.floor(j + SEED_WINDOW) + 1
+        i0, i1 = max(0, math.ceil(i - SEED_WINDOW)), math.floor(i + SEED_WINDOW) + 1
+        window[i0:i1, j0:j1] = True
+        evaluated[max(0, i0 - 1) : i1 + 1, max(0, j0 - 1) : j1 + 1] = True
+    ii, jj = np.nonzero(evaluated)
+    k = re[jj] + 1j * im[ii]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x = np.cos(2 * k) + 0.5 * spec.gamma**2
+        t_n, u_nm1 = chebyshev_tu(spec.n_cells, x)
+        m22 = t_n - 1j * (np.cos(k) / np.sin(k)) * (1.0 - x) * u_nm1
+    a = np.full((ni, nr), np.inf)
+    a[ii, jj] = np.abs(m22)
     a[~np.isfinite(a)] = np.inf
-    inner = a[1:-1, 1:-1]
-    ii, jj = np.nonzero(_interior_minima(a))
-    order = np.argsort(inner[ii, jj])
+    ii, jj = np.nonzero(window[1:-1, 1:-1] & _interior_minima(a))
+    order = np.argsort(a[ii + 1, jj + 1], kind="stable")
     ii, jj = ii[order] + 1, jj[order] + 1
     return [complex(k) for k in re[jj] + 1j * im[ii]]
-
-
-def _lattice_cos_sin(re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``cos`` and ``sin`` of the lattice ``re[None, :] + 1j * im[:, None]``.
-
-    Built from ``cos(a + ib) = cos a cosh b - i sin a sinh b`` and
-    ``sin(a + ib) = sin a cosh b + i cos a sinh b`` with the real libm
-    functions, which takes ``len(re) + len(im)`` real transcendentals instead
-    of one complex one per lattice point. The C library's complex ``cos`` and
-    ``sin``, which ``np.cos`` and ``np.sin`` call, form each entry as the same
-    products of the same real libm values, so the arrays equal ``np.cos`` and
-    ``np.sin`` of the lattice bit for bit (the tests compare their bytes).
-    Doubling a lattice is exact, so ``2 * re`` and ``2 * im`` give the
-    lattice ``2k``.
-    """
-    cos_a, sin_a = (np.array([f(a) for a in re]) for f in (math.cos, math.sin))
-    cosh_b, sinh_b = (np.array([f(b) for b in im])[:, None] for f in (math.cosh, math.sinh))
-    cos, sin = (np.empty((len(im), len(re)), dtype=complex) for _ in range(2))
-    cos.real, cos.imag = cosh_b * cos_a, -(sinh_b * sin_a)
-    sin.real, sin.imag = cosh_b * sin_a, sinh_b * cos_a
-    return cos, sin
 
 
 def _interior_minima(a: np.ndarray) -> np.ndarray:
@@ -353,11 +285,13 @@ def _near_singular_vertical(k: complex) -> bool:
     return any(abs(k.real - s) < EDGE_MARGIN for s in (-math.pi, 0.0, math.pi))
 
 
-def _collect_roots(spec: ChainSpec, region: SearchRegion, grid_density: int) -> list[complex]:
+def _collect_roots(
+    spec: ChainSpec, region: SearchRegion, grid_density: int, pencil: list[complex]
+) -> list[complex]:
     """Newton roots from the off-vertical grid seeds, in seed order; a failed seed gives none."""
     roots = (
         _newton(spec, seed)
-        for seed in _grid_seeds(spec, region, grid_density)
+        for seed in _grid_seeds(spec, region, grid_density, pencil)
         if not _near_singular_vertical(seed)
     )
     return [r for r in roots if r is not None]
@@ -419,13 +353,15 @@ def find_poles(
     The poles are the census of :func:`_census`, the in-region eigenvalues
     of the outgoing-wave pencil, except that an eigenvalue is reported as the
     first grid root, in seed order, within :data:`GRID_ROOT_TOL` of it where
-    there is one. A grid root near no eigenvalue is dropped, with a DEBUG
-    event under ``ptchain.poles``.
+    there is one. Grid roots near no eigenvalue are dropped, with one DEBUG
+    event per call under ``ptchain.poles`` that gives their count and the
+    first of them.
 
     The grid roots are damped Newton roots of ``M22`` seeded at the local
     minima of ``|M22|`` on a lattice of ``grid_density`` points per unit
-    length. They add no pole; they only reproduce the last bits of the fig2
-    presets' ``k`` and ``residual`` columns, which
+    length, taken only within :data:`SEED_WINDOW` lattice cells of an
+    eigenvalue (:func:`_grid_seeds`). They add no pole; they only reproduce
+    the last bits of the fig2 presets' ``k`` and ``residual`` columns, which
     ``perfbench/reference/paper_figures.json`` pins.
 
     Parameters
@@ -435,24 +371,27 @@ def find_poles(
         Defaults to the full strip with ``Im k in [-1.5, 1.5]`` (minus the
         singular-vertical margins).
     grid_density : int
-        Seed-grid points per unit k length (minimum 50).
+        Seed-grid points per unit k length (finite, minimum 50).
     """
     if region is None:
         region = DEFAULT_REGION
-    if grid_density < 50:
-        raise OutOfRange(f"grid_density must be at least 50 per unit length, got {grid_density}")
+    if not 50 <= grid_density < math.inf:
+        raise OutOfRange(
+            f"grid_density must be finite and at least 50 per unit length, got {grid_density}"
+        )
     if spec.gamma == 0.0:
         return []
 
     pencil = _pencil_poles(spec, region)
-    roots = _collect_roots(spec, region, grid_density)
+    roots = _collect_roots(spec, region, grid_density, pencil)
     near = np.abs(np.subtract.outer(pencil, roots)) <= GRID_ROOT_TOL
-    for r, matched in zip(roots, near.any(axis=0)):
-        if not matched:
-            _log.debug(
-                "grid root k=%r lies within %g of no pencil eigenvalue: dropped "
-                "(N=%d, gamma=%r)", r, GRID_ROOT_TOL, spec.n_cells, spec.gamma,
-            )
+    dropped = [r for r, matched in zip(roots, near.any(axis=0)) if not matched]
+    if dropped:
+        _log.debug(
+            "%d grid root(s) within %g of no pencil eigenvalue dropped, the first "
+            "grid root k=%r (N=%d, gamma=%r)",
+            len(dropped), GRID_ROOT_TOL, dropped[0], spec.n_cells, spec.gamma,
+        )
     return _records(spec, [
         roots[row.argmax()] if row.any() else k for k, row in zip(pencil, near)
     ])

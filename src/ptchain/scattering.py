@@ -260,10 +260,10 @@ def scatter(spec: ChainSpec, k: float) -> ScatterResult:
     real-arithmetic closed form on every call (1e-9 relative, widened by
     the closed form's own quadratic error floor near singularities). The
     closed form needs ``U_{N-1}(x)`` at ``x = cos 2k + gamma**2/2``, the
-    matrix route's ``x`` to the bit; unless the matrix route's recurrence
-    rescaled, its ``U_{N-1}`` is that value bit for bit and is reused, and
-    otherwise the closed form runs its own recurrence. Either way the
-    reference, and so the check, is the same.
+    matrix route's ``x`` to the bit, so the matrix route's ``U_{N-1}`` is
+    reused. Where that recurrence rescaled, ``U_{N-1}`` exceeds the double
+    range and the reference is 0.0, as :func:`transmission_closed_form`
+    returns there.
     On long chains whose entries approach or exceed the double range, they
     are evaluated rescaled by a power of two: ``T`` underflows toward 0 while
     ``R_left`` and ``R_right`` stay finite.
@@ -281,8 +281,8 @@ def scatter(spec: ChainSpec, k: float) -> ScatterResult:
     if not 0.0 < k < math.pi:
         raise OutOfRange(f"real scattering requires k in (0, pi), got {k!r}")
     t_n, diag, u_nm1, sink, exp, x = _transfer_terms(spec, k)
-    # the closed form's own recurrence would run on these bits again
-    reuse_u = None if exp else u_nm1
+    # a rescaled U_{N-1} is beyond the double range: the closed form gives 0.0
+    closed_u = math.inf if exp else u_nm1
     if abs(u_nm1) > 2.0**512:
         # leave the entries and their quotients headroom; scaling by 2**-512 is exact
         t_n, diag, u_nm1 = t_n * 2.0**-512, diag * 2.0**-512, u_nm1 * 2.0**-512
@@ -297,10 +297,7 @@ def scatter(spec: ChainSpec, k: float) -> ScatterResult:
     r_left = -m.m21 / m.m22
     r_right = m.m12 / m.m22
     big_t = abs(t) ** 2
-    if reuse_u is None:
-        reference = transmission_closed_form(spec, k)
-    else:
-        reference = _closed_form_transmission(spec, k, x, reuse_u)
+    reference = _closed_form_transmission(spec, k, x, closed_u)
     # the closed form computes 1/T as an O(1) difference, so the reference
     # carries an absolute error ~ ulp * T^2 near singularities; allow for it
     allowance = 1e-9 * max(1.0, abs(reference)) + 1e-13 * reference * reference

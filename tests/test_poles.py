@@ -33,7 +33,12 @@ from ptchain import (
 from ptchain import poles
 from ptchain.poles import DEFAULT_REGION, EDGE_MARGIN
 from ptchain.presets import PRESETS
-from transfer_oracles import eight_neighbour_minima, imaginary_branch_excluded, plain_m22_array
+from transfer_oracles import (
+    eight_neighbour_minima,
+    full_lattice_seeds,
+    imaginary_branch_excluded,
+    plain_m22_array,
+)
 from zpoly_oracle import zpoly_coefficients, zpoly_roots
 
 PI = math.pi
@@ -161,8 +166,8 @@ def test_fig2_poles_are_grid_roots_bitwise(preset):
     """Each fig2 pole is a grid Newton root, bit for bit, within 1e-12 of its own eigenvalue."""
     params = PRESETS[preset]
     spec = ChainSpec(params["n_cells"], params["gamma"])
-    roots = poles._collect_roots(spec, DEFAULT_REGION, params["grid_density"])
     pencil = poles._pencil_poles(spec, DEFAULT_REGION)
+    roots = poles._collect_roots(spec, DEFAULT_REGION, params["grid_density"], pencil)
     found = [r.k.as_complex() for r in find_poles(spec, grid_density=params["grid_density"])]
     assert len(found) == len(pencil) == 4 * spec.n_cells - 2
     assert all(k in roots for k in found)
@@ -185,12 +190,78 @@ def test_stray_grid_root_is_dropped_and_logged(monkeypatch, caplog):
     assert f"grid root k={stray!r}" in event.getMessage() and "dropped" in event.getMessage()
 
 
+def test_dropped_grid_roots_are_one_event(caplog):
+    """At (8, 1e-4) every grid root is dropped, and the call logs them as one DEBUG event."""
+    spec = ChainSpec(8, 1e-4)
+    with caplog.at_level(logging.DEBUG, logger="ptchain.poles"):
+        found = find_poles(spec)
+    assert found == poles._census(spec, DEFAULT_REGION)
+    (event,) = [r for r in caplog.records if r.name == "ptchain.poles"]
+    assert event.levelno == logging.DEBUG
+    assert "dropped" in event.getMessage() and f"within {poles.GRID_ROOT_TOL:g}" in event.getMessage()
+
+
+def _window_seeds(seeds: list[complex], pencil: list[complex], region: SearchRegion, density: int):
+    """The seeds within SEED_WINDOW lattice cells (max-norm) of an eigenvalue in ``pencil``."""
+    cell_re = (region.re_max - region.re_min) / math.ceil((region.re_max - region.re_min) * density)
+    cell_im = (region.im_max - region.im_min) / math.ceil((region.im_max - region.im_min) * density)
+    return [
+        s for s in seeds
+        if any(
+            abs(s.real - k.real) <= poles.SEED_WINDOW * cell_re
+            and abs(s.imag - k.imag) <= poles.SEED_WINDOW * cell_im
+            for k in pencil
+        )
+    ]
+
+
+#: (N, gamma, region, grid density) of the windowed-seed identity tests.
+SEED_CASES = [
+    *((3, PRESETS[f"fig2{c}"]["gamma"], DEFAULT_REGION, 90) for c in "abcdefghi"),
+    (8, 1e-4, DEFAULT_REGION, 60),
+    (5, 1e-5, DEFAULT_REGION, 60),
+    (20, 1.9, DEFAULT_REGION, 60),
+    (13, 0.9, SearchRegion(-0.3, 2.9, -1.2, 0.7), 73),
+    (4, 2.0, first_quadrant_region(2.0), 60),
+]
+SEED_IDS = [
+    *(f"fig2{c}" for c in "abcdefghi"), "8-1e-4", "5-1e-5", "20-1.9", "13-0.9-window", "4-2.0-first-quadrant",
+]
+
+
+@pytest.mark.parametrize("n, gamma, region, density", [
+    *SEED_CASES, (8, 1e-8, DEFAULT_REGION, 60), (50, 0.285, DEFAULT_REGION, 60),
+], ids=[*SEED_IDS, "8-1e-8", "50-0.285"])
+def test_grid_seeds_are_the_full_lattice_seeds_in_the_windows(n, gamma, region, density):
+    """The windowed seeds are the whole lattice's local minima near an eigenvalue, in the same order.
+
+    At gamma = 1e-8 |M22| is exactly 0.0 at many lattice points, so the
+    order among equal depths counts too.
+    """
+    spec = ChainSpec(n, gamma)
+    pencil = poles._pencil_poles(spec, region)
+    seeds = poles._grid_seeds(spec, region, density, pencil)
+    full = full_lattice_seeds(spec, region, density)
+    assert seeds and seeds == _window_seeds(full, pencil, region, density)
+
+
+@pytest.mark.parametrize("n, gamma, region, density", SEED_CASES, ids=SEED_IDS)
+def test_find_poles_equals_the_full_lattice_rule_bitwise(n, gamma, region, density, monkeypatch):
+    """Seeding only near the eigenvalues reports the poles that seeding the whole lattice does, to the bit."""
+    spec = ChainSpec(n, gamma)
+    windowed = find_poles(spec, region, density)
+    monkeypatch.setattr(
+        poles, "_grid_seeds", lambda spec, region, density, pencil: full_lattice_seeds(spec, region, density)
+    )
+    assert windowed == find_poles(spec, region, density)
+
+
 def test_failed_grid_seed_loses_no_pole(monkeypatch):
     """A seed Newton fails from is not retried; its pole is the pencil eigenvalue as it is."""
     spec = ChainSpec(3, 0.3)
     expected = find_poles(spec)
     seeds = [
-        s for s in poles._grid_seeds(spec, DEFAULT_REGION, 60)
+        s for s in poles._grid_seeds(spec, DEFAULT_REGION, 60, poles._pencil_poles(spec, DEFAULT_REGION))
         if not poles._near_singular_vertical(s)
     ]
     newton = poles._newton
@@ -258,8 +329,9 @@ def test_three_growing_states_at_gamma_two():
 
 
 def test_grid_density_floor():
-    with pytest.raises(OutOfRange):
-        find_poles(ChainSpec(2, 0.5), grid_density=40)
+    for density in (40, math.inf, math.nan):
+        with pytest.raises(OutOfRange):
+            find_poles(ChainSpec(2, 0.5), grid_density=density)
 
 
 def test_search_region_validation():
@@ -545,61 +617,6 @@ def test_plain_array_residual_matches_scalar_residual(rng):
         scale = np.abs(t_n) + np.abs(np.cos(ks) / np.sin(ks) * (1.0 - x) * u_nm1)
         for k, value, s in zip(ks, array, scale):
             assert abs(value - pole_residual(spec, complex(k))) <= 1e-13 * s
-
-
-#: (region, density) of the seed lattices the bitwise tests build.
-SEED_LATTICES = [
-    (DEFAULT_REGION, 60),
-    (DEFAULT_REGION, 90),
-    (first_quadrant_region(2.2), 60),
-]
-
-
-def _lattice_points(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    return re[None, :] + 1j * im[:, None]
-
-
-@pytest.mark.parametrize("n", [1, 3, 8, 20, 50, 400])
-def test_shared_grid_factors_give_the_plain_residual_bitwise(n):
-    """|M22| from the lattice's gamma-independent factors, block by block, is bitwise the plain array expression's.
-
-    N = 400 overflows the recurrence at large gamma (its density-90 case is
-    left out for time).
-    """
-    gammas = [0.0, threshold_ladder(n).gamma_values[n // 2], 0.7, 1.9, 2.2]
-    for region, density in SEED_LATTICES if n < 400 else SEED_LATTICES[::2]:
-        for g in gammas:
-            spec = ChainSpec(n, g)
-            re, im, shared = poles._seed_lattice(spec, region, density)
-            plain = np.abs(plain_m22_array(spec, _lattice_points(re, im)))
-            assert np.array_equal(shared, plain, equal_nan=True)
-
-
-@pytest.mark.parametrize("rows", [1, 7])
-def test_grid_blocks_of_any_row_count_give_the_plain_residual_bitwise(rows, monkeypatch):
-    """One-row blocks, and 7-row blocks that leave a 6-row remainder of the 181 rows."""
-    region, density = DEFAULT_REGION, 60
-    re, im, _ = poles._seed_lattice(ChainSpec(1, 0.5), region, density)
-    monkeypatch.setattr(poles, "_BLOCK", rows * len(re) + len(re) - 1)
-    assert len(im) == 181 and 181 % rows in (0, 6)
-    for n, g in ((3, 0.7), (20, 1.9), (50, threshold_ladder(50).gamma_values[25])):
-        spec = ChainSpec(n, g)
-        plain = np.abs(plain_m22_array(spec, _lattice_points(re, im)))
-        assert np.array_equal(poles._seed_lattice(spec, region, density)[2], plain, equal_nan=True)
-
-
-@pytest.mark.parametrize("region", [
-    DEFAULT_REGION, first_quadrant_region(6.0), SearchRegion(-0.3, 2.9, -2.5, 0.7),
-])
-def test_lattice_trig_equals_numpy_complex_trig_bitwise(region):
-    """cos and sin of the lattice from its axes have the bytes of np.cos and np.sin, zeros' signs too."""
-    for density in (60, 73):
-        re, im, _ = poles._seed_lattice(ChainSpec(1, 0.5), region, density)
-        kk = _lattice_points(re, im)
-        for scale in (1, 2):
-            cos, sin = poles._lattice_cos_sin(scale * re, scale * im)
-            assert cos.tobytes() == np.cos(scale * kk).tobytes()
-            assert sin.tobytes() == np.sin(scale * kk).tobytes()
 
 
 def test_window_minimum_equals_eight_neighbour_comparisons(rng):

@@ -270,18 +270,18 @@ def test_scatter_cross_checks_against_the_closed_form_value(rng, monkeypatch):
 
     Both routes form ``x`` as ``cos 2k + 0.5*gamma**2``, so the matrix
     route's ``U_{N-1}`` is reused, also at a gamma where
-    ``0.5*g**2 != 0.5*g*g``; only where the recurrence overflows does the
-    closed form run its own.
+    ``0.5*g**2 != 0.5*g*g``; where the recurrence overflows the reference is
+    0.0. The closed form never runs its own recurrence.
     """
     odd_gamma = 0.8862418894599235
     assert 0.5 * odd_gamma**2 != 0.5 * odd_gamma * odd_gamma
-    cases = [(ChainSpec(5, odd_gamma), 1.1, False), (ChainSpec(5, 0.8862), 1.1, False),
-             (ChainSpec(807, 1.62), 0.01, True)]
+    cases = [(ChainSpec(5, odd_gamma), 1.1), (ChainSpec(5, 0.8862), 1.1),
+             (ChainSpec(807, 1.62), 0.01)]
     for _ in range(200):
         spec = ChainSpec(int(rng.integers(1, 60)), float(rng.uniform(0.0, 2.0)))
-        cases.append((spec, float(rng.uniform(0.01, math.pi - 0.01)), None))
+        cases.append((spec, float(rng.uniform(0.01, math.pi - 0.01))))
     closed_form, tail = scattering.transmission_closed_form, scattering._closed_form_transmission
-    for spec, k, fallback in cases:
+    for spec, k in cases:
         references, own_runs = [], []
         monkeypatch.setattr(scattering, "_closed_form_transmission",
                             lambda *a: references.append(tail(*a)) or references[-1])
@@ -294,8 +294,24 @@ def test_scatter_cross_checks_against_the_closed_form_value(rng, monkeypatch):
         finally:
             monkeypatch.undo()
         assert references == [closed_form(spec, k)]
-        if fallback is not None:
-            assert len(own_runs) == fallback
+        assert own_runs == []
+
+
+def test_closed_form_is_zero_wherever_the_recurrence_rescales(rng):
+    """Where ``_transfer_terms`` rescales, ``U_{N-1}`` overflows and the closed form gives 0.0.
+
+    ``scatter`` takes 0.0 as its reference there without running the
+    recurrence again.
+    """
+    rescaled = 0
+    for _ in range(2000):
+        n = int(np.exp(rng.uniform(math.log(50), math.log(5000))))
+        spec = ChainSpec(n, float(rng.uniform(0.0, 2.5)))
+        k = float(rng.uniform(0.005, math.pi - 0.005))
+        if scattering._transfer_terms(spec, k)[4]:
+            rescaled += 1
+            assert transmission_closed_form(spec, k) == 0.0
+    assert rescaled > 100
 
 
 def test_scatter_cross_check_catches_a_perturbed_matrix_route(rng, monkeypatch):

@@ -14,13 +14,16 @@ closed form against them:
 - ``imaginary_branch_excluded``, the evanescent-regime argument that no pole
   sits on the real axis when ``mu`` is imaginary.
 
-Three more are bit references rather than independent routes:
+Four more are bit references rather than independent routes:
 ``plain_chebyshev_tu`` is the Chebyshev recurrence with ``2 * x`` formed
 inside its loop, one step per pass, and ``plain_m22_array`` is the array
-residual ``M22`` as one numpy expression over the whole array. The package's
-rearranged and blocked loops must match them bit for bit.
-``eight_neighbour_minima`` is the seed grid's local-minimum test as eight
-shifted comparisons.
+residual ``M22`` as one numpy expression over the whole array; the package's
+rearranged loop must match them bit for bit. ``eight_neighbour_minima`` is
+the seed grid's local-minimum test as eight shifted comparisons.
+``full_lattice_seeds`` builds from ``plain_m22_array`` and
+``eight_neighbour_minima`` the seed rule over the whole lattice, with no
+window around the pencil eigenvalues: every interior local minimum of
+``|M22|``, deepest first.
 
 Two more are dense references for the chain's sparse operator
 ``chain_operator``: ``dense_hamiltonian`` writes the finite lattice's
@@ -248,6 +251,24 @@ def eight_neighbour_minima(a: np.ndarray) -> np.ndarray:
                 continue
             is_min &= inner <= a[1 + di : a.shape[0] - 1 + di, 1 + dj : a.shape[1] - 1 + dj]
     return is_min
+
+
+def full_lattice_seeds(spec: ChainSpec, region, grid_density: int) -> list[complex]:
+    """Interior local minima of ``|M22|`` over the whole seed lattice of ``region``.
+
+    Deepest first, equal depths in lattice (row-major) order: ``|M22|`` is
+    exactly 0.0 at many lattice points at ``gamma = 1e-8``.
+    """
+    nr = max(4, int(math.ceil((region.re_max - region.re_min) * grid_density)) + 1)
+    ni = max(4, int(math.ceil((region.im_max - region.im_min) * grid_density)) + 1)
+    re = np.linspace(region.re_min, region.re_max, nr)
+    im = np.linspace(region.im_min, region.im_max, ni)
+    a = np.abs(plain_m22_array(spec, re[None, :] + 1j * im[:, None]))
+    a[~np.isfinite(a)] = np.inf
+    ii, jj = np.nonzero(eight_neighbour_minima(a))
+    order = np.argsort(a[ii + 1, jj + 1], kind="stable")
+    ii, jj = ii[order] + 1, jj[order] + 1
+    return [complex(k) for k in re[jj] + 1j * im[ii]]
 
 
 def dense_hamiltonian(layout: LatticeLayout, spec: ChainSpec) -> np.ndarray:
