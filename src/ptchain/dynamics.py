@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DecompositionFailed, InsufficientGrowth, OutOfRange
 from .model import ChainSpec, chain_operator
@@ -187,7 +186,8 @@ def prepare_propagator(h: "csr_array | np.ndarray") -> PropagatorBundle:
         If the dense eigensolver does not converge or the spectral assembly
         residual is out of tolerance.
     """
-    # imported here so that ``import ptchain`` does not load scipy.sparse
+    # imported here so that ``import ptchain`` does not load scipy.linalg or scipy.sparse
+    import scipy.linalg
     from scipy.sparse import csr_array
 
     h = csr_array(h)

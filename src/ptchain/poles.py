@@ -32,7 +32,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     BranchLost,
@@ -308,6 +307,9 @@ def _pencil_wavenumbers(spec: ChainSpec) -> np.ndarray:
     at N = 1, gamma = 1). ``H_c`` is the leadless :func:`chain_operator`,
     densified for the eigensolver.
     """
+    # imported here so that ``import ptchain`` does not load scipy.linalg
+    import scipy.linalg
+
     n = spec.n_sites
     h_c = chain_operator(spec).toarray()
     open_ends = np.eye(n)
@@ -417,6 +419,11 @@ class ThresholdLadder:
     mu_values: tuple[float, ...]
 
 
+def _gamma_critical(n_cells: int) -> float:
+    """The lowest ladder value ``2 sin(pi/(4N))`` of an ``n_cells`` chain."""
+    return 2.0 * math.sin(math.pi / (4 * n_cells))
+
+
 def threshold_ladder(n_cells: int, verify_numeric: bool = False) -> ThresholdLadder:
     """Evaluate the closed-form threshold ladder for an ``n_cells`` chain.
 
@@ -432,7 +439,7 @@ def threshold_ladder(n_cells: int, verify_numeric: bool = False) -> ThresholdLad
     ladder = ThresholdLadder(
         n_cells=n_cells,
         gamma_values=gammas,
-        gamma_critical=2.0 * math.sin(math.pi / (4 * n_cells)),
+        gamma_critical=_gamma_critical(n_cells),
         mu_values=mu,
     )
     if verify_numeric:

@@ -28,8 +28,8 @@ from .model import (
     classify_bloch_regime,
     energy_to_wavenumber,
 )
-from .poles import threshold_ladder
-from .scattering import transmission_closed_form
+from .poles import _gamma_critical, threshold_ladder
+from .scattering import _closed_form_transmission
 
 __all__ = [
     "RelevanceRegime",
@@ -67,21 +67,24 @@ class RelevanceVerdict:
     margin: float  # gamma_critical - gamma
 
 
+def _regime(gamma: float, gamma_critical: float) -> RelevanceRegime:
+    """The side of ``gamma_critical`` that ``gamma`` lies on, within :data:`VERDICT_TOL`."""
+    tol = VERDICT_TOL * gamma_critical
+    if gamma < gamma_critical - tol:
+        return RelevanceRegime.RELEVANT
+    if gamma > gamma_critical + tol:
+        return RelevanceRegime.UNPHYSICAL
+    return RelevanceRegime.CRITICAL_SINGULARITY
+
+
 def verdict(spec: ChainSpec) -> RelevanceVerdict:
     """Classify ``gamma`` against the critical threshold of this chain size."""
     ladder = threshold_ladder(spec.n_cells)
     gc = ladder.gamma_critical
-    tol = VERDICT_TOL * gc
-    if spec.gamma < gc - tol:
-        regime = RelevanceRegime.RELEVANT
-    elif spec.gamma > gc + tol:
-        regime = RelevanceRegime.UNPHYSICAL
-    else:
-        regime = RelevanceRegime.CRITICAL_SINGULARITY
     count = sum(1 for g in ladder.gamma_values if g < spec.gamma)
     return RelevanceVerdict(
         spec=spec,
-        regime=regime,
+        regime=_regime(spec.gamma, gc),
         gamma_critical=gc,
         tgbs_count=count,
         margin=gc - spec.gamma,
@@ -241,7 +244,9 @@ def transmission_vs_size(gamma: float, energy: float, n_max: int) -> SizeScan:
 
     The Bloch regime (shared by all N) decides which summary statistic is
     computed: the oscillation quasiperiod when propagating, the asymptotic
-    log-slope (fitted on the upper 60% of sizes) when evanescent.
+    log-slope when evanescent. The slope is fitted on the upper 60% of the
+    sizes whose ``T`` is positive (``T`` underflows to 0.0 on long
+    evanescent chains), and is None when fewer than two such sizes are left.
     """
     if not 0.0 < gamma:
         raise OutOfRange(f"gamma must be positive, got {gamma!r}")
@@ -250,18 +255,24 @@ def transmission_vs_size(gamma: float, energy: float, n_max: int) -> SizeScan:
     if n_max < 1:
         raise OutOfRange(f"n_max must be >= 1, got {n_max}")
     k = energy_to_wavenumber(energy)
-    regime = classify_bloch_regime(energy, ChainSpec(1, gamma))
+    cell = ChainSpec(1, gamma)
+    regime = classify_bloch_regime(energy, cell)
+    x = math.cos(2 * k) + 0.5 * gamma**2
+    # the recurrence of chebyshev_tu, advanced once for all N: the same
+    # operations in the same order, so each U_{N-1} is the one it returns
+    u_prev, u_cur = x * 0, x * 0 + 1.0  # U_{-1}, U_0
+    two_x = 2 * x
     rows = []
     for n in range(1, n_max + 1):
-        spec = ChainSpec(n, gamma)
         rows.append(
             SizeScanRow(
                 n_cells=n,
-                transmission=transmission_closed_form(spec, k),
+                transmission=_closed_form_transmission(cell, k, x, u_cur),
                 regime=regime,
-                physical=verdict(spec).regime is RelevanceRegime.RELEVANT,
+                physical=_regime(gamma, _gamma_critical(n)) is RelevanceRegime.RELEVANT,
             )
         )
+        u_prev, u_cur = u_cur, two_x * u_cur - u_prev
     t_values = np.array([r.transmission for r in rows])
 
     quasiperiod = None
@@ -269,9 +280,11 @@ def transmission_vs_size(gamma: float, energy: float, n_max: int) -> SizeScan:
     if regime is BlochRegime.PROPAGATING:
         quasiperiod = _oscillation_quasiperiod(t_values)
     elif regime is BlochRegime.EVANESCENT and n_max >= 10:
-        start = max(int(0.4 * n_max), 1)
-        ns = np.arange(start, n_max + 1, dtype=float)
-        log_slope = float(np.polyfit(ns, np.log(t_values[start - 1 :]), 1)[0])
+        # long chains underflow T to 0.0, whose logarithm carries no slope
+        ns = np.flatnonzero(t_values > 0.0) + 1
+        ns = ns[max(int(0.4 * len(ns)), 1) - 1 :]
+        if len(ns) >= 2:
+            log_slope = float(np.polyfit(ns.astype(float), np.log(t_values[ns - 1]), 1)[0])
     return SizeScan(
         gamma=gamma,
         energy=energy,

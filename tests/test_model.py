@@ -1,6 +1,7 @@
 """Chain description, wavenumber canonicalization, and Bloch-index regimes."""
 
 import cmath
+import json
 import math
 import os
 import subprocess
@@ -114,16 +115,49 @@ def test_chain_operator_rejects_negative_leads():
         chain_operator(ChainSpec(2, 0.5), right=-1)
 
 
-def test_import_does_not_load_scipy_sparse():
-    """``import ptchain`` in a fresh interpreter leaves scipy.sparse unloaded."""
+def _fresh_python(code, *args, cwd=None):
+    """Run ``code`` in a fresh interpreter that imports this checkout's ``ptchain``."""
     src = str(Path(ptchain.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    code = "import sys, ptchain; assert 'scipy.sparse' not in sys.modules, 'loaded'"
     run = subprocess.run(
-        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
-        capture_output=True, text=True,
+        [sys.executable, "-c", code, *args], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, cwd=cwd,
     )
     assert run.returncode == 0, run.stderr
+    return run
+
+
+def test_import_does_not_load_scipy_sparse():
+    """``import ptchain`` in a fresh interpreter leaves scipy.sparse unloaded."""
+    _fresh_python("import sys, ptchain; assert 'scipy.sparse' not in sys.modules, 'loaded'")
+
+
+_COLD_START = """
+import contextlib, io, json, sys
+from pathlib import Path
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+import ptchain, ptchain.cli
+loaded = {"import": scipy_modules()}
+for preset in ("fig5a", "fig8", "fig2a"):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = ptchain.cli.main(["figure", "--preset", preset, "--out", preset])
+    assert code == 0, (preset, code)
+    loaded[preset] = scipy_modules()
+Path(sys.argv[1]).write_text(json.dumps(loaded))
+"""
+
+
+def test_cold_start_loads_scipy_only_for_an_eigensolve(tmp_path):
+    """Stationary presets load no scipy module; the first pencil census loads scipy.linalg."""
+    _fresh_python(_COLD_START, "loaded.json", cwd=tmp_path)
+    loaded = json.loads((tmp_path / "loaded.json").read_text())
+    assert loaded["import"] == []
+    assert loaded["fig5a"] == []
+    assert loaded["fig8"] == []
+    assert "scipy.linalg" in loaded["fig2a"]
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Physicality verdicts, special scattering points, and size scans."""
 
 import math
+import warnings
 
 import pytest
 
@@ -10,12 +11,15 @@ from ptchain import (
     OutOfRange,
     RelevanceRegime,
     SpecialPointKind,
+    SpectralSingularityError,
     band_edge_points,
     cpa_laser_points,
+    energy_to_wavenumber,
     evanescent_decay_reference,
     fabry_perot_points,
     scatter,
     threshold_ladder,
+    transmission_closed_form,
     transmission_vs_size,
     verdict,
 )
@@ -112,6 +116,52 @@ def test_transmission_vs_size_evanescent_slope():
     reference = evanescent_decay_reference(0.3, 1.98)
     assert reference == pytest.approx(4 * 0.0509682, abs=1e-5)
     assert scan.log_slope == pytest.approx(-reference, rel=0.01)
+
+
+def _per_size_rows(gamma, energy, n_max):
+    """``(N, T, physical)`` of a size scan from its definition, one chain at a time."""
+    k = energy_to_wavenumber(energy)
+    rows = []
+    for n in range(1, n_max + 1):
+        spec = ChainSpec(n, gamma)
+        physical = verdict(spec).regime is RelevanceRegime.RELEVANT
+        rows.append((n, transmission_closed_form(spec, k), physical))
+    return rows
+
+
+def _rows(scan):
+    return [(r.n_cells, r.transmission, r.physical) for r in scan.rows]
+
+
+@pytest.mark.parametrize(
+    "gamma, energy, n_max",
+    [
+        (0.3, 1.93, 60),  # propagating, physicality flips at N = 6
+        (threshold_ladder(6).gamma_critical, 1.0, 20),  # critical at N = 6
+        (1.5, 1.9, 1000),  # evanescent: U_{N-1} overflows, T = 0.0 from N = 279
+        (1e-3, -1.2, 400),
+    ],
+)
+def test_transmission_vs_size_equals_the_per_size_definition(gamma, energy, n_max):
+    assert _rows(transmission_vs_size(gamma, energy, n_max)) == _per_size_rows(gamma, energy, n_max)
+
+
+def test_transmission_vs_size_raises_at_the_first_singular_size():
+    gamma = threshold_ladder(3).gamma_values[0]  # T diverges at k = pi/2 for N = 3, not N < 3
+    assert _rows(transmission_vs_size(gamma, 0.0, 2)) == _per_size_rows(gamma, 0.0, 2)
+    with pytest.raises(SpectralSingularityError) as want:
+        _per_size_rows(gamma, 0.0, 10)
+    with pytest.raises(SpectralSingularityError) as got:
+        transmission_vs_size(gamma, 0.0, 10)
+    assert str(got.value) == str(want.value)
+
+
+def test_transmission_vs_size_slope_skips_underflowed_sizes():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        scan = transmission_vs_size(1.5, 1.9, 1000)
+    assert sum(r.transmission == 0.0 for r in scan.rows) == 722
+    assert scan.log_slope == pytest.approx(-evanescent_decay_reference(1.5, 1.9), abs=1e-6)
 
 
 def test_transmission_vs_size_validation():
