@@ -4,6 +4,7 @@ Usage::
 
     python scripts/preset_outputs.py SRC OUTDIR
     python scripts/preset_outputs.py SRC OUTDIR --against OTHER_SRC
+    python scripts/preset_outputs.py SRC OUTDIR --time
 
 ``SRC`` is the ``src`` directory of the checkout to run (its ``ptchain``
 package is imported, not the installed one); ``OUTDIR`` receives
@@ -19,6 +20,13 @@ whether the headers, the row counts and the non-numeric cells match, and the
 largest absolute difference in each numeric column. It exits 1 on any
 difference or missing file, and 2 when ``OUTDIR`` or ``OUTDIR.against``
 already exists (stale files would enter the comparison).
+
+With ``--time``, ``ptchain --help`` and each preset (default format) run
+instead in a fresh interpreter each, ``TIME_REPEATS`` times. One line per
+command gives the least wall time around the child process, which includes
+interpreter start-up and imports as a user's shell sees them, and the public
+SciPy subpackages in ``sys.modules`` when ``main`` returned (``-`` for
+none). To compare two checkouts, run it on each.
 """
 
 from __future__ import annotations
@@ -32,6 +40,26 @@ import math
 import os
 import subprocess
 import sys
+import time
+
+TIME_REPEATS = 5
+
+_TIMED_CHILD = """
+import contextlib, io, sys
+from ptchain.cli import main
+
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        code = main(sys.argv[1:])
+    except SystemExit as exc:  # --help leaves through argparse
+        code = exc.code
+print(" ".join(sorted(
+    name for name, module in list(sys.modules.items())
+    if name.count(".") == 1 and name.startswith("scipy.")
+    and not name.split(".")[1].startswith("_") and hasattr(module, "__path__")
+)) or "-", file=sys.stderr)
+sys.exit(code)
+"""
 
 
 def write_presets(src: str, outdir: str) -> int:
@@ -51,6 +79,30 @@ def write_presets(src: str, outdir: str) -> int:
                 print(f"{name} ({fmt}) exited {code}", file=sys.stderr)
                 return code
     print(f"wrote {len(os.listdir(outdir))} files -> {outdir}")
+    return 0
+
+
+def time_presets(src: str, outdir: str) -> int:
+    sys.path.insert(0, os.path.abspath(src))
+    from ptchain.presets import preset_names
+
+    env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+    os.makedirs(outdir, exist_ok=True)
+    print("command\tmin s\tscipy")
+    for name in ["--help", *preset_names()]:
+        argv_cli = [name] if name == "--help" else [
+            "figure", "--preset", name, "--out", os.path.join(outdir, name)]
+        times, loaded = [], set()
+        for _ in range(TIME_REPEATS):
+            start = time.perf_counter()
+            proc = subprocess.run([sys.executable, "-c", _TIMED_CHILD, *argv_cli],
+                                  env=env, capture_output=True, text=True)
+            times.append(time.perf_counter() - start)
+            if proc.returncode != 0:
+                print(f"{name} exited {proc.returncode}\n{proc.stderr}", file=sys.stderr)
+                return proc.returncode
+            loaded.add(proc.stderr.strip().splitlines()[-1])
+        print(f"{name}\t{min(times):.3f}\t{' | '.join(sorted(loaded))}", flush=True)
     return 0
 
 
@@ -133,12 +185,17 @@ def compare(src: str, outdir: str, against: str) -> int:
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(
         description=__doc__.split("\n")[0],
-        epilog="See the module docstring for the comparison mode.")
+        epilog="See the module docstring for the comparison and timing modes.")
     parser.add_argument("src", help="src directory of the checkout to run")
     parser.add_argument("outdir", help="directory receiving the preset files")
-    parser.add_argument("--against", metavar="OTHER_SRC",
-                        help="src directory of a second checkout to compare against")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--against", metavar="OTHER_SRC",
+                      help="src directory of a second checkout to compare against")
+    mode.add_argument("--time", action="store_true",
+                      help="time --help and each preset in fresh interpreters instead")
     args = parser.parse_args(argv)
+    if args.time:
+        return time_presets(args.src, args.outdir)
     if args.against:
         return compare(args.src, args.outdir, args.against)
     return write_presets(args.src, args.outdir)

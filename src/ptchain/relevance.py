@@ -255,8 +255,7 @@ def transmission_vs_size(gamma: float, energy: float, n_max: int) -> SizeScan:
     if n_max < 1:
         raise OutOfRange(f"n_max must be >= 1, got {n_max}")
     k = energy_to_wavenumber(energy)
-    cell = ChainSpec(1, gamma)
-    regime = classify_bloch_regime(energy, cell)
+    regime = classify_bloch_regime(energy, ChainSpec(1, gamma))
     x = math.cos(2 * k) + 0.5 * gamma**2
     # the recurrence of chebyshev_tu, advanced once for all N: the same
     # operations in the same order, so each U_{N-1} is the one it returns
@@ -267,7 +266,7 @@ def transmission_vs_size(gamma: float, energy: float, n_max: int) -> SizeScan:
         rows.append(
             SizeScanRow(
                 n_cells=n,
-                transmission=_closed_form_transmission(cell, k, x, u_cur),
+                transmission=_closed_form_transmission(gamma, k, x, u_cur),
                 regime=regime,
                 physical=_regime(gamma, _gamma_critical(n)) is RelevanceRegime.RELEVANT,
             )

@@ -235,16 +235,15 @@ def transmission_closed_form(spec: ChainSpec, k: float) -> float:
         raise OutOfRange(f"real scattering requires k in (0, pi), got {k!r}")
     x = math.cos(2 * k) + 0.5 * spec.gamma**2
     _, u_nm1 = chebyshev_tu(spec.n_cells, x)
-    return _closed_form_transmission(spec, k, x, u_nm1)
+    return _closed_form_transmission(spec.gamma, k, x, u_nm1)
 
 
-def _closed_form_transmission(spec: ChainSpec, k: float, x: float, u_nm1: float) -> float:
-    """:func:`transmission_closed_form` from its ``x`` and ``U_{N-1}(x)``."""
+def _closed_form_transmission(gamma: float, k: float, x: float, u_nm1: float) -> float:
+    """:func:`transmission_closed_form` from ``gamma``, ``x`` and ``U_{N-1}(x)``."""
     if not math.isfinite(u_nm1):
         return 0.0
-    g = spec.gamma
     sink = math.sin(k)
-    inv_t = 1.0 - g * g * (1.0 - x) * u_nm1 * u_nm1 / (2.0 * sink * sink)
+    inv_t = 1.0 - gamma * gamma * (1.0 - x) * u_nm1 * u_nm1 / (2.0 * sink * sink)
     if abs(inv_t) < CLOSED_FORM_FLOOR:
         raise SpectralSingularityError(
             f"transmission diverges at k = {k!r} (spectral singularity)"
@@ -297,7 +296,7 @@ def scatter(spec: ChainSpec, k: float) -> ScatterResult:
     r_left = -m.m21 / m.m22
     r_right = m.m12 / m.m22
     big_t = abs(t) ** 2
-    reference = _closed_form_transmission(spec, k, x, closed_u)
+    reference = _closed_form_transmission(spec.gamma, k, x, closed_u)
     # the closed form computes 1/T as an O(1) difference, so the reference
     # carries an absolute error ~ ulp * T^2 near singularities; allow for it
     allowance = 1e-9 * max(1.0, abs(reference)) + 1e-13 * reference * reference
