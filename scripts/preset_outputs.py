@@ -17,7 +17,8 @@ script does that itself: it runs ``OTHER_SRC`` into ``OUTDIR``, moves that
 tree aside to ``OUTDIR.against``, runs ``SRC`` into ``OUTDIR`` and compares
 the two trees byte for byte. For each CSV that differs it also prints
 whether the headers, the row counts and the non-numeric cells match, and the
-largest absolute difference in each numeric column. It exits 1 on any
+largest absolute and relative difference in each numeric column (relative to
+the larger magnitude of the two cells). It exits 1 on any
 difference or missing file, and 2 when ``OUTDIR`` or ``OUTDIR.against``
 already exists (stale files would enter the comparison).
 
@@ -120,7 +121,7 @@ def _csv_summary(left: str, right: str) -> list[str]:
         with open(path, newline="") as fh:
             tables.append(list(csv.reader(fh)) or [[]])
     (head_a, *rows_a), (head_b, *rows_b) = tables
-    text_same, worst = True, {}
+    text_same, worst, worst_rel = True, {}, {}
     for row_a, row_b in zip(rows_a, rows_b):
         if len(row_a) != len(row_b):
             text_same = False
@@ -131,13 +132,19 @@ def _csv_summary(left: str, right: str) -> list[str]:
             else:
                 d = 0.0 if x == y or (math.isnan(x) and math.isnan(y)) else abs(x - y)
                 worst[col] = max(worst.get(col, 0.0), d)
+                rel = d / max(abs(x), abs(y)) if d else 0.0
+                worst_rel[col] = max(worst_rel.get(col, 0.0), rel)
     same = {True: "same", False: "DIFFER"}
-    numeric = ", ".join(f"{head_b[col] if col < len(head_b) else col} {d:.3g}"
-                        for col, d in sorted(worst.items()))
+
+    def per_column(table: dict[int, float]) -> str:
+        return ", ".join(f"{head_b[col] if col < len(head_b) else col} {d:.3g}"
+                         for col, d in sorted(table.items()))
+
     return [
         f"  headers {same[head_a == head_b]}, rows {len(rows_a)} vs {len(rows_b)},"
         f" non-numeric cells {same[text_same]}",
-        f"  largest |difference| per column: {numeric}",
+        f"  largest |difference| per column: {per_column(worst)}",
+        f"  largest relative difference per column: {per_column(worst_rel)}",
     ]
 
 

@@ -175,8 +175,9 @@ def pole_residual(spec: ChainSpec, k: complex) -> complex:
     raises :class:`SingularBasis` at ``sin k = 0``, and a residual beyond the
     double range is NaN.
     """
-    t_n, diag, _, _, exp, _ = _transfer_terms(spec, complex(k))
-    return t_n - diag if not exp else complex(math.nan, math.nan)
+    t_n, diag, _, _, _, _ = _transfer_terms(spec, complex(k))
+    finite = cmath.isfinite(t_n) and cmath.isfinite(diag)
+    return t_n - diag if finite else complex(math.nan, math.nan)
 
 
 def _residual_derivative(spec: ChainSpec, k: complex, step: float = 1e-6) -> complex:
@@ -195,10 +196,10 @@ def _newton(spec: ChainSpec, seed: complex, max_iter: int = 60) -> complex | Non
     k = complex(seed)
     for it in range(max_iter + 1):
         try:
-            t_n, diag, _, _, exp, _ = _transfer_terms(spec, k)
+            t_n, diag, _, _, _, _ = _transfer_terms(spec, k)
         except SingularBasis:
             return None
-        if exp:  # M22 beyond the double range
+        if not (cmath.isfinite(t_n) and cmath.isfinite(diag)):  # beyond the double range
             return None
         f, scale = t_n - diag, abs(t_n) + abs(diag)
         if it == max_iter or abs(f) <= max(1e-13, 1e-15 * scale):

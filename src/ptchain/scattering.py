@@ -8,10 +8,15 @@ amplitudes are
     t = 1 / M22,   r_left = -M21 / M22,   r_right = M12 / M22.
 
 :func:`plane_wave_transfer` assembles the closed-form entries from the
-Chebyshev polynomials ``T_N(x)`` and ``U_{N-1}(x)``, evaluated by recurrence
-on the branch-free variable ``x = cos 2k + gamma**2 / 2`` (which equals
-``cos 2mu``). No band-index branch is ever chosen, and the removable
-singularities of the textbook ratio ``sin(2N mu)/sin(2 mu)`` never arise.
+Chebyshev polynomials ``T_N(x)`` and ``U_{N-1}(x)`` of the branch-free
+variable ``x = cos 2k + gamma**2 / 2`` (which equals ``cos 2mu``), so no
+band-index branch is ever chosen. At real ``k`` they are evaluated in
+closed form, ``cos(N theta)`` and ``sin(N theta)/sin theta`` with
+``theta = atan2(sqrt(1 - x**2), |x|)`` (``cosh`` and ``sinh`` for
+``|x| > 1``), at O(1) cost per point and within a few ``N`` ulp; the
+removable singularity of the ratio at the band edges ``x = ±1`` is taken as
+its exact limit ``±N``. At complex ``k`` they come from the three-term
+recurrence, in which no such singularity arises.
 One scalar evaluator, :func:`_transfer_terms`, supplies ``T_N``,
 ``U_{N-1}`` and the diagonal term to the transfer matrix, to :func:`scatter`
 and to the pole finder, whose zeros of ``M22`` are the S-matrix poles.
@@ -117,26 +122,52 @@ def chebyshev_tu(n: int, x):
     return t_cur, u_cur
 
 
-def _chebyshev_tu_rescaled(n: int, x: complex) -> tuple[complex, complex, int]:
-    """``(T_n(x), U_{n-1}(x))`` of a scalar ``x`` as ``(t, u, e)``: ``T_n = t 2**e``.
+#: ``ln 2`` split for exact argument reduction (Cody & Waite): ``e * _LN2_HI``
+#: is exact for ``|e| < 2**21``, and ``_LN2_HI + _LN2_LO`` is ``ln 2`` to ~1e-26.
+_LN2_HI = 6.93147180369123816490e-01
+_LN2_LO = 1.90821492927058770002e-10
 
-    The recurrence of :func:`chebyshev_tu` for ``n >= 1``, with its state
-    multiplied by ``2**-512`` whenever ``|U|`` exceeds ``2**512``. Scaling by a
-    power of two is exact, so only the exponent range differs from the plain
-    recurrence, whose terms overflow for long chains with ``|x| > 1``.
+
+def _chebyshev_real(n: int, x: float) -> tuple[float, float, int]:
+    """``(T_n(x), U_{n-1}(x))`` of a real ``x`` as ``(t, u, e)``: ``T_n = t 2**e``.
+
+    Closed forms in ``s = sqrt|1 - x**2|``: for ``|x| <= 1``,
+    ``theta = atan2(s, |x|)`` gives ``T_n = cos(n theta)`` and
+    ``U_{n-1} = sin(n theta) / s``; for ``|x| > 1``, ``theta = acosh|x|``
+    gives ``cosh`` and ``sinh``; ``x < 0`` follows by parity, and at
+    ``s == 0`` the limits ``(±1, ±n)`` are exact. Each term costs O(1), and
+    its error is that of ``n theta``: against 60-digit arithmetic, under
+    ``1.2 n`` ulp of ``|T_n| + s |U_{n-1}|``, also next to ``x = ±1``, where
+    the recurrence of :func:`chebyshev_tu` is off by hundreds of ``n`` ulp.
+    ``e`` is 0 unless ``T_n`` or ``U_{n-1}`` exceeds the double range; then
+    ``exp(n theta) / 2 = t 2**e`` is factored, and ``U_{n-1} = u 2**e`` too.
     """
-    big, small = 2.0**512, 2.0**-512
-    t_prev, u_prev, t_cur, u_cur = 1.0, 0.0, x, 1.0  # T_0, U_{-1}, T_1, U_0
-    exp = 0
-    two_x = 2 * x
-    for _ in range(n - 1):
-        t_prev, t_cur = t_cur, two_x * t_cur - t_prev
-        u_prev, u_cur = u_cur, two_x * u_cur - u_prev
-        if abs(u_cur) > big:  # |T_n| <= 1 + sqrt(|x^2 - 1|) |U_{n-1}| follows
-            t_prev, t_cur = t_prev * small, t_cur * small
-            u_prev, u_cur = u_prev * small, u_cur * small
-            exp += 512
-    return t_cur, u_cur, exp
+    a = abs(x)
+    e = 0
+    if a > 1.0:
+        s = math.sqrt((a - 1.0) * (a + 1.0))
+        y = n * math.acosh(a)
+        t = u = math.inf
+        if y < 710.0:  # math.cosh raises OverflowError beyond ~710.48
+            t, u = math.cosh(y), math.sinh(y) / s
+        if u == math.inf:  # U_{n-1}, and maybe T_n, beyond the double range
+            # cosh y = sinh y = exp(y) / 2 to the last bit here
+            e = int(y / _LN2_HI)
+            t = 0.5 * math.exp((y - e * _LN2_HI) - e * _LN2_LO)
+            u = t / s
+    else:  # also a NaN x, whose terms come out NaN
+        s = math.sqrt((1.0 - a) * (1.0 + a))
+        if s == 0.0:
+            t, u = 1.0, float(n)
+        else:
+            y = n * math.atan2(s, a)
+            t, u = math.cos(y), math.sin(y) / s
+    if x < 0.0:  # T_n(-x) = (-1)**n T_n(x), U_{n-1}(-x) = (-1)**(n-1) U_{n-1}(x)
+        if n % 2:
+            t = -t
+        else:
+            u = -u
+    return t, u, e
 
 
 def _transfer_terms(
@@ -146,31 +177,38 @@ def _transfer_terms(
 
     Returns ``(T_N(x), diag, U_{N-1}(x), sin k, e, x)`` with the branch-free
     ``x = cos 2k + gamma**2/2`` and ``diag = i cot k (1 - x) U_{N-1}(x)``, so
-    that ``M22 = (T_N - diag) 2**e`` and ``M11 = (T_N + diag) 2**e``. The
-    exponent ``e`` is 0 unless ``T_N`` or ``diag`` overflows in the plain
-    recurrence; then the terms come from :func:`_chebyshev_tu_rescaled`,
-    divided by ``2**e``. At real ``k``, ``x`` is a float.
+    that ``M22 = (T_N - diag) 2**e`` and ``M11 = (T_N + diag) 2**e``.
+
+    At real ``k`` (any ``k`` that is not a ``complex`` instance) ``x`` is a
+    float and the terms come from the closed forms of
+    :func:`_chebyshev_real`. The exponent ``e`` is 0 unless ``T_N``,
+    ``U_{N-1}`` or ``diag`` exceeds the double range; the terms are then
+    divided by ``2**e``. At complex ``k`` (also with ``Im k = 0``) the terms
+    come from the recurrence of :func:`chebyshev_tu` and ``e`` is 0; on long
+    chains they can be non-finite, which the callers report.
 
     Raises
     ------
     SingularBasis
         When ``|sin k| < 1e-12`` (the plane-wave basis degenerates).
     """
-    sink = cmath.sin(k)
+    complex_k = isinstance(k, complex)
+    sink = cmath.sin(k) if complex_k else math.sin(k)
     if abs(sink) < SIN_K_TOL:
         raise SingularBasis(f"plane-wave basis is singular at k = {k!r} (sin k ~ 0)")
-    x = cmath.cos(2 * k) + 0.5 * spec.gamma**2
-    if not x.imag:
-        x = x.real  # real k: real arithmetic gives the same values, faster
-    t_n, u_nm1 = chebyshev_tu(spec.n_cells, x)
     # cot k * tan(mu) * sin(2N mu) == cot k * (1 - cos 2mu) * U_{N-1}(cos 2mu)
-    cot_factor = 1j * (cmath.cos(k) / sink) * (1.0 - x)
-    diag = cot_factor * u_nm1
-    exp = 0
-    if not (cmath.isfinite(t_n) and cmath.isfinite(diag)):
-        t_n, u_nm1, exp = _chebyshev_tu_rescaled(spec.n_cells, x)
-        diag = cot_factor * u_nm1
-    return t_n, diag, u_nm1, sink, exp, x
+    if complex_k:
+        x = cmath.cos(2 * k) + 0.5 * spec.gamma**2
+        if not x.imag:
+            x = x.real  # Im k = 0: real arithmetic gives the same values, faster
+        t_n, u_nm1 = chebyshev_tu(spec.n_cells, x)
+        return t_n, 1j * (cmath.cos(k) / sink) * (1.0 - x) * u_nm1, u_nm1, sink, 0, x
+    x = math.cos(2 * k) + 0.5 * spec.gamma**2
+    t_n, u_nm1, exp = _chebyshev_real(spec.n_cells, x)
+    cot_factor = math.cos(k) / sink * (1.0 - x)
+    if math.isinf(cot_factor * u_nm1):  # U_{N-1} fits, diag does not: 2**-512 is exact
+        t_n, u_nm1, exp = t_n * 2.0**-512, u_nm1 * 2.0**-512, 512
+    return t_n, 1j * (cot_factor * u_nm1), u_nm1, sink, exp, x
 
 
 def _assemble(
@@ -195,7 +233,9 @@ def plane_wave_transfer(spec: ChainSpec, k: complex) -> Matrix2C:
     spec : ChainSpec
         Scattering region.
     k : complex
-        Wavenumber; ``E = -2 cos k`` throughout.
+        Wavenumber; ``E = -2 cos k`` throughout. A real ``k`` (not a
+        ``complex`` instance) takes the closed-form terms of the real axis,
+        a complex one the recurrence (see :func:`_transfer_terms`).
 
     Raises
     ------
@@ -203,12 +243,12 @@ def plane_wave_transfer(spec: ChainSpec, k: complex) -> Matrix2C:
         When ``|sin k| < 1e-12`` (the plane-wave basis degenerates).
     NumericalFailure
         When the entries exceed the double range (long chains with
-        ``|cos 2k + gamma**2/2| > 1``).
+        ``|cos 2k + gamma**2/2| > 1``), or are NaN (a NaN ``k``).
     """
     t_n, diag, u_nm1, sink, exp, _ = _transfer_terms(spec, k)
-    if exp:
+    if exp or not (cmath.isfinite(t_n) and cmath.isfinite(diag)):
         raise NumericalFailure(
-            f"transfer matrix entries overflow at k={k!r} "
+            f"transfer matrix entries overflow or are not finite at k={k!r} "
             f"(N={spec.n_cells}, gamma={spec.gamma})"
         )
     return _assemble(spec, k, t_n, diag, u_nm1, sink)
@@ -218,7 +258,8 @@ def transmission_closed_form(spec: ChainSpec, k: float) -> float:
     """Transmission coefficient from the real-arithmetic closed form.
 
     ``1/T = 1 - gamma**2 (1 - x) U_{N-1}(x)**2 / (2 sin^2 k)`` with
-    ``x = cos 2k + gamma**2/2``. Valid at real ``k`` in ``(0, pi)``; diverges
+    ``x = cos 2k + gamma**2/2``, and ``U_{N-1}(x)`` in the O(1) closed form
+    of :func:`_chebyshev_real`. Valid at real ``k`` in ``(0, pi)``; diverges
     exactly at spectral singularities. Where ``U_{N-1}(x)`` exceeds the double
     range (long chains with ``x > 1``), the exact ``T`` lies far below it and
     0.0 is returned.
@@ -234,8 +275,8 @@ def transmission_closed_form(spec: ChainSpec, k: float) -> float:
     if not 0.0 < k < math.pi:
         raise OutOfRange(f"real scattering requires k in (0, pi), got {k!r}")
     x = math.cos(2 * k) + 0.5 * spec.gamma**2
-    _, u_nm1 = chebyshev_tu(spec.n_cells, x)
-    return _closed_form_transmission(spec.gamma, k, x, u_nm1)
+    _, u_nm1, exp = _chebyshev_real(spec.n_cells, x)
+    return _closed_form_transmission(spec.gamma, k, x, math.inf if exp else u_nm1)
 
 
 def _closed_form_transmission(gamma: float, k: float, x: float, u_nm1: float) -> float:
@@ -254,15 +295,17 @@ def _closed_form_transmission(gamma: float, k: float, x: float, u_nm1: float) ->
 def scatter(spec: ChainSpec, k: float) -> ScatterResult:
     """Stationary scattering amplitudes and coefficients at real ``k``.
 
-    ``t = 1/M22``, ``r_left = -M21/M22``, ``r_right = M12/M22``. The
-    transmission is additionally cross-checked against the independent
-    real-arithmetic closed form on every call (1e-9 relative, widened by
-    the closed form's own quadratic error floor near singularities). The
-    closed form needs ``U_{N-1}(x)`` at ``x = cos 2k + gamma**2/2``, the
-    matrix route's ``x`` to the bit, so the matrix route's ``U_{N-1}`` is
-    reused. Where that recurrence rescaled, ``U_{N-1}`` exceeds the double
-    range and the reference is 0.0, as :func:`transmission_closed_form`
-    returns there.
+    ``t = 1/M22``, ``r_left = -M21/M22``, ``r_right = M12/M22``, with the
+    Chebyshev terms in the closed form of :func:`_chebyshev_real`: each call
+    costs O(1) whatever the chain length. The transmission is additionally
+    cross-checked against the independent real-arithmetic closed form on
+    every call: 1e-9 relative also where ``T << 1``, widened by the closed
+    form's own quadratic error floor near singularities, and by the
+    smallest normal double, where both underflow. The closed form needs
+    ``U_{N-1}(x)`` at ``x = cos 2k + gamma**2/2``, the matrix route's ``x``
+    to the bit, so the matrix route's ``U_{N-1}`` is reused. Where it
+    exceeds the double range the reference is 0.0, as
+    :func:`transmission_closed_form` returns there.
     On long chains whose entries approach or exceed the double range, they
     are evaluated rescaled by a power of two: ``T`` underflows toward 0 while
     ``R_left`` and ``R_right`` stay finite.
@@ -280,7 +323,7 @@ def scatter(spec: ChainSpec, k: float) -> ScatterResult:
     if not 0.0 < k < math.pi:
         raise OutOfRange(f"real scattering requires k in (0, pi), got {k!r}")
     t_n, diag, u_nm1, sink, exp, x = _transfer_terms(spec, k)
-    # a rescaled U_{N-1} is beyond the double range: the closed form gives 0.0
+    # a factored U_{N-1} is beyond the double range: the closed form gives 0.0
     closed_u = math.inf if exp else u_nm1
     if abs(u_nm1) > 2.0**512:
         # leave the entries and their quotients headroom; scaling by 2**-512 is exact
@@ -297,9 +340,10 @@ def scatter(spec: ChainSpec, k: float) -> ScatterResult:
     r_right = m.m12 / m.m22
     big_t = abs(t) ** 2
     reference = _closed_form_transmission(spec.gamma, k, x, closed_u)
-    # the closed form computes 1/T as an O(1) difference, so the reference
-    # carries an absolute error ~ ulp * T^2 near singularities; allow for it
-    allowance = 1e-9 * max(1.0, abs(reference)) + 1e-13 * reference * reference
+    # relative, widened by the closed form's absolute error ~ ulp * T^2 near
+    # singularities (1/T is an O(1) difference); the floor lets an underflowed
+    # T match the 0.0 reference of an overflowed U
+    allowance = 1e-9 * abs(reference) + 1e-13 * reference * reference + 2.0**-1022
     if not abs(big_t - reference) <= allowance:  # NaN fails too
         raise NumericalFailure(
             f"transmission cross-check failed at k={k!r}: "

@@ -1,17 +1,21 @@
 """Transfer-matrix routes, closed forms, and scattering coefficients.
 
-The package evaluates the transfer matrix by the branch-free Chebyshev
-recurrence; these tests pin it against the oracle routes in
-``transfer_oracles`` (explicit band-index parameterization and the literal
-2x2 cell product) and against the analytic structure (determinant, PT
-pairing, conservation relation).
+The package evaluates the transfer matrix by branch-free Chebyshev
+polynomials, in closed form at real ``k`` and by recurrence at complex ``k``;
+these tests pin it against the oracle routes in ``transfer_oracles``
+(explicit band-index parameterization and the literal 2x2 cell product),
+against 60-digit ``mpmath`` and against the analytic structure
+(determinant, PT pairing, conservation relation).
 """
 
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ptchain import (
     ChainSpec,
@@ -27,7 +31,7 @@ from ptchain import (
     transmission_closed_form,
 )
 from ptchain import scattering
-from ptchain.scattering import _chebyshev_tu_rescaled
+from ptchain.scattering import _chebyshev_real
 from transfer_oracles import (
     Matrix2,
     n_cell_matrix,
@@ -91,11 +95,55 @@ def test_chebyshev_equals_the_plain_recurrence_bitwise(rng):
                 for a, b in zip(got, want):
                     assert type(a) is type(b)
                     assert np.array_equal(a, b, equal_nan=True)
-            if n >= 1:
-                for x in reals + complexes:  # no rescaling happens below 2**512
-                    t, u, exp = _chebyshev_tu_rescaled(n, x)
-                    if exp == 0:
-                        assert (t, u) == plain_chebyshev_tu(n, x)
+
+
+def _mp_chebyshev(n: int, x: float):
+    """``(T_n(x), U_{n-1}(x), sqrt|1 - x**2|)`` of the float ``x`` in 60-digit ``mpmath``."""
+    with mpmath.workdps(60):
+        xm = mpmath.mpf(x)
+        a = abs(xm)
+        if a == 1:
+            t, u = mpmath.mpf(1), mpmath.mpf(n)
+        elif a < 1:
+            theta = mpmath.acos(a)
+            t, u = mpmath.cos(n * theta), mpmath.sin(n * theta) / mpmath.sin(theta)
+        else:
+            theta = mpmath.acosh(a)
+            t, u = mpmath.cosh(n * theta), mpmath.sinh(n * theta) / mpmath.sinh(theta)
+        if xm < 0:
+            t, u = (-1) ** n * t, (-1) ** (n - 1) * u
+        return t, u, mpmath.sqrt(abs(1 - xm * xm))
+
+
+_SIGN = st.sampled_from((-1.0, 1.0))
+#: the bulk; within 1e-12..1e-1 of ±1 on either side; and |x| up to 5.5, where
+#: the terms at N ~ 10**4 leave the double range and carry an exponent
+_REAL_X = st.one_of(
+    st.floats(-1.0, 1.0),
+    st.builds(lambda sign, side, p: sign * (1.0 + side * 10.0**p), _SIGN, _SIGN,
+              st.floats(-12.0, -1.0)),
+    st.builds(lambda sign, a: sign * a, _SIGN, st.floats(1.0, 5.5)),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 10_000), x=_REAL_X)
+def test_real_axis_terms_match_mpmath(n, x):
+    """The closed forms of ``_chebyshev_real`` stay within 4 N eps of ``|T| + s|U|``.
+
+    Each of ``T_N`` and ``s U_{N-1}`` (``s = sqrt|1 - x**2|``) is compared
+    with 60-digit ``mpmath`` at the same float ``x``, also next to ``x = ±1``,
+    where the recurrence loses hundreds of ``N eps``.
+    """
+    t, u, e = _chebyshev_real(n, x)
+    want_t, want_u, s = _mp_chebyshev(n, x)
+    with mpmath.workdps(60):
+        scale = abs(want_t) + s * abs(want_u)
+        bound = 4 * n * 2.0**-52 * scale
+        assert abs(mpmath.ldexp(t, e) - want_t) <= bound
+        assert s * abs(mpmath.ldexp(u, e) - want_u) <= bound
+    if e:  # the terms are factored only beyond the double range
+        assert scale > 2.0**1000
 
 
 def test_pell_identity(rng):
@@ -265,6 +313,36 @@ def test_scatter_stays_finite_where_the_recurrence_overflows(k):
         plane_wave_transfer(spec, k)
 
 
+def test_scatter_is_continuous_where_the_terms_leave_the_double_range():
+    """At gamma=2, k=0.01 the terms leave the double range between N=400 and 403.
+
+    N=401 and 402 scale the terms because ``diag = U cot k (1 - x)``
+    overflows while ``U_{N-1}`` fits; from N=403 ``U_{N-1}`` itself carries
+    an exponent. The reflections do not notice, and ``plane_wave_transfer``
+    raises exactly where the terms are scaled.
+    """
+    exps = []
+    for n in range(398, 407):
+        spec = ChainSpec(n, 2.0)
+        exps.append(scattering._transfer_terms(spec, 0.01)[4])
+        res = scatter(spec, 0.01)
+        assert res.T == 0.0
+        assert res.R_left == pytest.approx(1.0202016801024276, rel=1e-13)
+        assert res.R_right == pytest.approx(0.98019834656575, rel=1e-13)
+        if exps[-1]:
+            with pytest.raises(NumericalFailure):
+                plane_wave_transfer(spec, 0.01)
+        else:
+            plane_wave_transfer(spec, 0.01)
+    assert exps[:3] == [0, 0, 0] and exps[3:5] == [512, 512] and min(exps[5:]) > 1000
+
+
+def test_plane_wave_transfer_rejects_a_nan_wavenumber():
+    for k in (math.nan, complex(math.nan, 0.0)):
+        with pytest.raises(NumericalFailure):
+            plane_wave_transfer(ChainSpec(3, 0.3), k)
+
+
 def test_scatter_cross_checks_against_the_closed_form_value(rng, monkeypatch):
     """The reference ``scatter`` checks against is ``transmission_closed_form`` to the bit.
 
@@ -315,11 +393,12 @@ def test_closed_form_is_zero_wherever_the_recurrence_rescales(rng):
 
 
 def test_scatter_cross_check_catches_a_perturbed_matrix_route(rng, monkeypatch):
-    """M22 off by one part in 1e6 moves T by 2e-6, far outside the 1e-9 allowance.
+    """M22 off by one part in 1e6 moves T by 2e-6 of itself, far outside the allowance.
 
-    The allowance is relative where T is of order one, as on these short,
-    weakly non-Hermitian chains (it is absolute below T = 1 and widens
-    quadratically far above it).
+    The allowance is 1e-9 of T, whether T is of order one, as on short,
+    weakly non-Hermitian chains, or far below it, as on the long high-gain
+    chains of the first two cases (T ~ 1e-52 and 5e-29). It widens
+    quadratically only far above T = 1.
     """
     assemble = scattering._assemble
 
@@ -328,10 +407,28 @@ def test_scatter_cross_check_catches_a_perturbed_matrix_route(rng, monkeypatch):
         return scattering.Matrix2C(m.m11, m.m12, m.m21, m.m22 * (1.0 + 1e-6))
 
     monkeypatch.setattr(scattering, "_assemble", perturbed)
+    cases = [(ChainSpec(40, 1.9), 0.5), (ChainSpec(20, 1.9), 0.3)]
     for _ in range(20):
         spec = ChainSpec(int(rng.integers(1, 9)), float(rng.uniform(0.05, 0.5)))
+        cases.append((spec, float(rng.uniform(0.3, math.pi - 0.3))))
+    for spec, k in cases:
         with pytest.raises(NumericalFailure):
-            scatter(spec, float(rng.uniform(0.3, math.pi - 0.3)))
+            scatter(spec, k)
+
+
+def test_scatter_near_the_band_edge_of_a_long_chain():
+    """At N=807, x = cos 2k + gamma**2/2 = 0.9999981, T is right to 1e-10.
+
+    The reference is 60-digit ``1/|M22|**2`` at the same float ``x``. The
+    recurrence's terms were 8.8e-9 off in T here, and the cross-check raised.
+    """
+    spec, k = ChainSpec(807, 1.5944743777718202), 0.9227055346207784
+    x = math.cos(2 * k) + 0.5 * spec.gamma**2
+    t_n, u_nm1, _ = _mp_chebyshev(spec.n_cells, x)
+    with mpmath.workdps(60):
+        m22 = t_n - 1j * mpmath.cot(mpmath.mpf(k)) * (1 - mpmath.mpf(x)) * u_nm1
+        want = 1 / abs(m22) ** 2
+        assert abs(scatter(spec, k).T - want) <= 1e-10 * want
 
 
 def test_scatter_rejects_wavenumber_outside_open_interval():
@@ -342,12 +439,15 @@ def test_scatter_rejects_wavenumber_outside_open_interval():
 
 
 def test_scatter_raises_at_spectral_singularity():
-    # exact ladder value: M22(pi/2) = 0 to rounding
-    gamma_c = threshold_ladder(3).gamma_critical
-    with pytest.raises(SpectralSingularityError):
-        scatter(ChainSpec(3, gamma_c), 0.5 * math.pi)
-    with pytest.raises(SpectralSingularityError):
-        transmission_closed_form(ChainSpec(3, gamma_c), 0.5 * math.pi)
+    # exact ladder values: M22(pi/2) = 0 to rounding. At N=787's first one,
+    # 2 cos(pi/3148), the recurrence's terms left |M22| just above 1e-10 and
+    # the routes 6.8e19 against 7.4e11 apart, so the cross-check raised instead
+    for n, gamma in ((3, threshold_ladder(3).gamma_critical),
+                     (787, threshold_ladder(787).gamma_values[0])):
+        with pytest.raises(SpectralSingularityError):
+            scatter(ChainSpec(n, gamma), 0.5 * math.pi)
+        with pytest.raises(SpectralSingularityError):
+            transmission_closed_form(ChainSpec(n, gamma), 0.5 * math.pi)
 
 
 def test_scatter_at_energy_matches_scatter(rng):
