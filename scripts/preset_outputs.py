@@ -18,7 +18,11 @@ tree aside to ``OUTDIR.against``, runs ``SRC`` into ``OUTDIR`` and compares
 the two trees byte for byte. For each CSV that differs it also prints
 whether the headers, the row counts and the non-numeric cells match, and the
 largest absolute and relative difference in each numeric column (relative to
-the larger magnitude of the two cells). It exits 1 on any
+the larger magnitude of the two cells). For each JSON file that differs it
+prints whether the leaf paths and the non-numeric leaves match, and, per
+differing numeric path with its list indices dropped, the number of
+differing leaves and their largest absolute and relative difference. It
+exits 1 on any
 difference or missing file, and 2 when ``OUTDIR`` or ``OUTDIR.against``
 already exists (stale files would enter the comparison).
 
@@ -37,8 +41,10 @@ import contextlib
 import csv
 import filecmp
 import io
+import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -114,6 +120,12 @@ def _number(cell: str) -> float | None:
         return None
 
 
+def _difference(x: float, y: float) -> tuple[float, float]:
+    """Absolute and relative (to the larger magnitude) difference of two numbers."""
+    d = 0.0 if x == y or (math.isnan(x) and math.isnan(y)) else abs(x - y)
+    return d, d / max(abs(x), abs(y)) if d else 0.0
+
+
 def _csv_summary(left: str, right: str) -> list[str]:
     """How two CSV files differ: structure, non-numeric cells, numeric columns."""
     tables = []
@@ -130,9 +142,8 @@ def _csv_summary(left: str, right: str) -> list[str]:
             if x is None or y is None:
                 text_same = text_same and a == b
             else:
-                d = 0.0 if x == y or (math.isnan(x) and math.isnan(y)) else abs(x - y)
+                d, rel = _difference(x, y)
                 worst[col] = max(worst.get(col, 0.0), d)
-                rel = d / max(abs(x), abs(y)) if d else 0.0
                 worst_rel[col] = max(worst_rel.get(col, 0.0), rel)
     same = {True: "same", False: "DIFFER"}
 
@@ -146,6 +157,53 @@ def _csv_summary(left: str, right: str) -> list[str]:
         f"  largest |difference| per column: {per_column(worst)}",
         f"  largest relative difference per column: {per_column(worst_rel)}",
     ]
+
+
+def _flatten(node, path: str = "") -> dict[str, object]:
+    """The leaves of a JSON document by path, list indices written ``[i]``."""
+    if isinstance(node, dict):
+        items = ((f"{path}.{key}" if path else key, value) for key, value in node.items())
+    elif isinstance(node, list):
+        items = ((f"{path}[{i}]", value) for i, value in enumerate(node))
+    else:
+        return {path: node}
+    return {leaf: value for key, child in items for leaf, value in _flatten(child, key).items()}
+
+
+def _json_number(value: object) -> float | None:
+    return None if isinstance(value, bool) or not isinstance(value, (int, float)) else float(value)
+
+
+def _json_summary(left: str, right: str) -> list[str]:
+    """How two JSON files differ: paths, non-numeric leaves, numeric leaves.
+
+    Numeric differences are grouped by path with the list indices dropped
+    (``rows[].transmission``), each group with its count of differing leaves
+    and its largest absolute and relative difference.
+    """
+    leaves = []
+    for path in (left, right):
+        with open(path) as fh:
+            leaves.append(_flatten(json.load(fh)))
+    a, b = leaves
+    text_same, groups = True, {}
+    for path in a.keys() & b.keys():
+        x, y = _json_number(a[path]), _json_number(b[path])
+        if x is None or y is None:
+            text_same = text_same and a[path] == b[path]
+            continue
+        d, rel = _difference(x, y)
+        if d:
+            group = re.sub(r"\[\d+\]", "[]", path)
+            count, worst, worst_rel = groups.get(group, (0, 0.0, 0.0))
+            groups[group] = (count + 1, max(worst, d), max(worst_rel, rel))
+    same = {True: "same", False: "DIFFER"}
+    lines = [f"  paths {same[a.keys() == b.keys()]} ({len(a)} vs {len(b)} leaves),"
+             f" non-numeric leaves {same[text_same]}"]
+    lines += [f"  {path}: {count} differ, largest |difference| {worst:.3g},"
+              f" relative {worst_rel:.3g}"
+              for path, (count, worst, worst_rel) in sorted(groups.items())]
+    return lines
 
 
 def _differences(cmp: filecmp.dircmp, prefix: str = "") -> list[str]:
@@ -181,8 +239,9 @@ def compare(src: str, outdir: str, against: str) -> int:
     for line in diffs:
         print(line)
         name = line.removeprefix("differs: ")
-        if name != line and name.endswith(".csv"):
-            for detail in _csv_summary(os.path.join(aside, name), os.path.join(outdir, name)):
+        summary = {".csv": _csv_summary, ".json": _json_summary}.get(os.path.splitext(name)[1])
+        if name != line and summary:
+            for detail in summary(os.path.join(aside, name), os.path.join(outdir, name)):
                 print(detail)
     count = sum(len(files) for _, _, files in os.walk(outdir))
     print(f"{len(diffs)} differences in {count} files ({aside} vs {outdir})")

@@ -29,7 +29,7 @@ from .model import (
     energy_to_wavenumber,
 )
 from .poles import _gamma_critical, threshold_ladder
-from .scattering import _chebyshev_real, _closed_form_transmission
+from .scattering import transmission_closed_form
 
 __all__ = [
     "RelevanceRegime",
@@ -247,9 +247,8 @@ def transmission_vs_size(gamma: float, energy: float, n_max: int) -> SizeScan:
     log-slope when evanescent. The slope is fitted on the upper 60% of the
     sizes whose ``T`` is positive (``T`` underflows to 0.0 on long
     evanescent chains), and is None when fewer than two such sizes are left.
-    Each ``T(N)`` is :func:`~ptchain.scattering.transmission_closed_form`'s
-    value to the bit, from the O(1) closed-form ``U_{N-1}``, so the scan
-    costs O(n_max).
+    Each ``T(N)`` is :func:`~ptchain.scattering.transmission_closed_form` at
+    that size, which costs O(1), so the scan costs O(n_max).
     """
     if not 0.0 < gamma:
         raise OutOfRange(f"gamma must be positive, got {gamma!r}")
@@ -259,21 +258,15 @@ def transmission_vs_size(gamma: float, energy: float, n_max: int) -> SizeScan:
         raise OutOfRange(f"n_max must be >= 1, got {n_max}")
     k = energy_to_wavenumber(energy)
     regime = classify_bloch_regime(energy, ChainSpec(1, gamma))
-    x = math.cos(2 * k) + 0.5 * gamma**2
-    rows = []
-    for n in range(1, n_max + 1):
-        # the terms and operations of transmission_closed_form, so the same bits
-        _, u_nm1, exp = _chebyshev_real(n, x)
-        rows.append(
-            SizeScanRow(
-                n_cells=n,
-                transmission=_closed_form_transmission(
-                    gamma, k, x, math.inf if exp else u_nm1
-                ),
-                regime=regime,
-                physical=_regime(gamma, _gamma_critical(n)) is RelevanceRegime.RELEVANT,
-            )
+    rows = [
+        SizeScanRow(
+            n_cells=n,
+            transmission=transmission_closed_form(ChainSpec(n, gamma), k),
+            regime=regime,
+            physical=_regime(gamma, _gamma_critical(n)) is RelevanceRegime.RELEVANT,
         )
+        for n in range(1, n_max + 1)
+    ]
     t_values = np.array([r.transmission for r in rows])
 
     quasiperiod = None

@@ -170,18 +170,25 @@ def _chebyshev_real(n: int, x: float) -> tuple[float, float, int]:
     return t, u, e
 
 
+def _real_terms(spec: ChainSpec, k: float) -> tuple[float, float, int, float]:
+    """``(T_N, U_{N-1}, e, 1 - x)`` at real ``k``: the one place ``x`` is formed there."""
+    x = math.cos(2 * k) + 0.5 * spec.gamma**2
+    t_n, u_nm1, exp = _chebyshev_real(spec.n_cells, x)
+    return t_n, u_nm1, exp, 1.0 - x
+
+
 def _transfer_terms(
     spec: ChainSpec, k: complex
 ) -> tuple[complex, complex, complex, complex, int, complex]:
     """Chebyshev terms of the plane-wave transfer matrix at wavenumber ``k``.
 
-    Returns ``(T_N(x), diag, U_{N-1}(x), sin k, e, x)`` with the branch-free
-    ``x = cos 2k + gamma**2/2`` and ``diag = i cot k (1 - x) U_{N-1}(x)``, so
-    that ``M22 = (T_N - diag) 2**e`` and ``M11 = (T_N + diag) 2**e``.
+    Returns ``(T_N(x), diag, U_{N-1}(x), sin k, e, 1 - x)`` with the
+    branch-free ``x = cos 2k + gamma**2/2`` and
+    ``diag = i cot k (1 - x) U_{N-1}(x)``, so that ``M22 = (T_N - diag) 2**e``
+    and ``M11 = (T_N + diag) 2**e``.
 
-    At real ``k`` (any ``k`` that is not a ``complex`` instance) ``x`` is a
-    float and the terms come from the closed forms of
-    :func:`_chebyshev_real`. The exponent ``e`` is 0 unless ``T_N``,
+    At real ``k`` (any ``k`` that is not a ``complex`` instance) the terms
+    come from :func:`_real_terms`. The exponent ``e`` is 0 unless ``T_N``,
     ``U_{N-1}`` or ``diag`` exceeds the double range; the terms are then
     divided by ``2**e``. At complex ``k`` (also with ``Im k = 0``) the terms
     come from the recurrence of :func:`chebyshev_tu` and ``e`` is 0; on long
@@ -199,16 +206,13 @@ def _transfer_terms(
     # cot k * tan(mu) * sin(2N mu) == cot k * (1 - cos 2mu) * U_{N-1}(cos 2mu)
     if complex_k:
         x = cmath.cos(2 * k) + 0.5 * spec.gamma**2
-        if not x.imag:
-            x = x.real  # Im k = 0: real arithmetic gives the same values, faster
         t_n, u_nm1 = chebyshev_tu(spec.n_cells, x)
-        return t_n, 1j * (cmath.cos(k) / sink) * (1.0 - x) * u_nm1, u_nm1, sink, 0, x
-    x = math.cos(2 * k) + 0.5 * spec.gamma**2
-    t_n, u_nm1, exp = _chebyshev_real(spec.n_cells, x)
-    cot_factor = math.cos(k) / sink * (1.0 - x)
+        return t_n, 1j * (cmath.cos(k) / sink) * (1.0 - x) * u_nm1, u_nm1, sink, 0, 1.0 - x
+    t_n, u_nm1, exp, one_minus_x = _real_terms(spec, k)
+    cot_factor = math.cos(k) / sink * one_minus_x
     if math.isinf(cot_factor * u_nm1):  # U_{N-1} fits, diag does not: 2**-512 is exact
         t_n, u_nm1, exp = t_n * 2.0**-512, u_nm1 * 2.0**-512, 512
-    return t_n, 1j * (cot_factor * u_nm1), u_nm1, sink, exp, x
+    return t_n, 1j * (cot_factor * u_nm1), u_nm1, sink, exp, one_minus_x
 
 
 def _assemble(
@@ -258,8 +262,8 @@ def transmission_closed_form(spec: ChainSpec, k: float) -> float:
     """Transmission coefficient from the real-arithmetic closed form.
 
     ``1/T = 1 - gamma**2 (1 - x) U_{N-1}(x)**2 / (2 sin^2 k)`` with
-    ``x = cos 2k + gamma**2/2``, and ``U_{N-1}(x)`` in the O(1) closed form
-    of :func:`_chebyshev_real`. Valid at real ``k`` in ``(0, pi)``; diverges
+    ``x = cos 2k + gamma**2/2``, and ``1 - x`` and ``U_{N-1}(x)`` from
+    :func:`_real_terms` in O(1). Valid at real ``k`` in ``(0, pi)``; diverges
     exactly at spectral singularities. Where ``U_{N-1}(x)`` exceeds the double
     range (long chains with ``x > 1``), the exact ``T`` lies far below it and
     0.0 is returned.
@@ -274,17 +278,18 @@ def transmission_closed_form(spec: ChainSpec, k: float) -> float:
     """
     if not 0.0 < k < math.pi:
         raise OutOfRange(f"real scattering requires k in (0, pi), got {k!r}")
-    x = math.cos(2 * k) + 0.5 * spec.gamma**2
-    _, u_nm1, exp = _chebyshev_real(spec.n_cells, x)
-    return _closed_form_transmission(spec.gamma, k, x, math.inf if exp else u_nm1)
+    _, u_nm1, exp, one_minus_x = _real_terms(spec, k)
+    return _closed_form_transmission(spec.gamma, k, one_minus_x, u_nm1, exp)
 
 
-def _closed_form_transmission(gamma: float, k: float, x: float, u_nm1: float) -> float:
-    """:func:`transmission_closed_form` from ``gamma``, ``x`` and ``U_{N-1}(x)``."""
-    if not math.isfinite(u_nm1):
+def _closed_form_transmission(
+    gamma: float, k: float, one_minus_x: float, u_nm1: float, exp: int
+) -> float:
+    """The closed form from ``1 - x`` and ``U_{N-1} = u_nm1 2**exp``; 0.0 past the double range."""
+    if exp or not math.isfinite(u_nm1):
         return 0.0
     sink = math.sin(k)
-    inv_t = 1.0 - gamma * gamma * (1.0 - x) * u_nm1 * u_nm1 / (2.0 * sink * sink)
+    inv_t = 1.0 - gamma * gamma * one_minus_x * u_nm1 * u_nm1 / (2.0 * sink * sink)
     if abs(inv_t) < CLOSED_FORM_FLOOR:
         raise SpectralSingularityError(
             f"transmission diverges at k = {k!r} (spectral singularity)"
@@ -297,15 +302,15 @@ def scatter(spec: ChainSpec, k: float) -> ScatterResult:
 
     ``t = 1/M22``, ``r_left = -M21/M22``, ``r_right = M12/M22``, with the
     Chebyshev terms in the closed form of :func:`_chebyshev_real`: each call
-    costs O(1) whatever the chain length. The transmission is additionally
-    cross-checked against the independent real-arithmetic closed form on
-    every call: 1e-9 relative also where ``T << 1``, widened by the closed
-    form's own quadratic error floor near singularities, and by the
-    smallest normal double, where both underflow. The closed form needs
-    ``U_{N-1}(x)`` at ``x = cos 2k + gamma**2/2``, the matrix route's ``x``
-    to the bit, so the matrix route's ``U_{N-1}`` is reused. Where it
-    exceeds the double range the reference is 0.0, as
-    :func:`transmission_closed_form` returns there.
+    costs O(1) whatever the chain length. On every call the transmission is
+    cross-checked against the real-arithmetic closed form of
+    :func:`transmission_closed_form`, evaluated from the matrix route's own
+    ``1 - x`` and ``U_{N-1}(x)``: the check tests the assembly of ``M22`` and
+    the division by it, not the terms, which the tests compare with 60-digit
+    ``mpmath``. It allows 1e-9 relative also where ``T << 1``, widened by the
+    closed form's own quadratic error floor near singularities, and by the
+    smallest normal double, where both underflow. Where ``U_{N-1}`` exceeds
+    the double range the reference is 0.0, as the closed form returns there.
     On long chains whose entries approach or exceed the double range, they
     are evaluated rescaled by a power of two: ``T`` underflows toward 0 while
     ``R_left`` and ``R_right`` stay finite.
@@ -322,9 +327,8 @@ def scatter(spec: ChainSpec, k: float) -> ScatterResult:
     """
     if not 0.0 < k < math.pi:
         raise OutOfRange(f"real scattering requires k in (0, pi), got {k!r}")
-    t_n, diag, u_nm1, sink, exp, x = _transfer_terms(spec, k)
-    # a factored U_{N-1} is beyond the double range: the closed form gives 0.0
-    closed_u = math.inf if exp else u_nm1
+    t_n, diag, u_nm1, sink, exp, one_minus_x = _transfer_terms(spec, k)
+    reference = _closed_form_transmission(spec.gamma, k, one_minus_x, u_nm1, exp)
     if abs(u_nm1) > 2.0**512:
         # leave the entries and their quotients headroom; scaling by 2**-512 is exact
         t_n, diag, u_nm1 = t_n * 2.0**-512, diag * 2.0**-512, u_nm1 * 2.0**-512
@@ -339,7 +343,6 @@ def scatter(spec: ChainSpec, k: float) -> ScatterResult:
     r_left = -m.m21 / m.m22
     r_right = m.m12 / m.m22
     big_t = abs(t) ** 2
-    reference = _closed_form_transmission(spec.gamma, k, x, closed_u)
     # relative, widened by the closed form's absolute error ~ ulp * T^2 near
     # singularities (1/T is an O(1) difference); the floor lets an underflowed
     # T match the 0.0 reference of an overflowed U
