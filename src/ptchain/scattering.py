@@ -11,12 +11,13 @@ amplitudes are
 Chebyshev polynomials ``T_N(x)`` and ``U_{N-1}(x)`` of the branch-free
 variable ``x = cos 2k + gamma**2 / 2`` (which equals ``cos 2mu``), so no
 band-index branch is ever chosen. At real ``k`` they are evaluated in
-closed form, ``cos(N theta)`` and ``sin(N theta)/sin theta`` with
-``theta = atan2(sqrt(1 - x**2), |x|)`` (``cosh`` and ``sinh`` for
-``|x| > 1``), at O(1) cost per point and within a few ``N`` ulp; the
-removable singularity of the ratio at the band edges ``x = ±1`` is taken as
-its exact limit ``±N``. At complex ``k`` they come from the three-term
-recurrence, in which no such singularity arises.
+closed form by :func:`_real_terms`, ``cos(N theta)`` and
+``sin(N theta)/sin theta`` with ``theta = atan2(sqrt((1-x)(1+x)), |x|)``
+(``cosh``, ``sinh`` and ``asinh`` for ``|x| > 1``) and the factors ``1 ± x``
+taken from ``k`` and ``gamma`` directly, at O(1) cost per point and within
+a few ``N`` ulp; the removable singularity of the ratio at the band edges
+``x = ±1`` is taken as its exact limit ``±N``. At complex ``k`` they come
+from the three-term recurrence, in which no such singularity arises.
 One scalar evaluator, :func:`_transfer_terms`, supplies ``T_N``,
 ``U_{N-1}`` and the diagonal term to the transfer matrix, to :func:`scatter`
 and to the pole finder, whose zeros of ``M22`` are the S-matrix poles.
@@ -128,25 +129,31 @@ _LN2_HI = 6.93147180369123816490e-01
 _LN2_LO = 1.90821492927058770002e-10
 
 
-def _chebyshev_real(n: int, x: float) -> tuple[float, float, int]:
+def _chebyshev_real(n: int, one_minus_x: float, one_plus_x: float) -> tuple[float, float, int]:
     """``(T_n(x), U_{n-1}(x))`` of a real ``x`` as ``(t, u, e)``: ``T_n = t 2**e``.
 
-    Closed forms in ``s = sqrt|1 - x**2|``: for ``|x| <= 1``,
-    ``theta = atan2(s, |x|)`` gives ``T_n = cos(n theta)`` and
-    ``U_{n-1} = sin(n theta) / s``; for ``|x| > 1``, ``theta = acosh|x|``
-    gives ``cosh`` and ``sinh``; ``x < 0`` follows by parity, and at
-    ``s == 0`` the limits ``(±1, ±n)`` are exact. Each term costs O(1), and
-    its error is that of ``n theta``: against 60-digit arithmetic, under
-    ``1.2 n`` ulp of ``|T_n| + s |U_{n-1}|``, also next to ``x = ±1``, where
-    the recurrence of :func:`chebyshev_tu` is off by hundreds of ``n`` ulp.
-    ``e`` is 0 unless ``T_n`` or ``U_{n-1}`` exceeds the double range; then
-    ``exp(n theta) / 2 = t 2**e`` is factored, and ``U_{n-1} = u 2**e`` too.
+    ``x`` is given by its factors ``1 - x`` and ``1 + x``, which next to
+    ``x = ±1`` can be far more accurate than ``x``; ``x`` is their
+    half-difference. Closed forms in ``s = sqrt|(1 - x)(1 + x)|``.
+    Where their product is not negative, ``theta = atan2(s, |x|)`` gives
+    ``T_n = cos(n theta)`` and ``U_{n-1} = sin(n theta) / s``; where it is
+    negative (``|x| > 1``), ``theta = asinh(s)`` gives ``cosh`` and ``sinh``.
+    Branch and ``theta`` follow the factors, not ``x``: ``acosh`` of a
+    rounded ``|x| = 1`` would give ``theta = 0`` beside a nonzero ``s``.
+    ``x < 0`` follows by parity, and at ``s == 0`` the limits ``(±1, ±n)``
+    are exact. Each term costs O(1), and against 60-digit arithmetic its
+    error is under ``1.5 n`` ulp of ``|T_n| + s |U_{n-1}|``, also next to
+    ``x = ±1``, where the recurrence of :func:`chebyshev_tu` is off by
+    hundreds of ``n`` ulp. ``e`` is 0 unless ``T_n`` or ``U_{n-1}`` exceeds
+    the double range; then ``exp(n theta) / 2 = t 2**e`` is factored, and
+    ``U_{n-1} = u 2**e`` too.
     """
-    a = abs(x)
+    x = 0.5 * (one_plus_x - one_minus_x)
     e = 0
-    if a > 1.0:
-        s = math.sqrt((a - 1.0) * (a + 1.0))
-        y = n * math.acosh(a)
+    if one_minus_x * one_plus_x < 0.0:  # |x| > 1
+        # the roots apart: the product overflows for |x| > 1e154
+        s = math.sqrt(abs(one_minus_x)) * math.sqrt(abs(one_plus_x))
+        y = n * math.asinh(s)
         t = u = math.inf
         if y < 710.0:  # math.cosh raises OverflowError beyond ~710.48
             t, u = math.cosh(y), math.sinh(y) / s
@@ -155,12 +162,12 @@ def _chebyshev_real(n: int, x: float) -> tuple[float, float, int]:
             e = int(y / _LN2_HI)
             t = 0.5 * math.exp((y - e * _LN2_HI) - e * _LN2_LO)
             u = t / s
-    else:  # also a NaN x, whose terms come out NaN
-        s = math.sqrt((1.0 - a) * (1.0 + a))
+    else:  # also NaN factors, whose terms come out NaN
+        s = math.sqrt(one_minus_x * one_plus_x)
         if s == 0.0:
             t, u = 1.0, float(n)
         else:
-            y = n * math.atan2(s, a)
+            y = n * math.atan2(s, abs(x))
             t, u = math.cos(y), math.sin(y) / s
     if x < 0.0:  # T_n(-x) = (-1)**n T_n(x), U_{n-1}(-x) = (-1)**(n-1) U_{n-1}(x)
         if n % 2:
@@ -171,10 +178,18 @@ def _chebyshev_real(n: int, x: float) -> tuple[float, float, int]:
 
 
 def _real_terms(spec: ChainSpec, k: float) -> tuple[float, float, int, float]:
-    """``(T_N, U_{N-1}, e, 1 - x)`` at real ``k``: the one place ``x`` is formed there."""
-    x = math.cos(2 * k) + 0.5 * spec.gamma**2
-    t_n, u_nm1, exp = _chebyshev_real(spec.n_cells, x)
-    return t_n, u_nm1, exp, 1.0 - x
+    """``(T_N, U_{N-1}, e, 1 - x)`` at real ``k``: the one place ``x`` is formed there.
+
+    ``1 + x = 2 cos^2 k + gamma**2/2`` and ``1 - x = 2 sin^2 k - gamma**2/2``
+    come from ``k`` and ``gamma``, not from a rounded ``x``: at the small
+    ``gamma`` of the threshold ladder (``k = pi/2``, ``x`` next to -1) the
+    sum ``1 + x`` keeps a few ulp of itself.
+    """
+    sink, cosk = math.sin(k), math.cos(k)
+    half_g2 = 0.5 * spec.gamma * spec.gamma
+    one_minus_x, one_plus_x = 2.0 * sink * sink - half_g2, 2.0 * cosk * cosk + half_g2
+    t_n, u_nm1, exp = _chebyshev_real(spec.n_cells, one_minus_x, one_plus_x)
+    return t_n, u_nm1, exp, one_minus_x
 
 
 def _transfer_terms(

@@ -135,7 +135,7 @@ def test_real_axis_terms_match_mpmath(n, x):
     with 60-digit ``mpmath`` at the same float ``x``, also next to ``x = ±1``,
     where the recurrence loses hundreds of ``N eps``.
     """
-    t, u, e = _chebyshev_real(n, x)
+    t, u, e = _chebyshev_real(n, 1.0 - x, 1.0 + x)
     want_t, want_u, s = _mp_chebyshev(n, x)
     with mpmath.workdps(60):
         scale = abs(want_t) + s * abs(want_u)
@@ -346,10 +346,10 @@ def test_plane_wave_transfer_rejects_a_nan_wavenumber():
 def test_scatter_cross_checks_against_the_closed_form_value(rng, monkeypatch):
     """The reference ``scatter`` checks against is ``transmission_closed_form`` to the bit.
 
-    Both routes form ``x`` as ``cos 2k + 0.5*gamma**2``, so the matrix
-    route's ``U_{N-1}`` is reused, also at a gamma where
-    ``0.5*g**2 != 0.5*g*g``; where the recurrence overflows the reference is
-    0.0. The closed form never runs its own recurrence.
+    Both routes take ``1 - x`` and ``U_{N-1}`` from the same real-axis
+    evaluation, so the matrix route's are reused, also at a gamma where
+    ``0.5*g**2 != 0.5*g*g``; where ``U_{N-1}`` leaves the double range the
+    reference is 0.0. The closed form never evaluates the terms again.
     """
     odd_gamma = 0.8862418894599235
     assert 0.5 * odd_gamma**2 != 0.5 * odd_gamma * odd_gamma
@@ -429,6 +429,36 @@ def test_scatter_near_the_band_edge_of_a_long_chain():
         m22 = t_n - 1j * mpmath.cot(mpmath.mpf(k)) * (1 - mpmath.mpf(x)) * u_nm1
         want = 1 / abs(m22) ** 2
         assert abs(scatter(spec, k).T - want) <= 1e-10 * want
+
+
+@pytest.mark.parametrize("n", [91, 169, 1594])
+def test_scatter_next_to_the_lowest_ladder_values(n):
+    """At k = pi/2, within 2e-7 of the two lowest ladder gammas, T is right to 1e-8.
+
+    There ``x = -1 + gamma**2/2`` lies next to -1, and ``1 + x`` is taken
+    from ``gamma`` directly. Formed from the rounded ``x``, it put the
+    matrix route and the closed form up to 3.6e-8 of ``T`` apart, and the
+    cross-check raised ``NumericalFailure`` at most of these points. Now
+    each either returns ``T`` within 1e-8 of 60-digit ``1/|M22|**2`` at the
+    same float ``k`` and ``gamma``, or raises ``SpectralSingularityError``
+    (next to the lowest value ``T`` exceeds 1e13 throughout).
+    """
+    k, compared = 0.5 * math.pi, 0
+    for gamma0 in threshold_ladder(n).gamma_values[-2:]:
+        for j in range(-200, 201):
+            gamma = gamma0 * (1.0 + j * 1e-9)
+            try:
+                big_t = scatter(ChainSpec(n, gamma), k).T
+            except SpectralSingularityError:
+                continue
+            with mpmath.workdps(60):
+                km, gm = mpmath.mpf(k), mpmath.mpf(gamma)
+                x = mpmath.cos(2 * km) + gm * gm / 2
+                t_n, u_nm1, _ = _mp_chebyshev(n, x)
+                want = 1 / abs(t_n - 1j * mpmath.cot(km) * (1 - x) * u_nm1) ** 2
+                assert abs(big_t - want) <= 1e-8 * want
+            compared += 1
+    assert compared > 250
 
 
 def test_scatter_rejects_wavenumber_outside_open_interval():
