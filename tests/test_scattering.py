@@ -98,7 +98,7 @@ def test_chebyshev_equals_the_plain_recurrence_bitwise(rng):
 
 
 def _mp_chebyshev(n: int, x: float):
-    """``(T_n(x), U_{n-1}(x), sqrt|1 - x**2|)`` of the float ``x`` in 60-digit ``mpmath``."""
+    """``(T_n(x), U_{n-1}(x), sqrt|1 - x**2|)`` of a float or ``mpf`` ``x``, in 60 digits."""
     with mpmath.workdps(60):
         xm = mpmath.mpf(x)
         a = abs(xm)
@@ -436,12 +436,13 @@ def test_scatter_next_to_the_lowest_ladder_values(n):
     """At k = pi/2, within 2e-7 of the two lowest ladder gammas, T is right to 1e-8.
 
     There ``x = -1 + gamma**2/2`` lies next to -1, and ``1 + x`` is taken
-    from ``gamma`` directly. Formed from the rounded ``x``, it put the
-    matrix route and the closed form up to 3.6e-8 of ``T`` apart, and the
-    cross-check raised ``NumericalFailure`` at most of these points. Now
-    each either returns ``T`` within 1e-8 of 60-digit ``1/|M22|**2`` at the
-    same float ``k`` and ``gamma``, or raises ``SpectralSingularityError``
-    (next to the lowest value ``T`` exceeds 1e13 throughout).
+    from ``gamma`` directly. Formed from the rounded ``x``, it set the
+    matrix route and the closed form apart beyond the cross-check's
+    allowance at many of these points, and ``scatter`` raised
+    ``NumericalFailure``. Now each point either returns ``T`` within 1e-8 of
+    60-digit ``1/|M22|**2`` at the same float ``k`` and ``gamma``, or raises
+    ``SpectralSingularityError`` (next to the lowest value ``T`` exceeds
+    1e13 throughout).
     """
     k, compared = 0.5 * math.pi, 0
     for gamma0 in threshold_ladder(n).gamma_values[-2:]:
