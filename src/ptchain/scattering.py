@@ -178,7 +178,7 @@ def _chebyshev_real(n: int, one_minus_x: float, one_plus_x: float) -> tuple[floa
 
 
 def _real_terms(spec: ChainSpec, k: float) -> tuple[float, float, int, float]:
-    """``(T_N, U_{N-1}, e, 1 - x)`` at real ``k``: the one place ``x`` is formed there.
+    """``(T_N, U_{N-1}, e, 1 - x)`` at real ``k``, the one evaluation of the real-axis terms.
 
     ``1 + x = 2 cos^2 k + gamma**2/2`` and ``1 - x = 2 sin^2 k - gamma**2/2``
     come from ``k`` and ``gamma``, not from a rounded ``x``: at the small
