@@ -312,10 +312,12 @@ def _run_trajectory(
           samples=len(traj.gamma_samples))
 
     total = recorded + lost_remaining
-    converged = recorded / total if total else 1.0
-    if converged < 0.9:
+    traced = recorded / total if total else 1.0
+    if traced < 0.9:
         print(
-            f"error: only {100 * converged:.1f}% of branch points converged",
+            f"error: branches were lost: {recorded} branch points recorded against "
+            f"{lost_remaining} gamma samples missing after lost branches "
+            f"({100 * traced:.1f}% recorded)",
             file=sys.stderr,
         )
         return EXIT_NUMERIC

@@ -7,6 +7,19 @@ command-line front end — can map the whole family to a single exit status.
 
 from __future__ import annotations
 
+__all__ = [
+    "PtChainError",
+    "OutOfRange",
+    "NumericalFailure",
+    "SingularBasis",
+    "SpectralSingularityError",
+    "MissedRoots",
+    "NonConvergence",
+    "BranchLost",
+    "DecompositionFailed",
+    "InsufficientGrowth",
+]
+
 
 class PtChainError(Exception):
     """Base class for all package-specific errors."""

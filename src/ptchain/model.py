@@ -21,6 +21,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -50,6 +51,9 @@ __all__ = [
 #: band-edge, and evanescent regimes of the Bloch index.
 REGIME_TOL = 1e-12
 
+#: Largest gain/loss strength whose square is a finite float.
+_GAMMA_MAX = math.sqrt(sys.float_info.max)
+
 
 @dataclass(frozen=True)
 class ChainSpec:
@@ -60,7 +64,8 @@ class ChainSpec:
     n_cells : int
         Number of two-site unit cells (``N >= 1``).
     gamma : float
-        Finite gain/loss strength ``gamma >= 0`` in units of the hopping.
+        Gain/loss strength ``gamma >= 0`` in units of the hopping, with a
+        finite ``gamma**2``: at most ``sqrt(sys.float_info.max)``, ~1.34e154.
     """
 
     n_cells: int
@@ -69,8 +74,8 @@ class ChainSpec:
     def __post_init__(self) -> None:
         if not (isinstance(self.n_cells, int) and self.n_cells >= 1):
             raise OutOfRange(f"n_cells must be a positive integer, got {self.n_cells!r}")
-        if not 0.0 <= self.gamma < math.inf:
-            raise OutOfRange(f"gamma must be finite and nonnegative, got {self.gamma!r}")
+        if not 0.0 <= self.gamma <= _GAMMA_MAX:
+            raise OutOfRange(f"gamma must lie in [0, {_GAMMA_MAX!r}], got {self.gamma!r}")
 
     @property
     def n_sites(self) -> int:

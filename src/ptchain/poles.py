@@ -57,6 +57,7 @@ __all__ = [
     "find_poles",
     "threshold_ladder",
     "critical_size",
+    "gamma_critical",
     "tgbs_count",
     "first_quadrant_region",
     "trace_trajectories",
@@ -233,10 +234,11 @@ def _grid_seeds(
     (max-norm) of an eigenvalue in ``pencil``, off the lattice's border, whose
     ``|M22|`` is no larger than at any of its eight neighbours. ``|M22|`` is
     evaluated on the windows and their neighbours only, by the plain array
-    expression with :func:`chebyshev_tu`, and counts as ``inf`` elsewhere,
-    where no window point's test looks. Equal depths keep lattice (row-major)
-    order. The seeds and their order are therefore those of the whole
-    lattice's local minima that fall in a window.
+    expression with :func:`chebyshev_tu`, and counts as ``inf`` where it is
+    not finite and elsewhere, where no window point's test looks. Only the
+    window points are compared with their neighbours. Equal depths keep
+    lattice (row-major) order. The seeds and their order are therefore those
+    of the whole lattice's local minima that fall in a window.
     """
     nr = max(4, int(math.ceil((region.re_max - region.re_min) * grid_density)) + 1)
     ni = max(4, int(math.ceil((region.im_max - region.im_min) * grid_density)) + 1)
@@ -259,26 +261,16 @@ def _grid_seeds(
         t_n, u_nm1 = chebyshev_tu(spec.n_cells, x)
         m22 = t_n - 1j * (np.cos(k) / np.sin(k)) * (1.0 - x) * u_nm1
     a = np.full((ni, nr), np.inf)
-    a[ii, jj] = np.abs(m22)
-    a[~np.isfinite(a)] = np.inf
-    ii, jj = np.nonzero(window[1:-1, 1:-1] & _interior_minima(a))
-    order = np.argsort(a[ii + 1, jj + 1], kind="stable")
-    ii, jj = ii[order] + 1, jj[order] + 1
-    return [complex(k) for k in re[jj] + 1j * im[ii]]
-
-
-def _interior_minima(a: np.ndarray) -> np.ndarray:
-    """Mask of the interior points of ``a`` no larger than any of their eight neighbours.
-
-    The 3x3 window minimum is taken separably, first along rows and then
-    along columns. Since the window holds the point itself, ``inner <=
-    window`` says exactly that the point is no larger than each neighbour,
-    ties included, provided ``a`` holds no NaN (the seed grid sets non-finite
-    values to ``inf`` first).
-    """
-    across = np.minimum(np.minimum(a[:, :-2], a[:, 1:-1]), a[:, 2:])
-    window = np.minimum(np.minimum(across[:-2], across[1:-1]), across[2:])
-    return a[1:-1, 1:-1] <= window
+    a[ii, jj] = np.where(np.isfinite(m22), np.abs(m22), np.inf)
+    # window points off the border, in lattice order, kept if no neighbour is deeper
+    ii, jj = np.nonzero(window[1:-1, 1:-1])
+    ii, jj = ii + 1, jj + 1
+    depth = a[ii, jj]
+    is_min = np.logical_and.reduce(
+        [depth <= a[ii + di, jj + dj] for di in (-1, 0, 1) for dj in (-1, 0, 1) if di or dj]
+    )
+    order = np.argsort(depth[is_min], kind="stable")
+    return [complex(k) for k in (re[jj] + 1j * im[ii])[is_min][order]]
 
 
 def _near_singular_vertical(k: complex) -> bool:
@@ -420,7 +412,7 @@ class ThresholdLadder:
     mu_values: tuple[float, ...]
 
 
-def _gamma_critical(n_cells: int) -> float:
+def gamma_critical(n_cells: int) -> float:
     """The lowest ladder value ``2 sin(pi/(4N))`` of an ``n_cells`` chain."""
     return 2.0 * math.sin(math.pi / (4 * n_cells))
 
@@ -440,7 +432,7 @@ def threshold_ladder(n_cells: int, verify_numeric: bool = False) -> ThresholdLad
     ladder = ThresholdLadder(
         n_cells=n_cells,
         gamma_values=gammas,
-        gamma_critical=_gamma_critical(n_cells),
+        gamma_critical=gamma_critical(n_cells),
         mu_values=mu,
     )
     if verify_numeric:

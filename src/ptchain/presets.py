@@ -1,9 +1,9 @@
 """Named parameter presets for the ``ptchain figure`` subcommand.
 
 Each preset is a plain dict: ``mode`` selects the runner, the rest are its
-keyword parameters. Gain/loss values that are exact expressions (critical
-thresholds, ladder values) are stored as formulas so presets stay in sync
-with the closed forms.
+keyword parameters. Gain/loss values that are ladder values are taken from
+:func:`~ptchain.poles.threshold_ladder`, so presets stay in sync with the
+closed forms.
 """
 
 from __future__ import annotations
@@ -11,11 +11,13 @@ from __future__ import annotations
 import math
 from typing import Any
 
+from .poles import threshold_ladder
+
 __all__ = ["PRESETS", "preset_names", "get_preset"]
 
 # N = 3 thresholds used by several panels
-_GAMMA_C3 = 2.0 * math.sin(math.pi / 12.0)  # lowest ladder value, ~0.5176
-_GAMMA_13 = 2.0 * math.cos(math.pi / 12.0)  # highest ladder value, ~1.9319
+_GAMMA_C3 = threshold_ladder(3).gamma_critical  # lowest ladder value, ~0.5176
+_GAMMA_13 = threshold_ladder(3).gamma_values[0]  # highest ladder value, ~1.9319
 
 # Wave-packet setup shared by the time-evolution panels
 _EVOLVE_COMMON: dict[str, Any] = {

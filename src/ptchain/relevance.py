@@ -28,7 +28,7 @@ from .model import (
     classify_bloch_regime,
     energy_to_wavenumber,
 )
-from .poles import _gamma_critical, threshold_ladder
+from .poles import gamma_critical, threshold_ladder
 from .scattering import transmission_closed_form
 
 __all__ = [
@@ -263,7 +263,7 @@ def transmission_vs_size(gamma: float, energy: float, n_max: int) -> SizeScan:
             n_cells=n,
             transmission=transmission_closed_form(ChainSpec(n, gamma), k),
             regime=regime,
-            physical=_regime(gamma, _gamma_critical(n)) is RelevanceRegime.RELEVANT,
+            physical=_regime(gamma, gamma_critical(n)) is RelevanceRegime.RELEVANT,
         )
         for n in range(1, n_max + 1)
     ]

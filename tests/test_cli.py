@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from ptchain import MissedRoots, cli, threshold_ladder
+from ptchain import BranchPath, ChainSpec, MissedRoots, Trajectory, cli, find_poles, threshold_ladder
 from ptchain.cli import main
 from ptchain.presets import get_preset, preset_names
 
@@ -191,6 +191,24 @@ def test_trajectory_branch_leaving_the_window_ends(workdir):
     _, crossings = _read_csv(workdir / "ptchain_trajectory_crossings.csv")
     gammas = sorted(float(c[1]) for c in crossings)
     assert gammas == pytest.approx(sorted(threshold_ladder(2).gamma_values), abs=1e-6)
+
+
+def test_trajectory_with_branches_lost_exits_3(workdir, monkeypatch, capsys):
+    """Under 90% of the branch points recorded, counting the samples after a lost branch's end."""
+    record = find_poles(ChainSpec(3, 0.1))[0]
+    samples = [0.1 * i for i in range(11)]
+    lost = BranchPath(0, [(samples[0], record), (samples[1], record)], lost=True)
+
+    def trace(*args, **kwargs):
+        return Trajectory(samples, [lost], [])
+
+    monkeypatch.setattr(cli, "trace_trajectories", trace)
+    assert main(["trajectory", "--n", "3", "--gamma-max", "1"]) == 3
+    err = capsys.readouterr().err
+    assert "2 branch points recorded against 9 gamma samples missing after lost branches" in err
+    assert "(18.2% recorded)" in err
+    _, rows = _read_csv(workdir / "ptchain_trajectory.csv")
+    assert [r[5] for r in rows] == ["false", "true"]
 
 
 # ---- evolve -------------------------------------------------------------------

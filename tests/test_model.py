@@ -19,6 +19,7 @@ from ptchain import (
     ChainSpec,
     ComplexWavenumber,
     LatticeLayout,
+    NumericalFailure,
     OutOfRange,
     bloch_index,
     chain_operator,
@@ -26,8 +27,12 @@ from ptchain import (
     dispersion_energy,
     energy_to_wavenumber,
     onsite_profile,
+    plane_wave_transfer,
+    scatter,
+    tgbs_count,
+    transmission_closed_form,
 )
-from ptchain import poles
+from ptchain import dynamics, errors, model, poles, relevance, scattering
 from transfer_oracles import dense_hamiltonian, dense_pencil_companion
 
 
@@ -44,6 +49,26 @@ def test_chain_spec_validation():
         ChainSpec(3, float("nan"))
     with pytest.raises(OutOfRange):
         ChainSpec(3, float("inf"))
+
+
+def test_gamma_bound_keeps_gamma_squared_finite():
+    """Past ``sqrt(float max)`` gamma is refused; at it every route answers or raises a NumericalFailure."""
+    largest = math.sqrt(sys.float_info.max)
+    above = math.nextafter(largest, math.inf)
+    assert math.isfinite(largest * largest) and above * above == math.inf
+    for gamma in (above, 1e200, sys.float_info.max):
+        with pytest.raises(OutOfRange):
+            ChainSpec(1, gamma)
+    for n in (1, 3, 7):
+        spec = ChainSpec(n, largest)
+        result = scatter(spec, 1.0)
+        assert 0.0 <= result.T < math.inf
+        assert 0.0 <= transmission_closed_form(spec, 1.0) < math.inf
+        for route in (lambda: plane_wave_transfer(spec, 1.0), lambda: tgbs_count(spec, verify=True)):
+            try:
+                route()
+            except NumericalFailure:
+                pass
 
 
 def test_n_sites():
@@ -125,6 +150,19 @@ def _fresh_python(code, *args, cwd=None):
     )
     assert run.returncode == 0, run.stderr
     return run
+
+
+def test_package_exports_the_union_of_the_module_all_lists():
+    """Each public name is declared in one module's ``__all__`` and re-exported as the same object."""
+    modules = (errors, model, scattering, poles, dynamics, relevance)
+    names = [name for module in modules for name in module.__all__]
+    assert ptchain.__all__ == ["__version__", *names]
+    assert len(set(names)) == len(names)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(ptchain, name) is getattr(module, name)
+    assert {"DEFAULT_REGION", "REGIME_TOL", "gamma_critical"} <= set(names)
+    assert "annotations" not in vars(ptchain)
 
 
 def test_import_does_not_load_scipy_sparse():

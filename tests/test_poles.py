@@ -25,6 +25,7 @@ from ptchain import (
     critical_size,
     find_poles,
     first_quadrant_region,
+    gamma_critical,
     pole_residual,
     tgbs_count,
     threshold_ladder,
@@ -34,7 +35,6 @@ from ptchain import poles
 from ptchain.poles import DEFAULT_REGION, EDGE_MARGIN
 from ptchain.presets import PRESETS
 from transfer_oracles import (
-    eight_neighbour_minima,
     full_lattice_seeds,
     imaginary_branch_excluded,
     plain_m22_array,
@@ -361,6 +361,14 @@ def test_ladder_matches_chebyshev_root_derivation():
         )
 
 
+def test_gamma_critical_is_the_ladder_value():
+    """The public lowest ladder value is the one the ladder reports, and its smallest entry."""
+    for n_cells in range(1, 201):
+        ladder = threshold_ladder(n_cells)
+        assert gamma_critical(n_cells) == ladder.gamma_critical
+        assert gamma_critical(n_cells) == pytest.approx(min(ladder.gamma_values), rel=1e-12)
+
+
 def test_ladder_is_strictly_descending():
     values = threshold_ladder(9).gamma_values
     assert all(a > b for a, b in zip(values, values[1:]))
@@ -617,21 +625,6 @@ def test_plain_array_residual_matches_scalar_residual(rng):
         scale = np.abs(t_n) + np.abs(np.cos(ks) / np.sin(ks) * (1.0 - x) * u_nm1)
         for k, value, s in zip(ks, array, scale):
             assert abs(value - pole_residual(spec, complex(k))) <= 1e-13 * s
-
-
-def test_window_minimum_equals_eight_neighbour_comparisons(rng):
-    """Ties and inf plateaus included, the separable 3x3 minimum picks the same points."""
-    for shape in ((3, 3), (4, 9), (17, 12), (40, 41)):
-        for _ in range(25):
-            a = rng.integers(0, 4, shape).astype(float)  # few levels: many ties
-            a[rng.random(shape) < 0.2] = np.inf
-            if rng.random() < 0.2:
-                a[: shape[0] // 2] = np.inf  # a plateau of inf
-            assert np.array_equal(poles._interior_minima(a), eight_neighbour_minima(a))
-        a = rng.random(shape)
-        assert np.array_equal(poles._interior_minima(a), eight_neighbour_minima(a))
-    flat = np.full((5, 6), np.inf)
-    assert poles._interior_minima(flat).all() and eight_neighbour_minima(flat).all()
 
 
 # ---- imaginary-axis exclusion --------------------------------------------------

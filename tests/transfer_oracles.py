@@ -19,7 +19,7 @@ Four more are bit references rather than independent routes:
 inside its loop, one step per pass, and ``plain_m22_array`` is the array
 residual ``M22`` as one numpy expression over the whole array; the package's
 rearranged loop must match them bit for bit. ``eight_neighbour_minima`` is
-the seed grid's local-minimum test as eight shifted comparisons.
+the local-minimum test over a whole lattice as eight shifted comparisons.
 ``full_lattice_seeds`` builds from ``plain_m22_array`` and
 ``eight_neighbour_minima`` the seed rule over the whole lattice, with no
 window around the pencil eigenvalues: every interior local minimum of
