@@ -30,7 +30,12 @@ differs when it passes on one side only, or when the two pole lists, as
 ``(Re k, Im k, residual)`` triples, are not equal bit for bit; the script
 exits 1 when any cell differs or any cell of ``SRC`` raises. A cell that
 fails on both sides with different exception classes is marked ``changed``
-but is not a difference: there is no pole list to compare.
+but is not a difference: there is no pole list to compare. A differing cell
+that passes on both sides also prints how far apart its lists are: the
+largest distance from any pole to the nearest pole of the other side
+(``moved``), and the largest ratio of a ``SRC`` pole's residual to that of
+the nearest ``OTHER_SRC`` pole (``res x``). The summary line gives the
+largest ``moved`` over all cells.
 """
 
 from __future__ import annotations
@@ -126,14 +131,36 @@ def _run_elsewhere(src: str) -> list[dict]:
     return json.loads(out)
 
 
+def _nearest(k: complex, poles: list[list[float]]) -> tuple[float, float]:
+    """Distance from ``k`` to the nearest ``[Re k, Im k, residual]`` in ``poles``, and its residual."""
+    return min(((abs(k - complex(re, im)), res) for re, im, res in poles), default=(math.inf, math.nan))
+
+
+def _moved(ours: list[list[float]], theirs: list[list[float]]) -> tuple[float, float]:
+    """The largest distance from a pole to the other list, and the largest residual ratio ours / theirs."""
+    moved, ratio = 0.0, 0.0
+    for side, other in ((ours, theirs), (theirs, ours)):
+        for re, im, res in side:
+            d, other_res = _nearest(complex(re, im), other)
+            moved = max(moved, d)
+            if side is ours:
+                ratio = max(ratio, res / other_res if other_res else math.inf)
+    return moved, ratio
+
+
 def compare(src: str, against: str) -> int:
     theirs, ours = _run_elsewhere(against), _run_elsewhere(src)
     differing = changed = 0
+    worst = 0.0
     for other, cell in zip(theirs, ours):
         mark = ""
         if other["poles"] != cell["poles"]:
             differing += 1
             mark = "  DIFFERS"
+            if other["poles"] is not None and cell["poles"] is not None:
+                moved, ratio = _moved(cell["poles"], other["poles"])
+                worst = max(worst, moved)
+                mark += f" moved {moved:.1e} res x{ratio:.3g}"
         elif other["outcome"] != cell["outcome"]:
             changed += 1
             mark = "  changed"
@@ -142,7 +169,8 @@ def compare(src: str, against: str) -> int:
     passing = [sum(c["outcome"] == "ok" for c in side) for side in (theirs, ours)]
     print(f"ok in {passing[0]} | {passing[1]} of {len(ours)} cells, inaccurate in "
           f"{_inaccurate(theirs)} | {_inaccurate(ours)} ({against} | {src}); "
-          f"{differing} differing, {changed} failing with another class")
+          f"{differing} differing (poles moved by at most {worst:.1e}), "
+          f"{changed} failing with another class")
     return 1 if differing or _raised(ours) else 0
 
 

@@ -14,8 +14,9 @@ Each subcommand and preset mode is one runner ``runner(fmt, out, **params)``
 in ``_RUNNERS``. A subcommand passes the options it was given (under their
 ``dest`` names), a preset its entries in :mod:`ptchain.presets`.
 
-Exit status: 0 success, 2 bad usage or out-of-range parameters, 3 numerical
-failure (missed roots, non-convergence, eigendecomposition failure, ...).
+Exit status: 0 success, 2 bad usage, out-of-range parameters or an output
+file that cannot be written, 3 numerical failure (missed roots,
+non-convergence, eigendecomposition failure, ...).
 
 Output is deterministic: identical inputs produce byte-identical files.
 Floats are written with 17 significant digits.
@@ -234,11 +235,10 @@ _POLES_HEADER = (
 
 
 def _run_poles(
-    fmt: str, out: str, n_cells: int, gamma: float, region: str | None = None,
-    grid_density: int = 60,
+    fmt: str, out: str, n_cells: int, gamma: float, region: str | None = None
 ) -> int:
     spec = ChainSpec(n_cells, gamma)
-    records = find_poles(spec, _parse_region(region), grid_density)
+    records = find_poles(spec, _parse_region(region))
     rows = [
         [r.k.re, r.k.im, r.energy.real, r.energy.imag, r.growth_rate,
          r.classification.value, r.residual]
@@ -540,10 +540,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--region", help="search window 're_min,re_max,im_min,im_max' (default full strip)"
     )
-    p.add_argument(
-        "--grid-density", type=int,
-        help="seed-grid points per unit k (default 60, minimum 50)",
-    )
     add_io(p)
 
     p = sub.add_parser("threshold", help="onset thresholds vs chain size")
@@ -616,7 +612,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         out = f"{_stem(out or f'ptchain_{name}')}.{fmt}"
     try:
         return _RUNNERS[mode](fmt, out or f"ptchain_{mode}.{fmt}", **params)
-    except OutOfRange as exc:
+    except (OutOfRange, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NumericalFailure as exc:

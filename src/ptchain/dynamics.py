@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DecompositionFailed, InsufficientGrowth, OutOfRange
+from .errors import DecompositionFailed, InsufficientGrowth, NumericalFailure, OutOfRange
 from .model import ChainSpec, chain_operator
 
 if TYPE_CHECKING:
@@ -238,21 +238,26 @@ def evolve(bundle: PropagatorBundle, psi0: WaveState, t: float) -> WaveState:
     Spectral path: expand in right modes with left-mode coefficients and
     multiply by ``exp(-i E_n t)``. Near-defective bundles route to
     ``expm_multiply`` automatically, with a DEBUG event under ``ptchain.dynamics``.
+    A state whose total intensity is not finite (grown beyond the double
+    range) raises :class:`NumericalFailure`.
     """
     if not 0.0 <= t < math.inf:
         raise OutOfRange(f"t must be finite and nonnegative, got {t!r}")
-    if bundle.near_defective:
-        _log.debug(
-            "stepping by expm_multiply to t=%r: near-defective bundle "
-            "(condition estimate %.3g)",
-            t, bundle.condition_estimate,
-        )
-        from scipy.sparse.linalg import expm_multiply
+    with np.errstate(over="ignore", invalid="ignore"):
+        if bundle.near_defective:
+            _log.debug(
+                "stepping by expm_multiply to t=%r: near-defective bundle "
+                "(condition estimate %.3g)",
+                t, bundle.condition_estimate,
+            )
+            from scipy.sparse.linalg import expm_multiply
 
-        psi_t = expm_multiply(-1j * t * bundle.hamiltonian, psi0.amplitudes)
-    else:
-        coeff = bundle.left_modes.conj().T @ psi0.amplitudes
-        psi_t = bundle.right_modes @ (coeff * np.exp(-1j * bundle.eigenvalues * t))
+            psi_t = expm_multiply(-1j * t * bundle.hamiltonian, psi0.amplitudes)
+        else:
+            coeff = bundle.left_modes.conj().T @ psi0.amplitudes
+            psi_t = bundle.right_modes @ (coeff * np.exp(-1j * bundle.eigenvalues * t))
+    if not math.isfinite(np.vdot(psi_t, psi_t).real):
+        raise NumericalFailure(f"the intensity of the state propagated to t={t!r} is not finite")
     return WaveState(amplitudes=psi_t, time=psi0.time + t)
 
 

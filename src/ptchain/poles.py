@@ -7,8 +7,8 @@ their motion as the gain/loss strength varies. Every census is the set of
 eigenvalues of the outgoing-wave pencil in a region, one eigensolve each:
 :func:`find_poles`, the trajectory sweep and the verified TGBS count. Only
 :func:`find_poles` also runs Newton on ``M22``, from the local minima of
-``|M22|`` on a seed grid within a few cells of each eigenvalue; a Newton
-root stands in for the eigenvalue it agrees with to 1e-12.
+``|M22|`` on a fixed seed lattice within a few cells of each eigenvalue; a
+Newton root stands in for the eigenvalue it agrees with to 1e-12.
 
 The pencil rests on the outgoing-wave (Siegert) boundary conditions
 ``psi_{-1} = z psi_0`` and ``psi_{2N} = z psi_{2N-1}`` with ``z = e^{ik}``,
@@ -219,74 +219,96 @@ def _newton(spec: ChainSpec, seed: complex, max_iter: int = 60) -> complex | Non
 # the finder
 # ---------------------------------------------------------------------------
 
+#: Seed-lattice points per unit k length along each axis (the fig2 presets' value).
+SEED_DENSITY = 90
 #: Half-width, in lattice cells along each axis, of the window around each
-#: in-region pencil eigenvalue within which a seed-grid point may seed Newton.
+#: in-region pencil eigenvalue within which a seed-lattice point may seed Newton.
 SEED_WINDOW = 2
 
 
-def _grid_seeds(
-    spec: ChainSpec, region: SearchRegion, grid_density: int, pencil: list[complex]
-) -> list[complex]:
-    """Interior local minima of ``|M22|`` on the seed lattice near ``pencil``, deepest first.
+def _window_seeds(
+    spec: ChainSpec, region: SearchRegion, pencil: list[complex]
+) -> list[list[complex]]:
+    """Each eigenvalue's seeds: the local minima of ``|M22|`` in its window, deepest first.
 
-    The lattice spans ``region`` with ``grid_density`` points per unit
-    length. A seed is a lattice point within :data:`SEED_WINDOW` cells
-    (max-norm) of an eigenvalue in ``pencil``, off the lattice's border, whose
-    ``|M22|`` is no larger than at any of its eight neighbours. ``|M22|`` is
-    evaluated on the windows and their neighbours only, by the plain array
-    expression with :func:`chebyshev_tu`, and counts as ``inf`` where it is
-    not finite and elsewhere, where no window point's test looks. Only the
-    window points are compared with their neighbours. Equal depths keep
-    lattice (row-major) order. The seeds and their order are therefore those
-    of the whole lattice's local minima that fall in a window.
+    The lattice spans ``region`` with :data:`SEED_DENSITY` points per unit
+    length. The window of an eigenvalue in ``pencil`` holds the lattice
+    points within :data:`SEED_WINDOW` cells of it along each axis, off the
+    lattice's border; a seed is a window point whose ``|M22|`` is no larger
+    than at any of its eight neighbours. ``|M22|`` is evaluated, for all
+    eigenvalues at once, on each window and its neighbours only, by the plain
+    array expression with :func:`chebyshev_tu`, and counts as ``inf`` where it
+    is not finite. Equal depths keep lattice (row-major) order. The seeds and
+    their order are therefore those of the whole lattice's local minima that
+    fall in the window.
     """
-    nr = max(4, int(math.ceil((region.re_max - region.re_min) * grid_density)) + 1)
-    ni = max(4, int(math.ceil((region.im_max - region.im_min) * grid_density)) + 1)
+    nr = max(4, int(math.ceil((region.re_max - region.re_min) * SEED_DENSITY)) + 1)
+    ni = max(4, int(math.ceil((region.im_max - region.im_min) * SEED_DENSITY)) + 1)
     re = np.linspace(region.re_min, region.re_max, nr)
     im = np.linspace(region.im_min, region.im_max, ni)
-    window = np.zeros((ni, nr), dtype=bool)
-    evaluated = np.zeros((ni, nr), dtype=bool)
-    for k in pencil:
-        # fractional lattice indices of k, and the index ranges within the window
-        j = (k.real - region.re_min) / (region.re_max - region.re_min) * (nr - 1)
-        i = (k.imag - region.im_min) / (region.im_max - region.im_min) * (ni - 1)
-        j0, j1 = max(0, math.ceil(j - SEED_WINDOW)), math.floor(j + SEED_WINDOW) + 1
-        i0, i1 = max(0, math.ceil(i - SEED_WINDOW)), math.floor(i + SEED_WINDOW) + 1
-        window[i0:i1, j0:j1] = True
-        evaluated[max(0, i0 - 1) : i1 + 1, max(0, j0 - 1) : j1 + 1] = True
-    ii, jj = np.nonzero(evaluated)
-    k = re[jj] + 1j * im[ii]
+    p = np.array(pencil, dtype=complex)
+    # fractional lattice indices of each eigenvalue
+    i = (p.imag - region.im_min) / (region.im_max - region.im_min) * (ni - 1)
+    j = (p.real - region.re_min) / (region.re_max - region.re_min) * (nr - 1)
+    # each eigenvalue's block: its window's rows and columns, and one more on each side
+    span = np.arange(-1, 2 * SEED_WINDOW + 2)
+    rows = np.ceil(i - SEED_WINDOW).astype(int)[:, None] + span
+    cols = np.ceil(j - SEED_WINDOW).astype(int)[:, None] + span
+    in_rows = (rows <= np.floor(i + SEED_WINDOW)[:, None]) & (rows >= 1) & (rows <= ni - 2)
+    in_cols = (cols <= np.floor(j + SEED_WINDOW)[:, None]) & (cols >= 1) & (cols <= nr - 2)
+    window = in_rows[:, 1:-1, None] & in_cols[:, None, 1:-1]
+    # clipped indices only stand in next to points outside the window
+    k = re[np.clip(cols, 0, nr - 1)][:, None, :] + 1j * im[np.clip(rows, 0, ni - 1)][:, :, None]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         x = np.cos(2 * k) + 0.5 * spec.gamma**2
         t_n, u_nm1 = chebyshev_tu(spec.n_cells, x)
         m22 = t_n - 1j * (np.cos(k) / np.sin(k)) * (1.0 - x) * u_nm1
-    a = np.full((ni, nr), np.inf)
-    a[ii, jj] = np.where(np.isfinite(m22), np.abs(m22), np.inf)
-    # window points off the border, in lattice order, kept if no neighbour is deeper
-    ii, jj = np.nonzero(window[1:-1, 1:-1])
-    ii, jj = ii + 1, jj + 1
-    depth = a[ii, jj]
-    is_min = np.logical_and.reduce(
-        [depth <= a[ii + di, jj + dj] for di in (-1, 0, 1) for dj in (-1, 0, 1) if di or dj]
-    )
-    order = np.argsort(depth[is_min], kind="stable")
-    return [complex(k) for k in (re[jj] + 1j * im[ii])[is_min][order]]
+    a = np.where(np.isfinite(m22), np.abs(m22), np.inf)
+    depth, w = a[:, 1:-1, 1:-1], 2 * SEED_WINDOW + 1
+    is_min = window & np.logical_and.reduce([
+        depth <= a[:, 1 + di : 1 + di + w, 1 + dj : 1 + dj + w]
+        for di in (-1, 0, 1) for dj in (-1, 0, 1) if di or dj
+    ])
+    return [
+        [complex(s) for s in points[m][np.argsort(d[m], kind="stable")]]
+        for points, d, m in zip(k[:, 1:-1, 1:-1], depth, is_min)
+    ]
 
 
 def _near_singular_vertical(k: complex) -> bool:
     return any(abs(k.real - s) < EDGE_MARGIN for s in (-math.pi, 0.0, math.pi))
 
 
-def _collect_roots(
-    spec: ChainSpec, region: SearchRegion, grid_density: int, pencil: list[complex]
-) -> list[complex]:
-    """Newton roots from the off-vertical grid seeds, in seed order; a failed seed gives none."""
-    roots = (
-        _newton(spec, seed)
-        for seed in _grid_seeds(spec, region, grid_density, pencil)
-        if not _near_singular_vertical(seed)
-    )
-    return [r for r in roots if r is not None]
+def _polish(spec: ChainSpec, region: SearchRegion, pencil: list[complex]) -> list[complex]:
+    """Each eigenvalue in ``pencil`` as a Newton root of ``M22`` where one stands in for it.
+
+    An eigenvalue is replaced by the first damped Newton root, from its own
+    seeds (:func:`_window_seeds`) in order, that lands within
+    :data:`GRID_ROOT_TOL` of it, and is kept as it is otherwise. Newton runs
+    at most once per seed, which overlapping windows share, and never from a
+    seed near a singular vertical. The eigenvalues kept as they are make one
+    DEBUG event under ``ptchain.poles`` with their count and the first of them.
+    """
+    roots: dict[complex, complex | None] = {}
+    polished, unpolished = [], []
+    for k, seeds in zip(pencil, _window_seeds(spec, region, pencil)):
+        for seed in seeds:
+            if seed not in roots:
+                roots[seed] = None if _near_singular_vertical(seed) else _newton(spec, seed)
+            root = roots[seed]
+            if root is not None and abs(root - k) <= GRID_ROOT_TOL:
+                polished.append(root)
+                break
+        else:
+            polished.append(k)
+            unpolished.append(k)
+    if unpolished:
+        _log.debug(
+            "%d of %d pole(s) reported unpolished, with no Newton root within %g, "
+            "the first k=%r (N=%d, gamma=%r)",
+            len(unpolished), len(pencil), GRID_ROOT_TOL, unpolished[0], spec.n_cells, spec.gamma,
+        )
+    return polished
 
 
 def _pencil_wavenumbers(spec: ChainSpec) -> np.ndarray:
@@ -338,26 +360,18 @@ def _census(spec: ChainSpec, region: SearchRegion) -> list[PoleRecord]:
     return _records(spec, _pencil_poles(spec, region))
 
 
-def find_poles(
-    spec: ChainSpec,
-    region: SearchRegion | None = None,
-    grid_density: int = 60,
-) -> list[PoleRecord]:
+def find_poles(spec: ChainSpec, region: SearchRegion | None = None) -> list[PoleRecord]:
     """Locate every pole of the scattering denominator inside ``region``.
 
     The poles are the census of :func:`_census`, the in-region eigenvalues
-    of the outgoing-wave pencil, except that an eigenvalue is reported as the
-    first grid root, in seed order, within :data:`GRID_ROOT_TOL` of it where
-    there is one. Grid roots near no eigenvalue are dropped, with one DEBUG
-    event per call under ``ptchain.poles`` that gives their count and the
-    first of them.
-
-    The grid roots are damped Newton roots of ``M22`` seeded at the local
-    minima of ``|M22|`` on a lattice of ``grid_density`` points per unit
-    length, taken only within :data:`SEED_WINDOW` lattice cells of an
-    eigenvalue (:func:`_grid_seeds`). They add no pole; they only reproduce
-    the last bits of the fig2 presets' ``k`` and ``residual`` columns, which
-    ``perfbench/reference/paper_figures.json`` pins.
+    of the outgoing-wave pencil, each polished by :func:`_polish`: reported
+    as a damped Newton root of ``M22`` within :data:`GRID_ROOT_TOL` of it,
+    seeded at the local minima of ``|M22|`` on a lattice of
+    :data:`SEED_DENSITY` points per unit length within :data:`SEED_WINDOW`
+    cells of it, and as it is where no such root exists. The polish adds no
+    pole; it only reproduces the last bits of the fig2 presets' ``k`` and
+    ``residual`` columns, which ``perfbench/reference/paper_figures.json``
+    pins.
 
     Parameters
     ----------
@@ -365,31 +379,12 @@ def find_poles(
     region : SearchRegion, optional
         Defaults to the full strip with ``Im k in [-1.5, 1.5]`` (minus the
         singular-vertical margins).
-    grid_density : int
-        Seed-grid points per unit k length (finite, minimum 50).
     """
     if region is None:
         region = DEFAULT_REGION
-    if not 50 <= grid_density < math.inf:
-        raise OutOfRange(
-            f"grid_density must be finite and at least 50 per unit length, got {grid_density}"
-        )
     if spec.gamma == 0.0:
         return []
-
-    pencil = _pencil_poles(spec, region)
-    roots = _collect_roots(spec, region, grid_density, pencil)
-    near = np.abs(np.subtract.outer(pencil, roots)) <= GRID_ROOT_TOL
-    dropped = [r for r, matched in zip(roots, near.any(axis=0)) if not matched]
-    if dropped:
-        _log.debug(
-            "%d grid root(s) within %g of no pencil eigenvalue dropped, the first "
-            "grid root k=%r (N=%d, gamma=%r)",
-            len(dropped), GRID_ROOT_TOL, dropped[0], spec.n_cells, spec.gamma,
-        )
-    return _records(spec, [
-        roots[row.argmax()] if row.any() else k for k, row in zip(pencil, near)
-    ])
+    return _records(spec, _polish(spec, region, _pencil_poles(spec, region)))
 
 
 # ---------------------------------------------------------------------------
@@ -456,8 +451,9 @@ def critical_size(gamma: float) -> int:
     Raises
     ------
     OutOfRange
-        For ``gamma <= 0`` (no threshold is ever crossed) and non-finite
-        ``gamma``.
+        For ``gamma <= 0`` (no threshold is ever crossed), non-finite
+        ``gamma``, and ``gamma`` so small (subnormal) that the size exceeds
+        the double range.
     """
     if not 0.0 < gamma < math.inf:
         raise OutOfRange(f"gamma must be positive and finite, got {gamma!r}")
@@ -465,8 +461,13 @@ def critical_size(gamma: float) -> int:
         return 1
     # N > pi / (4 asin(gamma/2)); the epsilon keeps exact-equality cases
     # (gamma == gamma_c(m) to rounding) on the strict side.
-    x = math.pi / (4.0 * math.asin(0.5 * gamma))
-    return int(math.floor(x + 1e-12)) + 1
+    try:
+        x = math.pi / (4.0 * math.asin(0.5 * gamma))
+        return int(math.floor(x + 1e-12)) + 1
+    except (ZeroDivisionError, OverflowError):
+        raise OutOfRange(
+            f"gamma={gamma!r} is too small: the critical size exceeds the double range"
+        ) from None
 
 
 def first_quadrant_region(gamma: float) -> SearchRegion:

@@ -48,7 +48,6 @@ for _name, _g in _POLE_PANEL_GAMMAS.items():
         "mode": "poles",
         "n_cells": 3,
         "gamma": _g,
-        "grid_density": 90,
     }
 
 PRESETS["fig3"] = {

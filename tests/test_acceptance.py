@@ -89,7 +89,7 @@ def test_criterion_02_every_ladder_value_parks_a_pole_on_the_axis():
         window = pc.SearchRegion(0.5 * PI - 0.3, 0.5 * PI + 0.3, -0.05, 0.05)
         for n in range(1, 9):
             for g in pc.threshold_ladder(n).gamma_values:
-                recs = pc.find_poles(pc.ChainSpec(n, g), window, grid_density=200)
+                recs = pc.find_poles(pc.ChainSpec(n, g), window)
                 hits = [
                     r
                     for r in recs

@@ -47,6 +47,20 @@ def test_usage_errors_exit_2(workdir):
     with pytest.warns(UserWarning):
         assert main(small + ["--j0", "500", "--sigma", "3"]) == 2
     assert main(small + ["--j0", "-10", "--sigma", "1e-300"]) == 2
+    # a gain too small for a critical size in the double range
+    assert main(["relevance", "--n", "3", "--gamma", "1e-310"]) == 2
+    # the seed lattice is fixed: there is no density to choose
+    assert main(["poles", "--n", "3", "--gamma", "0.3", "--grid-density", "90"]) == 2
+
+
+def test_unwritable_output_exits_2(workdir, capsys):
+    """An output file that cannot be opened is an error message and exit 2, not a traceback."""
+    missing = str(workdir / "missing" / "x.csv")
+    assert main(["scatter", "--n", "3", "--gamma", "0.3", "--out", missing]) == 2
+    assert main(["figure", "--preset", "fig4", "--out", missing]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error: ") == 2 and "No such file or directory" in err
+    assert not (workdir / "missing").exists()
 
 
 def test_numerical_failures_exit_3(workdir, monkeypatch):
@@ -123,8 +137,7 @@ def test_determinism_byte_identical(workdir):
 
 def test_poles_csv_and_window(workdir):
     assert main(
-        ["poles", "--n", "3", "--gamma", "0.7",
-         "--region", "0.9,2.2,0.01,0.6", "--grid-density", "80"]
+        ["poles", "--n", "3", "--gamma", "0.7", "--region", "0.9,2.2,0.01,0.6"]
     ) == 0
     header, rows = _read_csv(workdir / "ptchain_poles.csv")
     assert header[:2] == ["k_re", "k_im"]
@@ -242,6 +255,16 @@ def test_evolve_warns_beyond_horizon(workdir, capsys):
     assert "validity horizon" in err
 
 
+def test_evolve_beyond_the_double_range_exits_3(workdir, capsys):
+    """A state whose intensity overflows ends the run with exit 3, before a summary holding NaN is written."""
+    assert main(
+        ["evolve", "--n", "3", "--gamma", "0.7", "--l", "200", "--j0", "-50",
+         "--sigma", "10", "--times", "0,100,100000", "--out", "big"]
+    ) == 3
+    assert "NumericalFailure" in capsys.readouterr().err
+    assert not (workdir / "big.json").exists()
+
+
 # ---- relevance ----------------------------------------------------------------
 
 def test_relevance_verdict_json(workdir):
@@ -308,7 +331,7 @@ def test_preset_parameters_bind_to_its_runner(name):
 @pytest.mark.parametrize(
     "preset, argv",
     [
-        ("fig2a", ["poles", "--n", "3", "--gamma", "0.3", "--grid-density", "90"]),
+        ("fig2a", ["poles", "--n", "3", "--gamma", "0.3"]),
         ("fig4", ["threshold", "--n-min", "1", "--n-max", "50"]),
         ("fig7a", ["scatter", "--n", "1", "--gamma", "1.0", "--e-min", "-1.999",
                    "--e-max", "1.999", "--steps", "801"]),

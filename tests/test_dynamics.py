@@ -10,6 +10,7 @@ from ptchain import (
     ChainSpec,
     InsufficientGrowth,
     LatticeLayout,
+    NumericalFailure,
     OutOfRange,
     build_hamiltonian,
     evolve,
@@ -138,6 +139,17 @@ def test_evolve_rejects_negative_time():
         gaussian_packet(layout, j0=500, sigma=3.0, k0=1.0)
     with pytest.raises(OutOfRange):
         gaussian_packet(layout, j0=-10, sigma=1e-300, k0=1.0)
+
+
+def test_evolve_raises_when_the_intensity_leaves_the_double_range():
+    """N = 3, gamma = 0.7 grows like e^{0.28 t}: finite at t = 100, beyond the double range at 1e5."""
+    layout = LatticeLayout.centered(200, 3)
+    bundle = prepare_propagator(build_hamiltonian(layout, ChainSpec(3, 0.7)))
+    psi0 = gaussian_packet(layout, j0=-50, sigma=10.0, k0=0.5 * math.pi)
+    assert math.isfinite(intensity_split(evolve(bundle, psi0, 100.0), layout).total)
+    for t in (1500.0, 1e5):  # finite amplitudes whose intensity overflows, then none finite
+        with pytest.raises(NumericalFailure, match="not finite"):
+            evolve(bundle, psi0, t)
 
 
 def test_unitary_evolution_without_gain_loss():

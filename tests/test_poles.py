@@ -8,6 +8,7 @@ poles must lie within :data:`POLE_TOL` of its roots.
 
 import logging
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -75,7 +76,7 @@ def test_find_poles_matches_z_polynomial_oracle(n, gamma):
         if abs(z.imag) <= 1.2 - 1e-3
         and min(abs(z.real), abs(abs(z.real) - PI)) > 2e-4
     ]
-    for census in (find_poles(spec, region, grid_density=60), poles._census(spec, region)):
+    for census in (find_poles(spec, region), poles._census(spec, region)):
         _assert_census_matches([r.k.as_complex() for r in census], expected)
 
 
@@ -155,117 +156,103 @@ def test_small_gamma_census_matches_z_polynomial_oracle(n, gamma):
     (4, 2.0, first_quadrant_region(2.0)),
 ], ids=["3-0.3", "8-1.2", "5-1e-4", "4-2.0-first-quadrant"])
 def test_find_poles_without_grid_roots_is_the_census(n, gamma, region, monkeypatch):
-    """With no grid root to stand in for them, the reported poles are the pencil's."""
+    """With no Newton root to stand in for them, the reported poles are the pencil's."""
     spec = ChainSpec(n, gamma)
-    monkeypatch.setattr(poles, "_collect_roots", lambda *args: [])
+    monkeypatch.setattr(poles, "_newton", lambda spec, seed: None)
     assert find_poles(spec, region) == poles._census(spec, region)
 
 
 @pytest.mark.parametrize("preset", [f"fig2{c}" for c in "abcdefghi"])
 def test_fig2_poles_are_grid_roots_bitwise(preset):
-    """Each fig2 pole is a grid Newton root, bit for bit, within 1e-12 of its own eigenvalue."""
+    """Each fig2 pole is, bit for bit, a Newton root from its own eigenvalue's seeds, within 1e-12 of it."""
     params = PRESETS[preset]
     spec = ChainSpec(params["n_cells"], params["gamma"])
     pencil = poles._pencil_poles(spec, DEFAULT_REGION)
-    roots = poles._collect_roots(spec, DEFAULT_REGION, params["grid_density"], pencil)
-    found = [r.k.as_complex() for r in find_poles(spec, grid_density=params["grid_density"])]
+    found = [r.k.as_complex() for r in find_poles(spec)]
     assert len(found) == len(pencil) == 4 * spec.n_cells - 2
-    assert all(k in roots for k in found)
-    nearest = [min(range(len(pencil)), key=lambda i: abs(pencil[i] - k)) for k in found]
-    assert sorted(nearest) == list(range(len(pencil)))
-    assert all(abs(pencil[i] - k) <= poles.GRID_ROOT_TOL for i, k in zip(nearest, found))
+    for k, seeds in zip(pencil, poles._window_seeds(spec, DEFAULT_REGION, pencil)):
+        roots = [poles._newton(spec, s) for s in seeds]
+        (pole,) = [f for f in found if abs(f - k) <= poles.GRID_ROOT_TOL]
+        assert pole != k and pole in roots
 
 
-def test_stray_grid_root_is_dropped_and_logged(monkeypatch, caplog):
-    """A grid root near no pencil eigenvalue is left out, with one DEBUG event."""
-    spec = ChainSpec(3, 0.3)
-    expected = find_poles(spec)
-    collect = poles._collect_roots
-    stray = 0.5 - 0.5j  # M22 is far from zero here
-    monkeypatch.setattr(poles, "_collect_roots", lambda *args: [stray, *collect(*args)])
-    with caplog.at_level(logging.DEBUG, logger="ptchain.poles"):
-        assert find_poles(spec) == expected
-    (event,) = [r for r in caplog.records if r.name == "ptchain.poles"]
-    assert event.levelno == logging.DEBUG
-    assert f"grid root k={stray!r}" in event.getMessage() and "dropped" in event.getMessage()
-
-
-def test_dropped_grid_roots_are_one_event(caplog):
-    """At (8, 1e-4) every grid root is dropped, and the call logs them as one DEBUG event."""
+def test_unpolished_poles_are_one_event(caplog):
+    """At (8, 1e-4) no Newton root lands within 1e-12 of any eigenvalue: one DEBUG event counts all 26."""
     spec = ChainSpec(8, 1e-4)
     with caplog.at_level(logging.DEBUG, logger="ptchain.poles"):
         found = find_poles(spec)
     assert found == poles._census(spec, DEFAULT_REGION)
     (event,) = [r for r in caplog.records if r.name == "ptchain.poles"]
     assert event.levelno == logging.DEBUG
-    assert "dropped" in event.getMessage() and f"within {poles.GRID_ROOT_TOL:g}" in event.getMessage()
+    first = poles._pencil_poles(spec, DEFAULT_REGION)[0]
+    message = event.getMessage()
+    assert message.startswith("26 of 26 pole(s) reported unpolished")
+    assert f"within {poles.GRID_ROOT_TOL:g}" in message and f"k={first!r}" in message
 
 
-def _window_seeds(seeds: list[complex], pencil: list[complex], region: SearchRegion, density: int):
-    """The seeds within SEED_WINDOW lattice cells (max-norm) of an eigenvalue in ``pencil``."""
+def _in_window(seeds: list[complex], k: complex, region: SearchRegion) -> list[complex]:
+    """The seeds within SEED_WINDOW lattice cells of ``k`` along each axis."""
+    density = poles.SEED_DENSITY
     cell_re = (region.re_max - region.re_min) / math.ceil((region.re_max - region.re_min) * density)
     cell_im = (region.im_max - region.im_min) / math.ceil((region.im_max - region.im_min) * density)
     return [
         s for s in seeds
-        if any(
-            abs(s.real - k.real) <= poles.SEED_WINDOW * cell_re
-            and abs(s.imag - k.imag) <= poles.SEED_WINDOW * cell_im
-            for k in pencil
-        )
+        if abs(s.real - k.real) <= poles.SEED_WINDOW * cell_re
+        and abs(s.imag - k.imag) <= poles.SEED_WINDOW * cell_im
     ]
 
 
-#: (N, gamma, region, grid density) of the windowed-seed identity tests.
+#: (N, gamma, region) of the windowed-seed identity tests.
 SEED_CASES = [
-    *((3, PRESETS[f"fig2{c}"]["gamma"], DEFAULT_REGION, 90) for c in "abcdefghi"),
-    (8, 1e-4, DEFAULT_REGION, 60),
-    (5, 1e-5, DEFAULT_REGION, 60),
-    (20, 1.9, DEFAULT_REGION, 60),
-    (13, 0.9, SearchRegion(-0.3, 2.9, -1.2, 0.7), 73),
-    (4, 2.0, first_quadrant_region(2.0), 60),
+    *((3, PRESETS[f"fig2{c}"]["gamma"], DEFAULT_REGION) for c in "abcdefghi"),
+    (8, 1e-4, DEFAULT_REGION),
+    (5, 1e-5, DEFAULT_REGION),
+    (20, 1.9, DEFAULT_REGION),
+    (13, 0.9, SearchRegion(-0.3, 2.9, -1.2, 0.7)),
+    (4, 2.0, first_quadrant_region(2.0)),
 ]
 SEED_IDS = [
     *(f"fig2{c}" for c in "abcdefghi"), "8-1e-4", "5-1e-5", "20-1.9", "13-0.9-window", "4-2.0-first-quadrant",
 ]
 
 
-@pytest.mark.parametrize("n, gamma, region, density", [
-    *SEED_CASES, (8, 1e-8, DEFAULT_REGION, 60), (50, 0.285, DEFAULT_REGION, 60),
+@pytest.mark.parametrize("n, gamma, region", [
+    *SEED_CASES, (8, 1e-8, DEFAULT_REGION), (50, 0.285, DEFAULT_REGION),
 ], ids=[*SEED_IDS, "8-1e-8", "50-0.285"])
-def test_grid_seeds_are_the_full_lattice_seeds_in_the_windows(n, gamma, region, density):
-    """The windowed seeds are the whole lattice's local minima near an eigenvalue, in the same order.
+def test_grid_seeds_are_the_full_lattice_seeds_in_the_windows(n, gamma, region):
+    """Each eigenvalue's seeds are the whole lattice's local minima in its window, in the same order.
 
     At gamma = 1e-8 |M22| is exactly 0.0 at many lattice points, so the
     order among equal depths counts too.
     """
     spec = ChainSpec(n, gamma)
     pencil = poles._pencil_poles(spec, region)
-    seeds = poles._grid_seeds(spec, region, density, pencil)
-    full = full_lattice_seeds(spec, region, density)
-    assert seeds and seeds == _window_seeds(full, pencil, region, density)
+    windows = poles._window_seeds(spec, region, pencil)
+    full = full_lattice_seeds(spec, region, poles.SEED_DENSITY)
+    assert len(windows) == len(pencil) and any(windows)
+    assert windows == [_in_window(full, k, region) for k in pencil]
 
 
-@pytest.mark.parametrize("n, gamma, region, density", SEED_CASES, ids=SEED_IDS)
-def test_find_poles_equals_the_full_lattice_rule_bitwise(n, gamma, region, density, monkeypatch):
-    """Seeding only near the eigenvalues reports the poles that seeding the whole lattice does, to the bit."""
+@pytest.mark.parametrize("n, gamma, region", SEED_CASES, ids=SEED_IDS)
+def test_find_poles_equals_the_full_lattice_rule_bitwise(n, gamma, region, monkeypatch):
+    """Polishing from the windowed seeds reports what the per-pole rule on the whole lattice's seeds does, to the bit."""
     spec = ChainSpec(n, gamma)
-    windowed = find_poles(spec, region, density)
+    windowed = find_poles(spec, region)
+    full = full_lattice_seeds(spec, region, poles.SEED_DENSITY)
     monkeypatch.setattr(
-        poles, "_grid_seeds", lambda spec, region, density, pencil: full_lattice_seeds(spec, region, density)
+        poles, "_window_seeds", lambda spec, region, pencil: [_in_window(full, k, region) for k in pencil]
     )
-    assert windowed == find_poles(spec, region, density)
+    assert windowed == find_poles(spec, region)
 
 
 def test_failed_grid_seed_loses_no_pole(monkeypatch):
-    """A seed Newton fails from is not retried; its pole is the pencil eigenvalue as it is."""
+    """A seed Newton fails from is not retried; its eigenvalue is reported as it is."""
     spec = ChainSpec(3, 0.3)
     expected = find_poles(spec)
-    seeds = [
-        s for s in poles._grid_seeds(spec, DEFAULT_REGION, 60, poles._pencil_poles(spec, DEFAULT_REGION))
-        if not poles._near_singular_vertical(s)
-    ]
-    newton = poles._newton
-    attempts = []
+    pencil = poles._pencil_poles(spec, DEFAULT_REGION)
+    windows = poles._window_seeds(spec, DEFAULT_REGION, pencil)
+    assert [len(w) for w in windows] == [1] * len(pencil)  # one chance per eigenvalue here
+    newton, attempts = poles._newton, []
 
     def first_fails(spec, seed):
         attempts.append(seed)
@@ -273,13 +260,41 @@ def test_failed_grid_seed_loses_no_pole(monkeypatch):
 
     monkeypatch.setattr(poles, "_newton", first_fails)
     found = find_poles(spec)
-    assert attempts == seeds  # each grid seed once, in order, and no other Newton run
+    assert attempts == [w[0] for w in windows]  # each seed once, in order, and no other Newton run
     assert [r.classification for r in found] == [r.classification for r in expected]
     for a, b in zip(found, expected):
         assert abs(a.k.as_complex() - b.k.as_complex()) <= poles.GRID_ROOT_TOL
+    assert pencil[0] in [r.k.as_complex() for r in found]
+
+
+def test_overlapping_windows_share_their_newton_runs(monkeypatch):
+    """Newton runs at most once per distinct seed, although windows share seeds at (8, 4.0)."""
+    spec = ChainSpec(8, 4.0)
     pencil = poles._pencil_poles(spec, DEFAULT_REGION)
-    lost = newton(spec, seeds[0])
-    assert any(r.k.as_complex() in pencil and abs(r.k.as_complex() - lost) < 1e-12 for r in found)
+    seeds = [s for w in poles._window_seeds(spec, DEFAULT_REGION, pencil) for s in w]
+    assert len(set(seeds)) < len(seeds)
+    newton, attempts = poles._newton, []
+
+    def counted(spec, seed):
+        attempts.append(seed)
+        return newton(spec, seed)
+
+    monkeypatch.setattr(poles, "_newton", counted)
+    find_poles(spec)
+    assert attempts and len(set(attempts)) == len(attempts) and set(attempts) <= set(seeds)
+
+
+def test_tall_region_allocates_no_lattice_array():
+    """Only each eigenvalue's window is evaluated, so a 300-deep region costs well under 1 MB."""
+    spec, region = ChainSpec(3, 0.7), SearchRegion(0.05, 3.0, -1.5, 300.0)
+    expected = find_poles(spec, region)  # loads the eigensolver before tracing
+    tracemalloc.start()
+    try:
+        assert find_poles(spec, region) == expected
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert expected and peak < 1_000_000
 
 
 @pytest.mark.parametrize("n", [1, 3, 9, 10, 50])
@@ -326,12 +341,6 @@ def test_three_growing_states_at_gamma_two():
     kappas = sorted(r.k.im for r in recs)
     for got, want in zip(kappas, (0.2463, 0.6140, 0.8171)):
         assert got == pytest.approx(want, abs=1e-3)
-
-
-def test_grid_density_floor():
-    for density in (40, math.inf, math.nan):
-        with pytest.raises(OutOfRange):
-            find_poles(ChainSpec(2, 0.5), grid_density=density)
 
 
 def test_search_region_validation():
@@ -417,6 +426,13 @@ def test_critical_size_rejects_nonpositive():
         critical_size(float("nan"))
     with pytest.raises(OutOfRange):
         critical_size(float("inf"))
+
+
+@pytest.mark.parametrize("gamma", [5e-324, 1e-310])
+def test_critical_size_rejects_a_subnormal_gamma(gamma):
+    """pi / (4 asin(gamma/2)) divides by zero at 5e-324 and is inf at 1e-310."""
+    with pytest.raises(OutOfRange, match="double range"):
+        critical_size(gamma)
 
 
 @pytest.mark.parametrize(
