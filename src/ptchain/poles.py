@@ -269,10 +269,10 @@ def _window_seeds(
         depth <= a[:, 1 + di : 1 + di + w, 1 + dj : 1 + dj + w]
         for di in (-1, 0, 1) for dj in (-1, 0, 1) if di or dj
     ])
-    return [
-        [complex(s) for s in points[m][np.argsort(d[m], kind="stable")]]
-        for points, d, m in zip(k[:, 1:-1, 1:-1], depth, is_min)
-    ]
+    # each eigenvalue's seeds by depth, first in its row: the other points' NaN sorts last
+    order = np.argsort(np.where(is_min, depth, np.nan).reshape(len(p), w * w), axis=1, kind="stable")
+    seeds = np.take_along_axis(k[:, 1:-1, 1:-1].reshape(len(p), w * w), order, axis=1)
+    return [row[:n] for row, n in zip(seeds.tolist(), is_min.sum(axis=(1, 2)).tolist())]
 
 
 def _near_singular_vertical(k: complex) -> bool:
