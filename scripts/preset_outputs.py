@@ -29,9 +29,11 @@ already exists (stale files would enter the comparison).
 With ``--time``, ``ptchain --help`` and each preset (default format) run
 instead in a fresh interpreter each, ``TIME_REPEATS`` times. One line per
 command gives the least wall time around the child process, which includes
-interpreter start-up and imports as a user's shell sees them, and the public
-SciPy subpackages in ``sys.modules`` when ``main`` returned (``-`` for
-none). To compare two checkouts, run it on each.
+interpreter start-up and imports as a user's shell sees them, the largest
+peak resident set size of the child processes (their own ``ru_maxrss``, in
+MB of 1024 KiB as ``perfbench`` counts them), and the public SciPy
+subpackages in ``sys.modules`` when ``main`` returned (``-`` for none). To
+compare two checkouts, run it on each.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ import time
 TIME_REPEATS = 5
 
 _TIMED_CHILD = """
-import contextlib, io, sys
+import contextlib, io, resource, sys
 from ptchain.cli import main
 
 with contextlib.redirect_stdout(io.StringIO()):
@@ -60,7 +62,7 @@ with contextlib.redirect_stdout(io.StringIO()):
         code = main(sys.argv[1:])
     except SystemExit as exc:  # --help leaves through argparse
         code = exc.code
-print(" ".join(sorted(
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, " ".join(sorted(
     name for name, module in list(sys.modules.items())
     if name.count(".") == 1 and name.startswith("scipy.")
     and not name.split(".")[1].startswith("_") and hasattr(module, "__path__")
@@ -95,11 +97,11 @@ def time_presets(src: str, outdir: str) -> int:
 
     env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
     os.makedirs(outdir, exist_ok=True)
-    print("command\tmin s\tscipy")
+    print("command\tmin s\tpeak MB\tscipy")
     for name in ["--help", *preset_names()]:
         argv_cli = [name] if name == "--help" else [
             "figure", "--preset", name, "--out", os.path.join(outdir, name)]
-        times, loaded = [], set()
+        times, peaks, loaded = [], [], set()
         for _ in range(TIME_REPEATS):
             start = time.perf_counter()
             proc = subprocess.run([sys.executable, "-c", _TIMED_CHILD, *argv_cli],
@@ -108,8 +110,11 @@ def time_presets(src: str, outdir: str) -> int:
             if proc.returncode != 0:
                 print(f"{name} exited {proc.returncode}\n{proc.stderr}", file=sys.stderr)
                 return proc.returncode
-            loaded.add(proc.stderr.strip().splitlines()[-1])
-        print(f"{name}\t{min(times):.3f}\t{' | '.join(sorted(loaded))}", flush=True)
+            maxrss_kib, modules = proc.stderr.strip().splitlines()[-1].split(" ", 1)
+            peaks.append(int(maxrss_kib) / 1024.0)
+            loaded.add(modules)
+        print(f"{name}\t{min(times):.3f}\t{max(peaks):.1f}\t{' | '.join(sorted(loaded))}",
+              flush=True)
     return 0
 
 

@@ -351,11 +351,13 @@ def _run_evolve(
         )
 
     bundle = prepare_propagator(h)
+    # every time is propagated before any file is written: a failure leaves none behind
+    ts = sorted(set(float(t) for t in times))
+    states = [evolve_state(bundle, psi0, t) for t in ts]
     offsets = layout.site_offsets()
     snapshots = []
     series: list[tuple[float, float]] = []
-    for t in sorted(set(float(t) for t in times)):
-        state = evolve_state(bundle, psi0, t)
+    for t, state in zip(ts, states):
         split = intensity_split(state, layout)
         snap_path = f"{out_stem}_t{t:g}.csv"
         density = np.abs(state.amplitudes) ** 2

@@ -14,7 +14,6 @@ __all__ = [
     "SingularBasis",
     "SpectralSingularityError",
     "MissedRoots",
-    "NonConvergence",
     "BranchLost",
     "DecompositionFailed",
     "InsufficientGrowth",
@@ -47,14 +46,6 @@ class MissedRoots(NumericalFailure):
     Raised when a threshold-ladder value parks no root at ``k = pi/2``, or
     when the closed-form growing-state count differs from the number of
     first-quadrant pencil eigenvalues.
-    """
-
-
-class NonConvergence(NumericalFailure):
-    """Iterative refinement failed to converge.
-
-    Raised by no routine at present: every pole census is taken from the
-    outgoing-wave pencil's eigenvalues, and a seed Newton fails from is dropped.
     """
 
 

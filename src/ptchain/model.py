@@ -103,19 +103,18 @@ def onsite_profile(spec: ChainSpec) -> list[OnsitePotential]:
     ]
 
 
-def chain_operator(spec: ChainSpec, left: int = 0, right: int = 0) -> "csr_array":
-    """The chain's tridiagonal matrix as CSR: the one place its entries are written.
+def _chain_arrays(
+    spec: ChainSpec, left: int = 0, right: int = 0
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The chain's tridiagonal matrix as CSR arrays ``(data, indices, indptr)``.
 
-    Hopping -1 between neighbours, ``onsite_profile(spec)`` on the ``2N``
-    scattering sites, and ``left`` and ``right`` lead sites with no on-site
-    entry, between hard walls. Without leads it is the outgoing-wave pencil's
-    ``H_c``, with them the lattice Hamiltonian. The CSR arrays are built
-    directly; for ``gamma > 0`` they equal those of ``csr_array`` of the
-    dense matrix (at ``gamma = 0`` the on-site zeros are stored too).
+    The one place the chain's entries are written: hopping -1 between
+    neighbours, ``onsite_profile(spec)`` on the ``2N`` scattering sites, and
+    ``left`` and ``right`` lead sites with no on-site entry, between hard
+    walls. Rows are stored in order, each with its columns ascending; for
+    ``gamma > 0`` the arrays equal those of ``csr_array`` of the dense matrix
+    (at ``gamma = 0`` the on-site zeros are stored too).
     """
-    # imported here so that ``import ptchain`` does not load scipy.sparse
-    from scipy.sparse import csr_array
-
     if left < 0 or right < 0:
         raise OutOfRange(f"lead lengths must be nonnegative, got {left!r}, {right!r}")
     n = spec.n_sites
@@ -129,7 +128,21 @@ def chain_operator(spec: ChainSpec, left: int = 0, right: int = 0) -> "csr_array
     values[left : left + n, 1] = [p.value for p in onsite_profile(spec)]
     indptr = np.zeros(size + 1, dtype=np.int32)
     np.cumsum(stored.sum(axis=1), out=indptr[1:])
-    return csr_array((values[stored], columns[stored], indptr), shape=(size, size))
+    return values[stored], columns[stored], indptr
+
+
+def chain_operator(spec: ChainSpec, left: int = 0, right: int = 0) -> "csr_array":
+    """The chain's tridiagonal matrix as a CSR array, built from :func:`_chain_arrays`.
+
+    Without leads it is the outgoing-wave pencil's ``H_c``, with ``left``
+    and ``right`` lead sites the lattice Hamiltonian.
+    """
+    # imported here so that only the wave-packet path loads scipy.sparse
+    from scipy.sparse import csr_array
+
+    data, indices, indptr = _chain_arrays(spec, left, right)
+    size = len(indptr) - 1
+    return csr_array((data, indices, indptr), shape=(size, size))
 
 
 def _canonical_strip(re: float) -> float:

@@ -28,6 +28,7 @@ import cmath
 import enum
 import logging
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -39,7 +40,7 @@ from .errors import (
     OutOfRange,
     SingularBasis,
 )
-from .model import ChainSpec, ComplexWavenumber, chain_operator, dispersion_energy
+from .model import ChainSpec, ComplexWavenumber, _chain_arrays, dispersion_energy
 from .scattering import _transfer_terms, chebyshev_tu
 
 _log = logging.getLogger(__name__)
@@ -319,18 +320,18 @@ def _pencil_wavenumbers(spec: ChainSpec) -> np.ndarray:
     an ordinary eigenproblem. ``I - P`` has rank 2N - 2, so at least two
     eigenvalues ``w`` vanish (``z`` infinite); they are dropped. The finite
     count is therefore at most 4N - 2, and fewer at exceptional points (none
-    at N = 1, gamma = 1). ``H_c`` is the leadless :func:`chain_operator`,
-    densified for the eigensolver.
+    at N = 1, gamma = 1). ``H_c`` is the leadless chain of
+    :func:`~ptchain.model._chain_arrays`, written densely; NumPy's LAPACK
+    solves the companion, so the census loads no SciPy.
     """
-    # imported here so that ``import ptchain`` does not load scipy.linalg
-    import scipy.linalg
-
     n = spec.n_sites
-    h_c = chain_operator(spec).toarray()
+    data, indices, indptr = _chain_arrays(spec)
+    h_c = np.zeros((n, n), dtype=complex)
+    h_c[np.repeat(np.arange(n), np.diff(indptr)), indices] = data
     open_ends = np.eye(n)
     open_ends[0, 0] = open_ends[-1, -1] = 0.0
     companion = np.block([[np.zeros((n, n)), np.eye(n)], [-open_ends, -h_c]])
-    w = scipy.linalg.eigvals(companion, overwrite_a=True, check_finite=False)
+    w = np.linalg.eigvals(companion)
     with np.errstate(divide="ignore", invalid="ignore"):
         z = 1.0 / w
     return -1j * np.log(z[np.isfinite(z)])
@@ -415,10 +416,21 @@ def gamma_critical(n_cells: int) -> float:
 def threshold_ladder(n_cells: int, verify_numeric: bool = False) -> ThresholdLadder:
     """Evaluate the closed-form threshold ladder for an ``n_cells`` chain.
 
-    With ``verify_numeric=True``, additionally runs one Newton solve of the
-    pole condition from ``k = pi/2`` at every ladder value and requires it to
-    converge to a real-axis root at ``pi/2`` (within 1e-7 in ``Re k`` and
-    1e-8 in ``Im k``); otherwise :class:`MissedRoots` is raised.
+    With ``verify_numeric=True``, additionally requires at every ladder value
+    a pole condition residual at ``k = pi/2`` within what the rounding of the
+    ladder value allows, ``|M22| <= 32 eps N |U_{N-1}(x)|``; otherwise
+    :class:`MissedRoots` is raised. The allowance: at ``k = pi/2`` the
+    ``cot k`` term vanishes (``cos(pi/2)`` rounds to 6e-17), so ``M22`` is
+    ``T_N(x)`` with ``x = gamma**2/2 - 1 = cos 2mu``, exactly zero at a ladder
+    value. The rounded ``gamma`` is off by at most ~7 eps (the roundings of
+    ``mu <= pi/2`` and of its cosine, doubled), so ``x`` is off by
+    ``|dx| <= gamma |dgamma| + 2 eps <= 16 eps`` and ``T_N(x + dx)`` by
+    ``N |U_{N-1}(x)| |dx|``. The closed-form terms of the real-axis evaluator
+    add ``N`` times a few eps, no more since ``|U_{N-1}| = 1/sin(2mu) >= 1``
+    at a ladder value. The worst ratio measured over N = 1..200, 300, 500,
+    1000, 2000, 5000 and 10**4 is 3.1 of the 32. Between two ladder values
+    ``|T_N|`` is of order one, against an allowance of at most
+    ``64 eps N**2 / pi``, 4.5e-7 at N = 10**4.
     """
     if n_cells < 1:
         raise OutOfRange(f"n_cells must be >= 1, got {n_cells}")
@@ -432,12 +444,22 @@ def threshold_ladder(n_cells: int, verify_numeric: bool = False) -> ThresholdLad
     )
     if verify_numeric:
         for g in gammas:
-            root = _newton(ChainSpec(n_cells, g), 0.5 * math.pi)
-            if root is None or abs(root.real - 0.5 * math.pi) > 1e-7 or abs(root.imag) > 1e-8:
-                raise MissedRoots(
-                    f"no real-axis root at k=pi/2 for N={n_cells}, gamma={g!r}"
-                )
+            _check_ladder_value(n_cells, g)
     return ladder
+
+
+def _check_ladder_value(n_cells: int, gamma: float) -> None:
+    """Raise :class:`MissedRoots` unless ``|M22(pi/2)| <= 32 eps N |U_{N-1}(x)|``.
+
+    The allowance is derived in :func:`threshold_ladder`. A real ``k`` takes
+    the O(1) closed-form terms, which share one power-of-two scale.
+    """
+    t_n, diag, u_nm1, _, _, _ = _transfer_terms(ChainSpec(n_cells, gamma), 0.5 * math.pi)
+    if not abs(t_n - diag) <= 32 * sys.float_info.epsilon * n_cells * abs(u_nm1):
+        raise MissedRoots(
+            f"no real-axis root at k=pi/2 for N={n_cells}, gamma={gamma!r}: "
+            f"|M22| = {abs(t_n - diag):.3g}"
+        )
 
 
 def critical_size(gamma: float) -> int:

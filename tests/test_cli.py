@@ -265,6 +265,15 @@ def test_evolve_beyond_the_double_range_exits_3(workdir, capsys):
     assert not (workdir / "big.json").exists()
 
 
+def test_evolve_failure_leaves_no_snapshot(workdir):
+    """Every time is propagated before any file is written, so exit 3 leaves no partial output."""
+    assert main(
+        ["evolve", "--n", "3", "--gamma", "0.7", "--l", "200", "--j0", "-50",
+         "--sigma", "10", "--times", "0,100,100000", "--out", "ev"]
+    ) == 3
+    assert list(workdir.iterdir()) == []
+
+
 # ---- relevance ----------------------------------------------------------------
 
 def test_relevance_verdict_json(workdir):

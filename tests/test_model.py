@@ -10,7 +10,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 from scipy.sparse import csr_array
 
 import ptchain
@@ -119,14 +118,15 @@ def test_chain_operator_without_gain_and_loss_has_the_dense_values(n):
 
 @pytest.mark.parametrize("n", CHAIN_SIZES)
 def test_pencil_companion_equals_the_dense_builder(n, monkeypatch):
+    """The companion handed to NumPy's eigensolver is the oracle's, byte for byte."""
     seen = []
-    eigvals = scipy.linalg.eigvals
+    eigvals = np.linalg.eigvals
 
-    def capture(a, **kwargs):
+    def capture(a):
         seen.append(a.copy())
-        return eigvals(a, **kwargs)
+        return eigvals(a)
 
-    monkeypatch.setattr(scipy.linalg, "eigvals", capture)
+    monkeypatch.setattr(np.linalg, "eigvals", capture)
     for gamma in (0.3, 1.7, 2.5):
         spec = ChainSpec(n, gamma)
         poles._pencil_wavenumbers(spec)
@@ -179,7 +179,7 @@ def scipy_modules():
 
 import ptchain, ptchain.cli
 loaded = {"import": scipy_modules()}
-for preset in ("fig5a", "fig8", "fig2a"):
+for preset in ("fig5a", "fig8", "fig2a", "fig3"):
     with contextlib.redirect_stdout(io.StringIO()):
         code = ptchain.cli.main(["figure", "--preset", preset, "--out", preset])
     assert code == 0, (preset, code)
@@ -189,13 +189,27 @@ Path(sys.argv[1]).write_text(json.dumps(loaded))
 
 
 def test_cold_start_loads_scipy_only_for_an_eigensolve(tmp_path):
-    """Stationary presets load no scipy module; the first pencil census loads scipy.linalg."""
+    """Stationary presets and the pole-census presets fig2a and fig3 load no scipy module."""
     _fresh_python(_COLD_START, "loaded.json", cwd=tmp_path)
     loaded = json.loads((tmp_path / "loaded.json").read_text())
-    assert loaded["import"] == []
-    assert loaded["fig5a"] == []
-    assert loaded["fig8"] == []
-    assert "scipy.linalg" in loaded["fig2a"]
+    assert loaded == {"import": [], "fig5a": [], "fig8": [], "fig2a": [], "fig3": []}
+
+
+_CENSUS_ROUTES = """
+import sys
+from ptchain import ChainSpec, find_poles, tgbs_count, trace_trajectories
+
+assert len(find_poles(ChainSpec(3, 0.7))) > 0
+assert trace_trajectories(ChainSpec(3, 0.0), 0.0, 2.0, 40).branches
+assert tgbs_count(ChainSpec(8, 1.5), verify=True) > 0
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert loaded == [], loaded
+"""
+
+
+def test_pole_census_routes_load_no_scipy():
+    """``find_poles``, ``trace_trajectories`` and ``tgbs_count(verify=True)`` solve on NumPy alone."""
+    _fresh_python(_CENSUS_ROUTES)
 
 
 @pytest.mark.parametrize(

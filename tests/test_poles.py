@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from ptchain import (
     BranchLost,
     ChainSpec,
+    MissedRoots,
     OutOfRange,
     PoleClass,
     SearchRegion,
@@ -390,6 +391,25 @@ def test_ladder_numeric_verification_runs():
 @pytest.mark.parametrize("n_cells", [9, 11, 17, 26, 40])
 def test_ladder_numeric_verification_at_larger_n(n_cells):
     threshold_ladder(n_cells, verify_numeric=True)
+
+
+#: Every size to 200, then the large sizes where Newton's allowance rejected ladder values.
+LADDER_SIZES = [*range(1, 201), 300, 500, 1000, 2000, 5000, 10_000]
+
+
+def test_every_ladder_value_passes_the_residual_test():
+    """All 38,900 ladder values at these sizes pass; a Newton run from pi/2 rejected 24, at N >= 2000."""
+    for n_cells in LADDER_SIZES:
+        threshold_ladder(n_cells, verify_numeric=True)
+
+
+@pytest.mark.parametrize("n_cells", [3, 50, 10_000])
+def test_ladder_midpoints_fail_the_residual_test(n_cells):
+    """Halfway between consecutive ladder values no root sits at pi/2, and the test says so."""
+    values = threshold_ladder(n_cells).gamma_values
+    for a, b in zip(values, values[1:]):
+        with pytest.raises(MissedRoots):
+            poles._check_ladder_value(n_cells, 0.5 * (a + b))
 
 
 def test_ladder_residual_vanishes_at_pi_over_2():
