@@ -8,18 +8,26 @@ Usage::
 ``SRC`` is the ``src`` directory of the checkout to run (its ``ptchain``
 package is imported, not the installed one). For every cell of
 ``N in N_VALUES`` and ``gamma in GAMMAS`` the script calls
-``find_poles(ChainSpec(N, gamma))`` on the default strip and prints ``ok``
-with the pole count, or the class of the ``NumericalFailure`` it raised.
-Any other exception ends the run with a traceback.
+``find_poles(ChainSpec(N, gamma), region)`` and prints ``ok`` with the pole
+count, or the class of the ``NumericalFailure`` it raised. Any other
+exception ends the run with a traceback. The region is the default strip up
+to ``ORACLE_MAX_GAMMA``. Above it the default strip is empty (the poles
+climb to ``Im k ~ ln(gamma)``), so the region is the upper half of the strip
+up to the top of ``first_quadrant_region(gamma)``: that region and its
+mirror image ``-conj(k)``. The lower half is left out: its deep resonances
+lose accuracy as gamma grows (pairing defect ~1e-8 at gamma = 1e4), an open
+defect of the census that this map does not yet report.
 
-A passing cell also prints its error. For ``N <= ORACLE_MAX_N`` that is the
-largest distance of a reported pole from the nearest root of the
-z-polynomial oracle of ``tests/zpoly_oracle.py`` (``err``). Above it no
-independent pole list is at hand (the pencil's eigenvalues are what
-``find_poles`` reports), so the cell prints two structural checks instead:
-the largest distance of a pole's mirror ``-conj(k)`` from the nearest
-reported pole (``pair``), and the number of first-quadrant poles against
-the closed-form ladder count ``tgbs_count`` (``ladder``). A cell whose
+A passing cell also prints its error. For ``N <= ORACLE_MAX_N`` and
+``gamma <= ORACLE_MAX_GAMMA`` that is the largest distance of a reported
+pole from the nearest root of the z-polynomial oracle of
+``tests/zpoly_oracle.py`` (``err``). Elsewhere no independent pole list is
+at hand (the pencil's eigenvalues are what ``find_poles`` reports, and the
+oracle's arithmetic breaks down at large gamma), so the cell prints two
+structural checks instead: the largest distance of a pole's mirror
+``-conj(k)`` from the nearest reported pole (``pair``), and the number of
+first-quadrant poles against the closed-form ladder count ``tgbs_count``
+(``ladder``). A cell whose
 error exceeds ``ACCURACY_TOL``, or whose first-quadrant count is not the
 ladder's, is marked ``inaccurate``. The script exits 1 when any cell
 raises.
@@ -48,9 +56,12 @@ import subprocess
 import sys
 
 N_VALUES = (1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144)
-GAMMAS = (1e-8, 1e-5, 1e-4, 1e-3, 0.01, 0.1, 0.5, 1.0, 1.5, 1.99, 2.0, 2.5, 4.0)
+GAMMAS = (1e-8, 1e-5, 1e-4, 1e-3, 0.01, 0.1, 0.5, 1.0, 1.5, 1.99, 2.0, 2.5, 4.0,
+          10.0, 1e2, 1e4, 1e8, 1e12)
 #: Largest N whose poles are checked against the z-polynomial oracle.
 ORACLE_MAX_N = 21
+#: Largest gamma whose cells take the default strip and, up to ORACLE_MAX_N, the oracle.
+ORACLE_MAX_GAMMA = 4.0
 #: A passing cell with a larger pole error is marked ``inaccurate``.
 ACCURACY_TOL = 1e-10
 TESTS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "tests")
@@ -60,31 +71,38 @@ def census_map(src: str) -> list[dict]:
     """One entry per cell: ``n``, ``gamma``, ``outcome``, ``poles``, ``error``, ``ladder``.
 
     ``outcome`` is ``"ok"`` or the exception class name and ``poles`` the
-    list of ``[Re k, Im k, residual]``. ``error`` is the oracle distance or,
-    above ``ORACLE_MAX_N``, the pairing defect; ``ladder`` is None or, above
-    ``ORACLE_MAX_N``, the first-quadrant pole count and the ladder count.
-    All but ``outcome`` are None when the cell raised.
+    list of ``[Re k, Im k, residual]``. ``error`` is the oracle distance or
+    the pairing defect; ``ladder`` is None or, with the pairing defect, the
+    first-quadrant pole count and the ladder count. All but ``outcome`` are
+    None when the cell raised.
     """
     sys.path.insert(0, os.path.abspath(src))
     sys.path.insert(1, TESTS_DIR)
-    from ptchain import ChainSpec, NumericalFailure, PoleClass, find_poles, tgbs_count
+    from ptchain import (
+        ChainSpec, NumericalFailure, PoleClass, SearchRegion, find_poles, first_quadrant_region,
+        tgbs_count,
+    )
     from zpoly_oracle import zpoly_roots
 
     cells = []
     for n in N_VALUES:
         for gamma in GAMMAS:
             spec = ChainSpec(n, gamma)
+            region = None
+            if gamma > ORACLE_MAX_GAMMA:
+                top = first_quadrant_region(gamma)
+                region = SearchRegion(-top.re_max, top.re_max, top.im_min, top.im_max)
             cell = {"n": n, "gamma": gamma, "outcome": "ok", "poles": None,
                     "error": None, "ladder": None}
             try:
-                records = find_poles(spec)
+                records = find_poles(spec, region)
             except NumericalFailure as exc:
                 cell["outcome"] = type(exc).__name__
                 cells.append(cell)
                 continue
             cell["poles"] = [[r.k.re, r.k.im, r.residual] for r in records]
             found = [r.k.as_complex() for r in records]
-            if n <= ORACLE_MAX_N:
+            if n <= ORACLE_MAX_N and gamma <= ORACLE_MAX_GAMMA:
                 reference, mirrors = zpoly_roots(spec), found
             else:
                 reference, mirrors = found, [-k.conjugate() for k in found]

@@ -54,6 +54,7 @@ from .poles import (
     SearchRegion,
     critical_size,
     find_poles,
+    gamma_critical,
     threshold_ladder,
     trace_trajectories,
 )
@@ -268,10 +269,12 @@ def _run_threshold(
         raise OutOfRange("threshold needs --n or both --n-min and --n-max")
     rows: list[list[Any]] = []
     for n in ns:
-        ladder = threshold_ladder(n)
+        g_c = gamma_critical(n)
         # gamma_c ~ pi/(2N) for large N; the ratio tends to 1 from below
-        ratio = ladder.gamma_critical * 2 * n / math.pi
-        rows.append([n, ladder.gamma_critical, ratio, list(ladder.gamma_values)])
+        row = [n, g_c, g_c * 2 * n / math.pi]
+        if fmt == "json":  # the ladder is a JSON-only cell
+            row.append(list(threshold_ladder(n).gamma_values))
+        rows.append(row)
     _emit(fmt, out, _THRESHOLD_HEADER, rows, json_only=("ladder",))
     return EXIT_OK
 

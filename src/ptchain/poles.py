@@ -6,9 +6,10 @@ at which they cross the real axis, classifies them physically, and tracks
 their motion as the gain/loss strength varies. Every census is the set of
 eigenvalues of the outgoing-wave pencil in a region, one eigensolve each:
 :func:`find_poles`, the trajectory sweep and the verified TGBS count. Only
-:func:`find_poles` also runs Newton on ``M22``, from the local minima of
-``|M22|`` on a fixed seed lattice within a few cells of each eigenvalue; a
-Newton root stands in for the eigenvalue it agrees with to 1e-12.
+:func:`find_poles` also runs Newton on ``M22``, once per eigenvalue, from the
+point of a fixed seed lattice nearest it; the root stands in for the
+eigenvalue when the two agree to 1e-12. Every census refuses
+``gamma > CENSUS_GAMMA_MAX`` with :class:`OutOfRange`.
 
 The pencil rests on the outgoing-wave (Siegert) boundary conditions
 ``psi_{-1} = z psi_0`` and ``psi_{2N} = z psi_{2N-1}`` with ``z = e^{ik}``,
@@ -41,7 +42,7 @@ from .errors import (
     SingularBasis,
 )
 from .model import ChainSpec, ComplexWavenumber, _chain_arrays, dispersion_energy
-from .scattering import _transfer_terms, chebyshev_tu
+from .scattering import _transfer_terms
 
 _log = logging.getLogger(__name__)
 
@@ -72,6 +73,10 @@ RESIDUAL_TOL = 1e-10
 EDGE_MARGIN = 1e-4
 #: A grid root stands for a pencil eigenvalue only when closer than this (in k).
 GRID_ROOT_TOL = 1e-12
+#: Largest gamma the pole census accepts. Through gamma = 1e14 every size
+#: mapped from N = 1 to 200 gives the ladder's first-quadrant count and an
+#: empty default strip; at 2e14 a spurious pole enters the strip at N = 110.
+CENSUS_GAMMA_MAX = 1e12
 #: Largest |Delta k| between consecutive points of one trajectory branch: a
 #: census pole farther than this from a branch is not matched to it. Also the
 #: depth inside the window beyond which a branch unmatched at the finest gamma
@@ -222,58 +227,6 @@ def _newton(spec: ChainSpec, seed: complex, max_iter: int = 60) -> complex | Non
 
 #: Seed-lattice points per unit k length along each axis (the fig2 presets' value).
 SEED_DENSITY = 90
-#: Half-width, in lattice cells along each axis, of the window around each
-#: in-region pencil eigenvalue within which a seed-lattice point may seed Newton.
-SEED_WINDOW = 2
-
-
-def _window_seeds(
-    spec: ChainSpec, region: SearchRegion, pencil: list[complex]
-) -> list[list[complex]]:
-    """Each eigenvalue's seeds: the local minima of ``|M22|`` in its window, deepest first.
-
-    The lattice spans ``region`` with :data:`SEED_DENSITY` points per unit
-    length. The window of an eigenvalue in ``pencil`` holds the lattice
-    points within :data:`SEED_WINDOW` cells of it along each axis, off the
-    lattice's border; a seed is a window point whose ``|M22|`` is no larger
-    than at any of its eight neighbours. ``|M22|`` is evaluated, for all
-    eigenvalues at once, on each window and its neighbours only, by the plain
-    array expression with :func:`chebyshev_tu`, and counts as ``inf`` where it
-    is not finite. Equal depths keep lattice (row-major) order. The seeds and
-    their order are therefore those of the whole lattice's local minima that
-    fall in the window.
-    """
-    nr = max(4, int(math.ceil((region.re_max - region.re_min) * SEED_DENSITY)) + 1)
-    ni = max(4, int(math.ceil((region.im_max - region.im_min) * SEED_DENSITY)) + 1)
-    re = np.linspace(region.re_min, region.re_max, nr)
-    im = np.linspace(region.im_min, region.im_max, ni)
-    p = np.array(pencil, dtype=complex)
-    # fractional lattice indices of each eigenvalue
-    i = (p.imag - region.im_min) / (region.im_max - region.im_min) * (ni - 1)
-    j = (p.real - region.re_min) / (region.re_max - region.re_min) * (nr - 1)
-    # each eigenvalue's block: its window's rows and columns, and one more on each side
-    span = np.arange(-1, 2 * SEED_WINDOW + 2)
-    rows = np.ceil(i - SEED_WINDOW).astype(int)[:, None] + span
-    cols = np.ceil(j - SEED_WINDOW).astype(int)[:, None] + span
-    in_rows = (rows <= np.floor(i + SEED_WINDOW)[:, None]) & (rows >= 1) & (rows <= ni - 2)
-    in_cols = (cols <= np.floor(j + SEED_WINDOW)[:, None]) & (cols >= 1) & (cols <= nr - 2)
-    window = in_rows[:, 1:-1, None] & in_cols[:, None, 1:-1]
-    # clipped indices only stand in next to points outside the window
-    k = re[np.clip(cols, 0, nr - 1)][:, None, :] + 1j * im[np.clip(rows, 0, ni - 1)][:, :, None]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        x = np.cos(2 * k) + 0.5 * spec.gamma**2
-        t_n, u_nm1 = chebyshev_tu(spec.n_cells, x)
-        m22 = t_n - 1j * (np.cos(k) / np.sin(k)) * (1.0 - x) * u_nm1
-    a = np.where(np.isfinite(m22), np.abs(m22), np.inf)
-    depth, w = a[:, 1:-1, 1:-1], 2 * SEED_WINDOW + 1
-    is_min = window & np.logical_and.reduce([
-        depth <= a[:, 1 + di : 1 + di + w, 1 + dj : 1 + dj + w]
-        for di in (-1, 0, 1) for dj in (-1, 0, 1) if di or dj
-    ])
-    # each eigenvalue's seeds by depth, first in its row: the other points' NaN sorts last
-    order = np.argsort(np.where(is_min, depth, np.nan).reshape(len(p), w * w), axis=1, kind="stable")
-    seeds = np.take_along_axis(k[:, 1:-1, 1:-1].reshape(len(p), w * w), order, axis=1)
-    return [row[:n] for row, n in zip(seeds.tolist(), is_min.sum(axis=(1, 2)).tolist())]
 
 
 def _near_singular_vertical(k: complex) -> bool:
@@ -283,23 +236,28 @@ def _near_singular_vertical(k: complex) -> bool:
 def _polish(spec: ChainSpec, region: SearchRegion, pencil: list[complex]) -> list[complex]:
     """Each eigenvalue in ``pencil`` as a Newton root of ``M22`` where one stands in for it.
 
-    An eigenvalue is replaced by the first damped Newton root, from its own
-    seeds (:func:`_window_seeds`) in order, that lands within
-    :data:`GRID_ROOT_TOL` of it, and is kept as it is otherwise. Newton runs
-    at most once per seed, which overlapping windows share, and never from a
-    seed near a singular vertical. The eigenvalues kept as they are make one
-    DEBUG event under ``ptchain.poles`` with their count and the first of them.
+    The seed lattice spans ``region`` with :data:`SEED_DENSITY` points per unit
+    length along each axis, at ``lo + j * (hi - lo) / (n - 1)`` as
+    ``np.linspace`` places them. Newton runs once per eigenvalue, from the
+    lattice point nearest it, and its root replaces the eigenvalue when it
+    lands within :data:`GRID_ROOT_TOL` of it. The eigenvalue is kept as it is
+    otherwise, and where that point lies on the lattice's border or near a
+    singular vertical, from which Newton does not run. The eigenvalues kept as
+    they are make one DEBUG event under ``ptchain.poles`` with their count and
+    the first of them.
     """
-    roots: dict[complex, complex | None] = {}
+    axes = []
+    for lo, hi in ((region.re_min, region.re_max), (region.im_min, region.im_max)):
+        n = max(4, int(math.ceil((hi - lo) * SEED_DENSITY)) + 1)
+        axes.append((lo, (hi - lo) / (n - 1), n))
     polished, unpolished = [], []
-    for k, seeds in zip(pencil, _window_seeds(spec, region, pencil)):
-        for seed in seeds:
-            if seed not in roots:
-                roots[seed] = None if _near_singular_vertical(seed) else _newton(spec, seed)
-            root = roots[seed]
-            if root is not None and abs(root - k) <= GRID_ROOT_TOL:
-                polished.append(root)
-                break
+    for k in pencil:
+        index = [round((x - lo) / step) for x, (lo, step, _) in zip((k.real, k.imag), axes)]
+        seed = complex(*(lo + j * step for j, (lo, step, _) in zip(index, axes)))
+        inside = all(0 < j < n - 1 for j, (_, _, n) in zip(index, axes))
+        root = _newton(spec, seed) if inside and not _near_singular_vertical(seed) else None
+        if root is not None and abs(root - k) <= GRID_ROOT_TOL:
+            polished.append(root)
         else:
             polished.append(k)
             unpolished.append(k)
@@ -323,7 +281,14 @@ def _pencil_wavenumbers(spec: ChainSpec) -> np.ndarray:
     at N = 1, gamma = 1). ``H_c`` is the leadless chain of
     :func:`~ptchain.model._chain_arrays`, written densely; NumPy's LAPACK
     solves the companion, so the census loads no SciPy.
+
+    Raises :class:`OutOfRange` above :data:`CENSUS_GAMMA_MAX`, where the
+    companion's entries of size gamma leave its eigenvalues unverified.
     """
+    if spec.gamma > CENSUS_GAMMA_MAX:
+        raise OutOfRange(
+            f"gamma={spec.gamma!r} exceeds the pole census bound {CENSUS_GAMMA_MAX:g}"
+        )
     n = spec.n_sites
     data, indices, indptr = _chain_arrays(spec)
     h_c = np.zeros((n, n), dtype=complex)
@@ -366,12 +331,11 @@ def find_poles(spec: ChainSpec, region: SearchRegion | None = None) -> list[Pole
 
     The poles are the census of :func:`_census`, the in-region eigenvalues
     of the outgoing-wave pencil, each polished by :func:`_polish`: reported
-    as a damped Newton root of ``M22`` within :data:`GRID_ROOT_TOL` of it,
-    seeded at the local minima of ``|M22|`` on a lattice of
-    :data:`SEED_DENSITY` points per unit length within :data:`SEED_WINDOW`
-    cells of it, and as it is where no such root exists. The polish adds no
-    pole; it only reproduces the last bits of the fig2 presets' ``k`` and
-    ``residual`` columns, which ``perfbench/reference/paper_figures.json``
+    as the damped Newton root of ``M22`` from the nearest point of a lattice
+    of :data:`SEED_DENSITY` points per unit length when that root lies
+    within :data:`GRID_ROOT_TOL` of it, and as it is otherwise. The polish
+    adds no pole; it only reproduces the last bits of the fig2 presets' ``k``
+    and ``residual`` columns, which ``perfbench/reference/paper_figures.json``
     pins.
 
     Parameters
@@ -380,6 +344,11 @@ def find_poles(spec: ChainSpec, region: SearchRegion | None = None) -> list[Pole
     region : SearchRegion, optional
         Defaults to the full strip with ``Im k in [-1.5, 1.5]`` (minus the
         singular-vertical margins).
+
+    Raises
+    ------
+    OutOfRange
+        For ``gamma`` above :data:`CENSUS_GAMMA_MAX`, before any eigensolve.
     """
     if region is None:
         region = DEFAULT_REGION
@@ -511,7 +480,8 @@ def tgbs_count(spec: ChainSpec, verify: bool = False) -> int:
     The closed form counts ``#{n : gamma_n < gamma}``. With ``verify=True``
     the count is cross-checked against the number of first-quadrant poles
     among the eigenvalues of the outgoing-wave pencil; a mismatch raises
-    :class:`MissedRoots`.
+    :class:`MissedRoots`, and ``gamma`` above :data:`CENSUS_GAMMA_MAX` raises
+    :class:`OutOfRange`. The closed form alone takes any ``gamma``.
     """
     ladder = threshold_ladder(spec.n_cells)
     count = sum(1 for g in ladder.gamma_values if g < spec.gamma)
@@ -617,12 +587,18 @@ def trace_trajectories(
     Real-axis crossings of every branch are refined in gamma by bisection
     with Newton on ``M22`` and reported; they land on ``Re k = ±pi/2`` at
     the ladder values. With the default region, a sweep reaching gamma = 2
-    warns unless it ends with 2N - 1 branches at ``Re k > 0``.
+    warns unless it ends with 2N - 1 branches at ``Re k > 0``. A
+    ``gamma_max`` above :data:`CENSUS_GAMMA_MAX` raises :class:`OutOfRange`
+    before the first census.
     """
     if not (0.0 <= gamma_min <= gamma_max):
         raise OutOfRange(f"need 0 <= gamma_min <= gamma_max, got {gamma_min!r}, {gamma_max!r}")
     if gamma_min < gamma_max and steps < 10:
         raise OutOfRange(f"steps must be >= 10, got {steps}")
+    if gamma_max > CENSUS_GAMMA_MAX:
+        raise OutOfRange(
+            f"gamma_max={gamma_max!r} exceeds the pole census bound {CENSUS_GAMMA_MAX:g}"
+        )
     if region is None:
         region = DEFAULT_REGION
 

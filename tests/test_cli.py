@@ -51,6 +51,9 @@ def test_usage_errors_exit_2(workdir):
     assert main(["relevance", "--n", "3", "--gamma", "1e-310"]) == 2
     # the seed lattice is fixed: there is no density to choose
     assert main(["poles", "--n", "3", "--gamma", "0.3", "--grid-density", "90"]) == 2
+    # a gain above the pole census bound
+    assert main(["poles", "--n", "3", "--gamma", "1e50"]) == 2
+    assert main(["trajectory", "--n", "3", "--gamma-max", "1e50"]) == 2
 
 
 def test_unwritable_output_exits_2(workdir, capsys):
@@ -167,6 +170,18 @@ def test_threshold_single_and_range(workdir):
     ratios = [float(r[2]) for r in rows]
     assert ratios == sorted(ratios)
     assert all(0.85 < x < 1.0 for x in ratios)
+
+
+def test_threshold_csv_builds_no_ladder(workdir, monkeypatch):
+    """The ladder is a JSON-only cell, so CSV rows take only ``gamma_critical``."""
+    assert main(["threshold", "--n-min", "1", "--n-max", "4", "--out", "want.csv"]) == 0
+
+    def no_ladder(n_cells, verify_numeric=False):
+        raise AssertionError("threshold_ladder called for CSV output")
+
+    monkeypatch.setattr(cli, "threshold_ladder", no_ladder)
+    assert main(["threshold", "--n-min", "1", "--n-max", "4", "--out", "got.csv"]) == 0
+    assert (workdir / "got.csv").read_bytes() == (workdir / "want.csv").read_bytes()
 
 
 # ---- trajectory ---------------------------------------------------------------

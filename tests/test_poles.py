@@ -163,18 +163,32 @@ def test_find_poles_without_grid_roots_is_the_census(n, gamma, region, monkeypat
     assert find_poles(spec, region) == poles._census(spec, region)
 
 
-@pytest.mark.parametrize("preset", [f"fig2{c}" for c in "abcdefghi"])
+def _nearest_seed(k: complex, region: SearchRegion) -> complex | None:
+    """The seed-lattice point nearest ``k``, or None when it lies on the lattice's border."""
+    nr = max(4, int(math.ceil((region.re_max - region.re_min) * poles.SEED_DENSITY)) + 1)
+    ni = max(4, int(math.ceil((region.im_max - region.im_min) * poles.SEED_DENSITY)) + 1)
+    re, im = np.linspace(region.re_min, region.re_max, nr), np.linspace(region.im_min, region.im_max, ni)
+    j, i = int(np.argmin(np.abs(re - k.real))), int(np.argmin(np.abs(im - k.imag)))
+    return complex(re[j], im[i]) if 0 < j < len(re) - 1 and 0 < i < len(im) - 1 else None
+
+
+FIG2 = [f"fig2{c}" for c in "abcdefghi"]
+
+
+def _fig2_spec(preset: str) -> ChainSpec:
+    return ChainSpec(PRESETS[preset]["n_cells"], PRESETS[preset]["gamma"])
+
+
+@pytest.mark.parametrize("preset", FIG2)
 def test_fig2_poles_are_grid_roots_bitwise(preset):
-    """Each fig2 pole is, bit for bit, a Newton root from its own eigenvalue's seeds, within 1e-12 of it."""
-    params = PRESETS[preset]
-    spec = ChainSpec(params["n_cells"], params["gamma"])
+    """Each fig2 pole is, bit for bit, the Newton root from its eigenvalue's nearest lattice point, within 1e-12 of it."""
+    spec = _fig2_spec(preset)
     pencil = poles._pencil_poles(spec, DEFAULT_REGION)
     found = [r.k.as_complex() for r in find_poles(spec)]
     assert len(found) == len(pencil) == 4 * spec.n_cells - 2
-    for k, seeds in zip(pencil, poles._window_seeds(spec, DEFAULT_REGION, pencil)):
-        roots = [poles._newton(spec, s) for s in seeds]
+    for k in pencil:
         (pole,) = [f for f in found if abs(f - k) <= poles.GRID_ROOT_TOL]
-        assert pole != k and pole in roots
+        assert pole != k and pole == poles._newton(spec, _nearest_seed(k, DEFAULT_REGION))
 
 
 def test_unpolished_poles_are_one_event(caplog):
@@ -191,89 +205,49 @@ def test_unpolished_poles_are_one_event(caplog):
     assert f"within {poles.GRID_ROOT_TOL:g}" in message and f"k={first!r}" in message
 
 
-def _in_window(seeds: list[complex], k: complex, region: SearchRegion) -> list[complex]:
-    """The seeds within SEED_WINDOW lattice cells of ``k`` along each axis."""
-    density = poles.SEED_DENSITY
-    cell_re = (region.re_max - region.re_min) / math.ceil((region.re_max - region.re_min) * density)
-    cell_im = (region.im_max - region.im_min) / math.ceil((region.im_max - region.im_min) * density)
-    return [
-        s for s in seeds
-        if abs(s.real - k.real) <= poles.SEED_WINDOW * cell_re
-        and abs(s.imag - k.imag) <= poles.SEED_WINDOW * cell_im
-    ]
+#: Half-width, in lattice cells along each axis, of the full-lattice rule's window.
+FULL_RULE_WINDOW = 2
 
 
-#: (N, gamma, region) of the windowed-seed identity tests.
-SEED_CASES = [
-    *((3, PRESETS[f"fig2{c}"]["gamma"], DEFAULT_REGION) for c in "abcdefghi"),
-    (8, 1e-4, DEFAULT_REGION),
-    (5, 1e-5, DEFAULT_REGION),
-    (20, 1.9, DEFAULT_REGION),
-    (13, 0.9, SearchRegion(-0.3, 2.9, -1.2, 0.7)),
-    (4, 2.0, first_quadrant_region(2.0)),
-]
-SEED_IDS = [
-    *(f"fig2{c}" for c in "abcdefghi"), "8-1e-4", "5-1e-5", "20-1.9", "13-0.9-window", "4-2.0-first-quadrant",
-]
+@pytest.mark.parametrize("spec", [
+    *map(_fig2_spec, FIG2), ChainSpec(8, 1e-4), ChainSpec(5, 1e-5),
+], ids=[*FIG2, "8-1e-4", "5-1e-5"])
+def test_find_poles_equals_the_full_lattice_rule_bitwise(spec):
+    """Each pole is, to the bit, what the earlier full-lattice rule reports.
 
-
-@pytest.mark.parametrize("n, gamma, region", [
-    *SEED_CASES, (8, 1e-8, DEFAULT_REGION), (50, 0.285, DEFAULT_REGION),
-], ids=[*SEED_IDS, "8-1e-8", "50-0.285"])
-def test_grid_seeds_are_the_full_lattice_seeds_in_the_windows(n, gamma, region):
-    """Each eigenvalue's seeds are the whole lattice's local minima in its window, in the same order.
-
-    At gamma = 1e-8 |M22| is exactly 0.0 at many lattice points, so the
-    order among equal depths counts too.
+    That rule takes the interior local minima of ``|M22|`` on the whole seed
+    lattice (``full_lattice_seeds``), deepest first, keeps those within two
+    lattice cells of the eigenvalue along each axis and off the singular
+    verticals, and reports the first Newton root from them that lands within
+    1e-12 of it, or the eigenvalue. ``perfbench`` pins the fig2 bits, so they
+    keep an oracle of their own; at (8, 1e-4) and (5, 1e-5) neither rule
+    polishes any eigenvalue. Elsewhere the two rules may run Newton from
+    different seeds and end on different last bits.
     """
-    spec = ChainSpec(n, gamma)
-    pencil = poles._pencil_poles(spec, region)
-    windows = poles._window_seeds(spec, region, pencil)
+    region = DEFAULT_REGION
+    cell_re = (region.re_max - region.re_min) / math.ceil((region.re_max - region.re_min) * poles.SEED_DENSITY)
+    cell_im = (region.im_max - region.im_min) / math.ceil((region.im_max - region.im_min) * poles.SEED_DENSITY)
     full = full_lattice_seeds(spec, region, poles.SEED_DENSITY)
-    assert len(windows) == len(pencil) and any(windows)
-    assert windows == [_in_window(full, k, region) for k in pencil]
+    expected = []
+    for k in poles._pencil_poles(spec, region):
+        seeds = [
+            s for s in full
+            if abs(s.real - k.real) <= FULL_RULE_WINDOW * cell_re
+            and abs(s.imag - k.imag) <= FULL_RULE_WINDOW * cell_im
+            and not poles._near_singular_vertical(s)
+        ]
+        roots = (poles._newton(spec, s) for s in seeds)
+        expected.append(next((r for r in roots if r is not None and abs(r - k) <= 1e-12), k))
+    assert find_poles(spec) == poles._records(spec, expected)
 
 
-@pytest.mark.parametrize("n, gamma, region", SEED_CASES, ids=SEED_IDS)
-def test_find_poles_equals_the_full_lattice_rule_bitwise(n, gamma, region, monkeypatch):
-    """Polishing from the windowed seeds reports what the per-pole rule on the whole lattice's seeds does, to the bit."""
+@pytest.mark.parametrize("n, gamma", [(3, 0.3), (8, 4.0)])
+def test_newton_runs_once_per_eigenvalue_from_its_nearest_lattice_point(n, gamma, monkeypatch):
+    """One Newton run per pencil eigenvalue, in order, from the lattice point nearest it."""
     spec = ChainSpec(n, gamma)
-    windowed = find_poles(spec, region)
-    full = full_lattice_seeds(spec, region, poles.SEED_DENSITY)
-    monkeypatch.setattr(
-        poles, "_window_seeds", lambda spec, region, pencil: [_in_window(full, k, region) for k in pencil]
-    )
-    assert windowed == find_poles(spec, region)
-
-
-def test_failed_grid_seed_loses_no_pole(monkeypatch):
-    """A seed Newton fails from is not retried; its eigenvalue is reported as it is."""
-    spec = ChainSpec(3, 0.3)
-    expected = find_poles(spec)
     pencil = poles._pencil_poles(spec, DEFAULT_REGION)
-    windows = poles._window_seeds(spec, DEFAULT_REGION, pencil)
-    assert [len(w) for w in windows] == [1] * len(pencil)  # one chance per eigenvalue here
-    newton, attempts = poles._newton, []
-
-    def first_fails(spec, seed):
-        attempts.append(seed)
-        return None if len(attempts) == 1 else newton(spec, seed)
-
-    monkeypatch.setattr(poles, "_newton", first_fails)
-    found = find_poles(spec)
-    assert attempts == [w[0] for w in windows]  # each seed once, in order, and no other Newton run
-    assert [r.classification for r in found] == [r.classification for r in expected]
-    for a, b in zip(found, expected):
-        assert abs(a.k.as_complex() - b.k.as_complex()) <= poles.GRID_ROOT_TOL
-    assert pencil[0] in [r.k.as_complex() for r in found]
-
-
-def test_overlapping_windows_share_their_newton_runs(monkeypatch):
-    """Newton runs at most once per distinct seed, although windows share seeds at (8, 4.0)."""
-    spec = ChainSpec(8, 4.0)
-    pencil = poles._pencil_poles(spec, DEFAULT_REGION)
-    seeds = [s for w in poles._window_seeds(spec, DEFAULT_REGION, pencil) for s in w]
-    assert len(set(seeds)) < len(seeds)
+    nearest = [_nearest_seed(k, DEFAULT_REGION) for k in pencil]
+    assert pencil and None not in nearest
     newton, attempts = poles._newton, []
 
     def counted(spec, seed):
@@ -282,11 +256,32 @@ def test_overlapping_windows_share_their_newton_runs(monkeypatch):
 
     monkeypatch.setattr(poles, "_newton", counted)
     find_poles(spec)
-    assert attempts and len(set(attempts)) == len(attempts) and set(attempts) <= set(seeds)
+    assert attempts == nearest
+
+
+def test_failed_grid_seed_loses_no_pole(monkeypatch):
+    """A seed Newton fails from is not retried; its eigenvalue is reported as it is."""
+    spec = ChainSpec(3, 0.3)
+    expected = find_poles(spec)
+    pencil = poles._pencil_poles(spec, DEFAULT_REGION)
+    newton, attempts = poles._newton, []
+
+    def first_fails(spec, seed):
+        attempts.append(seed)
+        return None if len(attempts) == 1 else newton(spec, seed)
+
+    monkeypatch.setattr(poles, "_newton", first_fails)
+    found = find_poles(spec)
+    # one chance per eigenvalue, from its nearest lattice point, and no other Newton run
+    assert attempts == [_nearest_seed(k, DEFAULT_REGION) for k in pencil]
+    assert [r.classification for r in found] == [r.classification for r in expected]
+    for a, b in zip(found, expected):
+        assert abs(a.k.as_complex() - b.k.as_complex()) <= poles.GRID_ROOT_TOL
+    assert pencil[0] in [r.k.as_complex() for r in found]
 
 
 def test_tall_region_allocates_no_lattice_array():
-    """Only each eigenvalue's window is evaluated, so a 300-deep region costs well under 1 MB."""
+    """Newton runs from one lattice point per eigenvalue, so a 300-deep region costs well under 1 MB."""
     spec, region = ChainSpec(3, 0.7), SearchRegion(0.05, 3.0, -1.5, 300.0)
     expected = find_poles(spec, region)  # loads the eigensolver before tracing
     tracemalloc.start()
@@ -471,6 +466,31 @@ def test_tgbs_count_numeric_verification_at_larger_n(n, gamma):
     assert tgbs_count(ChainSpec(n, gamma), verify=True) == 9
 
 
+@pytest.mark.parametrize("n", [3, 7])
+def test_census_refuses_gamma_above_its_bound(n, monkeypatch):
+    """At gamma = 1e50 the pencil returned spurious TGBS poles: every census raises before an eigensolve."""
+    def no_eigensolve(a):
+        raise AssertionError("eigensolve above the census bound")
+
+    monkeypatch.setattr(np.linalg, "eigvals", no_eigensolve)
+    spec = ChainSpec(n, 1e50)
+    for census in (
+        lambda: find_poles(spec),
+        lambda: find_poles(spec, first_quadrant_region(spec.gamma)),
+        lambda: tgbs_count(spec, verify=True),
+        lambda: trace_trajectories(ChainSpec(n, 0.0), 0.0, spec.gamma, steps=20),
+        lambda: find_poles(ChainSpec(n, math.nextafter(poles.CENSUS_GAMMA_MAX, math.inf))),
+    ):
+        with pytest.raises(OutOfRange, match="census bound"):
+            census()
+    assert tgbs_count(spec) == n  # the closed form keeps the full range
+
+
+@pytest.mark.parametrize("n", [3, 55, 200])
+def test_census_verifies_the_ladder_count_at_its_bound(n):
+    assert tgbs_count(ChainSpec(n, poles.CENSUS_GAMMA_MAX), verify=True) == n
+
+
 # ---- trajectories -------------------------------------------------------------
 
 def test_single_cell_trajectory_crosses_at_sqrt2():
@@ -649,7 +669,7 @@ def test_trajectory_validation():
 # ---- residual evaluation ------------------------------------------------------
 
 def test_plain_array_residual_matches_scalar_residual(rng):
-    """The array expression the seed grid equals bitwise and the scalar evaluator agree to rounding."""
+    """The full-lattice oracle's array expression and the scalar evaluator agree to rounding."""
     for _ in range(60):
         spec = ChainSpec(int(rng.integers(1, 21)), float(rng.uniform(0.0, 2.2)))
         ks = rng.uniform(-PI, PI, 8) + 1j * rng.uniform(-1.5, 1.5, 8)

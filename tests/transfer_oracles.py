@@ -16,14 +16,14 @@ closed form against them:
 
 Four more are bit references rather than independent routes:
 ``plain_chebyshev_tu`` is the Chebyshev recurrence with ``2 * x`` formed
-inside its loop, one step per pass, and ``plain_m22_array`` is the array
-residual ``M22`` as one numpy expression over the whole array; the package's
-rearranged loop must match them bit for bit. ``eight_neighbour_minima`` is
+inside its loop, one step per pass, which the package's rearranged loop must
+match bit for bit, and ``plain_m22_array`` is the array residual ``M22`` as
+one numpy expression over the whole array. ``eight_neighbour_minima`` is
 the local-minimum test over a whole lattice as eight shifted comparisons.
 ``full_lattice_seeds`` builds from ``plain_m22_array`` and
-``eight_neighbour_minima`` the seed rule over the whole lattice, with no
-window around the pencil eigenvalues: every interior local minimum of
-``|M22|``, deepest first.
+``eight_neighbour_minima`` the earlier seed rule of the Newton polish over
+the whole lattice: every interior local minimum of ``|M22|``, deepest
+first. It stays the bit oracle of the fig2 poles.
 
 Two more are dense references for the chain's sparse operator
 ``chain_operator``: ``dense_hamiltonian`` writes the finite lattice's
