@@ -69,7 +69,7 @@ from .relevance import (
 )
 from .scattering import scatter, transmission_closed_form
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -393,8 +393,6 @@ def _run_evolve(
         "sigma": sigma,
         "k0": k0,
         "validity_horizon": _finite_or_none(horizon),
-        "near_defective": bool(bundle.near_defective),
-        "condition_estimate": _finite_or_none(bundle.condition_estimate),
         "amplitude_growth_rate": growth,
         "snapshots": snapshots,
     }

@@ -40,7 +40,6 @@ __all__ = [
     "gaussian_packet",
     "prepare_propagator",
     "evolve",
-    "transmitted_intensity",
     "intensity_split",
     "growth_rate_fit",
     "validity_horizon",
@@ -286,11 +285,6 @@ def intensity_split(state: WaveState, layout: LatticeLayout) -> IntensitySplit:
     )
 
 
-def transmitted_intensity(state: WaveState, layout: LatticeLayout) -> float:
-    """Total intensity strictly right of the scattering region (``j >= 2N``)."""
-    return intensity_split(state, layout).transmitted
-
-
 def growth_rate_fit(
     intensity_series: list[tuple[float, float]], min_decades: float = 2.0
 ) -> float:
@@ -309,6 +303,9 @@ def growth_rate_fit(
 
     Raises
     ------
+    OutOfRange
+        For fewer than two samples, a non-finite time or intensity, or an
+        intensity that is not positive.
     InsufficientGrowth
         When the series spans fewer than ``min_decades`` decades.
     """
@@ -316,8 +313,8 @@ def growth_rate_fit(
         raise OutOfRange("need at least two samples to fit a growth rate")
     times = np.array([t for t, _ in intensity_series], dtype=float)
     values = np.array([v for _, v in intensity_series], dtype=float)
-    if np.any(values <= 0):
-        raise OutOfRange("intensity series must be strictly positive")
+    if not np.all(np.isfinite(times) & np.isfinite(values) & (values > 0)):
+        raise OutOfRange("times and intensities must be finite, intensities strictly positive")
     decades = math.log10(float(np.max(values) / np.min(values)))
     if decades < min_decades:
         raise InsufficientGrowth(

@@ -1,10 +1,11 @@
-"""Lattice conventions, dispersion relation, and the gain/loss profile.
+"""Lattice conventions, dispersion relation, and the chain's operator.
 
 The physical system is a one-dimensional tight-binding chain with hopping
 ``J = 1`` (and ``hbar = a = 1``, never configurable) whose central region is a
 periodic arrangement of ``n_cells`` two-site unit cells: a gain site with
 on-site potential ``+i*gamma`` followed by a loss site with ``-i*gamma``.
-The profile is PT symmetric, ``eps_j == conj(eps_{2N-1-j})``.
+The profile is PT symmetric, ``eps_j == conj(eps_{2N-1-j})``; its one writer
+is :func:`_chain_arrays`, the entries of :func:`chain_operator`.
 
 Everything downstream (transfer matrices, pole finding, wave-packet dynamics)
 consumes the conventions fixed here:
@@ -12,8 +13,11 @@ consumes the conventions fixed here:
 * lead dispersion ``E = -2 cos k`` with real scattering states at
   ``k in (0, pi)``;
 * complex wavenumbers canonicalized to the strip ``Re k in (-pi, pi]``;
-* the effective band index ``mu`` of the periodic region, whose primitive
-  invariant is ``cos 2mu = (E**2 + gamma**2 - 2)/2``.
+* the Bloch regime of a real energy, from the sign of
+  ``E**2 + gamma**2 - 4``: the effective band index ``mu`` of the periodic
+  region (``cos 2mu = (E**2 + gamma**2 - 2)/2``) is real below it and
+  imaginary above. No branch of ``mu`` is ever chosen: the transfer matrix
+  is a function of the branch-free ``cos 2mu``.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import cmath
 import enum
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -34,16 +38,12 @@ if TYPE_CHECKING:
 
 __all__ = [
     "ChainSpec",
-    "OnsitePotential",
     "ComplexWavenumber",
-    "BlochIndex",
     "BlochRegime",
     "REGIME_TOL",
     "dispersion_energy",
     "energy_to_wavenumber",
-    "bloch_index",
     "classify_bloch_regime",
-    "onsite_profile",
     "chain_operator",
 ]
 
@@ -83,33 +83,14 @@ class ChainSpec:
         return 2 * self.n_cells
 
 
-@dataclass(frozen=True)
-class OnsitePotential:
-    """On-site potential of one scattering-region site.
-
-    ``value`` is ``(-1)**site_index * 1j * gamma``: gain on even sites, loss
-    on odd sites.
-    """
-
-    site_index: int
-    value: complex
-
-
-def onsite_profile(spec: ChainSpec) -> list[OnsitePotential]:
-    """Return the full gain/loss profile ``eps_j`` for ``j = 0 .. 2N-1``."""
-    return [
-        OnsitePotential(j, (-1) ** j * 1j * spec.gamma)
-        for j in range(spec.n_sites)
-    ]
-
-
 def _chain_arrays(
     spec: ChainSpec, left: int = 0, right: int = 0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The chain's tridiagonal matrix as CSR arrays ``(data, indices, indptr)``.
 
     The one place the chain's entries are written: hopping -1 between
-    neighbours, ``onsite_profile(spec)`` on the ``2N`` scattering sites, and
+    neighbours, ``eps_j = (-1)**j * i*gamma`` on the ``2N`` scattering sites
+    (gain on even ``j``, loss on odd; every real part +0.0), and
     ``left`` and ``right`` lead sites with no on-site entry, between hard
     walls. Rows are stored in order, each with its columns ascending; for
     ``gamma > 0`` the arrays equal those of ``csr_array`` of the dense matrix
@@ -125,7 +106,9 @@ def _chain_arrays(
     stored[0, 0] = stored[-1, 2] = False
     stored[:left, 1] = stored[left + n :, 1] = False
     values = np.full((size, 3), -1.0 + 0.0j)
-    values[left : left + n, 1] = [p.value for p in onsite_profile(spec)]
+    onsite = values[left : left + n, 1]  # a view: its parts write through
+    onsite.real = 0.0
+    onsite.imag = spec.gamma * (-1.0) ** np.arange(n)
     indptr = np.zeros(size + 1, dtype=np.int32)
     np.cumsum(stored.sum(axis=1), out=indptr[1:])
     return values[stored], columns[stored], indptr
@@ -180,30 +163,6 @@ class BlochRegime(enum.Enum):
     EVANESCENT = "Evanescent"
 
 
-@dataclass(frozen=True)
-class BlochIndex:
-    """Effective band index of the periodic scattering region.
-
-    ``cos2mu`` is the primitive, branch-free quantity; ``mu`` is one
-    representative branch value (principal ``arccos``, with the imaginary part
-    normalized to be >= 0). Callers must never rely on which branch is
-    returned: every downstream formula is invariant under ``mu -> -mu`` and
-    ``mu -> mu + pi``.
-    """
-
-    cos2mu: complex
-    mu: complex = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        if self.mu is None:
-            mu = 0.5 * cmath.acos(self.cos2mu)
-            # acos maps arguments > 1 to negative-imaginary values; pick the
-            # +Im representative (allowed by the mu -> -mu invariance).
-            if mu.imag < 0.0:
-                mu = -mu
-            object.__setattr__(self, "mu", mu)
-
-
 def dispersion_energy(k: complex | ComplexWavenumber) -> complex:
     """Lead dispersion ``E = -2 cos k``.
 
@@ -230,25 +189,20 @@ def energy_to_wavenumber(energy: float) -> float:
     return math.acos(-0.5 * energy)
 
 
-def bloch_index(k: complex | ComplexWavenumber, spec: ChainSpec) -> BlochIndex:
-    """Effective band index at wavenumber ``k``.
-
-    Computes ``cos 2mu = (E**2 + gamma**2 - 2)/2`` with ``E = -2 cos k``
-    (half the trace of the unit-cell transfer matrix) and one representative
-    branch value of ``mu``.
-    """
-    e = dispersion_energy(k)
-    cos2mu = 0.5 * (e * e + spec.gamma**2 - 2.0)
-    return BlochIndex(cos2mu=cos2mu)
-
-
 def classify_bloch_regime(energy: float, spec: ChainSpec, tol: float = REGIME_TOL) -> BlochRegime:
     """Classify a real energy by the reality of the band index.
 
     ``Propagating`` (``mu`` real) for ``E**2 + gamma**2 < 4 - tol``,
     ``BandEdge`` within ``tol`` of the boundary, ``Evanescent`` (``mu``
     imaginary) above it.
+
+    Raises
+    ------
+    OutOfRange
+        For a non-finite ``energy``.
     """
+    if not math.isfinite(energy):
+        raise OutOfRange(f"energy must be finite, got {energy!r}")
     s = energy * energy + spec.gamma**2 - 4.0
     if abs(s) <= tol:
         return BlochRegime.BAND_EDGE

@@ -371,14 +371,20 @@ class ThresholdLadder:
     All real-axis crossings happen at ``k = pi/2``.
     """
 
-    n_cells: int
     gamma_values: tuple[float, ...]
     gamma_critical: float
-    mu_values: tuple[float, ...]
 
 
 def gamma_critical(n_cells: int) -> float:
-    """The lowest ladder value ``2 sin(pi/(4N))`` of an ``n_cells`` chain."""
+    """The lowest ladder value ``2 sin(pi/(4N))`` of an ``n_cells`` chain.
+
+    Raises
+    ------
+    OutOfRange
+        For ``n_cells < 1``.
+    """
+    if not n_cells >= 1:
+        raise OutOfRange(f"n_cells must be >= 1, got {n_cells}")
     return 2.0 * math.sin(math.pi / (4 * n_cells))
 
 
@@ -401,20 +407,12 @@ def threshold_ladder(n_cells: int, verify_numeric: bool = False) -> ThresholdLad
     ``|T_N|`` is of order one, against an allowance of at most
     ``64 eps N**2 / pi``, 4.5e-7 at N = 10**4.
     """
-    if n_cells < 1:
-        raise OutOfRange(f"n_cells must be >= 1, got {n_cells}")
-    mu = tuple((2 * n + 1) * math.pi / (4 * n_cells) for n in range(n_cells))
-    gammas = tuple(2.0 * math.cos(m) for m in mu)
-    ladder = ThresholdLadder(
-        n_cells=n_cells,
-        gamma_values=gammas,
-        gamma_critical=gamma_critical(n_cells),
-        mu_values=mu,
-    )
+    g_c = gamma_critical(n_cells)  # the one check of ``n_cells``
+    gammas = tuple(2.0 * math.cos((2 * n + 1) * math.pi / (4 * n_cells)) for n in range(n_cells))
     if verify_numeric:
         for g in gammas:
             _check_ladder_value(n_cells, g)
-    return ladder
+    return ThresholdLadder(gamma_values=gammas, gamma_critical=g_c)
 
 
 def _check_ladder_value(n_cells: int, gamma: float) -> None:
@@ -474,6 +472,16 @@ def first_quadrant_region(gamma: float) -> SearchRegion:
     return SearchRegion(EDGE_MARGIN, math.pi - EDGE_MARGIN, CLASS_TOL, im_max)
 
 
+def _ladder_count(spec: ChainSpec) -> int:
+    """Number of ladder values strictly below ``gamma``: at equality the pole is on the axis.
+
+    The one count rule. :func:`tgbs_count` returns it, and ``relevance.verdict``
+    calls it directly, so that a traced run counts only explicit
+    ``tgbs_count`` calls.
+    """
+    return sum(1 for g in threshold_ladder(spec.n_cells).gamma_values if g < spec.gamma)
+
+
 def tgbs_count(spec: ChainSpec, verify: bool = False) -> int:
     """Number of time-growing bound states: ladder values below ``gamma``.
 
@@ -483,8 +491,7 @@ def tgbs_count(spec: ChainSpec, verify: bool = False) -> int:
     :class:`MissedRoots`, and ``gamma`` above :data:`CENSUS_GAMMA_MAX` raises
     :class:`OutOfRange`. The closed form alone takes any ``gamma``.
     """
-    ladder = threshold_ladder(spec.n_cells)
-    count = sum(1 for g in ladder.gamma_values if g < spec.gamma)
+    count = _ladder_count(spec)
     if verify:
         recs = _census(spec, first_quadrant_region(spec.gamma))
         numeric = sum(r.classification is PoleClass.TGBS for r in recs)

@@ -5,7 +5,10 @@ state: every time-independent scattering coefficient is then formally
 computable but physically meaningless. This module packages that verdict and
 the derived analyses: band-edge anisotropic transmission resonances,
 Fabry-Perot (bidirectional reflectionless) resonances, CPA-laser points, and
-transmission-vs-size regime scans.
+transmission-vs-size regime scans. The verdict's count of growing states is
+the closed form of :func:`~ptchain.poles.tgbs_count`; the scans classify regimes
+by the sign of ``E**2 + gamma**2 - 4`` and never evaluate a branch of the
+band index ``mu``.
 
 Formulas are always evaluated; results carry a ``physical`` flag rather than
 being suppressed.
@@ -21,14 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutOfRange
-from .model import (
-    BlochRegime,
-    ChainSpec,
-    bloch_index,
-    classify_bloch_regime,
-    energy_to_wavenumber,
-)
-from .poles import gamma_critical, threshold_ladder
+from .model import BlochRegime, ChainSpec, classify_bloch_regime, energy_to_wavenumber
+from .poles import _ladder_count, gamma_critical, threshold_ladder
 from .scattering import transmission_closed_form
 
 __all__ = [
@@ -43,7 +40,6 @@ __all__ = [
     "fabry_perot_points",
     "cpa_laser_points",
     "transmission_vs_size",
-    "evanescent_decay_reference",
 ]
 
 #: Relative tolerance on gamma vs gamma_c for the regime boundary.
@@ -60,7 +56,6 @@ class RelevanceRegime(enum.Enum):
 class RelevanceVerdict:
     """Whether stationary scattering results are physically meaningful."""
 
-    spec: ChainSpec
     regime: RelevanceRegime
     gamma_critical: float
     tgbs_count: int
@@ -79,14 +74,11 @@ def _regime(gamma: float, gamma_critical: float) -> RelevanceRegime:
 
 def verdict(spec: ChainSpec) -> RelevanceVerdict:
     """Classify ``gamma`` against the critical threshold of this chain size."""
-    ladder = threshold_ladder(spec.n_cells)
-    gc = ladder.gamma_critical
-    count = sum(1 for g in ladder.gamma_values if g < spec.gamma)
+    gc = gamma_critical(spec.n_cells)
     return RelevanceVerdict(
-        spec=spec,
         regime=_regime(spec.gamma, gc),
         gamma_critical=gc,
-        tgbs_count=count,
+        tgbs_count=_ladder_count(spec),
         margin=gc - spec.gamma,
     )
 
@@ -286,9 +278,3 @@ def transmission_vs_size(gamma: float, energy: float, n_max: int) -> SizeScan:
         quasiperiod=quasiperiod,
         log_slope=log_slope,
     )
-
-
-def evanescent_decay_reference(gamma: float, energy: float) -> float:
-    """The predicted asymptotic decay ``4 Im mu`` of ``ln T`` per unit cell."""
-    mu = bloch_index(energy_to_wavenumber(energy), ChainSpec(1, gamma)).mu
-    return 4.0 * mu.imag

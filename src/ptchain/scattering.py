@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import NumericalFailure, OutOfRange, SingularBasis, SpectralSingularityError
-from .model import ChainSpec, energy_to_wavenumber
+from .model import ChainSpec
 
 __all__ = [
     "Matrix2C",
@@ -45,7 +45,6 @@ __all__ = [
     "plane_wave_transfer",
     "transmission_closed_form",
     "scatter",
-    "scatter_at_energy",
 ]
 
 #: Below this |sin k| the plane-wave basis is declared singular.
@@ -377,8 +376,3 @@ def scatter(spec: ChainSpec, k: float) -> ScatterResult:
         k=float(k),
         E=-2.0 * math.cos(k),
     )
-
-
-def scatter_at_energy(spec: ChainSpec, energy: float) -> ScatterResult:
-    """Convenience wrapper: scatter at real energy ``E in (-2, 2)``."""
-    return scatter(spec, energy_to_wavenumber(energy))

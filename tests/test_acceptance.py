@@ -15,7 +15,7 @@ import pytest
 from scipy.optimize import brentq
 
 import ptchain as pc
-from transfer_oracles import transfer_matrix_from_branch, verified_transfer
+from transfer_oracles import bloch_index, transfer_matrix_from_branch, verified_transfer
 from winding import _audit_slabs, _winding_number
 
 PI = math.pi
@@ -147,7 +147,7 @@ def test_criterion_06_wave_packet_matches_stationary_transmission(propagation):
         t0 = time.perf_counter()
         layout, bundle, psi0 = propagation(0.3)
         state = pc.evolve(bundle, psi0, 300.0)
-        transmitted = pc.transmitted_intensity(state, layout)
+        transmitted = pc.intensity_split(state, layout).transmitted
         elapsed = time.perf_counter() - t0
 
         stationary = pc.transmission_closed_form(pc.ChainSpec(3, 0.3), 0.5 * PI)
@@ -201,14 +201,14 @@ def test_criterion_09_reflectionless_points():
     with criterion(9, "band-edge one-sided anomaly and two-sided joint zeros"):
         edge = pc.ChainSpec(1, 1.0)
         for energy in (math.sqrt(3.0), -math.sqrt(3.0)):
-            res = pc.scatter_at_energy(edge, energy)
+            res = pc.scatter(edge, pc.energy_to_wavenumber(energy))
             assert abs(res.T - 1.0) <= 1e-9
             assert res.R_right <= 1e-18
             assert abs(res.R_left - 4.0) <= 1e-6  # 4 N^2 gamma^2
 
         joint = pc.ChainSpec(2, 1.0)
         for energy in (1.0, -1.0):
-            res = pc.scatter_at_energy(joint, energy)
+            res = pc.scatter(joint, pc.energy_to_wavenumber(energy))
             assert abs(res.T - 1.0) <= 1e-9
             assert res.R_left <= 1e-18
             assert res.R_right <= 1e-18
@@ -223,7 +223,7 @@ def test_criterion_10_size_scan_quasiperiod_and_decay():
 
         decay = pc.transmission_vs_size(0.3, 1.98, 80)
         k = pc.energy_to_wavenumber(1.98)
-        phi = pc.bloch_index(k, pc.ChainSpec(3, 0.3)).mu.imag
+        phi = bloch_index(k, pc.ChainSpec(3, 0.3)).mu.imag
         assert phi > 0.0
         assert decay.log_slope is not None
         assert abs(decay.log_slope + 4.0 * phi) <= 0.01 * 4.0 * phi
@@ -288,7 +288,7 @@ def test_criterion_12_algebraic_invariants():
             g = float(rng.uniform(0.05, 2.5))
             k = complex(rng.uniform(0.05, PI - 0.05), rng.uniform(-0.8, 0.8))
             spec = pc.ChainSpec(n, g)
-            mu = pc.bloch_index(k, spec).mu
+            mu = bloch_index(k, spec).mu
             base = transfer_matrix_from_branch(spec, k, mu)
             sb = max(abs(base.m11), abs(base.m12), abs(base.m21), abs(base.m22), 1.0)
             for alt in (-mu, mu + PI, -mu - PI):

@@ -34,6 +34,8 @@ def test_usage_errors_exit_2(workdir):
     assert main(["scatter", "--n", "3", "--gamma", "0.3", "--k", "4.0"]) == 2
     assert main(["poles", "--n", "3", "--gamma", "0.3", "--region", "1,2,3"]) == 2
     assert main(["threshold"]) == 2
+    assert main(["threshold", "--n", "0"]) == 2
+    assert main(["threshold", "--n", "-3"]) == 2
     assert main(["evolve", "--n", "1", "--gamma", "0.1", "--sigma", "-1"]) == 2
     # non-finite gain, search bounds, packet width and snapshot times
     assert main(["scatter", "--n", "3", "--gamma", "inf", "--k", "1"]) == 2
@@ -122,7 +124,7 @@ def test_scatter_json_schema(workdir):
          "--format", "json", "--out", "s.json"]
     ) == 0
     payload = json.loads((workdir / "s.json").read_text())
-    assert payload["schema_version"] == "1"
+    assert payload["schema_version"] == "2"
     assert payload["n_cells"] == 1
     assert len(payload["rows"]) == 1
     assert payload["rows"][0]["singular"] is False
@@ -253,7 +255,11 @@ def test_evolve_writes_snapshots_and_summary(workdir, capsys):
         assert header == ["site", "intensity"]
         assert len(rows) == 160
     summary = json.loads((workdir / "run.json").read_text())
-    assert summary["schema_version"] == "1"
+    assert summary["schema_version"] == "2"
+    assert sorted(summary) == [
+        "amplitude_growth_rate", "gamma", "j0", "k0", "n_cells", "schema_version",
+        "sigma", "snapshots", "total_sites", "validity_horizon",
+    ]
     assert summary["amplitude_growth_rate"] is None  # Relevant regime: no fit
     times = [s["time"] for s in summary["snapshots"]]
     assert times == [0.0, 30.0]

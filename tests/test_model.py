@@ -1,9 +1,11 @@
 """Chain description, wavenumber canonicalization, and Bloch-index regimes."""
 
+import ast
 import cmath
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -20,19 +22,17 @@ from ptchain import (
     LatticeLayout,
     NumericalFailure,
     OutOfRange,
-    bloch_index,
     chain_operator,
     classify_bloch_regime,
     dispersion_energy,
     energy_to_wavenumber,
-    onsite_profile,
     plane_wave_transfer,
     scatter,
     tgbs_count,
     transmission_closed_form,
 )
 from ptchain import dynamics, errors, model, poles, relevance, scattering
-from transfer_oracles import dense_hamiltonian, dense_pencil_companion
+from transfer_oracles import bloch_index, dense_hamiltonian, dense_pencil_companion
 
 
 def test_chain_spec_validation():
@@ -77,9 +77,9 @@ def test_n_sites():
     assert ChainSpec(7, 0.1).n_sites == 14
 
 
-def test_onsite_profile_alternates_and_is_pt_symmetric():
+def test_onsite_entries_alternate_and_are_pt_symmetric():
     spec = ChainSpec(4, 0.9)
-    eps = [p.value for p in onsite_profile(spec)]
+    eps = chain_operator(spec).diagonal()
     assert eps[0] == 0.9j  # gain first
     assert eps[1] == -0.9j
     assert all(eps[j] == (-1) ** j * 0.9j for j in range(8))
@@ -165,6 +165,21 @@ def test_package_exports_the_union_of_the_module_all_lists():
             assert getattr(ptchain, name) is getattr(module, name)
     assert {"DEFAULT_REGION", "REGIME_TOL", "gamma_critical"} <= set(names)
     assert "annotations" not in vars(ptchain)
+
+
+def test_readme_imports_only_public_names():
+    """Each name that a ``python`` block of README.md imports from ``ptchain`` is in ``ptchain.__all__``."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.M | re.S)
+    imported = {
+        alias.name
+        for block in blocks
+        for node in ast.walk(ast.parse(block))
+        if isinstance(node, ast.ImportFrom) and node.module == "ptchain"
+        for alias in node.names
+    }
+    assert {"scatter", "evolve"} <= imported  # both quick starts were parsed
+    assert sorted(imported - set(ptchain.__all__)) == []
 
 
 def test_import_does_not_load_scipy_sparse():
@@ -291,6 +306,9 @@ def test_classify_bloch_regime():
     assert classify_bloch_regime(edge, spec) is BlochRegime.BAND_EDGE
     assert classify_bloch_regime(-edge, spec) is BlochRegime.BAND_EDGE
     assert classify_bloch_regime(0.0, spec) is BlochRegime.PROPAGATING
+    for energy in (math.nan, math.inf, -math.inf):  # NaN fails every comparison: "Evanescent"
+        with pytest.raises(OutOfRange, match="finite"):
+            classify_bloch_regime(energy, spec)
 
 
 def test_band_edge_tolerance_window():

@@ -374,6 +374,15 @@ def test_gamma_critical_is_the_ladder_value():
         assert gamma_critical(n_cells) == pytest.approx(min(ladder.gamma_values), rel=1e-12)
 
 
+@pytest.mark.parametrize("n_cells", [0, -3])
+def test_gamma_critical_rejects_sizes_below_one(n_cells):
+    """Below one cell there is no ladder: ``2 sin(pi/4N)`` divides by zero at N = 0 and is negative below."""
+    with pytest.raises(OutOfRange, match="n_cells must be >= 1"):
+        gamma_critical(n_cells)
+    with pytest.raises(OutOfRange, match="n_cells must be >= 1"):
+        threshold_ladder(n_cells)
+
+
 def test_ladder_is_strictly_descending():
     values = threshold_ladder(9).gamma_values
     assert all(a > b for a, b in zip(values, values[1:]))

@@ -15,14 +15,15 @@ from ptchain import (
     band_edge_points,
     cpa_laser_points,
     energy_to_wavenumber,
-    evanescent_decay_reference,
     fabry_perot_points,
     scatter,
+    tgbs_count,
     threshold_ladder,
     transmission_closed_form,
     transmission_vs_size,
     verdict,
 )
+from transfer_oracles import evanescent_decay_reference
 
 
 def test_verdict_regimes():
@@ -39,6 +40,15 @@ def test_verdict_counts_and_margin():
     assert v.tgbs_count == 2
     assert v.margin == pytest.approx(threshold_ladder(3).gamma_critical - 1.5)
     assert verdict(ChainSpec(3, 0.3)).tgbs_count == 0
+
+
+@pytest.mark.parametrize("n_cells", [1, 3, 8])
+def test_verdict_counts_as_tgbs_count(n_cells):
+    """The verdict's count is the ladder count, ladder values themselves (on the axis) excluded."""
+    for g in (*threshold_ladder(n_cells).gamma_values, 0.0, 0.3, 1.0, 1.99, 2.5):
+        for gamma in (g, math.nextafter(g, 0.0), math.nextafter(g, 3.0)):
+            spec = ChainSpec(n_cells, gamma)
+            assert verdict(spec).tgbs_count == tgbs_count(spec)
 
 
 def test_band_edge_points_predictions():

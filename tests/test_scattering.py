@@ -22,11 +22,9 @@ from ptchain import (
     NumericalFailure,
     OutOfRange,
     SpectralSingularityError,
-    bloch_index,
     chebyshev_tu,
     plane_wave_transfer,
     scatter,
-    scatter_at_energy,
     threshold_ladder,
     transmission_closed_form,
 )
@@ -34,6 +32,7 @@ from ptchain import scattering
 from ptchain.scattering import _chebyshev_real
 from transfer_oracles import (
     Matrix2,
+    bloch_index,
     n_cell_matrix,
     plain_chebyshev_tu,
     single_site_matrix,
@@ -479,15 +478,6 @@ def test_scatter_raises_at_spectral_singularity():
             scatter(ChainSpec(n, gamma), 0.5 * math.pi)
         with pytest.raises(SpectralSingularityError):
             transmission_closed_form(ChainSpec(n, gamma), 0.5 * math.pi)
-
-
-def test_scatter_at_energy_matches_scatter(rng):
-    for e in rng.uniform(-1.9, 1.9, size=20):
-        spec = ChainSpec(2, 0.4)
-        a = scatter_at_energy(spec, float(e))
-        assert a.E == pytest.approx(e, abs=1e-12)
-        b = scatter(spec, a.k)
-        assert a.T == b.T
 
 
 def test_transmission_exceeds_unity_between_gain_thresholds():

@@ -10,7 +10,9 @@ closed form against them:
   N-cell product, and the basis change ``Q^{-1} cell^N Q``
   (``product_transfer``);
 - ``transfer_matrix_from_branch``, which uses an explicit band-index branch
-  ``mu`` instead of ``x``;
+  ``mu`` instead of ``x``; ``bloch_index`` picks that branch (``BlochIndex``)
+  and ``evanescent_decay_reference`` predicts from it the decay ``4 Im mu``
+  of ``ln T`` per cell in the evanescent regime;
 - ``imaginary_branch_excluded``, the evanescent-regime argument that no pole
   sits on the real axis when ``mu`` is imaginary.
 
@@ -29,13 +31,15 @@ Two more are dense references for the chain's sparse operator
 ``chain_operator``: ``dense_hamiltonian`` writes the finite lattice's
 Hamiltonian entry by entry into a zero matrix, and ``dense_pencil_companion``
 assembles the outgoing-wave pencil's companion matrix from ``np.diag`` and
-``np.eye``.
+``np.eye``. Both take the gain/loss profile from ``gain_loss_profile``
+here, not from the package.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,7 +52,7 @@ from ptchain import (
     SingularBasis,
     chebyshev_tu,
     dispersion_energy,
-    onsite_profile,
+    energy_to_wavenumber,
     plane_wave_transfer,
 )
 from ptchain.scattering import SIN_K_TOL
@@ -164,6 +168,47 @@ def verified_transfer(spec: ChainSpec, k: complex) -> Matrix2:
     return m
 
 
+@dataclass(frozen=True)
+class BlochIndex:
+    """Effective band index of the periodic scattering region.
+
+    ``cos2mu`` is the primitive, branch-free quantity; ``mu`` is one
+    representative branch value (principal ``arccos``, with the imaginary part
+    normalized to be >= 0). Every formula that uses it must be invariant under
+    ``mu -> -mu`` and ``mu -> mu + pi``.
+    """
+
+    cos2mu: complex
+    mu: complex = field(default=None)  # type: ignore[assignment]
+
+    def __post_init__(self) -> None:
+        if self.mu is None:
+            mu = 0.5 * cmath.acos(self.cos2mu)
+            # acos maps arguments > 1 to negative-imaginary values; pick the
+            # +Im representative (allowed by the mu -> -mu invariance).
+            if mu.imag < 0.0:
+                mu = -mu
+            object.__setattr__(self, "mu", mu)
+
+
+def bloch_index(k: complex, spec: ChainSpec) -> BlochIndex:
+    """Effective band index at wavenumber ``k``.
+
+    Computes ``cos 2mu = (E**2 + gamma**2 - 2)/2`` with ``E = -2 cos k``
+    (half the trace of the unit-cell transfer matrix) and one representative
+    branch value of ``mu``.
+    """
+    e = dispersion_energy(k)
+    cos2mu = 0.5 * (e * e + spec.gamma**2 - 2.0)
+    return BlochIndex(cos2mu=cos2mu)
+
+
+def evanescent_decay_reference(gamma: float, energy: float) -> float:
+    """The predicted asymptotic decay ``4 Im mu`` of ``ln T`` per unit cell."""
+    mu = bloch_index(energy_to_wavenumber(energy), ChainSpec(1, gamma)).mu
+    return 4.0 * mu.imag
+
+
 def transfer_matrix_from_branch(spec: ChainSpec, k: complex, mu: complex) -> Matrix2:
     """Plane-wave-basis entries from an explicit band-index branch ``mu``.
 
@@ -271,6 +316,11 @@ def full_lattice_seeds(spec: ChainSpec, region, grid_density: int) -> list[compl
     return [complex(k) for k in re[jj] + 1j * im[ii]]
 
 
+def gain_loss_profile(spec: ChainSpec) -> list[complex]:
+    """``eps_j = (-1)**j * i*gamma`` for ``j = 0 .. 2N-1``: gain first, then loss."""
+    return [complex(0.0, (-1) ** j * spec.gamma) for j in range(spec.n_sites)]
+
+
 def dense_hamiltonian(layout: LatticeLayout, spec: ChainSpec) -> np.ndarray:
     """The lattice Hamiltonian: hopping -1 and the gain/loss profile written into zeros."""
     size = layout.total_sites
@@ -278,15 +328,15 @@ def dense_hamiltonian(layout: LatticeLayout, spec: ChainSpec) -> np.ndarray:
     idx = np.arange(size - 1)
     h[idx, idx + 1] = -1.0
     h[idx + 1, idx] = -1.0
-    for p in onsite_profile(spec):
-        h[layout.global_index(p.site_index), layout.global_index(p.site_index)] = p.value
+    for j, eps in enumerate(gain_loss_profile(spec)):
+        h[layout.global_index(j), layout.global_index(j)] = eps
     return h
 
 
 def dense_pencil_companion(spec: ChainSpec) -> np.ndarray:
     """Companion matrix ``[[0, I], [-(I - P), -H_c]]`` of the outgoing-wave pencil."""
     n = spec.n_sites
-    h_c = np.diag([p.value for p in onsite_profile(spec)]) - np.eye(n, k=1) - np.eye(n, k=-1)
+    h_c = np.diag(gain_loss_profile(spec)) - np.eye(n, k=1) - np.eye(n, k=-1)
     open_ends = np.eye(n)
     open_ends[0, 0] = open_ends[-1, -1] = 0.0
     return np.block([[np.zeros((n, n)), np.eye(n)], [-open_ends, -h_c]])
