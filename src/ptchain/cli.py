@@ -199,9 +199,7 @@ def _run_scatter(
     """One ``k``, a ``k`` sweep (presets only) or an energy sweep."""
     spec = ChainSpec(n_cells, gamma)
     if k is not None:
-        if not 0.0 < k < math.pi:
-            raise OutOfRange(f"--k must lie in (0, pi), got {k!r}")
-        ks = [k]
+        ks = [k]  # ``scatter`` checks it
     elif k_min is not None:
         ks = _grid(k_min, k_max, steps)
     else:
@@ -262,8 +260,8 @@ def _run_threshold(
             raise OutOfRange("give either --n or --n-min/--n-max, not both")
         ns: Sequence[int] = [n_cells]
     elif n_min is not None and n_max is not None:
-        if not 1 <= n_min <= n_max:
-            raise OutOfRange(f"need 1 <= n_min <= n_max, got {n_min}, {n_max}")
+        if not n_min <= n_max:  # ``gamma_critical`` checks n_min >= 1
+            raise OutOfRange(f"need n_min <= n_max, got {n_min}, {n_max}")
         ns = range(n_min, n_max + 1)
     else:
         raise OutOfRange("threshold needs --n or both --n-min and --n-max")
@@ -334,12 +332,11 @@ def _run_evolve(
 ) -> int:
     """Snapshots ``<stem>_t<T>.csv`` and the summary ``<stem>.json``; ``fmt`` is unused."""
     spec = ChainSpec(n_cells, gamma)
+    # no library call checks k0, and bad or no times would show only after the eigensolve
     if not 0.0 < k0 < math.pi:
         raise OutOfRange(f"--k0 must lie in (0, pi), got {k0!r}")
-    if not 0.0 < sigma < math.inf:
-        raise OutOfRange(f"--sigma must be positive and finite, got {sigma!r}")
-    if not all(0.0 <= t < math.inf for t in times):
-        raise OutOfRange(f"--times must be finite and nonnegative, got {times!r}")
+    if not (times and all(0.0 <= t < math.inf for t in times)):
+        raise OutOfRange(f"--times must be finite, nonnegative and not empty, got {times!r}")
     out_stem = _stem(out)
     layout = LatticeLayout.centered(total_sites, spec.n_cells)
     h = build_hamiltonian(layout, spec)

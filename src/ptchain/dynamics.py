@@ -58,15 +58,11 @@ class LatticeLayout:
 
     total_sites: int
     n_cells: int
-    scatter_start: int  # global array index of site j = 0
+    scatter_start: int  # global array index of site j = 0, and the left lead's length
 
     def __post_init__(self) -> None:
-        if self.lead_left_len < 0 or self.lead_right_len < 0:
+        if self.scatter_start < 0 or self.lead_right_len < 0:
             raise OutOfRange(f"scattering region does not fit: {self!r}")
-
-    @property
-    def lead_left_len(self) -> int:
-        return self.scatter_start
 
     @property
     def lead_right_len(self) -> int:
@@ -105,7 +101,7 @@ def build_hamiltonian(layout: LatticeLayout, spec: ChainSpec) -> "csr_array":
         raise OutOfRange(
             f"layout is for N={layout.n_cells} but spec has N={spec.n_cells}"
         )
-    return chain_operator(spec, layout.lead_left_len, layout.lead_right_len)
+    return chain_operator(spec, layout.scatter_start, layout.lead_right_len)
 
 
 def gaussian_packet(layout: LatticeLayout, j0: int, sigma: float, k0: float) -> WaveState:
@@ -117,7 +113,7 @@ def gaussian_packet(layout: LatticeLayout, j0: int, sigma: float, k0: float) -> 
     """
     if not 0.0 < sigma < math.inf:
         raise OutOfRange(f"sigma must be positive and finite, got {sigma!r}")
-    left_edge_j = -layout.lead_left_len
+    left_edge_j = -layout.scatter_start
     right_edge_j = 2 * layout.n_cells + layout.lead_right_len - 1
     clearance = min(
         j0 - left_edge_j,

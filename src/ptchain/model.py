@@ -163,7 +163,7 @@ class BlochRegime(enum.Enum):
     EVANESCENT = "Evanescent"
 
 
-def dispersion_energy(k: complex | ComplexWavenumber) -> complex:
+def dispersion_energy(k: complex) -> complex:
     """Lead dispersion ``E = -2 cos k``.
 
     For real ``k`` in ``(0, pi)`` the result is real and increases strictly
@@ -171,8 +171,6 @@ def dispersion_energy(k: complex | ComplexWavenumber) -> complex:
     ``Im E = 2 sin(Re k) sinh(Im k)``, the growth rate of the state attached
     to a pole at ``k``.
     """
-    if isinstance(k, ComplexWavenumber):
-        k = k.as_complex()
     return -2.0 * cmath.cos(k)
 
 
@@ -189,11 +187,11 @@ def energy_to_wavenumber(energy: float) -> float:
     return math.acos(-0.5 * energy)
 
 
-def classify_bloch_regime(energy: float, spec: ChainSpec, tol: float = REGIME_TOL) -> BlochRegime:
+def classify_bloch_regime(energy: float, spec: ChainSpec) -> BlochRegime:
     """Classify a real energy by the reality of the band index.
 
-    ``Propagating`` (``mu`` real) for ``E**2 + gamma**2 < 4 - tol``,
-    ``BandEdge`` within ``tol`` of the boundary, ``Evanescent`` (``mu``
+    ``Propagating`` (``mu`` real) for ``E**2 + gamma**2 < 4 - REGIME_TOL``,
+    ``BandEdge`` within :data:`REGIME_TOL` of the boundary, ``Evanescent`` (``mu``
     imaginary) above it.
 
     Raises
@@ -204,6 +202,6 @@ def classify_bloch_regime(energy: float, spec: ChainSpec, tol: float = REGIME_TO
     if not math.isfinite(energy):
         raise OutOfRange(f"energy must be finite, got {energy!r}")
     s = energy * energy + spec.gamma**2 - 4.0
-    if abs(s) <= tol:
+    if abs(s) <= REGIME_TOL:
         return BlochRegime.BAND_EDGE
     return BlochRegime.PROPAGATING if s < 0 else BlochRegime.EVANESCENT

@@ -95,19 +95,19 @@ class PoleClass(enum.Enum):
     RESONANCE = "Resonance"
 
 
-def _classify(k: complex, tol: float = CLASS_TOL) -> PoleClass:
-    if k.imag < -tol:
+def _classify(k: complex) -> PoleClass:
+    if k.imag < -CLASS_TOL:
         return PoleClass.RESONANCE
-    if abs(k.imag) <= tol:
-        if k.real > tol:
+    if abs(k.imag) <= CLASS_TOL:
+        if k.real > CLASS_TOL:
             return PoleClass.LASING_SINGULARITY
-        if k.real < -tol:
+        if k.real < -CLASS_TOL:
             return PoleClass.ABSORBING_SINGULARITY
         return PoleClass.SPECTRAL_SINGULARITY
     # upper half plane: time-growing for Re k > 0, decaying bound otherwise
-    if k.real > tol:
+    if k.real > CLASS_TOL:
         return PoleClass.TGBS
-    if k.real < -tol:
+    if k.real < -CLASS_TOL:
         return PoleClass.DECAYING_BOUND
     return PoleClass.SPECTRAL_SINGULARITY
 
@@ -303,7 +303,13 @@ def _pencil_wavenumbers(spec: ChainSpec) -> np.ndarray:
 
 
 def _pencil_poles(spec: ChainSpec, region: SearchRegion) -> list[complex]:
-    """The pencil eigenvalues whose ``k`` lies in ``region`` and off the singular verticals."""
+    """The pencil eigenvalues whose ``k`` lies in ``region`` and off the singular verticals.
+
+    None at ``gamma = 0``, where ``M22 = e^{-2iNk}`` has no zeros but the pencil
+    still puts eigenvalues in the strip (74 in the default one at N = 20).
+    """
+    if spec.gamma == 0.0:
+        return []
     return [
         k for k in map(complex, _pencil_wavenumbers(spec))
         if region.contains(k) and not _near_singular_vertical(k)
@@ -317,12 +323,8 @@ def _records(spec: ChainSpec, roots: list[complex]) -> list[PoleRecord]:
 def _census(spec: ChainSpec, region: SearchRegion) -> list[PoleRecord]:
     """The poles in ``region`` as the outgoing-wave pencil gives them, sorted.
 
-    The eigenvalues of :func:`_pencil_poles` as they are: no grid, no Newton. Empty
-    at ``gamma = 0``, where ``M22 = e^{-2iNk}`` has no zeros but the pencil
-    still puts eigenvalues in the strip (74 in the default one at N = 20).
+    The eigenvalues of :func:`_pencil_poles` as they are: no grid, no Newton.
     """
-    if spec.gamma == 0.0:
-        return []
     return _records(spec, _pencil_poles(spec, region))
 
 
@@ -352,8 +354,6 @@ def find_poles(spec: ChainSpec, region: SearchRegion | None = None) -> list[Pole
     """
     if region is None:
         region = DEFAULT_REGION
-    if spec.gamma == 0.0:
-        return []
     return _records(spec, _polish(spec, region, _pencil_poles(spec, region)))
 
 
@@ -493,8 +493,8 @@ def tgbs_count(spec: ChainSpec, verify: bool = False) -> int:
     """
     count = _ladder_count(spec)
     if verify:
-        recs = _census(spec, first_quadrant_region(spec.gamma))
-        numeric = sum(r.classification is PoleClass.TGBS for r in recs)
+        pencil = _pencil_poles(spec, first_quadrant_region(spec.gamma))
+        numeric = sum(_classify(k) is PoleClass.TGBS for k in pencil)
         if numeric != count:
             raise MissedRoots(
                 f"closed-form TGBS count {count} != first-quadrant pole count "

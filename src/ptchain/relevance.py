@@ -111,9 +111,10 @@ def band_edge_points(spec: ChainSpec) -> list[SpecialPoint]:
     """Anisotropic transmission resonances at the band edges ``E = ±sqrt(4-g^2)``.
 
     At these points ``T = 1`` with right reflection exactly zero and left
-    reflection ``4 N^2 gamma^2``. For ``gamma = 0`` the points degenerate
-    onto the lead band edges ``k in {0, pi}`` outside the open scattering
-    interval: an empty list is returned with a warning.
+    reflection ``4 N^2 gamma^2``; ``sin k = gamma/2`` gives their ``k``, which
+    ``E`` (±2 to rounding for tiny ``gamma``) does not. For ``gamma = 0`` the
+    points degenerate onto the lead band edges ``k in {0, pi}`` outside the
+    open scattering interval: an empty list is returned with a warning.
     """
     g = spec.gamma
     if g >= 2.0:
@@ -127,13 +128,12 @@ def band_edge_points(spec: ChainSpec) -> list[SpecialPoint]:
         return []
     physical = verdict(spec).regime is RelevanceRegime.RELEVANT
     out = []
-    for sign in (+1.0, -1.0):
-        e = sign * math.sqrt(4.0 - g * g)
+    for sign, k in ((+1.0, math.pi - math.asin(0.5 * g)), (-1.0, math.asin(0.5 * g))):
         out.append(
             SpecialPoint(
                 kind=SpecialPointKind.BAND_EDGE_ATR,
-                energy=e,
-                k=energy_to_wavenumber(e),
+                energy=sign * math.sqrt(4.0 - g * g),
+                k=k,
                 gamma=g,
                 physical=physical,
             )
@@ -145,24 +145,25 @@ def fabry_perot_points(spec: ChainSpec) -> list[SpecialPoint]:
     """Bidirectional reflectionless resonances ``E = ±sqrt(4 cos^2(m pi/2N) - g^2)``.
 
     Exist for ``m = 1..N-1`` whenever the radicand is positive; both
-    reflections vanish identically and ``T = 1``. ``N = 1`` has none.
+    reflections vanish identically and ``T = 1``. ``N = 1`` has none. ``k``
+    is the angle of ``(-E/2, sqrt(sin^2(m pi/2N) + g^2/4))``, as ``acos(-E/2)``
+    is not near ``k = 0, pi`` nor ``asin`` near ``pi/2``.
     """
     n, g = spec.n_cells, spec.gamma
-    if n < 2:
-        return []
     physical = verdict(spec).regime is RelevanceRegime.RELEVANT
     out = []
     for m in range(1, n):
         c = 4.0 * math.cos(m * math.pi / (2 * n)) ** 2
         if c <= g * g:
             continue  # evanescent: no real resonance energy
+        sin_k = math.hypot(math.sin(m * math.pi / (2 * n)), 0.5 * g)
         for sign in (+1.0, -1.0):
             e = sign * math.sqrt(c - g * g)
             out.append(
                 SpecialPoint(
                     kind=SpecialPointKind.FABRY_PEROT,
                     energy=e,
-                    k=energy_to_wavenumber(e),
+                    k=math.atan2(sin_k, -0.5 * e),
                     gamma=g,
                     physical=physical,
                     n_index=m,
@@ -210,8 +211,6 @@ class SizeScan:
     None when not applicable or not measurable from the scanned range.
     """
 
-    gamma: float
-    energy: float
     rows: list[SizeScanRow]
     quasiperiod: float | None
     log_slope: float | None
@@ -244,8 +243,6 @@ def transmission_vs_size(gamma: float, energy: float, n_max: int) -> SizeScan:
     """
     if not 0.0 < gamma:
         raise OutOfRange(f"gamma must be positive, got {gamma!r}")
-    if not -2.0 < energy < 2.0:
-        raise OutOfRange(f"energy must lie in (-2, 2), got {energy!r}")
     if n_max < 1:
         raise OutOfRange(f"n_max must be >= 1, got {n_max}")
     k = energy_to_wavenumber(energy)
@@ -272,8 +269,6 @@ def transmission_vs_size(gamma: float, energy: float, n_max: int) -> SizeScan:
         if len(ns) >= 2:
             log_slope = float(np.polyfit(ns.astype(float), np.log(t_values[ns - 1]), 1)[0])
     return SizeScan(
-        gamma=gamma,
-        energy=energy,
         rows=rows,
         quasiperiod=quasiperiod,
         log_slope=log_slope,

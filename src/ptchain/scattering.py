@@ -81,8 +81,6 @@ class ScatterResult:
         The corresponding coefficients ``|t|**2``, ``|r_left|**2``,
         ``|r_right|**2``. They obey the generalized conservation relation
         ``|T - 1| = sqrt(R_left * R_right)`` instead of unitarity.
-    k, E : float
-        Real wavenumber and energy of the evaluation point.
     """
 
     t: complex
@@ -91,8 +89,6 @@ class ScatterResult:
     T: float
     R_left: float
     R_right: float
-    k: float
-    E: float
 
 
 def chebyshev_tu(n: int, x):
@@ -373,6 +369,4 @@ def scatter(spec: ChainSpec, k: float) -> ScatterResult:
         T=big_t,
         R_left=abs(r_left) ** 2,
         R_right=abs(r_right) ** 2,
-        k=float(k),
-        E=-2.0 * math.cos(k),
     )

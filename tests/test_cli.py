@@ -31,19 +31,25 @@ def test_usage_errors_exit_2(workdir):
     assert main(["scatter"]) == 2  # missing --n/--gamma
     assert main(["nonsense"]) == 2
     assert main(["scatter", "--n", "0", "--gamma", "0.3"]) == 2
-    assert main(["scatter", "--n", "3", "--gamma", "0.3", "--k", "4.0"]) == 2
+    for k in ("4.0", "0", "nan", "3.2"):
+        assert main(["scatter", "--n", "3", "--gamma", "0.3", "--k", k]) == 2
     assert main(["poles", "--n", "3", "--gamma", "0.3", "--region", "1,2,3"]) == 2
     assert main(["threshold"]) == 2
     assert main(["threshold", "--n", "0"]) == 2
     assert main(["threshold", "--n", "-3"]) == 2
+    assert main(["threshold", "--n-min", "0", "--n-max", "3"]) == 2
+    assert main(["threshold", "--n-min", "-3", "--n-max", "3"]) == 2
     assert main(["evolve", "--n", "1", "--gamma", "0.1", "--sigma", "-1"]) == 2
     # non-finite gain, search bounds, packet width and snapshot times
     assert main(["scatter", "--n", "3", "--gamma", "inf", "--k", "1"]) == 2
     assert main(["relevance", "--n", "3", "--gamma", "inf"]) == 2
     assert main(["poles", "--n", "3", "--gamma", "0.3", "--region", "0.1,1,0,inf"]) == 2
     evolve = ["evolve", "--n", "1", "--gamma", "0.1", "--l", "120", "--j0", "-30"]
-    assert main(evolve + ["--sigma", "nan"]) == 2
-    assert main(evolve + ["--sigma", "8", "--times", "0,nan"]) == 2
+    for sigma in ("nan", "0", "inf"):
+        assert main(evolve + ["--sigma", sigma]) == 2
+    for times in ("0,nan", "", ","):  # an empty list fails before the eigensolve
+        assert main(evolve + ["--sigma", "8", "--times", times]) == 2
+    assert not list(workdir.iterdir())  # no usage error wrote a file
     # packets without a finite nonzero norm on the lattice
     small = ["evolve", "--n", "1", "--gamma", "0.1", "--l", "40", "--times", "0"]
     with pytest.warns(UserWarning):
@@ -319,6 +325,17 @@ def test_relevance_special_points(workdir):
     cpa = [p for p in points if p["kind"] == "CpaLaser"]
     assert len(cpa) == 2
     assert sum(p["physical"] for p in cpa) == 1
+
+
+def test_relevance_special_points_at_a_tiny_gain(workdir):
+    """At gamma = 1e-8 the band-edge energies round to ±2; their ``k`` does not."""
+    assert main(
+        ["relevance", "--n", "3", "--gamma", "1e-8", "--special-points", "--out", "v.json"]
+    ) == 0
+    edges = [p for p in json.loads((workdir / "v.json").read_text())["special_points"]
+             if p["kind"] == "BandEdgeATR"]
+    assert sorted(p["energy"] for p in edges) == [-2.0, 2.0]
+    assert sorted(p["k"] for p in edges) == [math.asin(5e-9), math.pi - math.asin(5e-9)]
 
 
 def test_relevance_csv_writes_points_file(workdir):

@@ -26,7 +26,6 @@ from ptchain import dynamics
 def test_layout_centered_indexing():
     layout = LatticeLayout.centered(1200, 3)
     assert layout.scatter_start == 597
-    assert layout.lead_left_len == 597
     assert layout.lead_right_len == 597
     assert layout.global_index(0) == 597
     assert layout.global_index(-300) == 297

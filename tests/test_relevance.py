@@ -3,6 +3,7 @@
 import math
 import warnings
 
+import mpmath
 import pytest
 
 from ptchain import (
@@ -72,6 +73,32 @@ def test_band_edge_gamma_window():
         band_edge_points(ChainSpec(2, 2.0))
     with pytest.warns(UserWarning):
         assert band_edge_points(ChainSpec(2, 0.0)) == []
+
+
+def _wavenumber_40_digits(energy_squared: mpmath.mpf, sign: float) -> mpmath.mpf:
+    """``acos(-E/2)`` of ``E = sign * sqrt(energy_squared)`` in 40 digits."""
+    return mpmath.acos(-sign * mpmath.sqrt(energy_squared) / 2)
+
+
+@pytest.mark.parametrize("gamma", [1e-12, 1e-8, 1e-5, 0.5, 1.9])
+def test_band_edge_wavenumbers_are_correctly_rounded(gamma):
+    """``k`` within 2 ulp of 40 digits, also where ``E = ±sqrt(4 - gamma^2)`` rounds to ±2."""
+    with mpmath.workdps(40):
+        for p in band_edge_points(ChainSpec(3, gamma)):
+            want = _wavenumber_40_digits(4 - mpmath.mpf(gamma) ** 2, math.copysign(1.0, p.energy))
+            assert abs(p.k - want) <= 2 * math.ulp(p.k), (p.energy, p.k)
+
+
+def test_fabry_perot_wavenumbers_are_correctly_rounded():
+    """At N = 20000 the outermost resonances (``k`` near 0, pi) and the innermost (near pi/2)."""
+    n, gamma = 20000, 1e-6
+    points = [p for p in fabry_perot_points(ChainSpec(n, gamma)) if p.n_index in (1, n - 1)]
+    assert len(points) == 4
+    with mpmath.workdps(40):
+        for p in points:
+            radicand = 4 * mpmath.cos(p.n_index * mpmath.pi / (2 * n)) ** 2 - mpmath.mpf(gamma) ** 2
+            want = _wavenumber_40_digits(radicand, math.copysign(1.0, p.energy))
+            assert abs(p.k - want) <= 2 * math.ulp(p.k), (p.n_index, p.energy, p.k)
 
 
 def test_fabry_perot_points_joint_zeros():
@@ -179,5 +206,8 @@ def test_transmission_vs_size_validation():
         transmission_vs_size(0.0, 1.5, 10)
     with pytest.raises(OutOfRange):
         transmission_vs_size(0.3, 2.5, 10)
+    for energy in (2.0, math.nan):
+        with pytest.raises(OutOfRange, match=r"energy must lie in \(-2, 2\)"):
+            transmission_vs_size(0.3, energy, 10)
     with pytest.raises(OutOfRange):
         transmission_vs_size(0.3, 1.5, 0)
