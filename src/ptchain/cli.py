@@ -292,18 +292,11 @@ def _run_trajectory(
     )
 
     rows: list[list[Any]] = []
-    recorded = 0
-    lost_remaining = 0
     for branch in traj.branches:
-        recorded += len(branch.points)
         for i, (g, rec) in enumerate(branch.points):
             is_last = i == len(branch.points) - 1
             rows.append([branch.branch_id, g, rec.k.re, rec.k.im,
                          rec.classification.value, branch.lost and is_last])
-        if branch.lost and branch.points:
-            g_last = branch.points[-1][0]
-            trailing = sum(1 for g in traj.gamma_samples if g > g_last)
-            lost_remaining += trailing
     cross_rows = [
         [c.branch_id, c.gamma, c.k.real, c.k.imag] for c in traj.crossings
     ]
@@ -312,15 +305,9 @@ def _run_trajectory(
           n_cells=spec_base.n_cells, gamma_min=gamma_min, gamma_max=gamma_max,
           samples=len(traj.gamma_samples))
 
-    total = recorded + lost_remaining
-    traced = recorded / total if total else 1.0
-    if traced < 0.9:
-        print(
-            f"error: branches were lost: {recorded} branch points recorded against "
-            f"{lost_remaining} gamma samples missing after lost branches "
-            f"({100 * traced:.1f}% recorded)",
-            file=sys.stderr,
-        )
+    lost = [b.branch_id for b in traj.branches if b.lost]
+    if lost:
+        print(f"error: trajectory branches lost: {lost}", file=sys.stderr)
         return EXIT_NUMERIC
     return EXIT_OK
 
@@ -429,8 +416,7 @@ def _run_relevance(
     ]
     rows = None
     if special_points:
-        points = band_edge_points(spec) if 0.0 < spec.gamma < 2.0 else []
-        points += fabry_perot_points(spec) + cpa_laser_points(spec.n_cells)
+        points = band_edge_points(spec) + fabry_perot_points(spec) + cpa_laser_points(spec.n_cells)
         rows = [[p.kind.value, p.energy, p.k, p.gamma, p.n_index, p.physical] for p in points]
     if fmt == "csv":
         _write_csv(out, _VERDICT_HEADER, [verdict_row])

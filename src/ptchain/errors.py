@@ -50,7 +50,8 @@ class MissedRoots(NumericalFailure):
 
 
 class BranchLost(NumericalFailure):
-    """A trajectory branch inside its window matched no census pole after three step halvings."""
+    """A trajectory branch inside its window matched no census pole after three
+    step halvings, or its Im k changed sign with no root on the real axis."""
 
 
 class DecompositionFailed(NumericalFailure):

@@ -548,22 +548,25 @@ def _refine_crossing(
     g_hi: float,
     k_hi: complex,
 ) -> tuple[float, complex] | None:
-    """Bisection in gamma for the Im k = 0 crossing of a tracked root."""
+    """Bisection in gamma for the Im k = 0 crossing of a tracked root.
+
+    ``(gamma, k)`` where Newton's root reaches ``|Im k| <= 1e-9``; None when
+    Newton fails, the interval shrinks to 1e-12 first, or 80 halvings pass.
+    """
     hi_sign = k_hi.imag > 0
-    g_mid, root = g_lo, k_lo
     for _ in range(80):
         g_mid = 0.5 * (g_lo + g_hi)
-        seed = k_lo + (k_hi - k_lo) * ((g_mid - g_lo) / (g_hi - g_lo) if g_hi > g_lo else 0.5)
+        seed = k_lo + (k_hi - k_lo) * ((g_mid - g_lo) / (g_hi - g_lo))
         root = _newton(ChainSpec(spec_base.n_cells, g_mid), seed)
-        if root is None:
-            return None
-        if abs(root.imag) <= 1e-9 or (g_hi - g_lo) <= 1e-12:
+        if root is not None and abs(root.imag) <= 1e-9:
             return g_mid, root
+        if root is None or (g_hi - g_lo) <= 1e-12:
+            return None
         if (root.imag > 0) == hi_sign:
             g_hi, k_hi = g_mid, root
         else:
             g_lo, k_lo = g_mid, root
-    return g_mid, root
+    return None
 
 
 def trace_trajectories(
@@ -591,10 +594,13 @@ def trace_trajectories(
     within the bound of the window's edge, and is marked lost otherwise
     (``strict=True`` raises :class:`BranchLost` instead).
 
-    Real-axis crossings of every branch are refined in gamma by bisection
-    with Newton on ``M22`` and reported; they land on ``Re k = ±pi/2`` at
-    the ladder values. With the default region, a sweep reaching gamma = 2
-    warns unless it ends with 2N - 1 branches at ``Re k > 0``. A
+    A branch's rise of Im k through zero is refined in gamma by
+    :func:`_refine_crossing` and reported only where the root is on the real
+    axis, at ``Re k = ±pi/2`` and a ladder value. A sign change with no root
+    on the axis means the branch swapped poles: it is lost the same way.
+    Each loss makes one DEBUG event under ``ptchain.poles``. With the default
+    region, a sweep reaching gamma = 2 warns unless it ends with 2N - 1
+    branches at ``Re k > 0``. A
     ``gamma_max`` above :data:`CENSUS_GAMMA_MAX` raises :class:`OutOfRange`
     before the first census.
     """
@@ -619,6 +625,12 @@ def trace_trajectories(
     samples: list[float] = []
     branches: list[BranchPath] = []
     live: list[BranchPath] = []  # creation order, so that ties match the older branch
+
+    def lose(b: BranchPath, where: str) -> None:
+        if strict:
+            raise BranchLost(f"branch {b.branch_id} lost {where}")
+        _log.debug("branch %d lost %s (N=%d)", b.branch_id, where, spec_base.n_cells)
+        b.lost = True
 
     while todo:
         g, halvings, found = todo[-1]
@@ -668,15 +680,7 @@ def trace_trajectories(
         # an unmatched branch within the bound of the window's edge has left
         # the window; one farther inside is lost
         for b in inside:
-            if strict:
-                raise BranchLost(
-                    f"branch {b.branch_id} lost near gamma={g!r} (last k = {b.last_k!r})"
-                )
-            _log.debug(
-                "branch %d lost near gamma=%r (last k=%r, N=%d)",
-                b.branch_id, g, b.last_k, spec_base.n_cells,
-            )
-            b.lost = True
+            lose(b, f"near gamma={g!r} (last k={b.last_k!r})")
         for bi, ri in matched.items():
             live[bi].points.append((g, found[ri]))
         live = [b for bi, b in enumerate(live) if bi in matched]
@@ -693,13 +697,13 @@ def trace_trajectories(
     for b in branches:
         for (g0, p0), (g1, p1) in zip(b.points[:-1], b.points[1:]):
             k0, k1 = p0.k.as_complex(), p1.k.as_complex()
-            if k0.imag == 0.0:
-                crossings.append(AxisCrossing(b.branch_id, g0, k0))
-                continue
-            if (k0.imag < 0) and (k1.imag >= 0):
+            if k0.imag < 0 <= k1.imag:
                 ref = _refine_crossing(spec_base, g0, k0, g1, k1)
                 if ref is not None:
                     crossings.append(AxisCrossing(b.branch_id, ref[0], ref[1]))
+                else:  # the branch swapped poles between the samples
+                    lose(b, f"between gamma={g0!r} and {g1!r}: Im k changes sign "
+                            "with no root on the real axis")
 
     n_positive = sum(b.points[-1][1].k.re > 0 for b in branches)
     expected = 2 * spec_base.n_cells - 1

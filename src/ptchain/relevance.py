@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
-import warnings
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,19 +112,11 @@ def band_edge_points(spec: ChainSpec) -> list[SpecialPoint]:
 
     At these points ``T = 1`` with right reflection exactly zero and left
     reflection ``4 N^2 gamma^2``; ``sin k = gamma/2`` gives their ``k``, which
-    ``E`` (±2 to rounding for tiny ``gamma``) does not. For ``gamma = 0`` the
-    points degenerate onto the lead band edges ``k in {0, pi}`` outside the
-    open scattering interval: an empty list is returned with a warning.
+    ``E`` (±2 to rounding for tiny ``gamma``) does not. None exist at ``gamma
+    = 0`` (``k in {0, pi}``, off the open axis) or ``gamma >= 2``.
     """
     g = spec.gamma
-    if g >= 2.0:
-        raise OutOfRange(f"band edges leave the real energy axis for gamma >= 2 (got {g!r})")
-    if g == 0.0:
-        warnings.warn(
-            "gamma = 0: band-edge points sit at k in {0, pi}, outside the open "
-            "scattering interval; returning no points",
-            stacklevel=2,
-        )
+    if not 0.0 < g < 2.0:
         return []
     physical = verdict(spec).regime is RelevanceRegime.RELEVANT
     out = []
@@ -148,15 +140,23 @@ def fabry_perot_points(spec: ChainSpec) -> list[SpecialPoint]:
     reflections vanish identically and ``T = 1``. ``N = 1`` has none. ``k``
     is the angle of ``(-E/2, sqrt(sin^2(m pi/2N) + g^2/4))``, as ``acos(-E/2)``
     is not near ``k = 0, pi`` nor ``asin`` near ``pi/2``.
+
+    A radicand ``c - g^2`` (``c = 4 cos^2 theta``, ``theta = m pi/2N``) within
+    ``8 eps (theta sin 2theta + c)`` lists no point: the rounding of ``theta``
+    (1.2 eps relative) moves ``c`` by up to ``4.8 eps theta sin 2theta``, and
+    the cosine, its square and ``g * g`` add up to ``3 eps c`` where ``g^2 <
+    c``. At ``N = 3``, ``g = 1`` it drops ``m = 2``, a 4.4e-16 rounding of 0.
     """
     n, g = spec.n_cells, spec.gamma
     physical = verdict(spec).regime is RelevanceRegime.RELEVANT
     out = []
     for m in range(1, n):
-        c = 4.0 * math.cos(m * math.pi / (2 * n)) ** 2
-        if c <= g * g:
-            continue  # evanescent: no real resonance energy
-        sin_k = math.hypot(math.sin(m * math.pi / (2 * n)), 0.5 * g)
+        theta = m * math.pi / (2 * n)
+        c = 4.0 * math.cos(theta) ** 2
+        allowance = 8 * sys.float_info.epsilon * (theta * math.sin(2 * theta) + c)
+        if c - g * g <= allowance:
+            continue  # evanescent or degenerate: no real resonance energy
+        sin_k = math.hypot(math.sin(theta), 0.5 * g)
         for sign in (+1.0, -1.0):
             e = sign * math.sqrt(c - g * g)
             out.append(

@@ -230,21 +230,22 @@ def test_trajectory_branch_leaving_the_window_ends(workdir):
 
 
 def test_trajectory_with_branches_lost_exits_3(workdir, monkeypatch, capsys):
-    """Under 90% of the branch points recorded, counting the samples after a lost branch's end."""
+    """One lost branch exits 3, however much of the sweep it covers; the files are written."""
     record = find_poles(ChainSpec(3, 0.1))[0]
     samples = [0.1 * i for i in range(11)]
-    lost = BranchPath(0, [(samples[0], record), (samples[1], record)], lost=True)
+    kept = BranchPath(0, [(g, record) for g in samples])
+    lost = BranchPath(1, [(g, record) for g in samples], lost=True)
 
     def trace(*args, **kwargs):
-        return Trajectory(samples, [lost], [])
+        return Trajectory(samples, [kept, lost], [])
 
     monkeypatch.setattr(cli, "trace_trajectories", trace)
     assert main(["trajectory", "--n", "3", "--gamma-max", "1"]) == 3
-    err = capsys.readouterr().err
-    assert "2 branch points recorded against 9 gamma samples missing after lost branches" in err
-    assert "(18.2% recorded)" in err
+    assert "error: trajectory branches lost: [1]" in capsys.readouterr().err
     _, rows = _read_csv(workdir / "ptchain_trajectory.csv")
-    assert [r[5] for r in rows] == ["false", "true"]
+    assert [r[5] for r in rows] == ["false"] * 21 + ["true"]
+    _, crossings = _read_csv(workdir / "ptchain_trajectory_crossings.csv")
+    assert crossings == []
 
 
 # ---- evolve -------------------------------------------------------------------

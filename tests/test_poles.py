@@ -666,6 +666,31 @@ def test_pole_entering_fast_stays_one_branch():
     assert len(traj.gamma_samples) == 102
 
 
+def test_crossings_lie_on_the_axis_at_n20(caplog):
+    """Near gamma = 2 at N = 20, poles at k = ±pi/2 lie ~pi/2N apart, closer than
+    the matching bound: a branch can swap poles between samples.
+
+    Its Im k then changes sign with no root on the real axis. Each reported
+    crossing is a verified root on the axis at a ladder value, and each such
+    swap marks its branch lost with one DEBUG event. How many branches swap is
+    the matching rule's business and is not pinned.
+    """
+    ladder = threshold_ladder(20).gamma_values
+    with caplog.at_level(logging.DEBUG, logger="ptchain.poles"):
+        traj = trace_trajectories(ChainSpec(20, 0.0), 1.9, 2.0, 10, strict=False)
+    assert traj.crossings
+    for c in traj.crossings:
+        assert abs(c.k.imag) <= 1e-9
+        assert abs(c.k.real) == 0.5 * PI
+        assert min(abs(c.gamma - g) for g in ladder) <= 1e-8
+    lost = [b.branch_id for b in traj.branches if b.lost]
+    assert lost
+    events = [r.getMessage() for r in caplog.records if "no root on the real axis" in r.getMessage()]
+    assert sorted(int(m.split()[1]) for m in events) == lost
+    with pytest.raises(BranchLost, match="no root on the real axis"):
+        trace_trajectories(ChainSpec(20, 0.0), 1.9, 2.0, 10)
+
+
 def test_trajectory_validation():
     with pytest.raises(OutOfRange):
         trace_trajectories(ChainSpec(2, 0.0), -0.1, 1.0, steps=20)

@@ -69,10 +69,11 @@ def test_band_edge_points_predictions():
 
 
 def test_band_edge_gamma_window():
-    with pytest.raises(OutOfRange):
-        band_edge_points(ChainSpec(2, 2.0))
-    with pytest.warns(UserWarning):
-        assert band_edge_points(ChainSpec(2, 0.0)) == []
+    """No band-edge point lies on the open axis at gamma = 0 or gamma >= 2: none is listed."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for gamma in (0.0, 2.0, 3.0):
+            assert band_edge_points(ChainSpec(2, gamma)) == []
 
 
 def _wavenumber_40_digits(energy_squared: mpmath.mpf, sign: float) -> mpmath.mpf:
@@ -121,6 +122,11 @@ def test_fabry_perot_count_drops_in_evanescent_window():
     ms = sorted({p.n_index for p in points})
     assert ms == [1]  # 4 cos^2(m pi/8) < gamma^2 already for m = 2
     assert fabry_perot_points(ChainSpec(1, 0.5)) == []
+    # N = 3, gamma = 1: m = 2 sits at the degeneracy 4 cos^2(pi/3) = gamma^2,
+    # though its rounded radicand is 4.4e-16
+    points = fabry_perot_points(ChainSpec(3, 1.0))
+    assert [p.n_index for p in points] == [1, 1]
+    assert sorted(p.energy for p in points) == pytest.approx([-math.sqrt(2), math.sqrt(2)], abs=1e-15)
 
 
 def test_cpa_laser_points_ladder():
