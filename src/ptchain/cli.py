@@ -173,8 +173,6 @@ def _csv_floats(text: str) -> list[float]:
 def _grid(lo: float, hi: float, steps: int) -> list[float]:
     if steps < 1:
         raise OutOfRange(f"steps must be >= 1, got {steps}")
-    if not lo < hi:
-        raise OutOfRange(f"need min < max, got {lo!r} >= {hi!r}")
     return [lo + (hi - lo) * i / steps for i in range(steps + 1)]
 
 
@@ -404,7 +402,7 @@ def _run_relevance(
 ) -> int:
     spec = ChainSpec(n_cells, gamma)
     v = verdict(spec)
-    n_c = critical_size(spec.gamma) if spec.gamma > 0 else None
+    n_c = critical_size(spec.gamma)
     print(
         f"N={spec.n_cells} gamma={spec.gamma:g}: {v.regime.value} "
         f"(gamma_c={v.gamma_critical:.6g}, margin={v.margin:.6g}, "

@@ -115,11 +115,7 @@ def gaussian_packet(layout: LatticeLayout, j0: int, sigma: float, k0: float) -> 
         raise OutOfRange(f"sigma must be positive and finite, got {sigma!r}")
     left_edge_j = -layout.scatter_start
     right_edge_j = 2 * layout.n_cells + layout.lead_right_len - 1
-    clearance = min(
-        j0 - left_edge_j,
-        right_edge_j - j0,
-        abs(j0) if j0 < 0 else abs(j0 - (2 * layout.n_cells - 1)),
-    )
+    clearance = min(j0 - left_edge_j, right_edge_j - j0, max(-j0, j0 - (2 * layout.n_cells - 1), 0))
     if clearance < 3 * sigma:
         warnings.warn(
             f"packet center j0={j0} is within 3 sigma of an edge or the "

@@ -25,6 +25,7 @@ blows up on the real axis) is excluded from every census.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import enum
 import logging
@@ -65,7 +66,7 @@ __all__ = [
     "trace_trajectories",
 ]
 
-#: Sign tolerance for classifying a pole's quadrant / axis proximity.
+#: Largest |Im k| of a pole classed as on the real axis.
 CLASS_TOL = 1e-8
 #: Converged roots must reach this residual.
 RESIDUAL_TOL = 1e-10
@@ -89,27 +90,20 @@ class PoleClass(enum.Enum):
 
     TGBS = "TGBS"
     DECAYING_BOUND = "DecayingBound"
-    SPECTRAL_SINGULARITY = "SpectralSingularity"
     LASING_SINGULARITY = "LasingSingularity"
     ABSORBING_SINGULARITY = "AbsorbingSingularity"
     RESONANCE = "Resonance"
 
 
 def _classify(k: complex) -> PoleClass:
+    """Class by the sign of ``Im k`` (within :data:`CLASS_TOL`) and of ``Re k``, which every
+    census pole keeps :data:`EDGE_MARGIN` away from 0 (a polished one within 1e-12 of it)."""
     if k.imag < -CLASS_TOL:
         return PoleClass.RESONANCE
     if abs(k.imag) <= CLASS_TOL:
-        if k.real > CLASS_TOL:
-            return PoleClass.LASING_SINGULARITY
-        if k.real < -CLASS_TOL:
-            return PoleClass.ABSORBING_SINGULARITY
-        return PoleClass.SPECTRAL_SINGULARITY
+        return PoleClass.LASING_SINGULARITY if k.real > 0 else PoleClass.ABSORBING_SINGULARITY
     # upper half plane: time-growing for Re k > 0, decaying bound otherwise
-    if k.real > CLASS_TOL:
-        return PoleClass.TGBS
-    if k.real < -CLASS_TOL:
-        return PoleClass.DECAYING_BOUND
-    return PoleClass.SPECTRAL_SINGULARITY
+    return PoleClass.TGBS if k.real > 0 else PoleClass.DECAYING_BOUND
 
 
 @dataclass(frozen=True)
@@ -365,9 +359,9 @@ def find_poles(spec: ChainSpec, region: SearchRegion | None = None) -> list[Pole
 class ThresholdLadder:
     """Gain/loss values at which successive poles reach the real axis.
 
-    ``gamma_values[n] = 2 cos((2n+1) pi / (4N))`` for ``n = 0..N-1``
-    (strictly descending); the smallest one, ``gamma_critical =
-    2 sin(pi/(4N))``, is the onset of the first time-growing bound state.
+    ``gamma_values[n] = 2 cos((2n+1) pi / (4N))`` for ``n = 0..N-1`` (strictly
+    descending), evaluated as ``2 sin((2j-1) pi / (4N))``, ``j = N - n``; the last,
+    ``gamma_critical``, is the onset of the first time-growing bound state.
     All real-axis crossings happen at ``k = pi/2``.
     """
 
@@ -376,7 +370,8 @@ class ThresholdLadder:
 
 
 def gamma_critical(n_cells: int) -> float:
-    """The lowest ladder value ``2 sin(pi/(4N))`` of an ``n_cells`` chain.
+    """The lowest ladder value ``2 sin(pi/(4N))`` of an ``n_cells`` chain: the ladder's last
+    entry bit for bit, and the one float every onset decision compares ``gamma`` with.
 
     Raises
     ------
@@ -385,7 +380,13 @@ def gamma_critical(n_cells: int) -> float:
     """
     if not n_cells >= 1:
         raise OutOfRange(f"n_cells must be >= 1, got {n_cells}")
-    return 2.0 * math.sin(math.pi / (4 * n_cells))
+    return _ladder_value(1, n_cells)
+
+
+def _ladder_value(j: int, n_cells: int) -> float:
+    """``2 sin((2j-1) pi / (4N))``, ascending in ``j = 1..N``; ``/ 4 / N`` rounds as
+    ``/ (4N)`` does and never converts a ``4N`` beyond the double range."""
+    return 2.0 * math.sin((2 * j - 1) * math.pi / 4 / n_cells)
 
 
 def threshold_ladder(n_cells: int, verify_numeric: bool = False) -> ThresholdLadder:
@@ -396,19 +397,18 @@ def threshold_ladder(n_cells: int, verify_numeric: bool = False) -> ThresholdLad
     ladder value allows, ``|M22| <= 32 eps N |U_{N-1}(x)|``; otherwise
     :class:`MissedRoots` is raised. The allowance: at ``k = pi/2`` the
     ``cot k`` term vanishes (``cos(pi/2)`` rounds to 6e-17), so ``M22`` is
-    ``T_N(x)`` with ``x = gamma**2/2 - 1 = cos 2mu``, exactly zero at a ladder
-    value. The rounded ``gamma`` is off by at most ~7 eps (the roundings of
-    ``mu <= pi/2`` and of its cosine, doubled), so ``x`` is off by
-    ``|dx| <= gamma |dgamma| + 2 eps <= 16 eps`` and ``T_N(x + dx)`` by
-    ``N |U_{N-1}(x)| |dx|``. The closed-form terms of the real-axis evaluator
-    add ``N`` times a few eps, no more since ``|U_{N-1}| = 1/sin(2mu) >= 1``
-    at a ladder value. The worst ratio measured over N = 1..200, 300, 500,
-    1000, 2000, 5000 and 10**4 is 3.1 of the 32. Between two ladder values
-    ``|T_N|`` is of order one, against an allowance of at most
-    ``64 eps N**2 / pi``, 4.5e-7 at N = 10**4.
+    ``T_N(x)`` with ``x = gamma**2/2 - 1``, exactly zero at a ladder value
+    ``2 sin theta``. The angle is off by ~1.2 eps (relative) and the sine by
+    1 eps, so ``gamma |dgamma| <= 2.4 eps theta sin 2theta + 4 eps <= 6.2 eps``,
+    ``|dx| <= 9 eps`` and ``T_N(x + dx)`` by ``N |U_{N-1}(x)| |dx|``. The
+    closed-form terms of the real-axis evaluator add ``N`` times a few eps, no
+    more since ``|U_{N-1}| = 1/sin(2mu) >= 1`` at a ladder value. The worst
+    ratio measured over N = 1..200, 300, 500, 1000, 2000, 5000 and 10**4 is
+    3.23 of the 32. Between two ladder values ``|T_N|`` is of order one,
+    against an allowance of at most ``64 eps N**2 / pi``, 4.5e-7 at N = 10**4.
     """
     g_c = gamma_critical(n_cells)  # the one check of ``n_cells``
-    gammas = tuple(2.0 * math.cos((2 * n + 1) * math.pi / (4 * n_cells)) for n in range(n_cells))
+    gammas = tuple(_ladder_value(j, n_cells) for j in range(n_cells, 0, -1))
     if verify_numeric:
         for g in gammas:
             _check_ladder_value(n_cells, g)
@@ -429,34 +429,35 @@ def _check_ladder_value(n_cells: int, gamma: float) -> None:
         )
 
 
-def critical_size(gamma: float) -> int:
+def critical_size(gamma: float) -> int | None:
     """Smallest chain length at which a time-growing bound state exists.
 
-    Returns the least ``N`` with ``2 sin(pi/(4N)) < gamma`` (strict: at
+    Returns the least ``N`` with ``gamma_critical(N) < gamma`` (strict: at
     equality the pole sits exactly on the real axis and is a spectral
-    singularity, not yet a growing state). For ``gamma >= 2`` every ``N``
-    qualifies and 1 is returned.
+    singularity, not yet a growing state), and None at ``gamma = 0``. The
+    estimate ``floor(pi / (4 asin(gamma/2))) + 1`` is off by less than one up
+    to sizes of ~2**50 and is corrected by one comparison each way; beyond,
+    consecutive sizes come to share one float, and it stays an estimate.
 
     Raises
     ------
     OutOfRange
-        For ``gamma <= 0`` (no threshold is ever crossed), non-finite
-        ``gamma``, and ``gamma`` so small (subnormal) that the size exceeds
-        the double range.
+        For negative or non-finite ``gamma``, and for ``gamma`` so small
+        (subnormal) that the size exceeds the double range.
     """
-    if not 0.0 < gamma < math.inf:
-        raise OutOfRange(f"gamma must be positive and finite, got {gamma!r}")
-    if gamma >= 2.0:
-        return 1
-    # N > pi / (4 asin(gamma/2)); the epsilon keeps exact-equality cases
-    # (gamma == gamma_c(m) to rounding) on the strict side.
+    if not 0.0 <= gamma < math.inf:
+        raise OutOfRange(f"gamma must be non-negative and finite, got {gamma!r}")
+    if gamma == 0.0:
+        return None
     try:
-        x = math.pi / (4.0 * math.asin(0.5 * gamma))
-        return int(math.floor(x + 1e-12)) + 1
+        n = math.floor(math.pi / (4.0 * math.asin(min(0.5 * gamma, 1.0)))) + 1
     except (ZeroDivisionError, OverflowError):
         raise OutOfRange(
             f"gamma={gamma!r} is too small: the critical size exceeds the double range"
         ) from None
+    if not gamma_critical(n) < gamma:
+        return n + 1
+    return n - 1 if n > 1 and gamma_critical(n - 1) < gamma else n
 
 
 def first_quadrant_region(gamma: float) -> SearchRegion:
@@ -475,11 +476,12 @@ def first_quadrant_region(gamma: float) -> SearchRegion:
 def _ladder_count(spec: ChainSpec) -> int:
     """Number of ladder values strictly below ``gamma``: at equality the pole is on the axis.
 
-    The one count rule. :func:`tgbs_count` returns it, and ``relevance.verdict``
-    calls it directly, so that a traced run counts only explicit
-    ``tgbs_count`` calls.
+    The one count rule, a bisection over the ascending :func:`_ladder_value`.
+    :func:`tgbs_count` returns it, and ``relevance.verdict`` calls it directly,
+    so that a traced run counts only explicit ``tgbs_count`` calls.
     """
-    return sum(1 for g in threshold_ladder(spec.n_cells).gamma_values if g < spec.gamma)
+    n = spec.n_cells
+    return bisect.bisect_left(range(1, n + 1), spec.gamma, key=lambda j: _ladder_value(j, n))
 
 
 def tgbs_count(spec: ChainSpec, verify: bool = False) -> int:

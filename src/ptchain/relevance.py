@@ -42,10 +42,6 @@ __all__ = [
     "transmission_vs_size",
 ]
 
-#: Relative tolerance on gamma vs gamma_c for the regime boundary.
-VERDICT_TOL = 1e-9
-
-
 class RelevanceRegime(enum.Enum):
     RELEVANT = "Relevant"
     CRITICAL_SINGULARITY = "CriticalSingularity"
@@ -63,11 +59,11 @@ class RelevanceVerdict:
 
 
 def _regime(gamma: float, gamma_critical: float) -> RelevanceRegime:
-    """The side of ``gamma_critical`` that ``gamma`` lies on, within :data:`VERDICT_TOL`."""
-    tol = VERDICT_TOL * gamma_critical
-    if gamma < gamma_critical - tol:
+    """The side of ``gamma_critical``, the last ladder value, that ``gamma`` lies on: so
+    ``Unphysical`` holds exactly when a state grows, and equality is critical."""
+    if gamma < gamma_critical:
         return RelevanceRegime.RELEVANT
-    if gamma > gamma_critical + tol:
+    if gamma > gamma_critical:
         return RelevanceRegime.UNPHYSICAL
     return RelevanceRegime.CRITICAL_SINGULARITY
 

@@ -40,6 +40,13 @@ def test_usage_errors_exit_2(workdir):
     assert main(["threshold", "--n-min", "0", "--n-max", "3"]) == 2
     assert main(["threshold", "--n-min", "-3", "--n-max", "3"]) == 2
     assert main(["evolve", "--n", "1", "--gamma", "0.1", "--sigma", "-1"]) == 2
+    # sweep bounds and steps, size ranges, carrier wavenumbers and snapshot lists
+    for sweep in (["--steps", "0"], ["--e-min", "3"], ["--e-min", "1", "--e-max", "-1"]):
+        assert main(["scatter", "--n", "3", "--gamma", "0.3", *sweep]) == 2
+    assert main(["threshold", "--n", "3", "--n-min", "1", "--n-max", "4"]) == 2
+    assert main(["threshold", "--n-min", "5", "--n-max", "3"]) == 2
+    assert main(["evolve", "--n", "1", "--gamma", "0.1", "--k0", "4"]) == 2
+    assert main(["evolve", "--n", "1", "--gamma", "0.1", "--times", "1,x"]) == 2
     # non-finite gain, search bounds, packet width and snapshot times
     assert main(["scatter", "--n", "3", "--gamma", "inf", "--k", "1"]) == 2
     assert main(["relevance", "--n", "3", "--gamma", "inf"]) == 2

@@ -82,9 +82,11 @@ def test_gaussian_packet_is_normalized():
 
 
 def test_gaussian_packet_clearance_warning():
-    layout = LatticeLayout.centered(200, 3)
-    with pytest.warns(UserWarning):
-        gaussian_packet(layout, j0=-10, sigma=30.0, k0=0.5 * math.pi)
+    """A packet near the scattering region warns, and so does one inside it."""
+    for total_sites, n_cells, j0, sigma in ((200, 3, -10, 30.0), (1200, 100, 10, 3.0)):
+        layout = LatticeLayout.centered(total_sites, n_cells)
+        with pytest.warns(UserWarning):
+            gaussian_packet(layout, j0=j0, sigma=sigma, k0=0.5 * math.pi)
 
 
 def test_propagator_biorthogonality():

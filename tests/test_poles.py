@@ -8,6 +8,7 @@ poles must lie within :data:`POLE_TOL` of its roots.
 
 import logging
 import math
+import time
 import tracemalloc
 import warnings
 
@@ -360,18 +361,20 @@ def test_ladder_matches_chebyshev_root_derivation():
         for idx, g in enumerate(ladder.gamma_values):
             x = math.cos((2 * idx + 1) * PI / (2 * n_cells))
             assert g == pytest.approx(math.sqrt(2.0 + 2.0 * x), abs=1e-12)
-        assert ladder.gamma_critical == pytest.approx(min(ladder.gamma_values), abs=1e-15)
+        assert ladder.gamma_critical == min(ladder.gamma_values)
         assert ladder.gamma_critical == pytest.approx(
             2.0 * math.sin(PI / (4 * n_cells)), abs=1e-15
         )
 
 
 def test_gamma_critical_is_the_ladder_value():
-    """The public lowest ladder value is the one the ladder reports, and its smallest entry."""
+    """The public lowest ladder value is the one the ladder reports, and its last entry."""
     for n_cells in range(1, 201):
         ladder = threshold_ladder(n_cells)
         assert gamma_critical(n_cells) == ladder.gamma_critical
-        assert gamma_critical(n_cells) == pytest.approx(min(ladder.gamma_values), rel=1e-12)
+        assert gamma_critical(n_cells) == min(ladder.gamma_values)
+    for n_cells in (*range(1, 2001), 10_000, 100_000):
+        assert threshold_ladder(n_cells).gamma_values[-1] == gamma_critical(n_cells)
 
 
 @pytest.mark.parametrize("n_cells", [0, -3])
@@ -437,19 +440,40 @@ def test_critical_size(gamma, expected):
 
 
 def test_critical_size_exact_threshold_is_not_yet_growing():
+    """At gamma_c(N) the size N is not yet growing; one ulp above, it is the critical size."""
     g4 = threshold_ladder(4).gamma_critical
     assert critical_size(g4) == 5
+    for n_cells in (*range(1, 3001), 10**6, 10**7):
+        g_c = gamma_critical(n_cells)
+        assert critical_size(g_c) == n_cells + 1
+        assert critical_size(math.nextafter(g_c, 3.0)) == n_cells
 
 
 def test_critical_size_rejects_nonpositive():
-    with pytest.raises(OutOfRange):
-        critical_size(0.0)
+    assert critical_size(0.0) is None  # no size is ever unphysical without gain
     with pytest.raises(OutOfRange):
         critical_size(-0.5)
     with pytest.raises(OutOfRange):
         critical_size(float("nan"))
     with pytest.raises(OutOfRange):
         critical_size(float("inf"))
+
+
+def test_critical_size_is_the_least_unphysical_size(rng):
+    """Over log-uniform gamma in [1e-12, 2): gamma_c(c) < gamma <= gamma_c(c - 1)."""
+    for gamma in np.exp(rng.uniform(math.log(1e-12), math.log(2.0), 20_000)):
+        c = critical_size(float(gamma))
+        assert gamma_critical(c) < gamma
+        assert c == 1 or gamma_critical(c - 1) >= gamma
+
+
+@pytest.mark.parametrize("gamma", [1e-100, 1e-300, 1e-308, 2.2250738585072014e-308])
+def test_critical_size_of_a_tiny_gamma_is_prompt(gamma):
+    """Sizes up to ~1e308 take one estimate and one correction, with no loop."""
+    start = time.perf_counter()
+    c = critical_size(gamma)
+    assert time.perf_counter() - start < 0.01
+    assert isinstance(c, int) and c > 1e99
 
 
 @pytest.mark.parametrize("gamma", [5e-324, 1e-310])

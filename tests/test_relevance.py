@@ -17,6 +17,7 @@ from ptchain import (
     cpa_laser_points,
     energy_to_wavenumber,
     fabry_perot_points,
+    gamma_critical,
     scatter,
     tgbs_count,
     threshold_ladder,
@@ -33,6 +34,13 @@ def test_verdict_regimes():
     assert verdict(ChainSpec(10, 0.1)).regime is RelevanceRegime.RELEVANT
     gc = threshold_ladder(3).gamma_critical
     assert verdict(ChainSpec(3, gc)).regime is RelevanceRegime.CRITICAL_SINGULARITY
+    # at gamma_c the pole is on the axis and nothing grows; one ulp above, one state grows
+    for n_cells in (*range(1, 3001), 10**4, 10**5, 10**6, 10**7):
+        g_c = gamma_critical(n_cells)
+        at = verdict(ChainSpec(n_cells, g_c))
+        above = verdict(ChainSpec(n_cells, math.nextafter(g_c, 3.0)))
+        assert (at.regime, at.tgbs_count) == (RelevanceRegime.CRITICAL_SINGULARITY, 0)
+        assert (above.regime, above.tgbs_count) == (RelevanceRegime.UNPHYSICAL, 1)
 
 
 def test_verdict_counts_and_margin():

@@ -21,9 +21,11 @@ from ptchain import (
     ChainSpec,
     NumericalFailure,
     OutOfRange,
+    SingularBasis,
     SpectralSingularityError,
     chebyshev_tu,
     plane_wave_transfer,
+    pole_residual,
     scatter,
     threshold_ladder,
     transmission_closed_form,
@@ -466,6 +468,13 @@ def test_scatter_rejects_wavenumber_outside_open_interval():
     for bad in (0.0, -0.5, math.pi, 4.0):
         with pytest.raises(OutOfRange):
             scatter(spec, bad)
+        with pytest.raises(OutOfRange):
+            transmission_closed_form(spec, bad)
+    # inside (0, pi) but with sin k below 1e-12: the plane-wave basis degenerates
+    with pytest.raises(SingularBasis):
+        scatter(spec, 1e-13)
+    with pytest.raises(SingularBasis):
+        pole_residual(spec, 1e-13)
 
 
 def test_scatter_raises_at_spectral_singularity():
