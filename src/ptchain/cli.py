@@ -345,7 +345,7 @@ def _run_evolve(
     for t, state in zip(ts, states):
         split = intensity_split(state, layout)
         snap_path = f"{out_stem}_t{t:g}.csv"
-        density = np.abs(state.amplitudes) ** 2
+        density = np.abs(state) ** 2
         _write_csv(snap_path, ("site", "intensity"), list(zip(offsets, density)))
         snapshots.append(
             {

@@ -2,9 +2,9 @@
 
 A hard-wall tight-binding lattice of ``L`` sites embeds the gain/loss region
 in its center. Its non-Hermitian Hamiltonian is the sparse
-:func:`~ptchain.model.chain_operator` with leads; only
-:func:`prepare_propagator` densifies it, as the input of the dense
-eigensolver. Time evolution expands the state in right eigenmodes with
+:func:`build_hamiltonian`; only :func:`prepare_propagator` densifies it, as
+the input of the dense eigensolver. A state is the NumPy array of its ``L``
+site amplitudes. Time evolution expands the state in right eigenmodes with
 left-eigenmode coefficients (biorthogonal expansion) and multiplies by
 ``exp(-i E t)``. Near-defective spectra (mode-overlap conditioning above a
 threshold) fall back to ``scipy.sparse.linalg.expm_multiply`` on the sparse
@@ -26,14 +26,13 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DecompositionFailed, InsufficientGrowth, NumericalFailure, OutOfRange
-from .model import ChainSpec, chain_operator
+from .model import ChainSpec, _chain_arrays
 
 if TYPE_CHECKING:
     from scipy.sparse import csr_array
 
 __all__ = [
     "LatticeLayout",
-    "WaveState",
     "PropagatorBundle",
     "IntensitySplit",
     "build_hamiltonian",
@@ -81,30 +80,26 @@ class LatticeLayout:
         return np.arange(self.total_sites) - self.scatter_start
 
 
-@dataclass(frozen=True)
-class WaveState:
-    """Snapshot of the lattice wavefunction at one time (immutable by convention)."""
-
-    amplitudes: np.ndarray
-    time: float
-
-
 def build_hamiltonian(layout: LatticeLayout, spec: ChainSpec) -> "csr_array":
     """Sparse (CSR) tridiagonal Hamiltonian with hard-wall boundaries.
 
-    The :func:`~ptchain.model.chain_operator` of ``spec`` with the layout's
-    leads: hopping -1 on both off-diagonals; diagonal zero in the leads and
-    alternating ``+i gamma, -i gamma`` on the ``2N`` scattering sites (gain
-    first). The trace vanishes for every (N, gamma).
+    The arrays of :func:`~ptchain.model._chain_arrays` for ``spec`` with the
+    layout's leads: hopping -1 on both off-diagonals; diagonal zero in the
+    leads and alternating ``+i gamma, -i gamma`` on the ``2N`` scattering
+    sites (gain first). The trace vanishes for every (N, gamma).
     """
     if layout.n_cells != spec.n_cells:
         raise OutOfRange(
             f"layout is for N={layout.n_cells} but spec has N={spec.n_cells}"
         )
-    return chain_operator(spec, layout.scatter_start, layout.lead_right_len)
+    # imported here so that only the wave-packet path loads scipy.sparse
+    from scipy.sparse import csr_array
+
+    arrays = _chain_arrays(spec, layout.scatter_start, layout.lead_right_len)
+    return csr_array(arrays, shape=(layout.total_sites, layout.total_sites))
 
 
-def gaussian_packet(layout: LatticeLayout, j0: int, sigma: float, k0: float) -> WaveState:
+def gaussian_packet(layout: LatticeLayout, j0: int, sigma: float, k0: float) -> np.ndarray:
     """Normalized Gaussian wave packet ``exp(-(j-j0)^2/2 sigma^2) exp(i k0 j)``.
 
     ``j0`` should sit well inside a lead: a warning is emitted when it is
@@ -129,7 +124,7 @@ def gaussian_packet(layout: LatticeLayout, j0: int, sigma: float, k0: float) -> 
     if not 0.0 < norm < math.inf:
         raise OutOfRange(f"packet (j0={j0}, sigma={sigma}) has no finite norm on the lattice")
     psi /= norm
-    return WaveState(amplitudes=psi, time=0.0)
+    return psi
 
 
 @dataclass(frozen=True)
@@ -223,8 +218,8 @@ def prepare_propagator(h: "csr_array | np.ndarray") -> PropagatorBundle:
     )
 
 
-def evolve(bundle: PropagatorBundle, psi0: WaveState, t: float) -> WaveState:
-    """Propagate a state by time ``t`` under ``exp(-i H t)``.
+def evolve(bundle: PropagatorBundle, psi0: np.ndarray, t: float) -> np.ndarray:
+    """The amplitudes ``psi0`` propagated by time ``t`` under ``exp(-i H t)``, a new array.
 
     Spectral path: expand in right modes with left-mode coefficients and
     multiply by ``exp(-i E_n t)``. Near-defective bundles route to
@@ -243,13 +238,13 @@ def evolve(bundle: PropagatorBundle, psi0: WaveState, t: float) -> WaveState:
             )
             from scipy.sparse.linalg import expm_multiply
 
-            psi_t = expm_multiply(-1j * t * bundle.hamiltonian, psi0.amplitudes)
+            psi_t = expm_multiply(-1j * t * bundle.hamiltonian, psi0)
         else:
-            coeff = bundle.left_modes.conj().T @ psi0.amplitudes
+            coeff = bundle.left_modes.conj().T @ psi0
             psi_t = bundle.right_modes @ (coeff * np.exp(-1j * bundle.eigenvalues * t))
     if not math.isfinite(np.vdot(psi_t, psi_t).real):
         raise NumericalFailure(f"the intensity of the state propagated to t={t!r} is not finite")
-    return WaveState(amplitudes=psi_t, time=psi0.time + t)
+    return psi_t
 
 
 @dataclass(frozen=True)
@@ -265,9 +260,9 @@ class IntensitySplit:
         return self.reflected + self.central + self.transmitted
 
 
-def intensity_split(state: WaveState, layout: LatticeLayout) -> IntensitySplit:
-    """Intensity in the left lead / scattering region / right lead."""
-    density = np.abs(state.amplitudes) ** 2
+def intensity_split(psi: np.ndarray, layout: LatticeLayout) -> IntensitySplit:
+    """Intensity of the amplitudes ``psi`` in the left lead / scattering region / right lead."""
+    density = np.abs(psi) ** 2
     lo = layout.scatter_start
     hi = layout.scatter_start + 2 * layout.n_cells
     return IntensitySplit(

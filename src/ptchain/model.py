@@ -1,11 +1,12 @@
-"""Lattice conventions, dispersion relation, and the chain's operator.
+"""Lattice conventions, dispersion relation, and the chain's matrix entries.
 
 The physical system is a one-dimensional tight-binding chain with hopping
 ``J = 1`` (and ``hbar = a = 1``, never configurable) whose central region is a
 periodic arrangement of ``n_cells`` two-site unit cells: a gain site with
 on-site potential ``+i*gamma`` followed by a loss site with ``-i*gamma``.
 The profile is PT symmetric, ``eps_j == conj(eps_{2N-1-j})``; its one writer
-is :func:`_chain_arrays`, the entries of :func:`chain_operator`.
+is :func:`_chain_arrays`, the entries of the pencil's chain block and of
+:func:`~ptchain.dynamics.build_hamiltonian`.
 
 Everything downstream (transfer matrices, pole finding, wave-packet dynamics)
 consumes the conventions fixed here:
@@ -27,14 +28,10 @@ import enum
 import math
 import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import OutOfRange
-
-if TYPE_CHECKING:
-    from scipy.sparse import csr_array
 
 __all__ = [
     "ChainSpec",
@@ -44,7 +41,6 @@ __all__ = [
     "dispersion_energy",
     "energy_to_wavenumber",
     "classify_bloch_regime",
-    "chain_operator",
 ]
 
 #: Absolute tolerance on ``E**2 + gamma**2 - 4`` separating the propagating,
@@ -53,6 +49,9 @@ REGIME_TOL = 1e-12
 
 #: Largest gain/loss strength whose square is a finite float.
 _GAMMA_MAX = math.sqrt(sys.float_info.max)
+#: Largest chain size, ``sys.float_info.max`` as an integer: every accepted
+#: ``n_cells`` converts to a finite double.
+_N_CELLS_MAX = int(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -62,7 +61,7 @@ class ChainSpec:
     Parameters
     ----------
     n_cells : int
-        Number of two-site unit cells (``N >= 1``).
+        Number of two-site unit cells, ``1 <= N <= sys.float_info.max``.
     gamma : float
         Gain/loss strength ``gamma >= 0`` in units of the hopping, with a
         finite ``gamma**2``: at most ``sqrt(sys.float_info.max)``, ~1.34e154.
@@ -74,6 +73,8 @@ class ChainSpec:
     def __post_init__(self) -> None:
         if not (isinstance(self.n_cells, int) and self.n_cells >= 1):
             raise OutOfRange(f"n_cells must be a positive integer, got {self.n_cells!r}")
+        if self.n_cells > _N_CELLS_MAX:
+            raise OutOfRange("n_cells must be at most sys.float_info.max (~1.8e308)")
         if not 0.0 <= self.gamma <= _GAMMA_MAX:
             raise OutOfRange(f"gamma must lie in [0, {_GAMMA_MAX!r}], got {self.gamma!r}")
 
@@ -96,8 +97,6 @@ def _chain_arrays(
     ``gamma > 0`` the arrays equal those of ``csr_array`` of the dense matrix
     (at ``gamma = 0`` the on-site zeros are stored too).
     """
-    if left < 0 or right < 0:
-        raise OutOfRange(f"lead lengths must be nonnegative, got {left!r}, {right!r}")
     n = spec.n_sites
     size = left + n + right
     # row i holds columns i-1, i and i+1, of which ``stored`` keeps those that exist
@@ -112,20 +111,6 @@ def _chain_arrays(
     indptr = np.zeros(size + 1, dtype=np.int32)
     np.cumsum(stored.sum(axis=1), out=indptr[1:])
     return values[stored], columns[stored], indptr
-
-
-def chain_operator(spec: ChainSpec, left: int = 0, right: int = 0) -> "csr_array":
-    """The chain's tridiagonal matrix as a CSR array, built from :func:`_chain_arrays`.
-
-    Without leads it is the outgoing-wave pencil's ``H_c``, with ``left``
-    and ``right`` lead sites the lattice Hamiltonian.
-    """
-    # imported here so that only the wave-packet path loads scipy.sparse
-    from scipy.sparse import csr_array
-
-    data, indices, indptr = _chain_arrays(spec, left, right)
-    size = len(indptr) - 1
-    return csr_array((data, indices, indptr), shape=(size, size))
 
 
 def _canonical_strip(re: float) -> float:

@@ -25,7 +25,6 @@ blows up on the real axis) is excluded from every census.
 
 from __future__ import annotations
 
-import bisect
 import cmath
 import enum
 import logging
@@ -42,7 +41,7 @@ from .errors import (
     OutOfRange,
     SingularBasis,
 )
-from .model import ChainSpec, ComplexWavenumber, _chain_arrays, dispersion_energy
+from .model import _N_CELLS_MAX, ChainSpec, ComplexWavenumber, _chain_arrays, dispersion_energy
 from .scattering import _transfer_terms
 
 _log = logging.getLogger(__name__)
@@ -376,17 +375,20 @@ def gamma_critical(n_cells: int) -> float:
     Raises
     ------
     OutOfRange
-        For ``n_cells < 1``.
+        For ``n_cells < 1`` and above ``sys.float_info.max``, as :class:`ChainSpec`.
     """
     if not n_cells >= 1:
         raise OutOfRange(f"n_cells must be >= 1, got {n_cells}")
+    if n_cells > _N_CELLS_MAX:
+        raise OutOfRange("n_cells must be at most sys.float_info.max (~1.8e308)")
     return _ladder_value(1, n_cells)
 
 
 def _ladder_value(j: int, n_cells: int) -> float:
-    """``2 sin((2j-1) pi / (4N))``, ascending in ``j = 1..N``; ``/ 4 / N`` rounds as
-    ``/ (4N)`` does and never converts a ``4N`` beyond the double range."""
-    return 2.0 * math.sin((2 * j - 1) * math.pi / 4 / n_cells)
+    """``2 sin((2j-1) pi / (4N))``, ascending in ``j = 1..N``. Scaling by powers of two is exact:
+    this rounds as ``(2j-1) * pi / 4 / N`` wherever half the angle is a normal double
+    (N up to ~1.7e307), and stays finite for every ``j <= N <= sys.float_info.max``."""
+    return 2.0 * math.sin((2 * j - 1) / 8 * math.pi / n_cells * 2)
 
 
 def threshold_ladder(n_cells: int, verify_numeric: bool = False) -> ThresholdLadder:
@@ -429,15 +431,23 @@ def _check_ladder_value(n_cells: int, gamma: float) -> None:
         )
 
 
+def _prefix_count(n: int, holds) -> int:
+    """How many of ``1..n`` satisfy ``holds``, which holds on a prefix of them: a bisection."""
+    lo, hi = 0, n  # holds on 1..lo, fails on hi+1..n
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if holds(mid) else (lo, mid - 1)
+    return lo
+
+
 def critical_size(gamma: float) -> int | None:
     """Smallest chain length at which a time-growing bound state exists.
 
     Returns the least ``N`` with ``gamma_critical(N) < gamma`` (strict: at
     equality the pole sits exactly on the real axis and is a spectral
-    singularity, not yet a growing state), and None at ``gamma = 0``. The
-    estimate ``floor(pi / (4 asin(gamma/2))) + 1`` is off by less than one up
-    to sizes of ~2**50 and is corrected by one comparison each way; beyond,
-    consecutive sizes come to share one float, and it stays an estimate.
+    singularity, not yet a growing state), and None at ``gamma = 0``. It is
+    exact for every ``gamma``: the sizes with ``gamma_critical(N) >= gamma``
+    are counted by bisection, below an upper end found by doubling.
 
     Raises
     ------
@@ -449,15 +459,14 @@ def critical_size(gamma: float) -> int | None:
         raise OutOfRange(f"gamma must be non-negative and finite, got {gamma!r}")
     if gamma == 0.0:
         return None
-    try:
-        n = math.floor(math.pi / (4.0 * math.asin(min(0.5 * gamma, 1.0)))) + 1
-    except (ZeroDivisionError, OverflowError):
-        raise OutOfRange(
-            f"gamma={gamma!r} is too small: the critical size exceeds the double range"
-        ) from None
-    if not gamma_critical(n) < gamma:
-        return n + 1
-    return n - 1 if n > 1 and gamma_critical(n - 1) < gamma else n
+    top = 1
+    while not gamma_critical(top) < gamma:
+        if top == _N_CELLS_MAX:
+            raise OutOfRange(
+                f"gamma={gamma!r} is too small: the critical size exceeds the double range"
+            )
+        top = min(2 * top, _N_CELLS_MAX)
+    return _prefix_count(top, lambda n: gamma_critical(n) >= gamma) + 1
 
 
 def first_quadrant_region(gamma: float) -> SearchRegion:
@@ -481,7 +490,7 @@ def _ladder_count(spec: ChainSpec) -> int:
     so that a traced run counts only explicit ``tgbs_count`` calls.
     """
     n = spec.n_cells
-    return bisect.bisect_left(range(1, n + 1), spec.gamma, key=lambda j: _ladder_value(j, n))
+    return _prefix_count(n, lambda j: _ladder_value(j, n) < spec.gamma)
 
 
 def tgbs_count(spec: ChainSpec, verify: bool = False) -> int:
@@ -599,12 +608,13 @@ def trace_trajectories(
     A branch's rise of Im k through zero is refined in gamma by
     :func:`_refine_crossing` and reported only where the root is on the real
     axis, at ``Re k = ±pi/2`` and a ladder value. A sign change with no root
-    on the axis means the branch swapped poles: it is lost the same way.
-    Each loss makes one DEBUG event under ``ptchain.poles``. With the default
-    region, a sweep reaching gamma = 2 warns unless it ends with 2N - 1
-    branches at ``Re k > 0``. A
-    ``gamma_max`` above :data:`CENSUS_GAMMA_MAX` raises :class:`OutOfRange`
-    before the first census.
+    on the axis means the branch swapped poles: it ends at the sample before
+    the change and is lost the same way, and its points from the sample after
+    it become a new branch, which is scanned too. Each loss makes one DEBUG
+    event under ``ptchain.poles``. With the default region, a sweep reaching
+    gamma = 2 warns unless 2N - 1 of the branches reaching its last sample
+    lie at ``Re k > 0``. A ``gamma_max`` above :data:`CENSUS_GAMMA_MAX`
+    raises :class:`OutOfRange` before the first census.
     """
     if not (0.0 <= gamma_min <= gamma_max):
         raise OutOfRange(f"need 0 <= gamma_min <= gamma_max, got {gamma_min!r}, {gamma_max!r}")
@@ -694,20 +704,24 @@ def trace_trajectories(
                 branches.append(b)
                 live.append(b)
 
-    # refine real-axis crossings
+    # refine real-axis crossings; the scan reaches the branches it appends too
     crossings: list[AxisCrossing] = []
     for b in branches:
-        for (g0, p0), (g1, p1) in zip(b.points[:-1], b.points[1:]):
+        for i, ((g0, p0), (g1, p1)) in enumerate(zip(b.points[:-1], b.points[1:])):
             k0, k1 = p0.k.as_complex(), p1.k.as_complex()
             if k0.imag < 0 <= k1.imag:
                 ref = _refine_crossing(spec_base, g0, k0, g1, k1)
                 if ref is not None:
                     crossings.append(AxisCrossing(b.branch_id, ref[0], ref[1]))
-                else:  # the branch swapped poles between the samples
-                    lose(b, f"between gamma={g0!r} and {g1!r}: Im k changes sign "
-                            "with no root on the real axis")
+                    continue
+                # the branch swapped poles: it ends at g0, its points from g1 on are a new branch
+                branches.append(BranchPath(len(branches), b.points[i + 1 :], lost=b.lost))
+                del b.points[i + 1 :]
+                lose(b, f"between gamma={g0!r} and {g1!r}: Im k changes sign "
+                        "with no root on the real axis")
+                break
 
-    n_positive = sum(b.points[-1][1].k.re > 0 for b in branches)
+    n_positive = sum(b.points[-1][1].k.re > 0 for b in branches if b.points[-1][0] == samples[-1])
     expected = 2 * spec_base.n_cells - 1
     if region == DEFAULT_REGION and gamma_max >= 2.0 and n_positive != expected:
         warnings.warn(

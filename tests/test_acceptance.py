@@ -189,7 +189,7 @@ def test_criterion_08_critical_chain_steady_beam(propagation):
         for offset in (36, 66):  # 2N + 30 and 2N + 60
             idx = layout.global_index(offset)
             vals = [
-                abs(pc.evolve(bundle, psi0, float(t)).amplitudes[idx]) ** 2
+                abs(pc.evolve(bundle, psi0, float(t))[idx]) ** 2
                 for t in (260.0, 320.0, 380.0, 440.0)
             ]
             mean = float(np.mean(vals))

@@ -255,6 +255,20 @@ def test_trajectory_with_branches_lost_exits_3(workdir, monkeypatch, capsys):
     assert crossings == []
 
 
+def test_trajectory_marks_a_swap_on_its_row(workdir, capsys):
+    """At N = 20 two branches swap poles between gamma = 1.99 and 2.0: each
+    one's ``lost`` cell is ``true`` on its gamma = 1.99 row, its last."""
+    assert main(
+        ["trajectory", "--n", "20", "--gamma-min", "1.9", "--gamma-max", "2.0", "--steps", "10"]
+    ) == 3
+    _, rows = _read_csv(workdir / "ptchain_trajectory.csv")
+    marked = [r for r in rows if r[5] == "true"]
+    assert len(marked) == 2 and all(float(r[1]) == 1.99 for r in marked)
+    for r in marked:
+        assert max(float(q[1]) for q in rows if q[0] == r[0]) == 1.99
+    assert f"branches lost: {[int(r[0]) for r in marked]}" in capsys.readouterr().err
+
+
 # ---- evolve -------------------------------------------------------------------
 
 def test_evolve_writes_snapshots_and_summary(workdir, capsys):

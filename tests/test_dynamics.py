@@ -39,6 +39,8 @@ def test_layout_validation():
         LatticeLayout(total_sites=8, n_cells=4, scatter_start=1)  # no room
     with pytest.raises(OutOfRange):
         LatticeLayout.centered(5, 3)
+    with pytest.raises(OutOfRange):
+        LatticeLayout(total_sites=8, n_cells=2, scatter_start=-1)  # a negative left lead
 
 
 def test_hamiltonian_structure():
@@ -73,10 +75,9 @@ def test_hamiltonian_layout_mismatch():
 def test_gaussian_packet_is_normalized():
     layout = LatticeLayout.centered(400, 3)
     psi = gaussian_packet(layout, j0=-100, sigma=20.0, k0=0.5 * math.pi)
-    assert np.linalg.norm(psi.amplitudes) == pytest.approx(1.0, abs=1e-12)
-    assert psi.time == 0.0
+    assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
     # intensity-weighted center sits at j0
-    density = np.abs(psi.amplitudes) ** 2
+    density = np.abs(psi) ** 2
     center = float(density @ layout.site_offsets())
     assert center == pytest.approx(-100.0, abs=0.5)
 
@@ -117,8 +118,7 @@ def test_evolve_identity_at_t_zero():
     bundle = prepare_propagator(h)
     psi0 = gaussian_packet(layout, j0=-16, sigma=4.0, k0=1.2)
     out = evolve(bundle, psi0, 0.0)
-    assert np.allclose(out.amplitudes, psi0.amplitudes, atol=1e-10)
-    assert out.time == 0.0
+    assert np.allclose(out, psi0, atol=1e-10)
 
 
 def test_evolve_rejects_negative_time():
@@ -158,19 +158,18 @@ def test_unitary_evolution_without_gain_loss():
     bundle = prepare_propagator(h)
     psi0 = gaussian_packet(layout, j0=-30, sigma=8.0, k0=0.5 * math.pi)
     state = evolve(bundle, psi0, 40.0)
-    assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-10)
-    assert state.time == 40.0
+    assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_spectral_path_matches_forced_fallback(monkeypatch):
     layout = LatticeLayout.centered(60, 3)
     h = build_hamiltonian(layout, ChainSpec(3, 0.5))
     psi0 = gaussian_packet(layout, j0=-12, sigma=4.0, k0=1.3)
-    spectral = evolve(prepare_propagator(h), psi0, 6.0).amplitudes
+    spectral = evolve(prepare_propagator(h), psi0, 6.0)
     monkeypatch.setattr(dynamics, "NEAR_DEFECTIVE_CONDITION", 0.0)
     bundle = prepare_propagator(h)
     assert bundle.near_defective
-    direct = evolve(bundle, psi0, 6.0).amplitudes
+    direct = evolve(bundle, psi0, 6.0)
     assert np.max(np.abs(spectral - direct)) < 1e-12
 
 
@@ -180,12 +179,10 @@ def test_near_defective_falls_back_to_expm_multiply(caplog):
     caplog.set_level(logging.DEBUG, logger="ptchain.dynamics")
     bundle = prepare_propagator(h)
     assert bundle.near_defective
-    from ptchain import WaveState
-
-    psi0 = WaveState(amplitudes=np.array([0.3 + 0.0j, 0.7 + 0.0j]), time=0.0)
+    psi0 = np.array([0.3 + 0.0j, 0.7 + 0.0j])
     out = evolve(bundle, psi0, 2.0)
-    expected = psi0.amplitudes - 2.0j * (h @ psi0.amplitudes)
-    assert np.allclose(out.amplitudes, expected, atol=1e-10)
+    expected = psi0 - 2.0j * (h @ psi0)
+    assert np.allclose(out, expected, atol=1e-10)
     messages = [r.getMessage() for r in caplog.records if r.name == "ptchain.dynamics"]
     assert len(messages) == 2
     assert "near-defective spectrum (condition estimate" in messages[0]
@@ -200,20 +197,18 @@ def test_intensity_split_partitions_norm():
     state = evolve(bundle, psi0, 12.0)
     split = intensity_split(state, layout)
     assert split.total == pytest.approx(
-        float(np.sum(np.abs(state.amplitudes) ** 2)), rel=1e-12
+        float(np.sum(np.abs(state) ** 2)), rel=1e-12
     )
     assert split.reflected >= 0 and split.central >= 0 and split.transmitted >= 0
 
 
 def test_intensity_split_region_boundaries():
     layout = LatticeLayout.centered(20, 2)
-    from ptchain import WaveState
-
     amps = np.zeros(20, dtype=complex)
     amps[layout.global_index(-1)] = 1.0  # last left-lead site
     amps[layout.global_index(0)] = 1.0  # first scattering site
     amps[layout.global_index(4)] = 1.0  # first right-lead site (j = 2N)
-    split = intensity_split(WaveState(amps, 0.0), layout)
+    split = intensity_split(amps, layout)
     assert split.reflected == pytest.approx(1.0)
     assert split.central == pytest.approx(1.0)
     assert split.transmitted == pytest.approx(1.0)

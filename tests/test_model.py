@@ -23,7 +23,7 @@ from ptchain import (
     LatticeLayout,
     NumericalFailure,
     OutOfRange,
-    chain_operator,
+    build_hamiltonian,
     classify_bloch_regime,
     dispersion_energy,
     energy_to_wavenumber,
@@ -49,6 +49,19 @@ def test_chain_spec_validation():
         ChainSpec(3, float("nan"))
     with pytest.raises(OutOfRange):
         ChainSpec(3, float("inf"))
+
+
+def test_size_bound_keeps_n_a_finite_double():
+    """``n_cells`` up to ``sys.float_info.max`` is accepted; above it ``ChainSpec``
+    and ``gamma_critical`` raise ``OutOfRange``, not a bare ``OverflowError``."""
+    largest = int(sys.float_info.max)
+    ChainSpec(largest, 0.1)
+    assert 0.0 < poles.gamma_critical(largest) < 1e-307
+    for n in (largest + 1, 10**400):
+        with pytest.raises(OutOfRange, match="sys.float_info.max"):
+            ChainSpec(n, 0.1)
+        with pytest.raises(OutOfRange, match="sys.float_info.max"):
+            poles.gamma_critical(n)
 
 
 def test_gamma_bound_keeps_gamma_squared_finite():
@@ -80,7 +93,7 @@ def test_n_sites():
 
 def test_onsite_entries_alternate_and_are_pt_symmetric():
     spec = ChainSpec(4, 0.9)
-    eps = chain_operator(spec).diagonal()
+    eps = build_hamiltonian(LatticeLayout(8, 4, 0), spec).diagonal()
     assert eps[0] == 0.9j  # gain first
     assert eps[1] == -0.9j
     assert all(eps[j] == (-1) ** j * 0.9j for j in range(8))
@@ -99,8 +112,9 @@ def test_chain_operator_equals_the_dense_builder(n, left, right):
     """Byte-equal densified, and the CSR arrays of the dense matrix, for gamma > 0."""
     for gamma in (0.3, 1.7, 2.5):
         spec = ChainSpec(n, gamma)
-        op = chain_operator(spec, left, right)
-        dense = dense_hamiltonian(LatticeLayout(left + 2 * n + right, n, left), spec)
+        layout = LatticeLayout(left + 2 * n + right, n, left)
+        op = build_hamiltonian(layout, spec)
+        dense = dense_hamiltonian(layout, spec)
         assert op.toarray().tobytes() == dense.tobytes()
         ref = csr_array(dense)
         assert op.indptr.tobytes() == ref.indptr.tobytes()
@@ -113,8 +127,9 @@ def test_chain_operator_without_gain_and_loss_has_the_dense_values(n):
     """At gamma = 0 the values agree; the stored on-site zeros carry signs the dense matrix lacks."""
     spec = ChainSpec(n, 0.0)
     for left, right in LEADS:
-        op = chain_operator(spec, left, right)
-        dense = dense_hamiltonian(LatticeLayout(left + 2 * n + right, n, left), spec)
+        layout = LatticeLayout(left + 2 * n + right, n, left)
+        op = build_hamiltonian(layout, spec)
+        dense = dense_hamiltonian(layout, spec)
         assert np.array_equal(op.toarray(), dense)
         assert op.nnz == 3 * op.shape[0] - 2 - left - right
 
@@ -134,13 +149,6 @@ def test_pencil_companion_equals_the_dense_builder(n, monkeypatch):
         spec = ChainSpec(n, gamma)
         poles._pencil_wavenumbers(spec)
         assert seen.pop().tobytes() == dense_pencil_companion(spec).tobytes()
-
-
-def test_chain_operator_rejects_negative_leads():
-    with pytest.raises(OutOfRange):
-        chain_operator(ChainSpec(2, 0.5), left=-1)
-    with pytest.raises(OutOfRange):
-        chain_operator(ChainSpec(2, 0.5), right=-1)
 
 
 def _fresh_python(code, *args, cwd=None):

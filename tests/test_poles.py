@@ -8,6 +8,7 @@ poles must lie within :data:`POLE_TOL` of its roots.
 
 import logging
 import math
+import re
 import time
 import tracemalloc
 import warnings
@@ -469,16 +470,25 @@ def test_critical_size_is_the_least_unphysical_size(rng):
 
 @pytest.mark.parametrize("gamma", [1e-100, 1e-300, 1e-308, 2.2250738585072014e-308])
 def test_critical_size_of_a_tiny_gamma_is_prompt(gamma):
-    """Sizes up to ~1e308 take one estimate and one correction, with no loop."""
+    """Sizes up to ~1e308 take one doubling and one bisection, each of about 1000 steps."""
     start = time.perf_counter()
     c = critical_size(gamma)
     assert time.perf_counter() - start < 0.01
     assert isinstance(c, int) and c > 1e99
+    assert gamma_critical(c) < gamma <= gamma_critical(c - 1)
+
+
+@pytest.mark.parametrize("gamma", [1e-17, 1e-20, 3e-45])
+def test_critical_size_is_exact_where_sizes_share_a_float(gamma):
+    """Beyond N ~ 2**53 consecutive sizes share one float of gamma_critical; the
+    answer is still the least size below gamma."""
+    c = critical_size(gamma)
+    assert gamma_critical(c) < gamma <= gamma_critical(c - 1)
 
 
 @pytest.mark.parametrize("gamma", [5e-324, 1e-310])
 def test_critical_size_rejects_a_subnormal_gamma(gamma):
-    """pi / (4 asin(gamma/2)) divides by zero at 5e-324 and is inf at 1e-310."""
+    """The least size at these gammas exceeds the size bound, sys.float_info.max."""
     with pytest.raises(OutOfRange, match="double range"):
         critical_size(gamma)
 
@@ -713,6 +723,23 @@ def test_crossings_lie_on_the_axis_at_n20(caplog):
     assert sorted(int(m.split()[1]) for m in events) == lost
     with pytest.raises(BranchLost, match="no root on the real axis"):
         trace_trajectories(ChainSpec(20, 0.0), 1.9, 2.0, 10)
+
+
+def test_swapped_branch_ends_at_the_swap(caplog):
+    """At N = 20 a branch that swaps poles ends at the lower end of its DEBUG
+    event's interval; a new branch starts above the axis at the upper end."""
+    with caplog.at_level(logging.DEBUG, logger="ptchain.poles"):
+        traj = trace_trajectories(ChainSpec(20, 0.0), 1.9, 2.0, 10, strict=False)
+    events = [re.match(r"branch (\d+) lost between gamma=(\S+) and (\S+):", r.getMessage())
+              for r in caplog.records]
+    ends = {int(m[1]): (float(m[2]), float(m[3])) for m in events if m}
+    lost = {b.branch_id: b for b in traj.branches if b.lost}
+    assert lost and sorted(ends) == sorted(lost)
+    starts = [(b.points[0][0], b.points[0][1].k.im >= 0.0) for b in traj.branches]
+    for branch_id, (g0, g1) in ends.items():
+        assert lost[branch_id].points[-1][0] == g0 < g1
+        assert (g1, True) in starts
+    assert [b.branch_id for b in traj.branches] == list(range(len(traj.branches)))
 
 
 def test_trajectory_validation():

@@ -1,6 +1,7 @@
 """Physicality verdicts, special scattering points, and size scans."""
 
 import math
+import sys
 import warnings
 
 import mpmath
@@ -25,6 +26,7 @@ from ptchain import (
     transmission_vs_size,
     verdict,
 )
+from ptchain.poles import _ladder_value
 from transfer_oracles import evanescent_decay_reference
 
 
@@ -41,6 +43,17 @@ def test_verdict_regimes():
         above = verdict(ChainSpec(n_cells, math.nextafter(g_c, 3.0)))
         assert (at.regime, at.tgbs_count) == (RelevanceRegime.CRITICAL_SINGULARITY, 0)
         assert (above.regime, above.tgbs_count) == (RelevanceRegime.UNPHYSICAL, 1)
+
+
+def test_verdict_counts_at_every_accepted_size():
+    """The ladder count is a bisection, exact at sizes no ``range`` can hold."""
+    assert verdict(ChainSpec(10**20, 0.1)).tgbs_count == 3184426647332068608
+    largest = int(sys.float_info.max)
+    for n_cells in (2**63, 10**300, largest):
+        assert verdict(ChainSpec(n_cells, 2.5)).tgbs_count == n_cells
+        for gamma in (1e-300, 0.1, 1.9):
+            count = verdict(ChainSpec(n_cells, gamma)).tgbs_count
+            assert _ladder_value(count, n_cells) < gamma <= _ladder_value(count + 1, n_cells)
 
 
 def test_verdict_counts_and_margin():

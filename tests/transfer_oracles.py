@@ -27,8 +27,9 @@ the local-minimum test over a whole lattice as eight shifted comparisons.
 the whole lattice: every interior local minimum of ``|M22|``, deepest
 first. It stays the bit oracle of the fig2 poles.
 
-Two more are dense references for the chain's sparse operator
-``chain_operator``: ``dense_hamiltonian`` writes the finite lattice's
+Two more are dense references for the chain's sparse operators, the
+lattice Hamiltonian ``build_hamiltonian`` and the pencil's chain block:
+``dense_hamiltonian`` writes the finite lattice's
 Hamiltonian entry by entry into a zero matrix, and ``dense_pencil_companion``
 assembles the outgoing-wave pencil's companion matrix from ``np.diag`` and
 ``np.eye``. Both take the gain/loss profile from ``gain_loss_profile``
