@@ -175,7 +175,7 @@ def pole_residual(spec: ChainSpec, k: complex) -> complex:
     raises :class:`SingularBasis` at ``sin k = 0``, and a residual beyond the
     double range is NaN.
     """
-    t_n, diag, _, _, _, _ = _transfer_terms(spec, complex(k))
+    t_n, diag, _, _, _, _, _ = _transfer_terms(spec, complex(k))
     finite = cmath.isfinite(t_n) and cmath.isfinite(diag)
     return t_n - diag if finite else complex(math.nan, math.nan)
 
@@ -196,7 +196,7 @@ def _newton(spec: ChainSpec, seed: complex, max_iter: int = 60) -> complex | Non
     k = complex(seed)
     for it in range(max_iter + 1):
         try:
-            t_n, diag, _, _, _, _ = _transfer_terms(spec, k)
+            t_n, diag, _, _, _, _, _ = _transfer_terms(spec, k)
         except SingularBasis:
             return None
         if not (cmath.isfinite(t_n) and cmath.isfinite(diag)):  # beyond the double range
@@ -423,7 +423,7 @@ def _check_ladder_value(n_cells: int, gamma: float) -> None:
     The allowance is derived in :func:`threshold_ladder`. A real ``k`` takes
     the O(1) closed-form terms, which share one power-of-two scale.
     """
-    t_n, diag, u_nm1, _, _, _ = _transfer_terms(ChainSpec(n_cells, gamma), 0.5 * math.pi)
+    t_n, diag, u_nm1, _, _, _, _ = _transfer_terms(ChainSpec(n_cells, gamma), 0.5 * math.pi)
     if not abs(t_n - diag) <= 32 * sys.float_info.epsilon * n_cells * abs(u_nm1):
         raise MissedRoots(
             f"no real-axis root at k=pi/2 for N={n_cells}, gamma={gamma!r}: "

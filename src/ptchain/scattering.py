@@ -20,7 +20,9 @@ a few ``N`` ulp; the removable singularity of the ratio at the band edges
 from the three-term recurrence, in which no such singularity arises.
 One scalar evaluator, :func:`_transfer_terms`, supplies ``T_N``,
 ``U_{N-1}`` and the diagonal term to the transfer matrix, to :func:`scatter`
-and to the pole finder, whose zeros of ``M22`` are the S-matrix poles.
+and to the pole finder, whose zeros of ``M22`` are the S-matrix poles. At
+real ``k`` it takes ``sin k`` and ``cos k`` once, and :func:`scatter` builds
+``e^{±ik}`` from them and divides the entries of :func:`_assemble` directly.
 
 The closed-form transmission (real arithmetic only)
 
@@ -68,9 +70,12 @@ class Matrix2C:
     m22: complex
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ScatterResult:
     """Stationary scattering amplitudes and coefficients at one real wavenumber.
+
+    A plain slotted record, neither frozen nor hashable: it costs little to
+    build beside the O(1) evaluation that fills it.
 
     Attributes
     ----------
@@ -122,6 +127,17 @@ def chebyshev_tu(n: int, x):
 #: is exact for ``|e| < 2**21``, and ``_LN2_HI + _LN2_LO`` is ``ln 2`` to ~1e-26.
 _LN2_HI = 6.93147180369123816490e-01
 _LN2_LO = 1.90821492927058770002e-10
+#: Largest ``y`` whose ``exp(y) / 2`` is factored as ``t 2**e``. The reduced
+#: argument ``(y - e _LN2_HI) - e _LN2_LO`` falls with ``e _LN2_LO``, to -605
+#: here: ``t`` stays a normal double, which from ``y ~ 2.6e12`` it would not.
+_Y_FACTORED_MAX = 2.0**41
+
+
+def _phase_overflow(n: int, y: float) -> NumericalFailure:
+    """The failure of a phase ``y = n theta`` too large to evaluate the terms from."""
+    return NumericalFailure(
+        f"Chebyshev terms beyond the double range at N = {n:.4g} (N theta = {y!r})"
+    )
 
 
 def _chebyshev_real(n: int, one_minus_x: float, one_plus_x: float) -> tuple[float, float, int]:
@@ -142,6 +158,13 @@ def _chebyshev_real(n: int, one_minus_x: float, one_plus_x: float) -> tuple[floa
     hundreds of ``n`` ulp. ``e`` is 0 unless ``T_n`` or ``U_{n-1}`` exceeds
     the double range; then ``exp(n theta) / 2 = t 2**e`` is factored, and
     ``U_{n-1} = u 2**e`` too.
+
+    Raises
+    ------
+    NumericalFailure
+        When ``n theta`` overflows, at ``n`` near the largest double, or is
+        too large for the factoring, which keeps ``t`` a normal double only
+        up to ``n theta = 2**41``.
     """
     x = 0.5 * (one_plus_x - one_minus_x)
     e = 0
@@ -153,6 +176,8 @@ def _chebyshev_real(n: int, one_minus_x: float, one_plus_x: float) -> tuple[floa
         if y < 710.0:  # math.cosh raises OverflowError beyond ~710.48
             t, u = math.cosh(y), math.sinh(y) / s
         if u == math.inf:  # U_{n-1}, and maybe T_n, beyond the double range
+            if not y <= _Y_FACTORED_MAX:  # also inf
+                raise _phase_overflow(n, y)
             # cosh y = sinh y = exp(y) / 2 to the last bit here
             e = int(y / _LN2_HI)
             t = 0.5 * math.exp((y - e * _LN2_HI) - e * _LN2_LO)
@@ -163,7 +188,10 @@ def _chebyshev_real(n: int, one_minus_x: float, one_plus_x: float) -> tuple[floa
             t, u = 1.0, float(n)
         else:
             y = n * math.atan2(s, abs(x))
-            t, u = math.cos(y), math.sin(y) / s
+            try:
+                t, u = math.cos(y), math.sin(y) / s
+            except ValueError:  # math.cos(inf); a NaN y gives NaN terms
+                raise _phase_overflow(n, y) from None
     if x < 0.0:  # T_n(-x) = (-1)**n T_n(x), U_{n-1}(-x) = (-1)**(n-1) U_{n-1}(x)
         if n % 2:
             t = -t
@@ -172,15 +200,14 @@ def _chebyshev_real(n: int, one_minus_x: float, one_plus_x: float) -> tuple[floa
     return t, u, e
 
 
-def _real_terms(spec: ChainSpec, k: float) -> tuple[float, float, int, float]:
+def _real_terms(spec: ChainSpec, sink: float, cosk: float) -> tuple[float, float, int, float]:
     """``(T_N, U_{N-1}, e, 1 - x)`` at real ``k``, the one evaluation of the real-axis terms.
 
     ``1 + x = 2 cos^2 k + gamma**2/2`` and ``1 - x = 2 sin^2 k - gamma**2/2``
-    come from ``k`` and ``gamma``, not from a rounded ``x``: at the small
-    ``gamma`` of the threshold ladder (``k = pi/2``, ``x`` next to -1) the
-    sum ``1 + x`` keeps a few ulp of itself.
+    come from ``sin k`` and ``cos k`` and ``gamma``, not from a rounded ``x``:
+    at the small ``gamma`` of the threshold ladder (``k = pi/2``, ``x`` next
+    to -1) the sum ``1 + x`` keeps a few ulp of itself.
     """
-    sink, cosk = math.sin(k), math.cos(k)
     half_g2 = 0.5 * spec.gamma * spec.gamma
     one_minus_x, one_plus_x = 2.0 * sink * sink - half_g2, 2.0 * cosk * cosk + half_g2
     t_n, u_nm1, exp = _chebyshev_real(spec.n_cells, one_minus_x, one_plus_x)
@@ -189,16 +216,17 @@ def _real_terms(spec: ChainSpec, k: float) -> tuple[float, float, int, float]:
 
 def _transfer_terms(
     spec: ChainSpec, k: complex
-) -> tuple[complex, complex, complex, complex, int, complex]:
+) -> tuple[complex, complex, complex, complex, int, complex, complex]:
     """Chebyshev terms of the plane-wave transfer matrix at wavenumber ``k``.
 
-    Returns ``(T_N(x), diag, U_{N-1}(x), sin k, e, 1 - x)`` with the
+    Returns ``(T_N(x), diag, U_{N-1}(x), sin k, e, 1 - x, cos k)`` with the
     branch-free ``x = cos 2k + gamma**2/2`` and
     ``diag = i cot k (1 - x) U_{N-1}(x)``, so that ``M22 = (T_N - diag) 2**e``
     and ``M11 = (T_N + diag) 2**e``.
 
-    At real ``k`` (any ``k`` that is not a ``complex`` instance) the terms
-    come from :func:`_real_terms`. The exponent ``e`` is 0 unless ``T_N``,
+    At real ``k`` (any ``k`` that is not a ``complex`` instance) ``sin k``
+    and ``cos k`` are taken once, and the terms come from
+    :func:`_real_terms`. The exponent ``e`` is 0 unless ``T_N``,
     ``U_{N-1}`` or ``diag`` exceeds the double range; the terms are then
     divided by ``2**e``. At complex ``k`` (also with ``Im k = 0``) the terms
     come from the recurrence of :func:`chebyshev_tu` and ``e`` is 0; on long
@@ -208,6 +236,9 @@ def _transfer_terms(
     ------
     SingularBasis
         When ``|sin k| < 1e-12`` (the plane-wave basis degenerates).
+    NumericalFailure
+        At real ``k``, when ``N theta`` is beyond the double range (see
+        :func:`_chebyshev_real`).
     """
     complex_k = isinstance(k, complex)
     sink = cmath.sin(k) if complex_k else math.sin(k)
@@ -217,24 +248,31 @@ def _transfer_terms(
     if complex_k:
         x = cmath.cos(2 * k) + 0.5 * spec.gamma**2
         t_n, u_nm1 = chebyshev_tu(spec.n_cells, x)
-        return t_n, 1j * (cmath.cos(k) / sink) * (1.0 - x) * u_nm1, u_nm1, sink, 0, 1.0 - x
-    t_n, u_nm1, exp, one_minus_x = _real_terms(spec, k)
-    cot_factor = math.cos(k) / sink * one_minus_x
+        cosk = cmath.cos(k)
+        return t_n, 1j * (cosk / sink) * (1.0 - x) * u_nm1, u_nm1, sink, 0, 1.0 - x, cosk
+    cosk = math.cos(k)
+    t_n, u_nm1, exp, one_minus_x = _real_terms(spec, sink, cosk)
+    cot_factor = cosk / sink * one_minus_x
     if math.isinf(cot_factor * u_nm1):  # U_{N-1} fits, diag does not: 2**-512 is exact
         t_n, u_nm1, exp = t_n * 2.0**-512, u_nm1 * 2.0**-512, 512
-    return t_n, 1j * (cot_factor * u_nm1), u_nm1, sink, exp, one_minus_x
+    return t_n, 1j * (cot_factor * u_nm1), u_nm1, sink, exp, one_minus_x, cosk
 
 
 def _assemble(
-    spec: ChainSpec, k: complex, t_n: complex, diag: complex, u_nm1: complex, sink: complex
-) -> Matrix2C:
-    """The plane-wave-basis entries from the terms of :func:`_transfer_terms`."""
+    spec: ChainSpec, t_n: complex, diag: complex, u_nm1: complex, sink: complex,
+    e_plus: complex, e_minus: complex,
+) -> tuple[complex, complex, complex, complex]:
+    """``(M11, M12, M21, M22)`` from the terms of :func:`_transfer_terms` and ``e^{±ik}``.
+
+    The caller supplies ``e_plus = e^{ik}`` and ``e_minus = e^{-ik}``: at real
+    ``k``, ``complex(cos k, ±sin k)`` equals ``cmath.exp(±1j*k)`` bit for bit.
+    """
     g = spec.gamma
     off = 1j * g * u_nm1 / (2.0 * sink)
-    return Matrix2C(
+    return (
         t_n + diag,
-        off * cmath.exp(1j * k) * (2.0 * sink - g),
-        off * cmath.exp(-1j * k) * (2.0 * sink + g),
+        off * e_plus * (2.0 * sink - g),
+        off * e_minus * (2.0 * sink + g),
         t_n - diag,
     )
 
@@ -257,15 +295,18 @@ def plane_wave_transfer(spec: ChainSpec, k: complex) -> Matrix2C:
         When ``|sin k| < 1e-12`` (the plane-wave basis degenerates).
     NumericalFailure
         When the entries exceed the double range (long chains with
-        ``|cos 2k + gamma**2/2| > 1``), or are NaN (a NaN ``k``).
+        ``|cos 2k + gamma**2/2| > 1``, or at real ``k`` a chain size near
+        the largest double), or are NaN (a NaN ``k``).
     """
-    t_n, diag, u_nm1, sink, exp, _ = _transfer_terms(spec, k)
+    t_n, diag, u_nm1, sink, exp, _, _ = _transfer_terms(spec, k)
     if exp or not (cmath.isfinite(t_n) and cmath.isfinite(diag)):
         raise NumericalFailure(
             f"transfer matrix entries overflow or are not finite at k={k!r} "
             f"(N={spec.n_cells}, gamma={spec.gamma})"
         )
-    return _assemble(spec, k, t_n, diag, u_nm1, sink)
+    return Matrix2C(
+        *_assemble(spec, t_n, diag, u_nm1, sink, cmath.exp(1j * k), cmath.exp(-1j * k))
+    )
 
 
 def transmission_closed_form(spec: ChainSpec, k: float) -> float:
@@ -285,20 +326,23 @@ def transmission_closed_form(spec: ChainSpec, k: float) -> float:
         (``1/T`` is an O(1) difference, so values under ~1e-13 cannot be
         distinguished from a true zero and the transmission has diverged
         for any practical purpose).
+    NumericalFailure
+        When ``N theta`` is beyond the double range (see
+        :func:`_chebyshev_real`).
     """
     if not 0.0 < k < math.pi:
         raise OutOfRange(f"real scattering requires k in (0, pi), got {k!r}")
-    _, u_nm1, exp, one_minus_x = _real_terms(spec, k)
-    return _closed_form_transmission(spec.gamma, k, one_minus_x, u_nm1, exp)
+    sink = math.sin(k)
+    _, u_nm1, exp, one_minus_x = _real_terms(spec, sink, math.cos(k))
+    return _closed_form_transmission(spec.gamma, k, sink, one_minus_x, u_nm1, exp)
 
 
 def _closed_form_transmission(
-    gamma: float, k: float, one_minus_x: float, u_nm1: float, exp: int
+    gamma: float, k: float, sink: float, one_minus_x: float, u_nm1: float, exp: int
 ) -> float:
-    """The closed form from ``1 - x`` and ``U_{N-1} = u_nm1 2**exp``; 0.0 past the double range."""
+    """The closed form from ``sin k``, ``1 - x`` and ``U_{N-1} = u_nm1 2**exp``; 0.0 past the double range."""
     if exp or not math.isfinite(u_nm1):
         return 0.0
-    sink = math.sin(k)
     inv_t = 1.0 - gamma * gamma * one_minus_x * u_nm1 * u_nm1 / (2.0 * sink * sink)
     if abs(inv_t) < CLOSED_FORM_FLOOR:
         raise SpectralSingularityError(
@@ -333,25 +377,29 @@ def scatter(spec: ChainSpec, k: float) -> ScatterResult:
         When ``|M22| < 1e-10``: the coefficients diverge, and the caller
         receives the classification instead of meaningless huge numbers.
     NumericalFailure
-        When the transmission cross-check fails.
+        When the transmission cross-check fails, or ``N theta`` is beyond
+        the double range (see :func:`_chebyshev_real`).
     """
     if not 0.0 < k < math.pi:
         raise OutOfRange(f"real scattering requires k in (0, pi), got {k!r}")
-    t_n, diag, u_nm1, sink, exp, one_minus_x = _transfer_terms(spec, k)
-    reference = _closed_form_transmission(spec.gamma, k, one_minus_x, u_nm1, exp)
+    t_n, diag, u_nm1, sink, exp, one_minus_x, cosk = _transfer_terms(spec, k)
+    reference = _closed_form_transmission(spec.gamma, k, sink, one_minus_x, u_nm1, exp)
     if abs(u_nm1) > 2.0**512:
         # leave the entries and their quotients headroom; scaling by 2**-512 is exact
         t_n, diag, u_nm1 = t_n * 2.0**-512, diag * 2.0**-512, u_nm1 * 2.0**-512
         exp += 512
     # the entries are divided by 2**exp: the ratios r are unaffected, t = 2**-exp / M22
-    m = _assemble(spec, k, t_n, diag, u_nm1, sink)
-    if abs(m.m22) < M22_SINGULAR_TOL * 2.0**-exp:
+    _, m12, m21, m22 = _assemble(
+        spec, t_n, diag, u_nm1, sink, complex(cosk, sink), complex(cosk, -sink)
+    )
+    scale = 2.0**-exp
+    if abs(m22) < M22_SINGULAR_TOL * scale:
         raise SpectralSingularityError(
-            f"scattering coefficients diverge at k = {k!r} (|M22| = {abs(m.m22):.2e})"
+            f"scattering coefficients diverge at k = {k!r} (|M22| = {abs(m22):.2e})"
         )
-    t = 2.0**-exp / m.m22
-    r_left = -m.m21 / m.m22
-    r_right = m.m12 / m.m22
+    t = scale / m22
+    r_left = -m21 / m22
+    r_right = m12 / m22
     big_t = abs(t) ** 2
     # relative, widened by the closed form's absolute error ~ ulp * T^2 near
     # singularities (1/T is an O(1) difference); the floor lets an underflowed
@@ -362,11 +410,4 @@ def scatter(spec: ChainSpec, k: float) -> ScatterResult:
             f"transmission cross-check failed at k={k!r}: "
             f"matrix route {big_t!r} vs closed form {reference!r}"
         )
-    return ScatterResult(
-        t=t,
-        r_left=r_left,
-        r_right=r_right,
-        T=big_t,
-        R_left=abs(r_left) ** 2,
-        R_right=abs(r_right) ** 2,
-    )
+    return ScatterResult(t, r_left, r_right, big_t, abs(r_left) ** 2, abs(r_right) ** 2)

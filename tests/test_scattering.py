@@ -10,6 +10,7 @@ against 60-digit ``mpmath`` and against the analytic structure
 
 import cmath
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -404,8 +405,8 @@ def test_scatter_cross_check_catches_a_perturbed_matrix_route(rng, monkeypatch):
     assemble = scattering._assemble
 
     def perturbed(*args):
-        m = assemble(*args)
-        return scattering.Matrix2C(m.m11, m.m12, m.m21, m.m22 * (1.0 + 1e-6))
+        m11, m12, m21, m22 = assemble(*args)
+        return m11, m12, m21, m22 * (1.0 + 1e-6)
 
     monkeypatch.setattr(scattering, "_assemble", perturbed)
     cases = [(ChainSpec(40, 1.9), 0.5), (ChainSpec(20, 1.9), 0.3)]
@@ -415,6 +416,57 @@ def test_scatter_cross_check_catches_a_perturbed_matrix_route(rng, monkeypatch):
     for spec, k in cases:
         with pytest.raises(NumericalFailure):
             scatter(spec, k)
+
+
+def test_scatter_equals_the_quotients_of_plane_wave_transfer(rng):
+    """Where no rescale is needed, ``scatter`` is the public matrix's quotients to the bit.
+
+    ``scatter`` assembles ``M12``, ``M21`` and ``M22`` from ``e^{±ik}`` taken
+    as ``complex(cos k, ±sin k)``, ``plane_wave_transfer`` from
+    ``cmath.exp(±1j*k)``: at real ``k`` the two are the same doubles. The
+    draws also reach ``x > 1`` on long chains; points where ``U_{N-1}``
+    exceeds ``2**512`` (``scatter`` rescales) or the matrix overflows are
+    skipped.
+    """
+    compared = 0
+    for _ in range(3000):
+        n = int(np.exp(rng.uniform(0.0, math.log(5000))))
+        spec = ChainSpec(n, float(rng.uniform(0.0, 2.5)))
+        k = float(rng.uniform(0.005, math.pi - 0.005))
+        try:
+            m = plane_wave_transfer(spec, k)
+            res = scatter(spec, k)
+        except NumericalFailure:
+            continue
+        if abs(scattering._transfer_terms(spec, k)[2]) > 2.0**512:
+            continue
+        assert (res.t, res.r_left, res.r_right) == (1 / m.m22, -m.m21 / m.m22, m.m12 / m.m22)
+        assert (res.T, res.R_left, res.R_right) == (
+            abs(res.t) ** 2, abs(res.r_left) ** 2, abs(res.r_right) ** 2
+        )
+        compared += 1
+    assert compared > 2000
+
+
+@pytest.mark.parametrize(
+    "n_cells, gamma",
+    [(int(sys.float_info.max), 0.1), (int(sys.float_info.max), 2.5), (10**300, 2.5)],
+    ids=["max-0.1", "max-2.5", "1e300-2.5"],
+)
+@pytest.mark.parametrize(
+    "route", [scatter, transmission_closed_form, plane_wave_transfer], ids=lambda f: f.__name__
+)
+def test_real_axis_terms_beyond_the_double_range_raise_a_numerical_failure(n_cells, gamma, route):
+    """At the largest sizes ``N theta`` overflows or cannot be factored: a typed failure.
+
+    At ``N = sys.float_info.max`` the phase ``N theta`` is inf in both
+    branches (``math.cos(inf)`` raised ``ValueError``, the factoring of
+    ``cosh`` an ``OverflowError``). At ``N = 10**300`` and ``gamma = 2.5``
+    (``x > 1``) it is finite, but the factored ``cosh`` underflowed to 0
+    and ``scatter`` divided by zero.
+    """
+    with pytest.raises(NumericalFailure, match="beyond the double range"):
+        route(ChainSpec(n_cells, gamma), 1.0)
 
 
 def test_scatter_near_the_band_edge_of_a_long_chain():
