@@ -13,7 +13,12 @@ in each checkout, each in its own process, the parent first in even pairs
 and this checkout first in odd ones. ``S`` is ``run_seconds`` from this
 checkout's ``BENCHMARK.json``, so both sides run for the same time.
 
-Each run's result line is printed as it arrives. At the end, for every
+Each run's result line is printed as it arrives, with two facts about the
+host beside it: the one-minute load average as the run starts
+(``os.getloadavg()[0]``) and the steal time the host's CPUs reported while
+it ran (the ``steal`` column of the ``cpu`` line of ``/proc/stat``, in
+seconds; ``None`` where that file is missing). Neither is a threshold: they
+say whether other work shared the machine. At the end, for every
 end-to-end metric of ``BENCHMARK.json``, the script prints each side's
 median and quartiles, the ratio of the medians, the pairs the change won
 (ties count for neither), and whether a gain could be claimed: the change
@@ -23,8 +28,9 @@ the failed operations per side. Several workloads run one after another,
 each with ``--pairs`` pairs from seed ``SEED0``. It exits 1 when a run fails
 or prints no result.
 
-With ``--json PATH`` it also writes, per workload, every run's result line
-and machine facts and the printed summary as numbers: each metric's medians,
+With ``--json PATH`` it also writes, per workload, every run's result line,
+machine facts and host facts (under ``host``: ``loadavg_1m``, ``steal_s``)
+and the printed summary as numbers: each metric's medians,
 quartiles, ratio, pair wins and claim, and each side's ``correct`` count and
 failed operations.
 """
@@ -33,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -41,12 +48,30 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parents[1]
 
 
+def steal_ticks() -> int | None:
+    """The steal time summed over the host's CPUs since boot, in clock ticks, from
+    ``/proc/stat``; None where the file or its ``steal`` column is missing."""
+    try:
+        with open("/proc/stat") as stat:
+            fields = stat.readline().split()
+    except OSError:
+        return None
+    if len(fields) < 9 or fields[0] != "cpu":
+        return None
+    return int(fields[8])
+
+
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
     """One untraced benchmark run in ``root``: its final JSON line, with its
-    machine facts under ``machine``."""
+    machine facts under ``machine`` and the host's load and steal time under
+    ``host``."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
             "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    load, steal = os.getloadavg()[0], steal_ticks()
     proc = subprocess.run(argv, cwd=root, capture_output=True, text=True)
+    steal_end = steal_ticks()
+    host = {"loadavg_1m": load, "steal_s": None if steal is None or steal_end is None
+            else (steal_end - steal) / os.sysconf("SC_CLK_TCK")}
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"{root}: exit {proc.returncode}\n{proc.stderr[-2000:]}")
@@ -54,6 +79,7 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
     machine = [line for line in lines if line.startswith("machine ")]
     if machine:
         result["machine"] = json.loads(machine[-1][len("machine "):])
+    result["host"] = host
     return result
 
 
@@ -103,8 +129,11 @@ def run_pairs(sides: dict[str, Path], workload: str, pairs: int, seed0: int,
                 return None
             results[side].append(result)
             values = {n: round(m["value"], 4) for n, m in result["metrics"].items()}
+            host = result["host"]
+            steal = "-" if host["steal_s"] is None else f"{host['steal_s']:.2f} s"
             print(f"pair {i} seed {seed} {side}: correct {result['correct']} "
-                  f"failed {result['failed']}/{result['attempted']} {values}", flush=True)
+                  f"failed {result['failed']}/{result['attempted']} {values} "
+                  f"load {host['loadavg_1m']:.2f} steal {steal}", flush=True)
     return results
 
 

@@ -5,11 +5,13 @@ module locates them numerically, evaluates the closed-form threshold ladder
 at which they cross the real axis, classifies them physically, and tracks
 their motion as the gain/loss strength varies. Every census is the set of
 eigenvalues of the outgoing-wave pencil in a region, one eigensolve each:
-:func:`find_poles`, the trajectory sweep and the verified TGBS count. Only
-:func:`find_poles` also runs Newton on ``M22``, once per eigenvalue, from the
-point of a fixed seed lattice nearest it; the root stands in for the
-eigenvalue when the two agree to 1e-12. Every census refuses
-``gamma > CENSUS_GAMMA_MAX`` with :class:`OutOfRange`.
+:func:`find_poles`, the trajectory sweep and the verified TGBS count. Newton
+on ``M22`` runs in two places. :func:`find_poles` runs it once per
+eigenvalue, from the point of a fixed seed lattice nearest it; the root
+stands in for the eigenvalue when the two agree to 1e-12. The trajectory
+sweep's :func:`_refine_crossing` runs it at each bisection step of a
+real-axis crossing. Every census refuses ``gamma > CENSUS_GAMMA_MAX`` with
+:class:`OutOfRange`.
 
 The pencil rests on the outgoing-wave (Siegert) boundary conditions
 ``psi_{-1} = z psi_0`` and ``psi_{2N} = z psi_{2N-1}`` with ``z = e^{ik}``,
@@ -29,9 +31,11 @@ import cmath
 import enum
 import logging
 import math
+import struct
 import sys
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -112,13 +116,22 @@ class PoleRecord:
     ``growth_rate`` is ``Im E`` of the attached outgoing (Siegert) state,
     which equals ``2 sin(Re k) sinh(Im k)`` identically; first-quadrant poles
     have positive growth rate and invalidate stationary scattering results.
+    ``spec`` is the chain the pole belongs to. ``residual``, ``|M22(k)|`` of
+    that chain, is evaluated from the record's own ``k`` and ``spec`` on its
+    first read and cached, so a census whose residuals nobody reads (a
+    trajectory sweep's) costs no evaluation for them. Equality and hashing
+    compare the fields, ``spec`` among them, and not ``residual``.
     """
 
     k: ComplexWavenumber
     energy: complex
     growth_rate: float
     classification: PoleClass
-    residual: float
+    spec: ChainSpec
+
+    @cached_property
+    def residual(self) -> float:
+        return abs(pole_residual(self.spec, self.k.as_complex()))
 
 
 def _record(spec: ChainSpec, k: complex) -> PoleRecord:
@@ -128,7 +141,7 @@ def _record(spec: ChainSpec, k: complex) -> PoleRecord:
         energy=e,
         growth_rate=e.imag,
         classification=_classify(k),
-        residual=abs(pole_residual(spec, k)),
+        spec=spec,
     )
 
 
@@ -150,10 +163,11 @@ class SearchRegion:
         if self.re_min < -math.pi - 1e-12 or self.re_max > math.pi + 1e-12:
             raise OutOfRange(f"region must lie within Re k in (-pi, pi], got {self!r}")
 
-    def contains(self, k: complex, pad: float = 1e-9) -> bool:
+    def contains(self, k: complex | np.ndarray, pad: float = 1e-9) -> bool | np.ndarray:
+        """Whether ``k`` lies in the rectangle widened by ``pad``; elementwise on an array."""
         return (
-            self.re_min - pad <= k.real <= self.re_max + pad
-            and self.im_min - pad <= k.imag <= self.im_max + pad
+            (self.re_min - pad <= k.real) & (k.real <= self.re_max + pad)
+            & (self.im_min - pad <= k.imag) & (k.imag <= self.im_max + pad)
         )
 
 
@@ -188,13 +202,30 @@ def _residual_derivative(spec: ChainSpec, k: complex, step: float = 1e-6) -> com
 def _newton(spec: ChainSpec, seed: complex, max_iter: int = 60) -> complex | None:
     """Damped Newton iteration on the residual; None when not converged.
 
-    Acceptance is ``|f| <= max(1e-10, 5e-15 * scale)`` where ``scale`` is the
-    magnitude ``|T_N| + |diag|`` of the cancelling terms: deep in the strip
-    they grow like cosh(2N Im k) and cancel at a root, so the achievable
-    residual floor is the term scale times machine epsilon.
+    ``scale`` is the magnitude ``|T_N| + |diag|`` of the cancelling terms:
+    deep in the strip they grow like cosh(2N Im k) and cancel at a root, so
+    the achievable residual floor is the term scale times machine epsilon.
+    The iteration stops early at the first iterate with
+    ``|f| <= max(1e-13, 1e-15 * scale)``, and returns it. Otherwise it stops
+    at iterate ``max_iter`` and accepts that one on the looser
+    ``|f| <= max(1e-10, 5e-15 * scale)``; an iterate that stops early passes
+    that too.
+
+    Each iterate is a function of the one before and of nothing else, and so
+    is the decision to stop before ``max_iter``. An iterate equal to an
+    earlier one, bit for bit with signed zeros, therefore makes the run
+    periodic from there to ``max_iter``: it ends on the iterate of the same
+    phase in the period, with that iterate's acceptance, which is what the
+    iterations left out would reach. Runs that stall on the axis
+    ``Re k = ±pi/2`` of a long chain repeat after about ten iterations.
     """
     k = complex(seed)
+    first_at: dict[bytes, int] = {}  # an iterate's bits -> its index
+    ends: list[complex | None] = []  # per iterate: what the run returns if it stops there
     for it in range(max_iter + 1):
+        first = first_at.setdefault(struct.pack("<2d", k.real, k.imag), it)
+        if first < it:  # periodic from ``first``, with period ``it - first``
+            return ends[first + (max_iter - first) % (it - first)]
         try:
             t_n, diag, _, _, _, _, _ = _transfer_terms(spec, k)
         except SingularBasis:
@@ -202,8 +233,9 @@ def _newton(spec: ChainSpec, seed: complex, max_iter: int = 60) -> complex | Non
         if not (cmath.isfinite(t_n) and cmath.isfinite(diag)):  # beyond the double range
             return None
         f, scale = t_n - diag, abs(t_n) + abs(diag)
+        ends.append(k if abs(f) <= max(RESIDUAL_TOL, 5e-15 * scale) else None)
         if it == max_iter or abs(f) <= max(1e-13, 1e-15 * scale):
-            return k if abs(f) <= max(RESIDUAL_TOL, 5e-15 * scale) else None
+            return ends[-1]
         df = _residual_derivative(spec, k)
         if df == 0 or not cmath.isfinite(df):
             return None
@@ -222,8 +254,13 @@ def _newton(spec: ChainSpec, seed: complex, max_iter: int = 60) -> complex | Non
 SEED_DENSITY = 90
 
 
-def _near_singular_vertical(k: complex) -> bool:
-    return any(abs(k.real - s) < EDGE_MARGIN for s in (-math.pi, 0.0, math.pi))
+def _near_singular_vertical(k: complex | np.ndarray) -> bool | np.ndarray:
+    """Whether ``Re k`` lies within :data:`EDGE_MARGIN` of -pi, 0 or pi; elementwise on an array."""
+    re = k.real
+    return (
+        (abs(re + math.pi) < EDGE_MARGIN) | (abs(re) < EDGE_MARGIN)
+        | (abs(re - math.pi) < EDGE_MARGIN)
+    )
 
 
 def _polish(spec: ChainSpec, region: SearchRegion, pencil: list[complex]) -> list[complex]:
@@ -263,17 +300,36 @@ def _polish(spec: ChainSpec, region: SearchRegion, pencil: list[complex]) -> lis
     return polished
 
 
+def _companion(spec: ChainSpec) -> np.ndarray:
+    """The 4N x 4N companion ``[[0, I], [-(I - P), -H_c]]`` of the monic pencil in ``w = 1/z``.
+
+    ``H_c`` is the leadless chain of :func:`~ptchain.model._chain_arrays`,
+    written entry by entry. Every other zero of the lower blocks is ``-0.0``:
+    the real parts of both, and the imaginary parts of ``-H_c``, as negating
+    a dense real ``I - P`` and a dense complex ``H_c`` leaves them.
+    """
+    n = spec.n_sites
+    data, indices, indptr = _chain_arrays(spec)
+    companion = np.zeros((2 * n, 2 * n), dtype=complex)
+    companion[n:].real = -0.0
+    companion[n:, n:].imag = -0.0
+    sites = np.arange(n)
+    companion[sites, n + sites] = 1.0
+    companion[n + sites[1:-1], sites[1:-1]] = -1.0
+    companion[n + np.repeat(sites, np.diff(indptr)), n + indices] = -data
+    return companion
+
+
 def _pencil_wavenumbers(spec: ChainSpec) -> np.ndarray:
     """Wavenumbers of the finite eigenvalues of the outgoing-wave pencil.
 
     With ``w = 1/z`` the problem ``z^2 (I - P) + z H_c + I = 0`` becomes the
-    monic ``w^2 I + w H_c + (I - P) = 0``, whose 4N x 4N companion matrix is
-    an ordinary eigenproblem. ``I - P`` has rank 2N - 2, so at least two
-    eigenvalues ``w`` vanish (``z`` infinite); they are dropped. The finite
-    count is therefore at most 4N - 2, and fewer at exceptional points (none
-    at N = 1, gamma = 1). ``H_c`` is the leadless chain of
-    :func:`~ptchain.model._chain_arrays`, written densely; NumPy's LAPACK
-    solves the companion, so the census loads no SciPy.
+    monic ``w^2 I + w H_c + (I - P) = 0``, whose 4N x 4N companion matrix
+    (:func:`_companion`) is an ordinary eigenproblem. ``I - P`` has rank
+    2N - 2, so at least two eigenvalues ``w`` vanish (``z`` infinite); they
+    are dropped. The finite count is therefore at most 4N - 2, and fewer at
+    exceptional points (none at N = 1, gamma = 1). NumPy's LAPACK solves the
+    companion, so the census loads no SciPy.
 
     Raises :class:`OutOfRange` above :data:`CENSUS_GAMMA_MAX`, where the
     companion's entries of size gamma leave its eigenvalues unverified.
@@ -282,14 +338,7 @@ def _pencil_wavenumbers(spec: ChainSpec) -> np.ndarray:
         raise OutOfRange(
             f"gamma={spec.gamma!r} exceeds the pole census bound {CENSUS_GAMMA_MAX:g}"
         )
-    n = spec.n_sites
-    data, indices, indptr = _chain_arrays(spec)
-    h_c = np.zeros((n, n), dtype=complex)
-    h_c[np.repeat(np.arange(n), np.diff(indptr)), indices] = data
-    open_ends = np.eye(n)
-    open_ends[0, 0] = open_ends[-1, -1] = 0.0
-    companion = np.block([[np.zeros((n, n)), np.eye(n)], [-open_ends, -h_c]])
-    w = np.linalg.eigvals(companion)
+    w = np.linalg.eigvals(_companion(spec))
     with np.errstate(divide="ignore", invalid="ignore"):
         z = 1.0 / w
     return -1j * np.log(z[np.isfinite(z)])
@@ -303,10 +352,8 @@ def _pencil_poles(spec: ChainSpec, region: SearchRegion) -> list[complex]:
     """
     if spec.gamma == 0.0:
         return []
-    return [
-        k for k in map(complex, _pencil_wavenumbers(spec))
-        if region.contains(k) and not _near_singular_vertical(k)
-    ]
+    k = _pencil_wavenumbers(spec)
+    return k[region.contains(k) & ~_near_singular_vertical(k)].tolist()
 
 
 def _records(spec: ChainSpec, roots: list[complex]) -> list[PoleRecord]:
@@ -580,6 +627,28 @@ def _refine_crossing(
     return None
 
 
+def _match(last: np.ndarray, found: np.ndarray) -> dict[int, int]:
+    """Greedy nearest-first matching of branches to census poles: branch index -> pole index.
+
+    ``last`` holds each live branch's last ``k``, ``found`` the census poles.
+    The pairs within :data:`CONTINUATION_STEP_BOUND` are taken in ascending
+    ``(distance, branch, pole)`` order, each when neither of its two is
+    taken yet; ties thus go to the older branch, then to the earlier pole.
+    ``np.hypot`` of the differences is Python's ``abs`` of the complex
+    difference, bit for bit.
+    """
+    d = np.hypot(found.real - last.real[:, None], found.imag - last.imag[:, None])
+    bi, ri = np.nonzero(d <= CONTINUATION_STEP_BOUND)
+    order = np.lexsort((ri, bi, d[bi, ri]))
+    matched: dict[int, int] = {}
+    taken: set[int] = set()
+    for b, r in zip(bi[order].tolist(), ri[order].tolist()):
+        if b not in matched and r not in taken:
+            matched[b] = r
+            taken.add(r)
+    return matched
+
+
 def trace_trajectories(
     spec_base: ChainSpec,
     gamma_min: float,
@@ -649,22 +718,11 @@ def trace_trajectories(
         if found is None:
             found = _census(ChainSpec(spec_base.n_cells, g), region)
 
-        # greedy nearest-neighbor matching, closest pairs first
-        found_k = [r.k.as_complex() for r in found]
-        pairs: list[tuple[float, int, int]] = []
-        for bi, b in enumerate(live):
-            last_k = b.last_k
-            for ri, r in enumerate(found_k):
-                d = abs(r - last_k)
-                if d <= CONTINUATION_STEP_BOUND:
-                    pairs.append((d, bi, ri))
-        pairs.sort()
-        matched: dict[int, int] = {}
-        matched_r: set[int] = set()
-        for d, bi, ri in pairs:
-            if bi not in matched and ri not in matched_r:
-                matched[bi] = ri
-                matched_r.add(ri)
+        matched = _match(
+            np.array([b.last_k for b in live], dtype=complex),
+            np.array([r.k.as_complex() for r in found], dtype=complex),
+        )
+        matched_r = set(matched.values())
 
         unmatched = [b for bi, b in enumerate(live) if bi not in matched]
         # unmatched branches farther than the bound inside the window

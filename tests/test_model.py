@@ -136,7 +136,8 @@ def test_chain_operator_without_gain_and_loss_has_the_dense_values(n):
 
 @pytest.mark.parametrize("n", CHAIN_SIZES)
 def test_pencil_companion_equals_the_dense_builder(n, monkeypatch):
-    """The companion handed to NumPy's eigensolver is the oracle's, byte for byte."""
+    """The companion handed to NumPy's eigensolver is the oracle's, byte for byte,
+    signed zeros included, also without gain and loss and at the census bound."""
     seen = []
     eigvals = np.linalg.eigvals
 
@@ -145,7 +146,7 @@ def test_pencil_companion_equals_the_dense_builder(n, monkeypatch):
         return eigvals(a)
 
     monkeypatch.setattr(np.linalg, "eigvals", capture)
-    for gamma in (0.3, 1.7, 2.5):
+    for gamma in (0.0, 0.3, 1.7, 2.5, poles.CENSUS_GAMMA_MAX):
         spec = ChainSpec(n, gamma)
         poles._pencil_wavenumbers(spec)
         assert seen.pop().tobytes() == dense_pencil_companion(spec).tobytes()

@@ -9,6 +9,7 @@ poles must lie within :data:`POLE_TOL` of its roots.
 import logging
 import math
 import re
+import struct
 import time
 import tracemalloc
 import warnings
@@ -38,6 +39,7 @@ from ptchain import (
 from ptchain import poles
 from ptchain.poles import DEFAULT_REGION, EDGE_MARGIN
 from ptchain.presets import PRESETS
+from census_references import full_newton, nested_loop_match
 from transfer_oracles import (
     full_lattice_seeds,
     imaginary_branch_excluded,
@@ -780,3 +782,146 @@ def test_imaginary_branch_excluded_everywhere():
 def test_imaginary_branch_requires_positive_phi():
     with pytest.raises(OutOfRange):
         imaginary_branch_excluded(ChainSpec(2, 0.5), 0.0)
+
+
+# ---- repeated work -------------------------------------------------------------
+
+def _bits(k: complex | None) -> bytes | None:
+    return None if k is None else struct.pack("<2d", k.real, k.imag)
+
+
+def _counted(monkeypatch, name: str) -> list[tuple]:
+    """Replace ``poles.<name>`` by a wrapper that records each call's arguments."""
+    calls, real = [], getattr(poles, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(poles, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("n, gamma", [(3, 0.7), (15, 1.185), (35, 1.545), (50, 0.285)])
+def test_newton_ends_where_its_full_loop_ends(n, gamma, monkeypatch):
+    """From seeds near every pencil pole, Newton returns what all its steps reach, bit for bit.
+
+    The seeds are the lattice point nearest each eigenvalue, two seeded
+    points within 0.02 of it, and its real part with Im k = +0.0 and -0.0.
+    At (15, 1.185), (35, 1.545) and (50, 0.285) some runs stall on
+    Re k = ±pi/2: the full loop takes all 60 steps, 181 evaluations, and the
+    package's stops at a repeated iterate.
+    """
+    spec = ChainSpec(n, gamma)
+    rng = np.random.default_rng(3100 + n)
+    evaluations = _counted(monkeypatch, "_transfer_terms")
+    stalled = 0
+    for k in poles._pencil_poles(spec, DEFAULT_REGION):
+        seeds = [k + complex(*rng.uniform(-0.02, 0.02, 2)) for _ in range(2)]
+        seeds += [complex(k.real, 0.0), complex(k.real, -0.0)]
+        nearest = _nearest_seed(k, DEFAULT_REGION)
+        seeds += [] if nearest is None else [nearest]
+        for seed in seeds:
+            evaluations.clear()
+            root = poles._newton(spec, seed)
+            early = len(evaluations)
+            assert _bits(root) == _bits(full_newton(spec, seed))
+            stalled += len(evaluations) - early == 181 > early
+    assert (stalled > 0) == (n >= 15)
+
+
+def test_newton_stops_at_a_repeated_iterate(monkeypatch):
+    """At (35, 1.545) fourteen lattice seeds run the full loop's 60 steps; stopping
+    at the first repeated iterate halves the census's M22 evaluations (2,146
+    against 4,224) and changes no pole."""
+    spec = ChainSpec(35, 1.545)
+    evaluations = _counted(monkeypatch, "_transfer_terms")
+    found = find_poles(spec)
+    early = len(evaluations)
+    evaluations.clear()
+    monkeypatch.setattr(poles, "_newton", full_newton)
+    assert find_poles(spec) == found
+    assert early < 0.6 * len(evaluations)
+
+
+def test_sweep_evaluates_m22_only_inside_newton(monkeypatch):
+    """A 100-step sweep at N = 8 reads no record's residual: every ``pole_residual``
+    call comes from the Newton runs of its crossing refinement."""
+    depth, newton = [0], poles._newton
+
+    def tracked(*args):
+        depth[0] += 1
+        try:
+            return newton(*args)
+        finally:
+            depth[0] -= 1
+
+    inside, real = [], poles.pole_residual
+    monkeypatch.setattr(poles, "_newton", tracked)
+    monkeypatch.setattr(poles, "pole_residual", lambda *args: inside.append(depth[0] > 0) or real(*args))
+    traj = trace_trajectories(ChainSpec(8, 0.0), 0.0, 2.0, 100, strict=False)
+    assert traj.crossings and inside and all(inside)
+
+
+def test_residual_is_evaluated_on_first_read_only(monkeypatch):
+    """``residual`` is |M22| at the record's own k and spec, evaluated once; equality
+    compares ``spec`` and ignores whether ``residual`` was read."""
+    spec = ChainSpec(3, 0.7)
+    calls = _counted(monkeypatch, "pole_residual")
+    (pole,) = poles._census(spec, first_quadrant_region(0.7))
+    assert calls == []
+    residual = pole.residual
+    assert pole.residual == residual and calls == [(spec, pole.k.as_complex())]
+    assert residual == abs(pole_residual(spec, pole.k.as_complex()))
+    (twin,) = poles._census(spec, first_quadrant_region(0.7))
+    assert twin == pole and hash(twin) == hash(pole)
+    assert poles._record(ChainSpec(3, 0.71), pole.k.as_complex()) != pole
+
+
+def test_matcher_equals_the_nested_loop(rng):
+    """The array matcher pairs exactly as the nested-loop reference, ties included.
+
+    Half the draws put branches and poles on a lattice of step 1/16, where
+    equal offsets give bit-equal distances; the other half are continuous.
+    ``np.hypot`` of the parts equals ``abs`` of the complex difference.
+    """
+    ties = 0
+    for trial in range(400):
+        sizes = rng.integers(0, 12, 2)
+        if trial % 2:
+            last, found = ((rng.integers(-5, 6, m) + 1j * rng.integers(-5, 6, m)) / 16 for m in sizes)
+        else:
+            last, found = (rng.uniform(-0.5, 0.5, m) + 1j * rng.uniform(-0.5, 0.5, m) for m in sizes)
+        expected = nested_loop_match(last.tolist(), found.tolist())
+        assert list(poles._match(last, found).items()) == list(expected.items())
+        diff = (found[None, :] - last[:, None]).ravel()
+        distances = np.hypot(diff.real, diff.imag)
+        assert distances.tobytes() == np.array([abs(z) for z in diff.tolist()]).tobytes()
+        near = distances[distances <= poles.CONTINUATION_STEP_BOUND]
+        ties += len(near) - len(set(near.tolist()))
+    assert ties > 0
+    wide = rng.uniform(-1, 1, 2000) * 10.0 ** rng.uniform(-300, 300, 2000)
+    parts = wide.reshape(2, -1)
+    assert np.hypot(*parts).tobytes() == np.array([abs(complex(a, b)) for a, b in parts.T]).tobytes()
+
+
+def test_region_tests_take_arrays(rng):
+    """``SearchRegion.contains`` and ``_near_singular_vertical`` give on an array what
+    they give on each element, and a ``bool`` on a scalar."""
+    region = SearchRegion(-2.5, 3.0, -1.0, 1.5)
+    edges = [region.re_min, region.re_max, -PI, 0.0, PI, -PI + EDGE_MARGIN, EDGE_MARGIN, -EDGE_MARGIN]
+    re = np.concatenate([rng.uniform(-PI, PI, 300), np.repeat(edges, 3) + [-1e-9, 0.0, 1e-9] * len(edges)])
+    im = np.concatenate([rng.uniform(-2.0, 2.0, 300), np.tile([region.im_min, region.im_max, -1.0 - 1e-9], len(edges))])
+    ks = re + 1j * im
+    for pad in (1e-9, 0.0, -poles.CONTINUATION_STEP_BOUND):
+        expected = [
+            region.re_min - pad <= k.real <= region.re_max + pad
+            and region.im_min - pad <= k.imag <= region.im_max + pad
+            for k in ks.tolist()
+        ]
+        assert region.contains(ks, pad).tolist() == expected
+        assert [region.contains(k, pad) for k in ks.tolist()] == expected
+    expected = [any(abs(k.real - s) < EDGE_MARGIN for s in (-PI, 0.0, PI)) for k in ks.tolist()]
+    assert poles._near_singular_vertical(ks).tolist() == expected
+    assert [poles._near_singular_vertical(k) for k in ks.tolist()] == expected
+    assert type(region.contains(0.5 + 0.5j)) is bool and type(poles._near_singular_vertical(0.5j)) is bool
