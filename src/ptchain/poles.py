@@ -73,6 +73,10 @@ __all__ = [
 CLASS_TOL = 1e-8
 #: Converged roots must reach this residual.
 RESIDUAL_TOL = 1e-10
+#: Newton's last iterate: a run that has not stopped early is judged there.
+NEWTON_MAX_ITER = 60
+#: Step of the central difference that gives Newton the residual's derivative.
+DERIVATIVE_STEP = 1e-6
 #: Exclusion margin around the singular verticals Re k in {-pi, 0, pi}.
 EDGE_MARGIN = 1e-4
 #: A grid root stands for a pencil eigenvalue only when closer than this (in k).
@@ -111,38 +115,37 @@ def _classify(k: complex) -> PoleClass:
 
 @dataclass(frozen=True)
 class PoleRecord:
-    """One located pole of the scattering denominator.
+    """One located pole of the scattering denominator: its wavenumber ``k`` and its chain ``spec``.
 
-    ``growth_rate`` is ``Im E`` of the attached outgoing (Siegert) state,
-    which equals ``2 sin(Re k) sinh(Im k)`` identically; first-quadrant poles
-    have positive growth rate and invalidate stationary scattering results.
-    ``spec`` is the chain the pole belongs to. ``residual``, ``|M22(k)|`` of
-    that chain, is evaluated from the record's own ``k`` and ``spec`` on its
-    first read and cached, so a census whose residuals nobody reads (a
-    trajectory sweep's) costs no evaluation for them. Equality and hashing
-    compare the fields, ``spec`` among them, and not ``residual``.
+    Everything else is derived from those two on first read, and cached.
+    ``energy`` is ``E = -2 cos k``. ``growth_rate`` is ``Im E`` of the
+    attached outgoing (Siegert) state, which equals
+    ``2 sin(Re k) sinh(Im k)`` identically; first-quadrant poles have
+    positive growth rate and invalidate stationary scattering results.
+    ``classification`` is the class of :func:`_classify`, and ``residual``
+    is ``|M22(k)|`` of that chain. A census whose records are read only for
+    their ``k`` (a trajectory sweep's) computes none of them. Equality and
+    hashing compare ``k`` and ``spec``.
     """
 
     k: ComplexWavenumber
-    energy: complex
-    growth_rate: float
-    classification: PoleClass
     spec: ChainSpec
+
+    @cached_property
+    def energy(self) -> complex:
+        return dispersion_energy(self.k.as_complex())
+
+    @cached_property
+    def growth_rate(self) -> float:
+        return self.energy.imag
+
+    @cached_property
+    def classification(self) -> PoleClass:
+        return _classify(self.k.as_complex())
 
     @cached_property
     def residual(self) -> float:
         return abs(pole_residual(self.spec, self.k.as_complex()))
-
-
-def _record(spec: ChainSpec, k: complex) -> PoleRecord:
-    e = dispersion_energy(k)
-    return PoleRecord(
-        k=ComplexWavenumber.from_complex(k),
-        energy=e,
-        growth_rate=e.imag,
-        classification=_classify(k),
-        spec=spec,
-    )
 
 
 @dataclass(frozen=True)
@@ -194,12 +197,13 @@ def pole_residual(spec: ChainSpec, k: complex) -> complex:
     return t_n - diag if finite else complex(math.nan, math.nan)
 
 
-def _residual_derivative(spec: ChainSpec, k: complex, step: float = 1e-6) -> complex:
-    """Central-difference derivative of the analytic residual."""
-    return (pole_residual(spec, k + step) - pole_residual(spec, k - step)) / (2 * step)
+def _residual_derivative(spec: ChainSpec, k: complex) -> complex:
+    """Central-difference derivative of the analytic residual, of step :data:`DERIVATIVE_STEP`."""
+    h = DERIVATIVE_STEP
+    return (pole_residual(spec, k + h) - pole_residual(spec, k - h)) / (2 * h)
 
 
-def _newton(spec: ChainSpec, seed: complex, max_iter: int = 60) -> complex | None:
+def _newton(spec: ChainSpec, seed: complex) -> complex | None:
     """Damped Newton iteration on the residual; None when not converged.
 
     ``scale`` is the magnitude ``|T_N| + |diag|`` of the cancelling terms:
@@ -207,14 +211,14 @@ def _newton(spec: ChainSpec, seed: complex, max_iter: int = 60) -> complex | Non
     the achievable residual floor is the term scale times machine epsilon.
     The iteration stops early at the first iterate with
     ``|f| <= max(1e-13, 1e-15 * scale)``, and returns it. Otherwise it stops
-    at iterate ``max_iter`` and accepts that one on the looser
+    at iterate :data:`NEWTON_MAX_ITER` and accepts that one on the looser
     ``|f| <= max(1e-10, 5e-15 * scale)``; an iterate that stops early passes
     that too.
 
     Each iterate is a function of the one before and of nothing else, and so
-    is the decision to stop before ``max_iter``. An iterate equal to an
+    is the decision to stop before the last iterate. An iterate equal to an
     earlier one, bit for bit with signed zeros, therefore makes the run
-    periodic from there to ``max_iter``: it ends on the iterate of the same
+    periodic from there to the last iterate: it ends on the iterate of the same
     phase in the period, with that iterate's acceptance, which is what the
     iterations left out would reach. Runs that stall on the axis
     ``Re k = ±pi/2`` of a long chain repeat after about ten iterations.
@@ -222,10 +226,10 @@ def _newton(spec: ChainSpec, seed: complex, max_iter: int = 60) -> complex | Non
     k = complex(seed)
     first_at: dict[bytes, int] = {}  # an iterate's bits -> its index
     ends: list[complex | None] = []  # per iterate: what the run returns if it stops there
-    for it in range(max_iter + 1):
+    for it in range(NEWTON_MAX_ITER + 1):
         first = first_at.setdefault(struct.pack("<2d", k.real, k.imag), it)
         if first < it:  # periodic from ``first``, with period ``it - first``
-            return ends[first + (max_iter - first) % (it - first)]
+            return ends[first + (NEWTON_MAX_ITER - first) % (it - first)]
         try:
             t_n, diag, _, _, _, _, _ = _transfer_terms(spec, k)
         except SingularBasis:
@@ -234,7 +238,7 @@ def _newton(spec: ChainSpec, seed: complex, max_iter: int = 60) -> complex | Non
             return None
         f, scale = t_n - diag, abs(t_n) + abs(diag)
         ends.append(k if abs(f) <= max(RESIDUAL_TOL, 5e-15 * scale) else None)
-        if it == max_iter or abs(f) <= max(1e-13, 1e-15 * scale):
+        if it == NEWTON_MAX_ITER or abs(f) <= max(1e-13, 1e-15 * scale):
             return ends[-1]
         df = _residual_derivative(spec, k)
         if df == 0 or not cmath.isfinite(df):
@@ -269,23 +273,22 @@ def _polish(spec: ChainSpec, region: SearchRegion, pencil: list[complex]) -> lis
     The seed lattice spans ``region`` with :data:`SEED_DENSITY` points per unit
     length along each axis, at ``lo + j * (hi - lo) / (n - 1)`` as
     ``np.linspace`` places them. Newton runs once per eigenvalue, from the
-    lattice point nearest it, and its root replaces the eigenvalue when it
-    lands within :data:`GRID_ROOT_TOL` of it. The eigenvalue is kept as it is
-    otherwise, and where that point lies on the lattice's border or near a
-    singular vertical, from which Newton does not run. The eigenvalues kept as
-    they are make one DEBUG event under ``ptchain.poles`` with their count and
-    the first of them.
+    lattice point nearest it, wherever that point lies, and its root replaces
+    the eigenvalue when it lands within :data:`GRID_ROOT_TOL` of it. The
+    eigenvalue is kept as it is otherwise, also where :func:`_newton` fails
+    (at a singular basis, among others). The eigenvalues kept as they are
+    make one DEBUG event under ``ptchain.poles`` with their count and the
+    first of them.
     """
     axes = []
     for lo, hi in ((region.re_min, region.re_max), (region.im_min, region.im_max)):
         n = max(4, int(math.ceil((hi - lo) * SEED_DENSITY)) + 1)
-        axes.append((lo, (hi - lo) / (n - 1), n))
+        axes.append((lo, (hi - lo) / (n - 1)))
     polished, unpolished = [], []
     for k in pencil:
-        index = [round((x - lo) / step) for x, (lo, step, _) in zip((k.real, k.imag), axes)]
-        seed = complex(*(lo + j * step for j, (lo, step, _) in zip(index, axes)))
-        inside = all(0 < j < n - 1 for j, (_, _, n) in zip(index, axes))
-        root = _newton(spec, seed) if inside and not _near_singular_vertical(seed) else None
+        seed = complex(*(lo + round((x - lo) / step) * step
+                         for x, (lo, step) in zip((k.real, k.imag), axes)))
+        root = _newton(spec, seed)
         if root is not None and abs(root - k) <= GRID_ROOT_TOL:
             polished.append(root)
         else:
@@ -304,15 +307,11 @@ def _companion(spec: ChainSpec) -> np.ndarray:
     """The 4N x 4N companion ``[[0, I], [-(I - P), -H_c]]`` of the monic pencil in ``w = 1/z``.
 
     ``H_c`` is the leadless chain of :func:`~ptchain.model._chain_arrays`,
-    written entry by entry. Every other zero of the lower blocks is ``-0.0``:
-    the real parts of both, and the imaginary parts of ``-H_c``, as negating
-    a dense real ``I - P`` and a dense complex ``H_c`` leaves them.
+    written entry by entry into a matrix of plain zeros.
     """
     n = spec.n_sites
     data, indices, indptr = _chain_arrays(spec)
     companion = np.zeros((2 * n, 2 * n), dtype=complex)
-    companion[n:].real = -0.0
-    companion[n:, n:].imag = -0.0
     sites = np.arange(n)
     companion[sites, n + sites] = 1.0
     companion[n + sites[1:-1], sites[1:-1]] = -1.0
@@ -357,7 +356,8 @@ def _pencil_poles(spec: ChainSpec, region: SearchRegion) -> list[complex]:
 
 
 def _records(spec: ChainSpec, roots: list[complex]) -> list[PoleRecord]:
-    return sorted((_record(spec, r) for r in roots), key=lambda p: (p.k.re, p.k.im))
+    records = (PoleRecord(ComplexWavenumber.from_complex(r), spec) for r in roots)
+    return sorted(records, key=lambda p: (p.k.re, p.k.im))
 
 
 def _census(spec: ChainSpec, region: SearchRegion) -> list[PoleRecord]:
@@ -378,7 +378,8 @@ def find_poles(spec: ChainSpec, region: SearchRegion | None = None) -> list[Pole
     within :data:`GRID_ROOT_TOL` of it, and as it is otherwise. The polish
     adds no pole; it only reproduces the last bits of the fig2 presets' ``k``
     and ``residual`` columns, which ``perfbench/reference/paper_figures.json``
-    pins.
+    pins. Each pole is a :class:`PoleRecord` of its ``k`` and ``spec``,
+    whose energy, class and residual are computed when first read.
 
     Parameters
     ----------

@@ -20,9 +20,10 @@ a few ``N`` ulp; the removable singularity of the ratio at the band edges
 from the three-term recurrence, in which no such singularity arises.
 One scalar evaluator, :func:`_transfer_terms`, supplies ``T_N``,
 ``U_{N-1}`` and the diagonal term to the transfer matrix, to :func:`scatter`
-and to the pole finder, whose zeros of ``M22`` are the S-matrix poles. At
-real ``k`` it takes ``sin k`` and ``cos k`` once, and :func:`scatter` builds
-``e^{±ik}`` from them and divides the entries of :func:`_assemble` directly.
+and to the pole finder, whose zeros of ``M22`` are the S-matrix poles. It
+returns ``sin k`` and ``cos k`` with them, taken once at real ``k``;
+:func:`_assemble` builds ``e^{±ik}`` from those two at every ``k``, and
+:func:`scatter` divides its entries directly.
 
 The closed-form transmission (real arithmetic only)
 
@@ -259,20 +260,21 @@ def _transfer_terms(
 
 
 def _assemble(
-    spec: ChainSpec, t_n: complex, diag: complex, u_nm1: complex, sink: complex,
-    e_plus: complex, e_minus: complex,
+    spec: ChainSpec, t_n: complex, diag: complex, u_nm1: complex, sink: complex, cosk: complex,
 ) -> tuple[complex, complex, complex, complex]:
-    """``(M11, M12, M21, M22)`` from the terms of :func:`_transfer_terms` and ``e^{±ik}``.
+    """``(M11, M12, M21, M22)`` from the terms of :func:`_transfer_terms`.
 
-    The caller supplies ``e_plus = e^{ik}`` and ``e_minus = e^{-ik}``: at real
-    ``k``, ``complex(cos k, ±sin k)`` equals ``cmath.exp(±1j*k)`` bit for bit.
+    ``e^{±ik}`` is ``complex(cos k, ±sin k)``, from the ``sin k`` and
+    ``cos k`` the terms came with: at real ``k`` it equals
+    ``cmath.exp(±1j*k)`` bit for bit, and at complex ``k`` it is
+    ``cos k ± i sin k`` with one rounding per part.
     """
     g = spec.gamma
     off = 1j * g * u_nm1 / (2.0 * sink)
     return (
         t_n + diag,
-        off * e_plus * (2.0 * sink - g),
-        off * e_minus * (2.0 * sink + g),
+        off * complex(cosk, sink) * (2.0 * sink - g),
+        off * complex(cosk, -sink) * (2.0 * sink + g),
         t_n - diag,
     )
 
@@ -298,15 +300,13 @@ def plane_wave_transfer(spec: ChainSpec, k: complex) -> Matrix2C:
         ``|cos 2k + gamma**2/2| > 1``, or at real ``k`` a chain size near
         the largest double), or are NaN (a NaN ``k``).
     """
-    t_n, diag, u_nm1, sink, exp, _, _ = _transfer_terms(spec, k)
+    t_n, diag, u_nm1, sink, exp, _, cosk = _transfer_terms(spec, k)
     if exp or not (cmath.isfinite(t_n) and cmath.isfinite(diag)):
         raise NumericalFailure(
             f"transfer matrix entries overflow or are not finite at k={k!r} "
             f"(N={spec.n_cells}, gamma={spec.gamma})"
         )
-    return Matrix2C(
-        *_assemble(spec, t_n, diag, u_nm1, sink, cmath.exp(1j * k), cmath.exp(-1j * k))
-    )
+    return Matrix2C(*_assemble(spec, t_n, diag, u_nm1, sink, cosk))
 
 
 def transmission_closed_form(spec: ChainSpec, k: float) -> float:
@@ -389,9 +389,7 @@ def scatter(spec: ChainSpec, k: float) -> ScatterResult:
         t_n, diag, u_nm1 = t_n * 2.0**-512, diag * 2.0**-512, u_nm1 * 2.0**-512
         exp += 512
     # the entries are divided by 2**exp: the ratios r are unaffected, t = 2**-exp / M22
-    _, m12, m21, m22 = _assemble(
-        spec, t_n, diag, u_nm1, sink, complex(cosk, sink), complex(cosk, -sink)
-    )
+    _, m12, m21, m22 = _assemble(spec, t_n, diag, u_nm1, sink, cosk)
     scale = 2.0**-exp
     if abs(m22) < M22_SINGULAR_TOL * scale:
         raise SpectralSingularityError(

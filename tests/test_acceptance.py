@@ -11,7 +11,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 from scipy.optimize import brentq
 
 import ptchain as pc
@@ -22,6 +21,8 @@ PI = math.pi
 
 #: filled by the ``criterion`` context manager, printed by conftest at exit
 _CRITERION_LINES: list[str] = []
+
+# The wave-packet criteria take the ``propagation`` fixture of ``conftest.py``.
 
 
 @contextlib.contextmanager
@@ -36,26 +37,6 @@ def criterion(num: int, label: str):
     line = f"[criterion {num:02d}] PASS - {label}"
     _CRITERION_LINES.append(line)
     print(line)
-
-
-@pytest.fixture(scope="module")
-def propagation():
-    """Cached (layout, bundle, psi0) triples for the shared L=1200 lattice.
-
-    The dense eigendecomposition is the expensive part (~5 s per gamma), so
-    the three wave-packet criteria share one cache keyed by gamma.
-    """
-    layout = pc.LatticeLayout.centered(1200, 3)
-    psi0 = pc.gaussian_packet(layout, -300, 60.0, 0.5 * PI)
-    cache: dict[float, pc.PropagatorBundle] = {}
-
-    def get(gamma: float):
-        if gamma not in cache:
-            h = pc.build_hamiltonian(layout, pc.ChainSpec(3, gamma))
-            cache[gamma] = pc.prepare_propagator(h)
-        return layout, cache[gamma], psi0
-
-    return get
 
 
 def test_criterion_01_threshold_ladder_closed_forms():

@@ -6,6 +6,8 @@ on ``M22``, no pencil shared with the implementation under test. Census
 poles must lie within :data:`POLE_TOL` of its roots.
 """
 
+import cmath
+import dataclasses
 import logging
 import math
 import re
@@ -25,6 +27,7 @@ from ptchain import (
     MissedRoots,
     OutOfRange,
     PoleClass,
+    PoleRecord,
     SearchRegion,
     chebyshev_tu,
     critical_size,
@@ -40,6 +43,7 @@ from ptchain import poles
 from ptchain.poles import DEFAULT_REGION, EDGE_MARGIN
 from ptchain.presets import PRESETS
 from census_references import full_newton, nested_loop_match
+from onset_law import law_roots, onset_depths, onset_law
 from transfer_oracles import (
     full_lattice_seeds,
     imaginary_branch_excluded,
@@ -536,6 +540,34 @@ def test_census_verifies_the_ladder_count_at_its_bound(n):
     assert tgbs_count(ChainSpec(n, poles.CENSUS_GAMMA_MAX), verify=True) == n
 
 
+# ---- large-N scaling law ------------------------------------------------------
+
+@pytest.mark.parametrize("y", [1e-2, 1e-4, 1e-6])
+def test_onset_law_roots_tend_to_the_ladder(y):
+    """As y -> 0 the law's roots in g are ``(2m+1) pi/2``, the large-N ladder ``gamma N``,
+    displaced by ``2y/g`` to first order."""
+    roots = law_roots(lambda g: onset_law(g, y), 0.5, 20.0)
+    ladder = [(2 * m + 1) * 0.5 * PI for m in range(6)]
+    assert len(roots) == len(ladder)
+    for g, g_m in zip(roots, ladder):
+        assert abs(g - g_m) <= 2.0 * y / g_m + y * y
+
+
+@pytest.mark.parametrize("n", [50, 100])
+def test_census_follows_the_onset_law(n):
+    """At gamma N = 10 the three growing poles' depths ``N Im k`` approach the law's
+    roots as 1/N**2: within 20/N**2 (17.7/N**2 measured at N = 50, 100 and 200)."""
+    depths = onset_depths(10.0)
+    assert depths == pytest.approx([2.694886, 4.115416, 4.792289], abs=1e-6)
+    spec = ChainSpec(n, 10.0 / n)
+    tgbs = [r for r in find_poles(spec, first_quadrant_region(spec.gamma))
+            if r.classification is PoleClass.TGBS]
+    found = sorted(n * r.k.im for r in tgbs)
+    assert len(found) == len(depths) == tgbs_count(spec)
+    for y, law in zip(found, depths):
+        assert abs(y - law) <= 20.0 / n**2
+
+
 # ---- trajectories -------------------------------------------------------------
 
 def test_single_cell_trajectory_crosses_at_sqrt2():
@@ -875,7 +907,22 @@ def test_residual_is_evaluated_on_first_read_only(monkeypatch):
     assert residual == abs(pole_residual(spec, pole.k.as_complex()))
     (twin,) = poles._census(spec, first_quadrant_region(0.7))
     assert twin == pole and hash(twin) == hash(pole)
-    assert poles._record(ChainSpec(3, 0.71), pole.k.as_complex()) != pole
+    assert PoleRecord(pole.k, ChainSpec(3, 0.71)) != pole
+
+
+def test_record_is_its_wavenumber_and_chain(monkeypatch):
+    """A record's fields are ``k`` and ``spec``; its energy, growth rate and class
+    are derived from them on first read, so a sweep, which reads only ``k``, computes none."""
+    assert [f.name for f in dataclasses.fields(PoleRecord)] == ["k", "spec"]
+    energies = _counted(monkeypatch, "dispersion_energy")
+    classes = _counted(monkeypatch, "_classify")
+    assert trace_trajectories(ChainSpec(4, 0.0), 0.0, 2.0, 50).crossings
+    assert energies == [] and classes == []
+    (pole,) = find_poles(ChainSpec(3, 0.7), first_quadrant_region(0.7))
+    k = pole.k.as_complex()
+    energy = -2.0 * cmath.cos(k)
+    assert (pole.energy, pole.growth_rate, pole.classification) == (energy, energy.imag, PoleClass.TGBS)
+    assert energies == [(k,)] and classes == [(k,)]  # one evaluation each, cached
 
 
 def test_matcher_equals_the_nested_loop(rng):
