@@ -55,7 +55,12 @@ class BranchLost(NumericalFailure):
 
 
 class DecompositionFailed(NumericalFailure):
-    """The dense eigensolver did not converge."""
+    """The propagator's spectral decomposition cannot be used.
+
+    Raised when the dense eigensolver does not converge, when it returns
+    non-finite eigenvalues, or when the decomposition does not reassemble the
+    Hamiltonian (relative residual ``||H R - R diag(E)|| / ||H||`` above 1e-8).
+    """
 
 
 class InsufficientGrowth(NumericalFailure):

@@ -26,6 +26,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -54,6 +55,28 @@ _GAMMA_MAX = math.sqrt(sys.float_info.max)
 _N_CELLS_MAX = int(sys.float_info.max)
 
 
+def _chain_size(n_cells) -> int:
+    """The one check of a chain size: ``n_cells`` as an ``int``, ``1 <= N <= sys.float_info.max``.
+
+    Any integer type is accepted (``operator.index``: ``int``, ``bool`` and
+    NumPy integers); a ``float`` is refused even where it is integral.
+
+    Raises
+    ------
+    OutOfRange
+        For a non-integer, ``n_cells < 1`` or ``n_cells > sys.float_info.max``.
+    """
+    try:
+        n = operator.index(n_cells)
+    except TypeError:
+        raise OutOfRange(f"n_cells must be an integer, got {n_cells!r}") from None
+    if n < 1:
+        raise OutOfRange(f"n_cells must be >= 1, got {n_cells!r}")
+    if n > _N_CELLS_MAX:
+        raise OutOfRange("n_cells must be at most sys.float_info.max (~1.8e308)")
+    return n
+
+
 @dataclass(frozen=True)
 class ChainSpec:
     """Immutable description of the scattering region.
@@ -61,7 +84,8 @@ class ChainSpec:
     Parameters
     ----------
     n_cells : int
-        Number of two-site unit cells, ``1 <= N <= sys.float_info.max``.
+        Number of two-site unit cells, ``1 <= N <= sys.float_info.max``, of
+        any integer type; stored as an ``int``.
     gamma : float
         Gain/loss strength ``gamma >= 0`` in units of the hopping, with a
         finite ``gamma**2``: at most ``sqrt(sys.float_info.max)``, ~1.34e154.
@@ -71,10 +95,7 @@ class ChainSpec:
     gamma: float
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.n_cells, int) and self.n_cells >= 1):
-            raise OutOfRange(f"n_cells must be a positive integer, got {self.n_cells!r}")
-        if self.n_cells > _N_CELLS_MAX:
-            raise OutOfRange("n_cells must be at most sys.float_info.max (~1.8e308)")
+        object.__setattr__(self, "n_cells", _chain_size(self.n_cells))
         if not 0.0 <= self.gamma <= _GAMMA_MAX:
             raise OutOfRange(f"gamma must lie in [0, {_GAMMA_MAX!r}], got {self.gamma!r}")
 

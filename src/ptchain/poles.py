@@ -45,7 +45,14 @@ from .errors import (
     OutOfRange,
     SingularBasis,
 )
-from .model import _N_CELLS_MAX, ChainSpec, ComplexWavenumber, _chain_arrays, dispersion_energy
+from .model import (
+    _N_CELLS_MAX,
+    ChainSpec,
+    ComplexWavenumber,
+    _chain_arrays,
+    _chain_size,
+    dispersion_energy,
+)
 from .scattering import _transfer_terms
 
 _log = logging.getLogger(__name__)
@@ -188,8 +195,8 @@ def pole_residual(spec: ChainSpec, k: complex) -> complex:
 
     Evaluates ``cos(2N mu) - i cot(k) tan(mu) sin(2N mu)`` in its branch-free
     Chebyshev form, through the scalar evaluator that
-    :func:`~ptchain.scattering.plane_wave_transfer` builds ``M22`` from. It
-    raises :class:`SingularBasis` at ``sin k = 0``, and a residual beyond the
+    :func:`~ptchain.scattering.scatter` takes ``M22`` from. It raises
+    :class:`SingularBasis` at ``sin k = 0``, and a residual beyond the
     double range is NaN.
     """
     t_n, diag, _, _, _, _, _ = _transfer_terms(spec, complex(k))
@@ -423,13 +430,10 @@ def gamma_critical(n_cells: int) -> float:
     Raises
     ------
     OutOfRange
-        For ``n_cells < 1`` and above ``sys.float_info.max``, as :class:`ChainSpec`.
+        For a non-integer ``n_cells``, below 1 or above ``sys.float_info.max``:
+        the check of :class:`ChainSpec`.
     """
-    if not n_cells >= 1:
-        raise OutOfRange(f"n_cells must be >= 1, got {n_cells}")
-    if n_cells > _N_CELLS_MAX:
-        raise OutOfRange("n_cells must be at most sys.float_info.max (~1.8e308)")
-    return _ladder_value(1, n_cells)
+    return _ladder_value(1, _chain_size(n_cells))
 
 
 def _ladder_value(j: int, n_cells: int) -> float:
@@ -457,12 +461,12 @@ def threshold_ladder(n_cells: int, verify_numeric: bool = False) -> ThresholdLad
     3.23 of the 32. Between two ladder values ``|T_N|`` is of order one,
     against an allowance of at most ``64 eps N**2 / pi``, 4.5e-7 at N = 10**4.
     """
-    g_c = gamma_critical(n_cells)  # the one check of ``n_cells``
+    n_cells = _chain_size(n_cells)
     gammas = tuple(_ladder_value(j, n_cells) for j in range(n_cells, 0, -1))
     if verify_numeric:
         for g in gammas:
             _check_ladder_value(n_cells, g)
-    return ThresholdLadder(gamma_values=gammas, gamma_critical=g_c)
+    return ThresholdLadder(gamma_values=gammas, gamma_critical=gammas[-1])
 
 
 def _check_ladder_value(n_cells: int, gamma: float) -> None:

@@ -176,13 +176,14 @@ def cpa_laser_points(n_cells: int) -> list[SpecialPoint]:
     bound states.
     """
     ladder = threshold_ladder(n_cells)
+    last = len(ladder.gamma_values) - 1
     return [
         SpecialPoint(
             kind=SpecialPointKind.CPA_LASER,
             energy=0.0,
             k=0.5 * math.pi,
             gamma=g,
-            physical=(n == n_cells - 1),
+            physical=(n == last),
             n_index=n,
         )
         for n, g in enumerate(ladder.gamma_values)

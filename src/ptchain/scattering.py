@@ -1,4 +1,4 @@
-"""Transfer matrices and stationary scattering coefficients.
+"""Stationary scattering coefficients from the transfer matrix's closed form.
 
 The scattering region is ``N`` repetitions of a gain/loss unit cell embedded
 in a tight-binding lead. Wave amplitudes on either side are connected by a
@@ -7,29 +7,31 @@ amplitudes are
 
     t = 1 / M22,   r_left = -M21 / M22,   r_right = M12 / M22.
 
-:func:`plane_wave_transfer` assembles the closed-form entries from the
-Chebyshev polynomials ``T_N(x)`` and ``U_{N-1}(x)`` of the branch-free
-variable ``x = cos 2k + gamma**2 / 2`` (which equals ``cos 2mu``), so no
-band-index branch is ever chosen. At real ``k`` they are evaluated in
-closed form by :func:`_real_terms`, ``cos(N theta)`` and
-``sin(N theta)/sin theta`` with ``theta = atan2(sqrt((1-x)(1+x)), |x|)``
-(``cosh``, ``sinh`` and ``asinh`` for ``|x| > 1``) and the factors ``1 ± x``
-taken from ``k`` and ``gamma`` directly, at O(1) cost per point and within
-a few ``N`` ulp; the removable singularity of the ratio at the band edges
-``x = ±1`` is taken as its exact limit ``±N``. At complex ``k`` they come
-from the three-term recurrence, in which no such singularity arises.
-One scalar evaluator, :func:`_transfer_terms`, supplies ``T_N``,
-``U_{N-1}`` and the diagonal term to the transfer matrix, to :func:`scatter`
-and to the pole finder, whose zeros of ``M22`` are the S-matrix poles. It
-returns ``sin k`` and ``cos k`` with them, taken once at real ``k``;
-:func:`_assemble` builds ``e^{±ik}`` from those two at every ``k``, and
-:func:`scatter` divides its entries directly.
+The entries come from the Chebyshev polynomials ``T_N(x)`` and
+``U_{N-1}(x)`` of the branch-free variable ``x = cos 2k + gamma**2 / 2``
+(which equals ``cos 2mu``), so no band-index branch is ever chosen. At real
+``k`` they are evaluated in closed form by :func:`_real_terms`,
+``cos(N theta)`` and ``sin(N theta)/sin theta`` with
+``theta = atan2(sqrt((1-x)(1+x)), |x|)`` (``cosh``, ``sinh`` and ``asinh``
+for ``|x| > 1``) and the factors ``1 ± x`` taken from ``k`` and ``gamma``
+directly, at O(1) cost per point and within a few ``N`` ulp; the removable
+singularity of the ratio at the band edges ``x = ±1`` is taken as its exact
+limit ``±N``. At complex ``k`` they come from the three-term recurrence, in
+which no such singularity arises. One scalar evaluator,
+:func:`_transfer_terms`, supplies ``T_N``, ``U_{N-1}`` and the diagonal term
+to :func:`scatter` and to the pole finder, whose zeros of
+``M22 = T_N - diag`` are the S-matrix poles; it also makes the one decision
+to rescale them by a power of two. It returns ``sin k`` and ``cos k`` with
+them, taken once at real ``k``, from which :func:`_assemble` builds the
+off-diagonal entries. The whole matrix is assembled only in the tests, as
+an oracle.
 
 The closed-form transmission (real arithmetic only)
 
     1/T = 1 - gamma**2 (1 - x) U_{N-1}(x)**2 / (2 sin^2 k)
 
-is used as a permanent cross-check inside :func:`scatter`.
+is used as a permanent cross-check inside :func:`scatter`, and is the one
+rule that declares a spectral singularity.
 """
 
 from __future__ import annotations
@@ -42,10 +44,7 @@ from .errors import NumericalFailure, OutOfRange, SingularBasis, SpectralSingula
 from .model import ChainSpec
 
 __all__ = [
-    "Matrix2C",
     "ScatterResult",
-    "chebyshev_tu",
-    "plane_wave_transfer",
     "transmission_closed_form",
     "scatter",
 ]
@@ -53,22 +52,9 @@ __all__ = [
 #: Below this |sin k| the plane-wave basis is declared singular.
 SIN_K_TOL = 1e-12
 
-#: Below this |M22| the scattering coefficients are declared divergent.
-M22_SINGULAR_TOL = 1e-10
-
 #: Resolution floor of the real-arithmetic 1/T formula: it is computed as an
 #: O(1) difference, so magnitudes below a few hundred ulp are noise.
 CLOSED_FORM_FLOOR = 1e-13
-
-
-@dataclass(frozen=True)
-class Matrix2C:
-    """The four entries of a 2x2 complex transfer matrix."""
-
-    m11: complex
-    m12: complex
-    m21: complex
-    m22: complex
 
 
 @dataclass(slots=True)
@@ -227,11 +213,14 @@ def _transfer_terms(
 
     At real ``k`` (any ``k`` that is not a ``complex`` instance) ``sin k``
     and ``cos k`` are taken once, and the terms come from
-    :func:`_real_terms`. The exponent ``e`` is 0 unless ``T_N``,
-    ``U_{N-1}`` or ``diag`` exceeds the double range; the terms are then
-    divided by ``2**e``. At complex ``k`` (also with ``Im k = 0``) the terms
-    come from the recurrence of :func:`chebyshev_tu` and ``e`` is 0; on long
-    chains they can be non-finite, which the callers report.
+    :func:`_real_terms`. This is the one place the terms are rescaled: where
+    ``|U_{N-1}| > 2**512`` or ``diag`` overflows, all three are multiplied by
+    the exact ``2**-512`` and ``e`` grows by 512, which leaves the entries
+    and their quotients headroom. ``e`` is 0 otherwise, unless ``U_{N-1}``
+    exceeds the double range itself, where :func:`_chebyshev_real` factors
+    it with an exponent above 512. At complex ``k`` (also with ``Im k = 0``)
+    the terms come from the recurrence of :func:`chebyshev_tu` and ``e`` is
+    0; on long chains they can be non-finite, which the callers report.
 
     Raises
     ------
@@ -254,59 +243,27 @@ def _transfer_terms(
     cosk = math.cos(k)
     t_n, u_nm1, exp, one_minus_x = _real_terms(spec, sink, cosk)
     cot_factor = cosk / sink * one_minus_x
-    if math.isinf(cot_factor * u_nm1):  # U_{N-1} fits, diag does not: 2**-512 is exact
-        t_n, u_nm1, exp = t_n * 2.0**-512, u_nm1 * 2.0**-512, 512
+    if abs(u_nm1) > 2.0**512 or math.isinf(cot_factor * u_nm1):
+        t_n, u_nm1, exp = t_n * 2.0**-512, u_nm1 * 2.0**-512, exp + 512
     return t_n, 1j * (cot_factor * u_nm1), u_nm1, sink, exp, one_minus_x, cosk
 
 
 def _assemble(
-    spec: ChainSpec, t_n: complex, diag: complex, u_nm1: complex, sink: complex, cosk: complex,
-) -> tuple[complex, complex, complex, complex]:
-    """``(M11, M12, M21, M22)`` from the terms of :func:`_transfer_terms`.
+    spec: ChainSpec, u_nm1: complex, sink: complex, cosk: complex
+) -> tuple[complex, complex]:
+    """The off-diagonal entries ``(M12, M21)`` from the terms of :func:`_transfer_terms`.
 
-    ``e^{±ik}`` is ``complex(cos k, ±sin k)``, from the ``sin k`` and
-    ``cos k`` the terms came with: at real ``k`` it equals
-    ``cmath.exp(±1j*k)`` bit for bit, and at complex ``k`` it is
-    ``cos k ± i sin k`` with one rounding per part.
+    They carry the same factor ``2**-e`` as the terms. ``e^{±ik}`` is
+    ``complex(cos k, ±sin k)``, from the ``sin k`` and ``cos k`` the terms
+    came with: at real ``k`` it equals ``cmath.exp(±1j*k)`` bit for bit, and
+    at complex ``k`` it is ``cos k ± i sin k`` with one rounding per part.
     """
     g = spec.gamma
     off = 1j * g * u_nm1 / (2.0 * sink)
     return (
-        t_n + diag,
         off * complex(cosk, sink) * (2.0 * sink - g),
         off * complex(cosk, -sink) * (2.0 * sink + g),
-        t_n - diag,
     )
-
-
-def plane_wave_transfer(spec: ChainSpec, k: complex) -> Matrix2C:
-    """Transfer matrix in the plane-wave (incoming/outgoing) basis.
-
-    Parameters
-    ----------
-    spec : ChainSpec
-        Scattering region.
-    k : complex
-        Wavenumber; ``E = -2 cos k`` throughout. A real ``k`` (not a
-        ``complex`` instance) takes the closed-form terms of the real axis,
-        a complex one the recurrence (see :func:`_transfer_terms`).
-
-    Raises
-    ------
-    SingularBasis
-        When ``|sin k| < 1e-12`` (the plane-wave basis degenerates).
-    NumericalFailure
-        When the entries exceed the double range (long chains with
-        ``|cos 2k + gamma**2/2| > 1``, or at real ``k`` a chain size near
-        the largest double), or are NaN (a NaN ``k``).
-    """
-    t_n, diag, u_nm1, sink, exp, _, cosk = _transfer_terms(spec, k)
-    if exp or not (cmath.isfinite(t_n) and cmath.isfinite(diag)):
-        raise NumericalFailure(
-            f"transfer matrix entries overflow or are not finite at k={k!r} "
-            f"(N={spec.n_cells}, gamma={spec.gamma})"
-        )
-    return Matrix2C(*_assemble(spec, t_n, diag, u_nm1, sink, cosk))
 
 
 def transmission_closed_form(spec: ChainSpec, k: float) -> float:
@@ -340,9 +297,17 @@ def transmission_closed_form(spec: ChainSpec, k: float) -> float:
 def _closed_form_transmission(
     gamma: float, k: float, sink: float, one_minus_x: float, u_nm1: float, exp: int
 ) -> float:
-    """The closed form from ``sin k``, ``1 - x`` and ``U_{N-1} = u_nm1 2**exp``; 0.0 past the double range."""
-    if exp or not math.isfinite(u_nm1):
+    """The closed form from ``sin k``, ``1 - x`` and ``U_{N-1} = u_nm1 2**exp``; 0.0 past the double range.
+
+    ``U_{N-1}`` is past the double range where ``exp > 512`` (a factored
+    term) or ``u_nm1`` is not finite. ``exp == 512`` is the rescale of
+    :func:`_transfer_terms` alone, which is undone exactly here, so the
+    value is that of :func:`transmission_closed_form` at every ``k``.
+    """
+    if exp > 512 or not math.isfinite(u_nm1):
         return 0.0
+    if exp:
+        u_nm1 *= 2.0**exp
     inv_t = 1.0 - gamma * gamma * one_minus_x * u_nm1 * u_nm1 / (2.0 * sink * sink)
     if abs(inv_t) < CLOSED_FORM_FLOOR:
         raise SpectralSingularityError(
@@ -366,16 +331,19 @@ def scatter(spec: ChainSpec, k: float) -> ScatterResult:
     smallest normal double, where both underflow. Where ``U_{N-1}`` exceeds
     the double range the reference is 0.0, as the closed form returns there.
     On long chains whose entries approach or exceed the double range, they
-    are evaluated rescaled by a power of two: ``T`` underflows toward 0 while
-    ``R_left`` and ``R_right`` stay finite.
+    are evaluated rescaled by a power of two (see :func:`_transfer_terms`):
+    ``T`` underflows toward 0 while ``R_left`` and ``R_right`` stay finite.
 
     Raises
     ------
     OutOfRange
         If ``k`` is not inside the open interval ``(0, pi)``.
     SpectralSingularityError
-        When ``|M22| < 1e-10``: the coefficients diverge, and the caller
-        receives the classification instead of meaningless huge numbers.
+        Where the closed form raises it, ``|1/T| < 1e-13``: the coefficients
+        diverge, and the caller receives the classification instead of
+        meaningless huge numbers. At real ``k``, ``|M22|**2 = 1/T`` exactly,
+        so this is also the rule on ``M22``: a point that passes it has
+        ``|M22|`` near or above ``sqrt(1e-13)``.
     NumericalFailure
         When the transmission cross-check fails, or ``N theta`` is beyond
         the double range (see :func:`_chebyshev_real`).
@@ -384,18 +352,10 @@ def scatter(spec: ChainSpec, k: float) -> ScatterResult:
         raise OutOfRange(f"real scattering requires k in (0, pi), got {k!r}")
     t_n, diag, u_nm1, sink, exp, one_minus_x, cosk = _transfer_terms(spec, k)
     reference = _closed_form_transmission(spec.gamma, k, sink, one_minus_x, u_nm1, exp)
-    if abs(u_nm1) > 2.0**512:
-        # leave the entries and their quotients headroom; scaling by 2**-512 is exact
-        t_n, diag, u_nm1 = t_n * 2.0**-512, diag * 2.0**-512, u_nm1 * 2.0**-512
-        exp += 512
     # the entries are divided by 2**exp: the ratios r are unaffected, t = 2**-exp / M22
-    _, m12, m21, m22 = _assemble(spec, t_n, diag, u_nm1, sink, cosk)
-    scale = 2.0**-exp
-    if abs(m22) < M22_SINGULAR_TOL * scale:
-        raise SpectralSingularityError(
-            f"scattering coefficients diverge at k = {k!r} (|M22| = {abs(m22):.2e})"
-        )
-    t = scale / m22
+    m12, m21 = _assemble(spec, u_nm1, sink, cosk)
+    m22 = t_n - diag
+    t = 2.0**-exp / m22
     r_left = -m21 / m22
     r_right = m12 / m22
     big_t = abs(t) ** 2

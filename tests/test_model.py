@@ -5,6 +5,7 @@ import cmath
 import json
 import math
 import os
+import pickle
 import re
 import shlex
 import subprocess
@@ -27,13 +28,17 @@ from ptchain import (
     classify_bloch_regime,
     dispersion_energy,
     energy_to_wavenumber,
-    plane_wave_transfer,
     scatter,
     tgbs_count,
     transmission_closed_form,
 )
 from ptchain import cli, dynamics, errors, model, poles, relevance, scattering
-from transfer_oracles import bloch_index, dense_hamiltonian, dense_pencil_companion
+from transfer_oracles import (
+    bloch_index,
+    closed_form_transfer,
+    dense_hamiltonian,
+    dense_pencil_companion,
+)
 
 
 def test_chain_spec_validation():
@@ -49,6 +54,30 @@ def test_chain_spec_validation():
         ChainSpec(3, float("nan"))
     with pytest.raises(OutOfRange):
         ChainSpec(3, float("inf"))
+
+
+_SIZE_ROUTES = {
+    "ChainSpec": lambda n: ChainSpec(n, 0.3).n_cells,
+    "gamma_critical": poles.gamma_critical,
+    "threshold_ladder": poles.threshold_ladder,
+    "cpa_laser_points": relevance.cpa_laser_points,
+}
+
+
+@pytest.mark.parametrize("route", _SIZE_ROUTES, ids=str)
+@pytest.mark.parametrize("size", [3.5, 3.0, "3", None, 0, -2, 0.0], ids=repr)
+def test_every_route_refuses_what_chain_spec_refuses(route, size):
+    """A chain size is checked once, in ``model``: a float, even an integral one, is refused."""
+    with pytest.raises(OutOfRange, match="n_cells must be"):
+        _SIZE_ROUTES[route](size)
+
+
+@pytest.mark.parametrize("route", _SIZE_ROUTES, ids=str)
+@pytest.mark.parametrize("size", [np.int64(3), np.int32(3), np.uint8(3)], ids=repr)
+def test_every_route_takes_any_integer_type_as_an_int(route, size):
+    """A NumPy integer gives what the ``int`` of its value gives, to the type of every part."""
+    got, want = _SIZE_ROUTES[route](size), _SIZE_ROUTES[route](int(size))
+    assert pickle.dumps(got) == pickle.dumps(want)
 
 
 def test_size_bound_keeps_n_a_finite_double():
@@ -79,7 +108,7 @@ def test_gamma_bound_keeps_gamma_squared_finite():
         assert 0.0 <= result.T < math.inf
         assert 0.0 <= transmission_closed_form(spec, 1.0) < math.inf
         try:
-            plane_wave_transfer(spec, 1.0)
+            closed_form_transfer(spec, 1.0)
         except NumericalFailure:
             pass
         with pytest.raises(OutOfRange):

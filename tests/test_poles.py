@@ -29,7 +29,6 @@ from ptchain import (
     PoleClass,
     PoleRecord,
     SearchRegion,
-    chebyshev_tu,
     critical_size,
     find_poles,
     first_quadrant_region,
@@ -42,6 +41,7 @@ from ptchain import (
 from ptchain import poles
 from ptchain.poles import DEFAULT_REGION, EDGE_MARGIN
 from ptchain.presets import PRESETS
+from ptchain.scattering import chebyshev_tu
 from census_references import full_newton, nested_loop_match
 from onset_law import law_roots, onset_depths, onset_law
 from transfer_oracles import (
@@ -515,6 +515,25 @@ def test_tgbs_count_numeric_verification_at_larger_n(n, gamma):
     assert tgbs_count(ChainSpec(n, gamma), verify=True) == 9
 
 
+def test_tgbs_count_verification_raises_on_a_census_missing_a_pole(monkeypatch):
+    """A first-quadrant census one growing pole short of the closed form raises ``MissedRoots``."""
+    spec = ChainSpec(3, 1.5)
+    assert tgbs_count(spec, verify=True) == 2
+    pencil = poles._pencil_poles
+    monkeypatch.setattr(poles, "_pencil_poles",
+                        lambda s, r: sorted(pencil(s, r), key=lambda k: k.imag)[:-1])
+    assert tgbs_count(spec) == 2
+    with pytest.raises(MissedRoots, match="count 2 != first-quadrant pole count 1"):
+        tgbs_count(spec, verify=True)
+
+
+def test_newton_returns_none_at_a_singular_basis():
+    """A Newton run seeded where ``sin k = 0`` returns None rather than raise ``SingularBasis``."""
+    spec = ChainSpec(3, 0.5)
+    for seed in (0j, complex(PI, 0.0), complex(-PI, 0.0)):
+        assert poles._newton(spec, seed) is None
+
+
 @pytest.mark.parametrize("n", [3, 7])
 def test_census_refuses_gamma_above_its_bound(n, monkeypatch):
     """At gamma = 1e50 the pencil returned spurious TGBS poles: every census raises before an eigensolve."""
@@ -604,6 +623,19 @@ def test_trajectory_passes_the_branch_count_check(n, steps):
     assert sum(1 for b in traj.branches if b.points[-1][1].k.re > 0) == 2 * n - 1
     ladder = threshold_ladder(n).gamma_values
     assert sorted(c.gamma for c in traj.crossings) == pytest.approx(sorted(ladder), abs=1e-6)
+
+
+def test_default_strip_sweep_warns_when_a_branch_is_missing(monkeypatch):
+    """On the default strip to gamma = 2, a last census one pole short warns: 2N-2 branches, not 2N-1."""
+    spec = ChainSpec(3, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace_trajectories(spec, 0.0, 2.0, steps=20)
+    census = poles._census
+    monkeypatch.setattr(poles, "_census",
+                        lambda s, r: census(s, r)[:-1] if s.gamma == 2.0 else census(s, r))
+    with pytest.warns(UserWarning, match="observed 4 branches with Re k > 0, expected 5"):
+        trace_trajectories(spec, 0.0, 2.0, steps=20, strict=False)
 
 
 def test_windowed_sweep_skips_the_branch_count_check():

@@ -1,8 +1,9 @@
 """Transfer-matrix routes, closed forms, and scattering coefficients.
 
-The package evaluates the transfer matrix by branch-free Chebyshev
+The package evaluates the transfer matrix's terms by branch-free Chebyshev
 polynomials, in closed form at real ``k`` and by recurrence at complex ``k``;
-these tests pin it against the oracle routes in ``transfer_oracles``
+these tests pin them, through the whole matrix ``closed_form_transfer``
+assembles from them, against the oracle routes in ``transfer_oracles``
 (explicit band-index parameterization and the literal 2x2 cell product),
 against 60-digit ``mpmath`` and against the analytic structure
 (determinant, PT pairing, conservation relation).
@@ -24,20 +25,20 @@ from ptchain import (
     OutOfRange,
     SingularBasis,
     SpectralSingularityError,
-    chebyshev_tu,
-    plane_wave_transfer,
     pole_residual,
     scatter,
     threshold_ladder,
     transmission_closed_form,
 )
 from ptchain import scattering
-from ptchain.scattering import _chebyshev_real
+from ptchain.scattering import _chebyshev_real, chebyshev_tu
 from transfer_oracles import (
     Matrix2,
     bloch_index,
+    closed_form_transfer,
     n_cell_matrix,
     plain_chebyshev_tu,
+    product_transfer,
     single_site_matrix,
     transfer_matrix_from_branch,
     unit_cell_matrix,
@@ -188,7 +189,7 @@ def test_determinant_is_one(rng):
     for _ in range(60):
         n = int(rng.integers(1, 7))
         spec = ChainSpec(n, rng.uniform(0.0, 2.0))
-        m = Matrix2.of(plane_wave_transfer(spec, _rand_k(rng)))
+        m = closed_form_transfer(spec, _rand_k(rng))
         assert abs(m.det() - 1.0) < 1e-9 * max(1.0, m.max_abs() ** 2)
 
 
@@ -198,7 +199,7 @@ def test_pt_entry_pairing_on_real_axis(rng):
         n = int(rng.integers(1, 7))
         spec = ChainSpec(n, rng.uniform(0.05, 1.9))
         k = rng.uniform(0.05, math.pi - 0.05)
-        m = Matrix2.of(plane_wave_transfer(spec, k))
+        m = closed_form_transfer(spec, k)
         scale = max(1.0, m.max_abs())
         assert m.m11 == pytest.approx(m.m22.conjugate(), abs=1e-10 * scale)
         assert (m.m12 * m.m21).imag == pytest.approx(0.0, abs=1e-10 * scale**2)
@@ -237,7 +238,7 @@ def test_branch_route_equals_recurrence_route(rng):
         k = _rand_k(rng)
         mu = bloch_index(k, spec).mu
         a = transfer_matrix_from_branch(spec, k, mu)
-        b = Matrix2.of(plane_wave_transfer(spec, k))
+        b = closed_form_transfer(spec, k)
         assert (a - b).max_abs() < 1e-9 * max(1.0, b.max_abs())
 
 
@@ -281,7 +282,7 @@ def test_transmission_closed_form_equals_m22_route(rng):
         n = int(rng.integers(1, 8))
         spec = ChainSpec(n, rng.uniform(0.01, 1.95))
         k = rng.uniform(0.05, math.pi - 0.05)
-        m = plane_wave_transfer(spec, k)
+        m = closed_form_transfer(spec, k)
         try:
             t_closed = transmission_closed_form(spec, k)
         except SpectralSingularityError:
@@ -293,11 +294,42 @@ def test_amplitudes_follow_matrix_entries(rng):
     for _ in range(40):
         spec = ChainSpec(int(rng.integers(1, 6)), rng.uniform(0.05, 1.8))
         k = rng.uniform(0.1, math.pi - 0.1)
-        m = plane_wave_transfer(spec, k)
+        m = closed_form_transfer(spec, k)
         res = scatter(spec, k)
         assert res.t == pytest.approx(1.0 / m.m22, rel=1e-12)
         assert res.r_left == pytest.approx(-m.m21 / m.m22, rel=1e-12)
         assert res.r_right == pytest.approx(m.m12 / m.m22, rel=1e-12)
+
+
+def test_scatter_equals_the_quotients_of_plane_wave_transfer(rng):
+    """``t``, ``r_left`` and ``r_right`` are the quotients of the literal cell product's entries.
+
+    ``product_transfer``, ``Q^{-1} cell^N Q`` in the plane-wave basis, shares
+    no arithmetic with ``scatter``. Its entries are off by a few ``N eps`` of
+    the largest entry, so a quotient by ``M22`` is off by that times
+    ``cond = max|M| / |M22|``; the worst of these draws reaches 14 of the 256
+    allowed, and of 4,000 further draws 42. The coefficients are the squared
+    moduli of the amplitudes, bit for bit.
+    """
+    compared = 0
+    for _ in range(400):
+        spec = ChainSpec(int(rng.integers(1, 61)), rng.uniform(0.05, 1.8))
+        k = rng.uniform(0.1, math.pi - 0.1)
+        try:
+            res = scatter(spec, k)
+        except SpectralSingularityError:
+            continue
+        p = product_transfer(spec, k)
+        cond = p.max_abs() / abs(p.m22)
+        quotients = (1.0 / p.m22, -p.m21 / p.m22, p.m12 / p.m22)
+        for got, want in zip((res.t, res.r_left, res.r_right), quotients):
+            bound = 256 * spec.n_cells * sys.float_info.epsilon * cond
+            assert abs(got - want) <= bound * max(abs(want), abs(quotients[0]))
+        assert (res.T, res.R_left, res.R_right) == (
+            abs(res.t) ** 2, abs(res.r_left) ** 2, abs(res.r_right) ** 2
+        )
+        compared += 1
+    assert compared > 390
 
 
 @pytest.mark.parametrize("k", [0.0016, 0.01, 0.1])
@@ -312,37 +344,37 @@ def test_scatter_stays_finite_where_the_recurrence_overflows(k):
     )
     assert transmission_closed_form(spec, k) == 0.0
     with pytest.raises(NumericalFailure):
-        plane_wave_transfer(spec, k)
+        closed_form_transfer(spec, k)
 
 
 def test_scatter_is_continuous_where_the_terms_leave_the_double_range():
-    """At gamma=2, k=0.01 the terms leave the double range between N=400 and 403.
+    """At gamma=2, k=0.01 the terms are rescaled from N=203 on, and carry their own exponent from 403.
 
-    N=401 and 402 scale the terms because ``diag = U cot k (1 - x)``
-    overflows while ``U_{N-1}`` fits; from N=403 ``U_{N-1}`` itself carries
-    an exponent. The reflections do not notice, and ``plane_wave_transfer``
-    raises exactly where the terms are scaled.
+    From N=203 ``U_{N-1}`` exceeds ``2**512`` and the terms are scaled by
+    ``2**-512``; between N=402 and 403 ``U_{N-1}`` itself leaves the double
+    range. T falls to 0.0 and the reflections do not notice, and
+    ``closed_form_transfer`` raises exactly where the terms are scaled.
     """
     exps = []
-    for n in range(398, 407):
+    for n in (*range(200, 207), *range(398, 407)):
         spec = ChainSpec(n, 2.0)
         exps.append(scattering._transfer_terms(spec, 0.01)[4])
         res = scatter(spec, 0.01)
-        assert res.T == 0.0
+        assert (res.T == 0.0) if n >= 398 else (res.T < 1e-300)
         assert res.R_left == pytest.approx(1.0202016801024276, rel=1e-13)
         assert res.R_right == pytest.approx(0.98019834656575, rel=1e-13)
         if exps[-1]:
             with pytest.raises(NumericalFailure):
-                plane_wave_transfer(spec, 0.01)
+                closed_form_transfer(spec, 0.01)
         else:
-            plane_wave_transfer(spec, 0.01)
-    assert exps[:3] == [0, 0, 0] and exps[3:5] == [512, 512] and min(exps[5:]) > 1000
+            closed_form_transfer(spec, 0.01)
+    assert exps[:3] == [0, 0, 0] and set(exps[3:12]) == {512} and min(exps[12:]) > 1000
 
 
 def test_plane_wave_transfer_rejects_a_nan_wavenumber():
     for k in (math.nan, complex(math.nan, 0.0)):
         with pytest.raises(NumericalFailure):
-            plane_wave_transfer(ChainSpec(3, 0.3), k)
+            closed_form_transfer(ChainSpec(3, 0.3), k)
 
 
 def test_scatter_cross_checks_against_the_closed_form_value(rng, monkeypatch):
@@ -377,21 +409,46 @@ def test_scatter_cross_checks_against_the_closed_form_value(rng, monkeypatch):
         assert own_runs == []
 
 
-def test_closed_form_is_zero_wherever_the_recurrence_rescales(rng):
-    """Where ``_transfer_terms`` rescales, ``U_{N-1}`` overflows and the closed form gives 0.0.
+def test_scatter_reference_is_the_closed_form_wherever_the_terms_rescale(rng, monkeypatch):
+    """Where ``_transfer_terms`` rescales, ``scatter``'s reference is still the closed form to the bit.
 
-    ``scatter`` takes 0.0 as its reference there without running the
-    recurrence again.
+    The rescale by ``2**-512`` is undone exactly where ``U_{N-1}`` fits the
+    double range, and the reference is 0.0 where it does not: the factored
+    terms of long chains, and the points whose ``diag`` overflows, where the
+    closed form overflows to 0.0 too. A reference of 0.0 wherever the terms
+    rescale would fail the cross-check where ``2**512 < |U_{N-1}|`` and T is
+    a normal double, as at the first two cases, with T ~ 2.7e-305 and
+    1.7e-306.
     """
-    rescaled = 0
+    cases = [(ChainSpec(26294, 0.3), 0.15041770450390934),
+             (ChainSpec(6463, 1.9), 1.2519826616058716)]
     for _ in range(2000):
         n = int(np.exp(rng.uniform(math.log(50), math.log(5000))))
         spec = ChainSpec(n, float(rng.uniform(0.0, 2.5)))
-        k = float(rng.uniform(0.005, math.pi - 0.005))
-        if scattering._transfer_terms(spec, k)[4]:
-            rescaled += 1
-            assert transmission_closed_form(spec, k) == 0.0
-    assert rescaled > 100
+        cases.append((spec, float(rng.uniform(0.005, math.pi - 0.005))))
+    tail = scattering._closed_form_transmission
+    references = []
+    monkeypatch.setattr(scattering, "_closed_form_transmission",
+                        lambda *a: references.append(tail(*a)) or references[-1])
+    rescaled = kinds = 0
+    for spec, k in cases:
+        exp = scattering._transfer_terms(spec, k)[4]
+        if not exp:
+            continue
+        try:
+            want = transmission_closed_form(spec, k)
+            references.clear()
+            scatter(spec, k)
+        except SpectralSingularityError:
+            continue
+        assert references == [want]
+        assert math.copysign(1.0, references[0]) == math.copysign(1.0, want)  # signed zeros too
+        if exp > 512:
+            assert want == 0.0
+        rescaled += 1
+        kinds |= 1 if want > 2.0**-1022 else 2
+    assert scatter(*cases[0]).T > 1e-305 and scatter(*cases[1]).T > 1e-306
+    assert rescaled > 100 and kinds == 3
 
 
 def test_scatter_cross_check_catches_a_perturbed_matrix_route(rng, monkeypatch):
@@ -402,13 +459,13 @@ def test_scatter_cross_check_catches_a_perturbed_matrix_route(rng, monkeypatch):
     chains of the first two cases (T ~ 1e-52 and 5e-29). It widens
     quadratically only far above T = 1.
     """
-    assemble = scattering._assemble
+    terms = scattering._transfer_terms
 
     def perturbed(*args):
-        m11, m12, m21, m22 = assemble(*args)
-        return m11, m12, m21, m22 * (1.0 + 1e-6)
+        t_n, diag, *rest = terms(*args)
+        return (t_n * (1.0 + 1e-6), diag * (1.0 + 1e-6), *rest)
 
-    monkeypatch.setattr(scattering, "_assemble", perturbed)
+    monkeypatch.setattr(scattering, "_transfer_terms", perturbed)
     cases = [(ChainSpec(40, 1.9), 0.5), (ChainSpec(20, 1.9), 0.3)]
     for _ in range(20):
         spec = ChainSpec(int(rng.integers(1, 9)), float(rng.uniform(0.05, 0.5)))
@@ -418,43 +475,13 @@ def test_scatter_cross_check_catches_a_perturbed_matrix_route(rng, monkeypatch):
             scatter(spec, k)
 
 
-def test_scatter_equals_the_quotients_of_plane_wave_transfer(rng):
-    """Where no rescale is needed, ``scatter`` is the public matrix's quotients to the bit.
-
-    ``scatter`` assembles ``M12``, ``M21`` and ``M22`` from ``e^{±ik}`` taken
-    as ``complex(cos k, ±sin k)``, ``plane_wave_transfer`` from
-    ``cmath.exp(±1j*k)``: at real ``k`` the two are the same doubles. The
-    draws also reach ``x > 1`` on long chains; points where ``U_{N-1}``
-    exceeds ``2**512`` (``scatter`` rescales) or the matrix overflows are
-    skipped.
-    """
-    compared = 0
-    for _ in range(3000):
-        n = int(np.exp(rng.uniform(0.0, math.log(5000))))
-        spec = ChainSpec(n, float(rng.uniform(0.0, 2.5)))
-        k = float(rng.uniform(0.005, math.pi - 0.005))
-        try:
-            m = plane_wave_transfer(spec, k)
-            res = scatter(spec, k)
-        except NumericalFailure:
-            continue
-        if abs(scattering._transfer_terms(spec, k)[2]) > 2.0**512:
-            continue
-        assert (res.t, res.r_left, res.r_right) == (1 / m.m22, -m.m21 / m.m22, m.m12 / m.m22)
-        assert (res.T, res.R_left, res.R_right) == (
-            abs(res.t) ** 2, abs(res.r_left) ** 2, abs(res.r_right) ** 2
-        )
-        compared += 1
-    assert compared > 2000
-
-
 @pytest.mark.parametrize(
     "n_cells, gamma",
     [(int(sys.float_info.max), 0.1), (int(sys.float_info.max), 2.5), (10**300, 2.5)],
     ids=["max-0.1", "max-2.5", "1e300-2.5"],
 )
 @pytest.mark.parametrize(
-    "route", [scatter, transmission_closed_form, plane_wave_transfer], ids=lambda f: f.__name__
+    "route", [scatter, transmission_closed_form, closed_form_transfer], ids=lambda f: f.__name__
 )
 def test_real_axis_terms_beyond_the_double_range_raise_a_numerical_failure(n_cells, gamma, route):
     """At the largest sizes ``N theta`` overflows or cannot be factored: a typed failure.

@@ -1,9 +1,12 @@
-"""Independent transfer-matrix routes: oracles for the Chebyshev closed form.
+"""Transfer-matrix routes: the package's closed form and oracles for it.
 
 The package evaluates the plane-wave transfer matrix one way, from the
-Chebyshev polynomials of the branch-free ``x = cos 2k + gamma**2/2``. The
-routes here reach the same entries by other means, so tests can pin the
-closed form against them:
+Chebyshev polynomials of the branch-free ``x = cos 2k + gamma**2/2``, and
+assembles from it only what ``scatter`` divides by. ``closed_form_transfer``
+assembles the whole matrix from the same ``_transfer_terms`` and
+``_assemble``, so the invariants tested on it test the arithmetic that
+``scatter`` runs. The routes here reach the same entries by other means, so
+tests can pin the closed form against them:
 
 - the literal site-basis products ``single_site_matrix`` and
   ``unit_cell_matrix``, the Chebyshev identity ``n_cell_matrix`` for the
@@ -47,26 +50,25 @@ import numpy as np
 from ptchain import (
     ChainSpec,
     LatticeLayout,
-    Matrix2C,
     NumericalFailure,
     OutOfRange,
     SingularBasis,
-    chebyshev_tu,
     dispersion_energy,
     energy_to_wavenumber,
-    plane_wave_transfer,
 )
-from ptchain.scattering import SIN_K_TOL
+from ptchain.scattering import SIN_K_TOL, _assemble, _transfer_terms, chebyshev_tu
 
 
-class Matrix2(Matrix2C):
-    """A :class:`Matrix2C` with exact multiply, difference and determinant."""
+@dataclass(frozen=True)
+class Matrix2:
+    """A 2x2 complex matrix with exact multiply, difference and determinant."""
 
-    @classmethod
-    def of(cls, m: Matrix2C) -> "Matrix2":
-        return cls(m.m11, m.m12, m.m21, m.m22)
+    m11: complex
+    m12: complex
+    m21: complex
+    m22: complex
 
-    def __matmul__(self, other: Matrix2C) -> "Matrix2":
+    def __matmul__(self, other: "Matrix2") -> "Matrix2":
         return Matrix2(
             self.m11 * other.m11 + self.m12 * other.m21,
             self.m11 * other.m12 + self.m12 * other.m22,
@@ -82,7 +84,7 @@ class Matrix2(Matrix2C):
             factor * self.m11, factor * self.m12, factor * self.m21, factor * self.m22
         )
 
-    def __sub__(self, other: Matrix2C) -> "Matrix2":
+    def __sub__(self, other: "Matrix2") -> "Matrix2":
         return Matrix2(
             self.m11 - other.m11,
             self.m12 - other.m12,
@@ -103,6 +105,29 @@ class Matrix2(Matrix2C):
         for _ in range(n):
             out = out @ self
         return out
+
+
+def closed_form_transfer(spec: ChainSpec, k: complex) -> Matrix2:
+    """The plane-wave-basis transfer matrix from the package's own closed-form terms.
+
+    ``M11 = T_N + diag`` and ``M22 = T_N - diag`` from ``_transfer_terms``,
+    ``M12`` and ``M21`` from ``_assemble``: the arithmetic of ``scatter``. A
+    real ``k`` (not a ``complex`` instance) takes the closed-form terms of the
+    real axis, a complex one the recurrence.
+
+    Raises :class:`SingularBasis` at ``|sin k| < 1e-12``, and
+    :class:`NumericalFailure` where the terms are rescaled (long chains with
+    ``|cos 2k + gamma**2/2| > 1``, or at real ``k`` a chain size near the
+    largest double) or are not finite (a NaN ``k``).
+    """
+    t_n, diag, u_nm1, sink, exp, _, cosk = _transfer_terms(spec, k)
+    if exp or not (cmath.isfinite(t_n) and cmath.isfinite(diag)):
+        raise NumericalFailure(
+            f"transfer matrix entries overflow or are not finite at k={k!r} "
+            f"(N={spec.n_cells}, gamma={spec.gamma})"
+        )
+    m12, m21 = _assemble(spec, u_nm1, sink, cosk)
+    return Matrix2(t_n + diag, m12, m21, t_n - diag)
 
 
 def single_site_matrix(eps: complex, energy: complex) -> Matrix2:
@@ -153,12 +178,12 @@ def product_transfer(spec: ChainSpec, k: complex) -> Matrix2:
 
 
 def verified_transfer(spec: ChainSpec, k: complex) -> Matrix2:
-    """:func:`plane_wave_transfer`, required to match :func:`product_transfer`.
+    """:func:`closed_form_transfer`, required to match :func:`product_transfer`.
 
     Raises :class:`NumericalFailure` unless the two agree entrywise to 1e-10
     relative to the larger entry (or 1).
     """
-    m = Matrix2.of(plane_wave_transfer(spec, k))
+    m = closed_form_transfer(spec, k)
     ref = product_transfer(spec, k)
     scale = max(m.max_abs(), ref.max_abs(), 1.0)
     if (m - ref).max_abs() > 1e-10 * scale:
