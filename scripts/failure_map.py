@@ -61,6 +61,13 @@ energy, growth rate and class), and ``trace_trajectories`` at
 ``N in LAYER_SWEEP_SIZES`` from gamma = 0 to 2 in 200 steps, non-strict (the
 samples, every branch point with its class, ``lost``, and the crossings).
 It prints each differing entry, and any difference makes the exit status 1.
+
+``--against`` compares the scattering layer in the same way, by ``repr`` of
+each result or by the type and message of the exception raised: ``scatter``
+and ``transmission_closed_form`` at the ``EXTREME_POINTS`` and
+``SCATTER_DRAWS`` seeded ``extreme_inputs`` of ``tests/transfer_oracles.py``,
+and ``pole_residual`` at those of ``N <= RESIDUAL_MAX_N``, with an imaginary
+part uniform in [-1, 1] added to ``k``.
 """
 
 from __future__ import annotations
@@ -88,6 +95,11 @@ LOWER_GAMMAS = (10.0, 1e2, 1e4, 1e8, 1e12)
 PAIRING_TOL = 1e-12
 #: Chain sizes of the pole layer's trajectory sweeps.
 LAYER_SWEEP_SIZES = (3, 4, 8, 20)
+#: Seed and count of the scattering layer's draws.
+SCATTER_SEED = 34001
+SCATTER_DRAWS = 40000
+#: Largest N of the scattering layer's ``pole_residual`` entries.
+RESIDUAL_MAX_N = 3000
 REPO = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 TESTS_DIR = os.path.join(REPO, "tests")
 
@@ -195,6 +207,32 @@ def pole_layer(src: str) -> dict[str, object]:
     return layer
 
 
+def scattering_layer(src: str) -> list[list[str]]:
+    """The scattering layer as ``[entry, outcome]`` rows, an outcome a ``repr`` or ``"Type: message"``."""
+    pc = _import(src)
+    import numpy as np
+    from transfer_oracles import EXTREME_POINTS, extreme_inputs
+
+    def outcome(route, *args) -> str:
+        try:
+            return repr(route(*args))
+        except Exception as exc:  # an untyped failure is an outcome too
+            return f"{type(exc).__name__}: {exc}"
+
+    rng = np.random.default_rng(SCATTER_SEED)
+    rows = []
+    for spec, k in [*EXTREME_POINTS, *extreme_inputs(rng, SCATTER_DRAWS)]:
+        entry = f"N={spec.n_cells} gamma={spec.gamma!r} k={k!r}"
+        rows.append([f"scatter {entry}", outcome(pc.scatter, spec, k)])
+        rows.append([f"transmission_closed_form {entry}",
+                     outcome(pc.transmission_closed_form, spec, k)])
+        im = float(rng.uniform(-1.0, 1.0))
+        if spec.n_cells <= RESIDUAL_MAX_N:
+            rows.append([f"pole_residual {entry} im={im!r}",
+                         outcome(pc.pole_residual, spec, complex(k, im))])
+    return rows
+
+
 def _is_inaccurate(cell: dict) -> bool:
     if cell["outcome"] != "ok":
         return False
@@ -288,7 +326,12 @@ def compare(src: str, against: str) -> int:
     for name in layer:
         print(f"pole layer DIFFERS: {name}")
     print(f"pole layer: {len(layer)} of {len(ours['layer'])} entries differing bit for bit")
-    return 1 if differing or layer or _raised(ours["cells"]) else 0
+    scattering = [(mine, other) for mine, other in zip(ours["scattering"], theirs["scattering"])
+                  if mine != other]
+    for (entry, mine), (_, other) in scattering:
+        print(f"scattering layer DIFFERS: {entry}: {other} | {mine}")
+    print(f"scattering layer: {len(scattering)} of {len(ours['scattering'])} entries differing")
+    return 1 if differing or layer or scattering or _raised(ours["cells"]) else 0
 
 
 def main(argv: list[str]) -> int:
@@ -299,13 +342,15 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--against", metavar="OTHER_SRC",
                         help="src directory of a second checkout to compare against")
     parser.add_argument("--json", action="store_true",
-                        help="print the cells, pole lists included, and the pole layer as JSON")
+                        help="print the cells, pole lists included, and the pole and "
+                             "scattering layers as JSON")
     args = parser.parse_args(argv)
     if args.against:
         return compare(args.src, args.against)
     cells, lower = census_map(args.src)
     if args.json:
-        json.dump({"cells": cells, "lower": lower, "layer": pole_layer(args.src)}, sys.stdout)
+        json.dump({"cells": cells, "lower": lower, "layer": pole_layer(args.src),
+                   "scattering": scattering_layer(args.src)}, sys.stdout)
         return 0
     for title, side in (("", cells), ("lower half strip, report only: ", lower)):
         for cell in side:

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DecompositionFailed, InsufficientGrowth, NumericalFailure, OutOfRange
-from .model import ChainSpec, _chain_arrays
+from .model import ChainSpec, _onsite
 
 if TYPE_CHECKING:
     from scipy.sparse import csr_array
@@ -83,20 +83,23 @@ class LatticeLayout:
 def build_hamiltonian(layout: LatticeLayout, spec: ChainSpec) -> "csr_array":
     """Sparse (CSR) tridiagonal Hamiltonian with hard-wall boundaries.
 
-    The arrays of :func:`~ptchain.model._chain_arrays` for ``spec`` with the
-    layout's leads: hopping -1 on both off-diagonals; diagonal zero in the
-    leads and alternating ``+i gamma, -i gamma`` on the ``2N`` scattering
-    sites (gain first). The trace vanishes for every (N, gamma).
+    Built from its three diagonals by SciPy: hopping -1 on both
+    off-diagonals; the profile of :func:`~ptchain.model._onsite` (alternating
+    ``+i gamma, -i gamma``, gain first) on the ``2N`` scattering sites and
+    zero in the leads, where no entry is stored (nor on the scattering sites
+    at ``gamma = 0``). The trace vanishes for every (N, gamma).
     """
     if layout.n_cells != spec.n_cells:
         raise OutOfRange(
             f"layout is for N={layout.n_cells} but spec has N={spec.n_cells}"
         )
     # imported here so that only the wave-packet path loads scipy.sparse
-    from scipy.sparse import csr_array
+    from scipy.sparse import diags_array
 
-    arrays = _chain_arrays(spec, layout.scatter_start, layout.lead_right_len)
-    return csr_array(arrays, shape=(layout.total_sites, layout.total_sites))
+    onsite = np.zeros(layout.total_sites, dtype=complex)
+    onsite[layout.scatter_start : layout.scatter_start + spec.n_sites] = _onsite(spec)
+    hopping = np.full(layout.total_sites - 1, -1.0)
+    return diags_array([hopping, onsite, hopping], offsets=[-1, 0, 1], format="csr")
 
 
 def gaussian_packet(layout: LatticeLayout, j0: int, sigma: float, k0: float) -> np.ndarray:

@@ -1,12 +1,12 @@
-"""Lattice conventions, dispersion relation, and the chain's matrix entries.
+"""Lattice conventions, dispersion relation, and the chain's on-site profile.
 
 The physical system is a one-dimensional tight-binding chain with hopping
 ``J = 1`` (and ``hbar = a = 1``, never configurable) whose central region is a
 periodic arrangement of ``n_cells`` two-site unit cells: a gain site with
 on-site potential ``+i*gamma`` followed by a loss site with ``-i*gamma``.
 The profile is PT symmetric, ``eps_j == conj(eps_{2N-1-j})``; its one writer
-is :func:`_chain_arrays`, the entries of the pencil's chain block and of
-:func:`~ptchain.dynamics.build_hamiltonian`.
+is :func:`_onsite`, from which the pencil's chain block and
+:func:`~ptchain.dynamics.build_hamiltonian` each write their own matrix.
 
 Everything downstream (transfer matrices, pole finding, wave-packet dynamics)
 consumes the conventions fixed here:
@@ -105,33 +105,15 @@ class ChainSpec:
         return 2 * self.n_cells
 
 
-def _chain_arrays(
-    spec: ChainSpec, left: int = 0, right: int = 0
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The chain's tridiagonal matrix as CSR arrays ``(data, indices, indptr)``.
+def _onsite(spec: ChainSpec) -> np.ndarray:
+    """The chain's on-site profile ``eps_j = (-1)**j * i*gamma``, ``j = 0 .. 2N-1``.
 
-    The one place the chain's entries are written: hopping -1 between
-    neighbours, ``eps_j = (-1)**j * i*gamma`` on the ``2N`` scattering sites
-    (gain on even ``j``, loss on odd; every real part +0.0), and
-    ``left`` and ``right`` lead sites with no on-site entry, between hard
-    walls. Rows are stored in order, each with its columns ascending; for
-    ``gamma > 0`` the arrays equal those of ``csr_array`` of the dense matrix
-    (at ``gamma = 0`` the on-site zeros are stored too).
+    Gain on even ``j``, loss on odd, every real part +0.0; the hopping is -1.
+    The pencil's companion and the lattice Hamiltonian are written from it.
     """
-    n = spec.n_sites
-    size = left + n + right
-    # row i holds columns i-1, i and i+1, of which ``stored`` keeps those that exist
-    columns = np.arange(size, dtype=np.int32)[:, None] + np.arange(-1, 2, dtype=np.int32)
-    stored = np.ones((size, 3), dtype=bool)
-    stored[0, 0] = stored[-1, 2] = False
-    stored[:left, 1] = stored[left + n :, 1] = False
-    values = np.full((size, 3), -1.0 + 0.0j)
-    onsite = values[left : left + n, 1]  # a view: its parts write through
-    onsite.real = 0.0
-    onsite.imag = spec.gamma * (-1.0) ** np.arange(n)
-    indptr = np.zeros(size + 1, dtype=np.int32)
-    np.cumsum(stored.sum(axis=1), out=indptr[1:])
-    return values[stored], columns[stored], indptr
+    eps = np.zeros(spec.n_sites, dtype=complex)
+    eps.imag = spec.gamma * (-1.0) ** np.arange(spec.n_sites)
+    return eps
 
 
 def _canonical_strip(re: float) -> float:

@@ -49,8 +49,8 @@ from .model import (
     _N_CELLS_MAX,
     ChainSpec,
     ComplexWavenumber,
-    _chain_arrays,
     _chain_size,
+    _onsite,
     dispersion_energy,
 )
 from .scattering import _transfer_terms
@@ -313,16 +313,20 @@ def _polish(spec: ChainSpec, region: SearchRegion, pencil: list[complex]) -> lis
 def _companion(spec: ChainSpec) -> np.ndarray:
     """The 4N x 4N companion ``[[0, I], [-(I - P), -H_c]]`` of the monic pencil in ``w = 1/z``.
 
-    ``H_c`` is the leadless chain of :func:`~ptchain.model._chain_arrays`,
-    written entry by entry into a matrix of plain zeros.
+    ``H_c`` is the leadless chain, hopping -1 and the profile of
+    :func:`~ptchain.model._onsite`; its negation is written entry by entry
+    into a matrix of plain zeros.
     """
     n = spec.n_sites
-    data, indices, indptr = _chain_arrays(spec)
     companion = np.zeros((2 * n, 2 * n), dtype=complex)
     sites = np.arange(n)
     companion[sites, n + sites] = 1.0
     companion[n + sites[1:-1], sites[1:-1]] = -1.0
-    companion[n + np.repeat(sites, np.diff(indptr)), n + indices] = -data
+    chain = n + sites
+    companion[chain, chain] = -_onsite(spec)
+    # the negated hopping -(-1 + 0j), imaginary part -0.0: a plain 1.0 moves the
+    # last bits of the eigenvalues of 10 of 399 chains sampled (N <= 89, gamma <= 1e12)
+    companion[chain[1:], chain[:-1]] = companion[chain[:-1], chain[1:]] = complex(1.0, -0.0)
     return companion
 
 

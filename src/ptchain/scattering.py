@@ -332,7 +332,8 @@ def scatter(spec: ChainSpec, k: float) -> ScatterResult:
     the double range the reference is 0.0, as the closed form returns there.
     On long chains whose entries approach or exceed the double range, they
     are evaluated rescaled by a power of two (see :func:`_transfer_terms`):
-    ``T`` underflows toward 0 while ``R_left`` and ``R_right`` stay finite.
+    ``T`` underflows toward 0 while ``R_left`` and ``R_right`` stay finite,
+    or the call raises where they cannot (below).
 
     Raises
     ------
@@ -346,7 +347,12 @@ def scatter(spec: ChainSpec, k: float) -> ScatterResult:
         ``|M22|`` near or above ``sqrt(1e-13)``.
     NumericalFailure
         When the transmission cross-check fails, or ``N theta`` is beyond
-        the double range (see :func:`_chebyshev_real`).
+        the double range (see :func:`_chebyshev_real`), or the reflections
+        are: a reflection amplitude is not finite (the entries overflow, as
+        at ``N = 1`` and the largest ``gamma``), or a factored ``U_{N-1}``
+        has underflowed below ``2**-1042``, keeping fewer than 32 bits. So
+        every result returned is finite and obeys
+        ``|T - 1| = sqrt(R_left R_right)``.
     """
     if not 0.0 < k < math.pi:
         raise OutOfRange(f"real scattering requires k in (0, pi), got {k!r}")
@@ -367,5 +373,12 @@ def scatter(spec: ChainSpec, k: float) -> ScatterResult:
         raise NumericalFailure(
             f"transmission cross-check failed at k={k!r}: "
             f"matrix route {big_t!r} vs closed form {reference!r}"
+        )
+    # the check on T passes a NaN reflection of overflowing entries, and the
+    # reflections of a U_{N-1} that underflowed to fewer than 32 bits
+    if not (cmath.isfinite(r_left) and cmath.isfinite(r_right) and abs(u_nm1) >= 2.0**-1042):
+        raise NumericalFailure(
+            f"reflection amplitudes beyond the double range at k={k!r}: r_left {r_left!r}, "
+            f"r_right {r_right!r} from U_(N-1) = {u_nm1!r} 2**{exp}"
         )
     return ScatterResult(t, r_left, r_right, big_t, abs(r_left) ** 2, abs(r_right) ** 2)

@@ -7,7 +7,10 @@ import math
 
 import pytest
 
-from ptchain import BranchPath, ChainSpec, MissedRoots, Trajectory, cli, find_poles, threshold_ladder
+from ptchain import (
+    BranchPath, ChainSpec, MissedRoots, Trajectory, cli, find_poles, growth_rate_fit, scatter,
+    threshold_ladder,
+)
 from ptchain.cli import main
 from ptchain.presets import get_preset, preset_names
 
@@ -129,6 +132,22 @@ def test_scatter_sweep_and_17_digit_floats(workdir):
     # energies ascend across the sweep
     energies = [float(r[0]) for r in rows]
     assert energies == sorted(energies)
+
+
+def test_scatter_k_sweep_of_a_preset(workdir):
+    """fig5a sweeps ``k`` itself, a grid no subcommand option reaches, and writes ``scatter``'s values."""
+    params = get_preset("fig5a")
+    assert main(["figure", "--preset", "fig5a"]) == 0
+    _, rows = _read_csv(workdir / "ptchain_fig5a.csv")
+    assert len(rows) == params["steps"] + 1
+    ks = [float(r[1]) for r in rows]
+    assert ks[0] == params["k_min"] and ks[-1] == pytest.approx(params["k_max"], rel=1e-15)
+    spec = ChainSpec(params["n_cells"], params["gamma"])
+    for row in rows[:: params["steps"] // 6]:
+        res = scatter(spec, float(row[1]))
+        assert row[2:5] == [f"{v:.17g}" for v in (res.T, res.R_left, res.R_right)]
+        assert float(row[0]) == -2.0 * math.cos(float(row[1]))
+    assert all(r[5] == "true" and r[6] == "false" for r in rows)  # 0.3 < gamma_c(3)
 
 
 def test_scatter_json_schema(workdir):
@@ -314,6 +333,34 @@ def test_evolve_beyond_the_double_range_exits_3(workdir, capsys):
     assert not (workdir / "big.json").exists()
 
 
+def test_evolve_fits_the_growth_of_an_unphysical_chain(workdir, capsys):
+    """Above gamma_c the summary holds the growth fit over the snapshots' totals.
+
+    The fit starts at t = 0, before the packet reaches the chain, so it
+    stays below the census's fastest growth rate (0.216 against 0.303).
+    """
+    assert main(
+        ["evolve", "--n", "3", "--gamma", "0.7", "--l", "200", "--j0", "-50",
+         "--sigma", "10", "--times", "0,20,40,60", "--out", "up"]
+    ) == 0
+    summary = json.loads((workdir / "up.json").read_text())
+    series = [(s["time"], s["total"]) for s in summary["snapshots"]]
+    growth = summary["amplitude_growth_rate"]
+    assert growth == growth_rate_fit(series, min_decades=1.0)
+    assert 0.0 < growth < max(r.growth_rate for r in find_poles(ChainSpec(3, 0.7)))
+    assert "growth fit skipped" not in capsys.readouterr().err
+
+
+def test_evolve_skips_the_growth_fit_of_too_short_a_run(workdir, capsys):
+    """Above gamma_c, a run too short to grow one decade warns and leaves the rate empty."""
+    assert main(
+        ["evolve", "--n", "3", "--gamma", "0.7", "--l", "200", "--j0", "-50",
+         "--sigma", "10", "--times", "0,1", "--out", "short"]
+    ) == 0
+    assert "warning: growth fit skipped: series spans 0.00 decades" in capsys.readouterr().err
+    assert json.loads((workdir / "short.json").read_text())["amplitude_growth_rate"] is None
+
+
 def test_evolve_failure_leaves_no_snapshot(workdir):
     """Every time is propagated before any file is written, so exit 3 leaves no partial output."""
     assert main(
@@ -436,6 +483,20 @@ def test_figure_fig2b_lasing_singularity(workdir):
     )
     assert lasing["k_re"] == pytest.approx(0.5 * math.pi, abs=1e-7)
     assert abs(lasing["k_im"]) <= 1e-8
+
+
+def test_gamma_scan_row_at_a_singularity(workdir):
+    """The gamma scan of fig8, on three doubles from a ladder value, where the closed form raises.
+
+    Every row is the singular one: no transmission and ``singular`` true.
+    """
+    g0 = threshold_ladder(3).gamma_values[0]
+    g2 = math.nextafter(math.nextafter(g0, 2.0), 2.0)
+    assert cli._RUNNERS["gamma_scan"]("csv", "scan.csv", 3, 0.5 * math.pi, g0, g2, 2) == 0
+    header, rows = _read_csv(workdir / "scan.csv")
+    assert header == ["gamma", "transmission", "physical", "singular"]
+    assert rows == [[f"{g:.17g}", "", "false", "true"]
+                    for g in (g0, math.nextafter(g0, 2.0), g2)]
 
 
 def test_figure_fig8_divergences_at_ladder(workdir):

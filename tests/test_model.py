@@ -131,8 +131,8 @@ def test_onsite_entries_alternate_and_are_pt_symmetric():
 
 
 CHAIN_SIZES = [1, 2, 3, 8, 50]
-#: (left, right) lead lengths
-LEADS = [(0, 0), (1, 0), (0, 3), (5, 4)]
+#: (left, right) lead lengths; the last are those of fig5d-f
+LEADS = [(0, 0), (1, 0), (0, 3), (5, 4), (597, 597)]
 
 
 @pytest.mark.parametrize("n", CHAIN_SIZES)
@@ -153,14 +153,15 @@ def test_chain_operator_equals_the_dense_builder(n, left, right):
 
 @pytest.mark.parametrize("n", CHAIN_SIZES)
 def test_chain_operator_without_gain_and_loss_has_the_dense_values(n):
-    """At gamma = 0 the values agree; the stored on-site zeros carry signs the dense matrix lacks."""
+    """At gamma = 0 the values agree, and only the hoppings are stored: SciPy's
+    diagonal constructor keeps no zero of the on-site profile."""
     spec = ChainSpec(n, 0.0)
     for left, right in LEADS:
         layout = LatticeLayout(left + 2 * n + right, n, left)
         op = build_hamiltonian(layout, spec)
         dense = dense_hamiltonian(layout, spec)
         assert np.array_equal(op.toarray(), dense)
-        assert op.nnz == 3 * op.shape[0] - 2 - left - right
+        assert op.nnz == 2 * (op.shape[0] - 1)
 
 
 @pytest.mark.parametrize("n", CHAIN_SIZES)

@@ -33,9 +33,11 @@ from ptchain import (
 from ptchain import scattering
 from ptchain.scattering import _chebyshev_real, chebyshev_tu
 from transfer_oracles import (
+    EXTREME_POINTS,
     Matrix2,
     bloch_index,
     closed_form_transfer,
+    extreme_inputs,
     n_cell_matrix,
     plain_chebyshev_tu,
     product_transfer,
@@ -265,6 +267,29 @@ def test_generalized_conservation(rng):
         assert abs(res.T - 1.0) == pytest.approx(
             math.sqrt(res.R_left * res.R_right), abs=1e-9 * max(1.0, res.T)
         )
+
+
+def test_conservation_or_a_typed_failure_over_extreme_inputs(rng):
+    """Every call returns coefficients obeying |T - 1| = sqrt(R_L R_R), or raises a ``NumericalFailure``.
+
+    The first five points are where, at N = 1 and the largest gamma, the
+    entries overflowed and ``R_left`` came out NaN beside ``T = 0``, which the
+    transmission cross-check alone let through. At the sixth, a long chain
+    with gamma ~ 1e116, the factored ``U_{N-1}`` underflowed to zero and took
+    both reflections with it. All six must raise.
+    """
+    returned = 0
+    for i, (spec, k) in enumerate([*EXTREME_POINTS, *extreme_inputs(rng, 5000)]):
+        try:
+            res = scatter(spec, k)
+        except NumericalFailure:
+            continue
+        assert i >= len(EXTREME_POINTS), (spec, k, res)
+        assert all(map(math.isfinite, (res.T, res.R_left, res.R_right))), (spec, k, res)
+        gap = abs(abs(res.T - 1.0) - math.sqrt(res.R_left * res.R_right))
+        assert gap <= 1e-9 * max(1.0, res.T), (spec, k, res)
+        returned += 1
+    assert returned > 4000
 
 
 def test_hermitian_limit_is_unitary(rng):

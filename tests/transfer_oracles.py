@@ -37,12 +37,18 @@ Hamiltonian entry by entry into a zero matrix, and ``dense_pencil_companion``
 assembles the outgoing-wave pencil's companion matrix from ``np.diag`` and
 ``np.eye``. Both take the gain/loss profile from ``gain_loss_profile``
 here, not from the package.
+
+``extreme_inputs`` draws seeded ``(spec, k)`` pairs out to the edges of the
+domain ``scatter`` accepts, after the fixed ``EXTREME_POINTS``, for the
+conservation property test and the scattering layer of
+``scripts/failure_map.py``.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -366,3 +372,39 @@ def dense_pencil_companion(spec: ChainSpec) -> np.ndarray:
     open_ends = np.eye(n)
     open_ends[0, 0] = open_ends[-1, -1] = 0.0
     return np.block([[np.zeros((n, n)), np.eye(n)], [-open_ends, -h_c]])
+
+
+#: Inputs at which ``scatter`` once returned reflections from entries beyond
+#: the double range: at N = 1 and the largest gamma the entries overflowed
+#: (``R_left`` NaN), and at the last the factored ``U_{N-1}`` underflowed to 0.
+EXTREME_POINTS = [
+    *((ChainSpec(1, math.sqrt(sys.float_info.max)), k)
+      for k in (0.535, 0.688, 2.400, 2.475, 2.6285200404920612)),
+    (ChainSpec(3553798775, 8.568936394932967e115), 0.1224575519573793),
+]
+
+
+def extreme_inputs(rng: np.random.Generator, count: int):
+    """``count`` seeded ``(spec, k)`` draws out to the edges of the accepted domain.
+
+    ``N`` log-uniform up to 1e7, 2% of them up to 1e300; ``gamma`` uniform in
+    [0, 2.5], 25% log-uniform from 1e-8 to ``sqrt(sys.float_info.max)`` and
+    5% exactly that; ``k`` uniform in (0, pi) for half the draws, within
+    1e-15 to 0.1 of 0, pi/2 or pi for the other half.
+    """
+    g_max = math.sqrt(sys.float_info.max)
+    for _ in range(count):
+        n = int(10 ** rng.uniform(0, 300 if rng.uniform() < 0.02 else 7))
+        u = rng.uniform()
+        if u < 0.05:
+            gamma = g_max
+        elif u < 0.3:
+            gamma = float(10 ** rng.uniform(-8, math.log10(g_max)))
+        else:
+            gamma = float(rng.uniform(0.0, 2.5))
+        if rng.uniform() < 0.5:
+            k = float(rng.uniform(0.0, math.pi))
+        else:
+            d = float(10 ** rng.uniform(-15, -1))
+            k = (d, 0.5 * math.pi + d * rng.choice((-1.0, 1.0)), math.pi - d)[rng.integers(3)]
+        yield ChainSpec(n, gamma), k
