@@ -20,23 +20,26 @@ A passing cell also prints its error. For ``N <= ORACLE_MAX_N`` and
 ``gamma <= ORACLE_MAX_GAMMA`` that is the largest distance of a reported
 pole from the nearest root of the z-polynomial oracle of
 ``tests/zpoly_oracle.py`` (``err``). Elsewhere no independent pole list is
-at hand (the pencil's eigenvalues are what ``find_poles`` reports, and the
-oracle's arithmetic breaks down at large gamma), so the cell prints two
-structural checks instead: the largest distance of a pole's mirror
-``-conj(k)`` from the nearest reported pole (``pair``), and the number of
-first-quadrant poles against the closed-form ladder count ``tgbs_count``
-(``ladder``). A cell whose
-error exceeds ``ACCURACY_TOL``, or whose first-quadrant count is not the
-ladder's, is marked ``inaccurate``. The script exits 1 when any cell
-raises.
+at hand (the oracle's arithmetic breaks down at large gamma), so the cell
+prints two checks instead: the largest distance of a reported pole from the
+nearest wavenumber of the complex companion ``dense_pencil_companion`` of
+``tests/transfer_oracles.py``, solved by NumPy's complex eigensolver
+(``cross``), and the number of first-quadrant poles against the closed-form
+ladder count ``tgbs_count`` (``ladder``). The package solves the real
+companion, similar to that one, whose census is closed under
+``k -> -conj(k)`` by construction, so a mirror-pairing check would read 0
+and show nothing; ``cross`` measures how far two eigensolvers of the same
+pencil disagree. A cell whose error exceeds ``ACCURACY_TOL``, or whose
+first-quadrant count is not the ladder's, is marked ``inaccurate``. The
+script exits 1 when any cell raises.
 
 The lower half of the strip gets report-only cells, at ``N in N_VALUES`` and
 ``gamma in LOWER_GAMMAS``, on ``-top <= Im k <= -1e-8`` with the same
 ``top``. Its deep resonances lose accuracy as gamma grows. A cell prints its
 pole count against the ``2N - 2`` that the pencil's ``4N - 2`` poles leave
 below the axis once all ``2N`` above it have risen (``count``), and its
-pairing defect (``pair``). It is marked ``inaccurate`` above
-``PAIRING_TOL`` or on a count mismatch. These cells never change the exit
+``cross`` distance. It is marked ``inaccurate`` above ``LOWER_CROSS_TOL``
+or on a count mismatch. These cells never change the exit
 status.
 
 With ``--against``, both checkouts run, each in its own interpreter (both
@@ -91,8 +94,8 @@ ORACLE_MAX_GAMMA = 4.0
 ACCURACY_TOL = 1e-10
 #: Gammas of the report-only cells on the lower half strip.
 LOWER_GAMMAS = (10.0, 1e2, 1e4, 1e8, 1e12)
-#: A lower-half cell with a larger pairing defect is marked ``inaccurate``.
-PAIRING_TOL = 1e-12
+#: A lower-half cell with a larger ``cross`` distance is marked ``inaccurate``.
+LOWER_CROSS_TOL = 1e-12
 #: Chain sizes of the pole layer's trajectory sweeps.
 LAYER_SWEEP_SIZES = (3, 4, 8, 20)
 #: Seed and count of the scattering layer's draws.
@@ -113,9 +116,16 @@ def _import(src: str):
     return ptchain
 
 
-def _pairing_defect(found: list[complex]) -> float:
-    """The largest distance of a pole's mirror ``-conj(k)`` from the nearest pole of ``found``."""
-    return max((min(abs(m + k.conjugate()) for k in found) for m in found), default=0.0)
+def _cross_distance(spec, found: list[complex]) -> float:
+    """The largest distance from a pole of ``found`` to the nearest wavenumber of the
+    finite eigenvalues of ``dense_pencil_companion(spec)``."""
+    import numpy as np
+    from transfer_oracles import dense_pencil_companion
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = 1.0 / np.linalg.eigvals(dense_pencil_companion(spec))
+    k = -1j * np.log(z[np.isfinite(z)])
+    return max((float(np.abs(k - m).min(initial=math.inf)) for m in found), default=0.0)
 
 
 def census_map(src: str) -> tuple[list[dict], list[dict]]:
@@ -125,7 +135,7 @@ def census_map(src: str) -> tuple[list[dict], list[dict]]:
     ``ladder``, a lower-half cell ``count`` in place of ``ladder``.
     ``outcome`` is ``"ok"`` or the exception class name and ``poles`` the
     list of ``[Re k, Im k, residual]``. ``error`` is the oracle distance or
-    the pairing defect; ``ladder`` is None or, with the pairing defect, the
+    the ``cross`` distance; ``ladder`` is None or, with the ``cross`` distance, the
     first-quadrant pole count and the ladder count, and ``count`` the pole
     count and ``2N - 2``. All but ``outcome`` are None when the cell raised.
     """
@@ -142,7 +152,8 @@ def census_map(src: str) -> tuple[list[dict], list[dict]]:
         cell["poles"] = [[r.k.re, r.k.im, r.residual] for r in records]
         found = [r.k.as_complex() for r in records]
         if check == "count":
-            cell["error"], cell["count"] = _pairing_defect(found), [len(found), 2 * n - 2]
+            cell["error"] = _cross_distance(pc.ChainSpec(n, gamma), found)
+            cell["count"] = [len(found), 2 * n - 2]
         elif n <= ORACLE_MAX_N and gamma <= ORACLE_MAX_GAMMA:
             oracle = zpoly_roots(pc.ChainSpec(n, gamma))
             cell["error"] = max(
@@ -150,7 +161,7 @@ def census_map(src: str) -> tuple[list[dict], list[dict]]:
             )
         else:
             quadrant = sum(r.classification is pc.PoleClass.TGBS for r in records)
-            cell["error"] = _pairing_defect(found)
+            cell["error"] = _cross_distance(pc.ChainSpec(n, gamma), found)
             cell["ladder"] = [quadrant, pc.tgbs_count(pc.ChainSpec(n, gamma))]
         return cell
 
@@ -237,7 +248,7 @@ def _is_inaccurate(cell: dict) -> bool:
     if cell["outcome"] != "ok":
         return False
     if "count" in cell:
-        return cell["error"] > PAIRING_TOL or cell["count"][0] != cell["count"][1]
+        return cell["error"] > LOWER_CROSS_TOL or cell["count"][0] != cell["count"][1]
     ladder = cell["ladder"]
     return cell["error"] > ACCURACY_TOL or (ladder is not None and ladder[0] != ladder[1])
 
@@ -247,11 +258,11 @@ def _describe(cell: dict) -> str:
         return cell["outcome"]
     text = f"ok {len(cell['poles'])}"
     if "count" in cell:
-        text += f" pair {cell['error']:.1e} count {cell['count'][0]}/{cell['count'][1]}"
+        text += f" cross {cell['error']:.1e} count {cell['count'][0]}/{cell['count'][1]}"
     elif cell["ladder"] is None:
         text += f" err {cell['error']:.1e}"
     else:
-        text += f" pair {cell['error']:.1e} ladder {cell['ladder'][0]}/{cell['ladder'][1]}"
+        text += f" cross {cell['error']:.1e} ladder {cell['ladder'][0]}/{cell['ladder'][1]}"
     return text + (" inaccurate" if _is_inaccurate(cell) else "")
 
 

@@ -5,7 +5,11 @@ module locates them numerically, evaluates the closed-form threshold ladder
 at which they cross the real axis, classifies them physically, and tracks
 their motion as the gain/loss strength varies. Every census is the set of
 eigenvalues of the outgoing-wave pencil in a region, one eigensolve each:
-:func:`find_poles`, the trajectory sweep and the verified TGBS count. Newton
+:func:`find_poles`, the trajectory sweep and the verified TGBS count. The
+first and the last solve the pencil's companion as a real matrix, similar to
+the complex one by the chain's PT symmetry (:func:`_companion`); the
+trajectory sweep solves the complex one, because the branch ids of the fig3
+preset pin its rounding. Newton
 on ``M22`` runs in two places. :func:`find_poles` runs it once per
 eigenvalue, from the point of a fixed seed lattice nearest it; the root
 stands in for the eigenvalue when the two agree to 1e-12. The trajectory
@@ -311,11 +315,47 @@ def _polish(spec: ChainSpec, region: SearchRegion, pencil: list[complex]) -> lis
 
 
 def _companion(spec: ChainSpec) -> np.ndarray:
+    """The real 4N x 4N companion ``[[0, I], [-(I - P), -(A - B Pi)]]``, similar to
+    :func:`_complex_companion`'s.
+
+    Write ``H_c = A + iB``: ``A`` the hopping block (-1 on both off-diagonals),
+    ``B = diag(gamma (-1)^j)`` the imaginary part of the profile of
+    :func:`~ptchain.model._onsite`, and ``Pi`` the site reversal
+    ``j -> 2N-1-j``. ``Pi`` commutes with ``A`` and with ``P`` and
+    anticommutes with ``B`` (``2N - 1`` is odd), so with the unitary
+    ``U = e^{-i pi/4} (I + i Pi) / sqrt(2)``, whose phase cancels::
+
+        U^H H_c U = [(A + Pi A Pi) + i(B + Pi B Pi) + i(A Pi - Pi A) - (B Pi - Pi B)] / 2
+                  = A - B Pi,
+        U^H P U   = [(P + Pi P Pi) + i(P Pi - Pi P)] / 2 = P,
+
+    and ``diag(U, U)`` takes the complex companion to this real one, with
+    the same eigenvalues. Its chain block ``-(A - B Pi)`` is +1 on both
+    off-diagonals and ``gamma (-1)^j`` at ``(j, 2N-1-j)``, written entry by
+    entry into plain zeros. For a real matrix LAPACK returns each complex
+    eigenvalue with its exact conjugate, so the census is closed under
+    ``k -> -conj(k)`` bit for bit (modulo 2 pi on the singular verticals,
+    where a real ``w`` puts ``k``).
+    """
+    n = spec.n_sites
+    companion = np.zeros((2 * n, 2 * n))
+    sites = np.arange(n)
+    companion[sites, n + sites] = 1.0
+    companion[n + sites[1:-1], sites[1:-1]] = -1.0
+    chain = n + sites
+    companion[chain[1:], chain[:-1]] = companion[chain[:-1], chain[1:]] = 1.0
+    # added, not assigned: the two middle sites' hoppings lie on the anti-diagonal
+    companion[chain, chain[::-1]] += _onsite(spec).imag
+    return companion
+
+
+def _complex_companion(spec: ChainSpec) -> np.ndarray:
     """The 4N x 4N companion ``[[0, I], [-(I - P), -H_c]]`` of the monic pencil in ``w = 1/z``.
 
     ``H_c`` is the leadless chain, hopping -1 and the profile of
     :func:`~ptchain.model._onsite`; its negation is written entry by entry
-    into a matrix of plain zeros.
+    into a matrix of plain zeros. Only the trajectory sweep solves it
+    (see :func:`trace_trajectories`).
     """
     n = spec.n_sites
     companion = np.zeros((2 * n, 2 * n), dtype=complex)
@@ -330,16 +370,20 @@ def _companion(spec: ChainSpec) -> np.ndarray:
     return companion
 
 
-def _pencil_wavenumbers(spec: ChainSpec) -> np.ndarray:
+def _pencil_wavenumbers(spec: ChainSpec, companion=_companion) -> np.ndarray:
     """Wavenumbers of the finite eigenvalues of the outgoing-wave pencil.
 
     With ``w = 1/z`` the problem ``z^2 (I - P) + z H_c + I = 0`` becomes the
     monic ``w^2 I + w H_c + (I - P) = 0``, whose 4N x 4N companion matrix
-    (:func:`_companion`) is an ordinary eigenproblem. ``I - P`` has rank
+    is an ordinary eigenproblem: the real :func:`_companion` by default,
+    which NumPy hands to LAPACK's real ``dgeev``, or the
+    :func:`_complex_companion` of the trajectory sweep. ``I - P`` has rank
     2N - 2, so at least two eigenvalues ``w`` vanish (``z`` infinite); they
     are dropped. The finite count is therefore at most 4N - 2, and fewer at
-    exceptional points (none at N = 1, gamma = 1). NumPy's LAPACK solves the
-    companion, so the census loads no SciPy.
+    exceptional points (none at N = 1, gamma = 1). The eigenvalues are cast
+    to complex before ``1/w`` and the logarithm: where all are real (N = 1,
+    gamma <= 1) NumPy returns them as floats, whose logarithm is NaN below
+    zero. NumPy's LAPACK solves the companion, so the census loads no SciPy.
 
     Raises :class:`OutOfRange` above :data:`CENSUS_GAMMA_MAX`, where the
     companion's entries of size gamma leave its eigenvalues unverified.
@@ -348,13 +392,13 @@ def _pencil_wavenumbers(spec: ChainSpec) -> np.ndarray:
         raise OutOfRange(
             f"gamma={spec.gamma!r} exceeds the pole census bound {CENSUS_GAMMA_MAX:g}"
         )
-    w = np.linalg.eigvals(_companion(spec))
+    w = np.linalg.eigvals(companion(spec)).astype(complex, copy=False)
     with np.errstate(divide="ignore", invalid="ignore"):
         z = 1.0 / w
     return -1j * np.log(z[np.isfinite(z)])
 
 
-def _pencil_poles(spec: ChainSpec, region: SearchRegion) -> list[complex]:
+def _pencil_poles(spec: ChainSpec, region: SearchRegion, companion=_companion) -> list[complex]:
     """The pencil eigenvalues whose ``k`` lies in ``region`` and off the singular verticals.
 
     None at ``gamma = 0``, where ``M22 = e^{-2iNk}`` has no zeros but the pencil
@@ -362,7 +406,7 @@ def _pencil_poles(spec: ChainSpec, region: SearchRegion) -> list[complex]:
     """
     if spec.gamma == 0.0:
         return []
-    k = _pencil_wavenumbers(spec)
+    k = _pencil_wavenumbers(spec, companion)
     return k[region.contains(k) & ~_near_singular_vertical(k)].tolist()
 
 
@@ -371,12 +415,12 @@ def _records(spec: ChainSpec, roots: list[complex]) -> list[PoleRecord]:
     return sorted(records, key=lambda p: (p.k.re, p.k.im))
 
 
-def _census(spec: ChainSpec, region: SearchRegion) -> list[PoleRecord]:
+def _census(spec: ChainSpec, region: SearchRegion, companion=_companion) -> list[PoleRecord]:
     """The poles in ``region`` as the outgoing-wave pencil gives them, sorted.
 
     The eigenvalues of :func:`_pencil_poles` as they are: no grid, no Newton.
     """
-    return _records(spec, _pencil_poles(spec, region))
+    return _records(spec, _pencil_poles(spec, region, companion))
 
 
 def find_poles(spec: ChainSpec, region: SearchRegion | None = None) -> list[PoleRecord]:
@@ -725,7 +769,10 @@ def trace_trajectories(
     while todo:
         g, halvings, found = todo[-1]
         if found is None:
-            found = _census(ChainSpec(spec_base.n_cells, g), region)
+            # the complex companion only because perfbench/reference/paper_figures.json
+            # pins fig3's branch ids: the real one gives the same (gamma, k) points to
+            # 1e-9 but partitions them into branches differently at the exceptional points
+            found = _census(ChainSpec(spec_base.n_cells, g), region, _complex_companion)
 
         matched = _match(
             np.array([b.last_k for b in live], dtype=complex),

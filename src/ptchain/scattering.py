@@ -139,10 +139,16 @@ def _chebyshev_real(n: int, one_minus_x: float, one_plus_x: float) -> tuple[floa
     Branch and ``theta`` follow the factors, not ``x``: ``acosh`` of a
     rounded ``|x| = 1`` would give ``theta = 0`` beside a nonzero ``s``.
     ``x < 0`` follows by parity, and at ``s == 0`` the limits ``(±1, ±n)``
-    are exact. Each term costs O(1), and against 60-digit arithmetic its
-    error is under ``1.5 n`` ulp of ``|T_n| + s |U_{n-1}|``, also next to
-    ``x = ±1``, where the recurrence of :func:`chebyshev_tu` is off by
-    hundreds of ``n`` ulp. ``e`` is 0 unless ``T_n`` or ``U_{n-1}`` exceeds
+    are exact. Each term costs O(1). The phase ``y = n theta`` carries
+    ``n`` times theta's rounding and its own, and ``cos``, ``sin``, ``cosh``
+    and ``sinh`` pass that error of order ``y`` ulp on to the terms, so
+    against 60-digit arithmetic the error is under ``n + y`` ulp of
+    ``|T_n| + s |U_{n-1}|`` (at most 0.62 of it over 13,000 draws, also
+    next to ``x = ±1``, where the recurrence of :func:`chebyshev_tu` is off
+    by hundreds of ``n`` ulp). For ``|x| <= 1``, ``y <= n pi/2``, and the
+    worst error measured is 0.99 ``n`` ulp; beyond, ``y`` grows like
+    ``n ln(2|x|)``: about 100 ulp at ``n = 1``, ``|x| = 1e308``, and 1,260
+    at ``n = 3``. ``e`` is 0 unless ``T_n`` or ``U_{n-1}`` exceeds
     the double range; then ``exp(n theta) / 2 = t 2**e`` is factored, and
     ``U_{n-1} = u 2**e`` too.
 

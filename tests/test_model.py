@@ -166,11 +166,11 @@ def test_chain_operator_without_gain_and_loss_has_the_dense_values(n):
 
 @pytest.mark.parametrize("n", CHAIN_SIZES)
 def test_pencil_companion_equals_the_dense_builder(n, monkeypatch):
-    """The companion handed to NumPy's eigensolver has the oracle's values, also
-    without gain and loss and at the census bound, and wherever a census solves it
-    (``gamma > 0``) the same eigenvalues byte for byte. Its zeros are plain ones,
-    where the oracle's negated blocks hold ``-0.0``; at ``gamma = 0``, which every
-    census answers without an eigensolve, that moves N = 2's eigenvalues by 9e-16."""
+    """The complex companion the trajectory sweep hands to NumPy's eigensolver has the
+    oracle's values, also without gain and loss and at the census bound, and wherever a
+    census solves it (``gamma > 0``) the same eigenvalues byte for byte. Its zeros are
+    plain ones, where the oracle's negated blocks hold ``-0.0``; at ``gamma = 0``, which
+    every census answers without an eigensolve, that moves N = 2's eigenvalues by 9e-16."""
     seen = []
     eigvals = np.linalg.eigvals
 
@@ -181,11 +181,27 @@ def test_pencil_companion_equals_the_dense_builder(n, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvals", capture)
     for gamma in (0.0, 0.3, 1.7, 2.5, poles.CENSUS_GAMMA_MAX):
         spec = ChainSpec(n, gamma)
-        poles._pencil_wavenumbers(spec)
+        poles._pencil_wavenumbers(spec, poles._complex_companion)
         companion, w = seen.pop()
         dense = dense_pencil_companion(spec)
         assert np.array_equal(companion, dense)
         assert gamma == 0.0 or w.tobytes() == eigvals(dense).tobytes()
+
+
+@pytest.mark.parametrize("n", CHAIN_SIZES)
+def test_real_companion_is_the_pt_similar_companion(n):
+    """``diag(U, U)^H C diag(U, U)``, with ``U = e^{-i pi/4} (I + i Pi) / sqrt(2)`` and ``C``
+    the oracle's complex companion, is the census's real companion within 4 ulp of
+    ``max(1, gamma)``, also without gain and loss and at the census bound."""
+    for gamma in (0.0, 0.3, 1.7, 2.5, poles.CENSUS_GAMMA_MAX):
+        spec = ChainSpec(n, gamma)
+        eye = np.eye(spec.n_sites)
+        u = cmath.exp(-0.25j * math.pi) * (eye + 1j * eye[::-1]) / math.sqrt(2.0)
+        v = np.kron(np.eye(2), u)
+        similar = v.conj().T @ dense_pencil_companion(spec) @ v
+        real = poles._companion(spec)
+        assert real.dtype == np.float64
+        assert np.abs(similar - real).max() <= 4 * np.finfo(float).eps * max(1.0, gamma)
 
 
 def _fresh_python(code, *args, cwd=None):

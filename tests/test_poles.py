@@ -189,14 +189,22 @@ def _fig2_spec(preset: str) -> ChainSpec:
 
 @pytest.mark.parametrize("preset", FIG2)
 def test_fig2_poles_are_grid_roots_bitwise(preset):
-    """Each fig2 pole is, bit for bit, the Newton root from its eigenvalue's nearest lattice point, within 1e-12 of it."""
+    """Each fig2 pole is, bit for bit, the Newton root from its eigenvalue's nearest lattice point, within 1e-12 of it.
+
+    No pole is an eigenvalue of the complex companion either, the census the
+    fig2 bits were pinned with. The real companion's eigenvalue is the root
+    itself, bit for bit, at one mirror pair each of fig2b and fig2g.
+    """
     spec = _fig2_spec(preset)
     pencil = poles._pencil_poles(spec, DEFAULT_REGION)
+    complex_pencil = poles._pencil_poles(spec, DEFAULT_REGION, poles._complex_companion)
     found = [r.k.as_complex() for r in find_poles(spec)]
-    assert len(found) == len(pencil) == 4 * spec.n_cells - 2
+    assert len(found) == len(pencil) == len(complex_pencil) == 4 * spec.n_cells - 2
     for k in pencil:
         (pole,) = [f for f in found if abs(f - k) <= poles.GRID_ROOT_TOL]
-        assert pole != k and pole == poles._newton(spec, _nearest_seed(k, DEFAULT_REGION))
+        k_complex = min(complex_pencil, key=lambda c: abs(c - k))
+        assert abs(k_complex - k) <= poles.GRID_ROOT_TOL
+        assert pole != k_complex and pole == poles._newton(spec, _nearest_seed(k, DEFAULT_REGION))
 
 
 def test_unpolished_poles_are_one_event(caplog):
@@ -299,6 +307,57 @@ def test_tall_region_allocates_no_lattice_array():
     finally:
         tracemalloc.stop()
     assert expected and peak < 1_000_000
+
+
+def _mirror_keys(k: np.ndarray, sign: float) -> list[tuple[float, float]]:
+    """``(sign Re k, Im k)`` for each wavenumber, sorted, with ``Re k = -pi`` read as ``pi``."""
+    re = sign * k.real
+    return sorted(zip(np.where(re == -PI, PI, re).tolist(), k.imag.tolist()))
+
+
+def test_raw_census_is_closed_under_the_mirror_bitwise():
+    """The raw census is closed under ``k -> -conj(k)`` bit for bit (``Re k = -pi``
+    read as ``pi``, signed zeros equal), over seeded draws of N <= 50 and gamma
+    log-uniform up to the census bound: the real companion's eigenvalues come in
+    exact conjugate pairs. The complex companion's census pairs only to its
+    rounding: all 24 draws fail on it, and the poles of ``find_poles`` at N = 144,
+    gamma = 1e-8 paired to 1.8e-8."""
+    rng = np.random.default_rng(35001)
+    for _ in range(24):
+        spec = ChainSpec(int(rng.integers(1, 51)), float(10.0 ** rng.uniform(-8.0, 12.0)))
+        k = poles._pencil_wavenumbers(spec)
+        assert np.isfinite(k).all()
+        assert _mirror_keys(k, 1.0) == _mirror_keys(k, -1.0), spec
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 21])
+def test_real_companion_census_matches_the_complex_one(n):
+    """The real companion's census in the default strip lies within 1e-12 of the
+    complex companion's, pole for pole, at gamma <= 4."""
+    for gamma in (0.01, 0.3, 1.0, 1.5, 1.99, 2.5, 4.0):
+        spec = ChainSpec(n, gamma)
+        real = poles._pencil_poles(spec, DEFAULT_REGION)
+        complex_ = poles._pencil_poles(spec, DEFAULT_REGION, poles._complex_companion)
+        assert len(real) == len(complex_)
+        for ours, theirs in ((real, complex_), (complex_, real)):
+            assert max((min(abs(a - b) for b in theirs) for a in ours), default=0.0) <= 1e-12
+
+
+@pytest.mark.parametrize("gamma", [0.3, 0.9, 1.0])
+def test_single_cell_census_of_real_eigenvalues(gamma):
+    """At N = 1, gamma <= 1 every eigenvalue of the real companion is real, and NumPy
+    returns them as floats. The census casts them to complex before ``1/w`` and the
+    logarithm, so it warns of nothing, its wavenumbers are finite, and it returns the
+    complex route's census."""
+    spec = ChainSpec(1, gamma)
+    assert np.linalg.eigvals(poles._companion(spec)).dtype == np.float64
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isfinite(poles._pencil_wavenumbers(spec)).all()
+        for region in (DEFAULT_REGION, first_quadrant_region(gamma)):
+            expected = poles._census(spec, region, poles._complex_companion)
+            assert poles._census(spec, region) == find_poles(spec, region) == expected
+        assert tgbs_count(spec, verify=True) == 0
 
 
 @pytest.mark.parametrize("n", [1, 3, 9, 10, 50])
@@ -633,7 +692,7 @@ def test_default_strip_sweep_warns_when_a_branch_is_missing(monkeypatch):
         trace_trajectories(spec, 0.0, 2.0, steps=20)
     census = poles._census
     monkeypatch.setattr(poles, "_census",
-                        lambda s, r: census(s, r)[:-1] if s.gamma == 2.0 else census(s, r))
+                        lambda s, r, c: census(s, r, c)[:-1] if s.gamma == 2.0 else census(s, r, c))
     with pytest.warns(UserWarning, match="observed 4 branches with Re k > 0, expected 5"):
         trace_trajectories(spec, 0.0, 2.0, steps=20, strict=False)
 
@@ -670,7 +729,7 @@ def test_degenerate_sweep_emits_single_sample():
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_sweep_censuses_equal_fresh_censuses(n, monkeypatch):
-    """Each census of a sweep is a fresh pencil census's.
+    """Each census of a sweep is a fresh census of the complex companion.
 
     Every branch point is a record of the census at its gamma, and the
     samples are the census gammas in ascending order, each censused once
@@ -688,7 +747,7 @@ def test_sweep_censuses_equal_fresh_censuses(n, monkeypatch):
     traj = trace_trajectories(ChainSpec(n, 0.0), 0.0, 2.0, steps=20, region=region)
     assert traj.gamma_samples == sorted(g for g, _ in seen)
     for g, records in seen:
-        assert records == census(ChainSpec(n, g), region)
+        assert records == census(ChainSpec(n, g), region, poles._complex_companion)
     census_at = dict(seen)
     for b in traj.branches:
         assert all(any(p is r for r in census_at[g]) for g, p in b.points)

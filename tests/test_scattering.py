@@ -129,22 +129,30 @@ _REAL_X = st.one_of(
               st.floats(-12.0, -1.0)),
     st.builds(lambda sign, a: sign * a, _SIGN, st.floats(1.0, 5.5)),
 )
+#: |x| log-uniform from 5.6 to 1.78e308, the x of gamma up to sqrt(float max)
+_HUGE_X = st.builds(lambda sign, p: sign * 10.0**p, _SIGN, st.floats(0.75, 308.25))
 
 
-@settings(max_examples=400, deadline=None, derandomize=True, database=None)
-@given(n=st.integers(1, 10_000), x=_REAL_X)
-def test_real_axis_terms_match_mpmath(n, x):
-    """The closed forms of ``_chebyshev_real`` stay within 4 N eps of ``|T| + s|U|``.
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(nx=st.one_of(st.tuples(st.integers(1, 10_000), _REAL_X),
+                    st.tuples(st.integers(1, 3), _HUGE_X)))
+def test_real_axis_terms_match_mpmath(nx):
+    """The closed forms of ``_chebyshev_real`` stay within ``(N + y) eps`` of ``|T| + s|U|``.
 
     Each of ``T_N`` and ``s U_{N-1}`` (``s = sqrt|1 - x**2|``) is compared
     with 60-digit ``mpmath`` at the same float ``x``, also next to ``x = ±1``,
-    where the recurrence loses hundreds of ``N eps``.
+    where the recurrence loses hundreds of ``N eps``, and at ``N <= 3`` out
+    to ``|x| = 1.78e308``. ``y = N theta`` is the phase, ``N acos|x|`` or
+    ``N acosh|x|``: its rounding grows with it, to ~100 ulp at ``N = 1``,
+    ``|x| = 1e308``. At ``|x| <= 5.5`` the bound is below ``4 N eps``.
     """
+    n, x = nx
     t, u, e = _chebyshev_real(n, 1.0 - x, 1.0 + x)
     want_t, want_u, s = _mp_chebyshev(n, x)
     with mpmath.workdps(60):
         scale = abs(want_t) + s * abs(want_u)
-        bound = 4 * n * 2.0**-52 * scale
+        y = n * (mpmath.acos(abs(x)) if abs(x) <= 1 else mpmath.acosh(abs(x)))
+        bound = (n + y) * 2.0**-52 * scale
         assert abs(mpmath.ldexp(t, e) - want_t) <= bound
         assert s * abs(mpmath.ldexp(u, e) - want_u) <= bound
     if e:  # the terms are factored only beyond the double range

@@ -34,9 +34,11 @@ Two more are dense references for the chain's sparse operators, the
 lattice Hamiltonian ``build_hamiltonian`` and the pencil's chain block:
 ``dense_hamiltonian`` writes the finite lattice's
 Hamiltonian entry by entry into a zero matrix, and ``dense_pencil_companion``
-assembles the outgoing-wave pencil's companion matrix from ``np.diag`` and
-``np.eye``. Both take the gain/loss profile from ``gain_loss_profile``
-here, not from the package.
+assembles the outgoing-wave pencil's complex companion matrix from
+``np.diag`` and ``np.eye``. Both take the gain/loss profile from
+``gain_loss_profile`` here, not from the package. The census's real
+companion is checked against ``dense_pencil_companion`` through the PT
+similarity that makes it real.
 
 ``extreme_inputs`` draws seeded ``(spec, k)`` pairs out to the edges of the
 domain ``scatter`` accepts, after the fixed ``EXTREME_POINTS``, for the
